@@ -3,7 +3,8 @@ paired-coordinate rotation used by the rotated Rastrigin variant.
 
 All seven functions are minimization problems whose optimum value is 0.
 Evaluation is pure: no randomness, no state, bit-identical results for
-bit-identical inputs.
+bit-identical inputs. `BenchmarkFn.evaluate_batch` scores the rows of a
+matrix and gives, row for row, the very bits `evaluate` gives.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SearchSpace
+from .core import Individual, SearchSpace
 
 __all__ = [
     "FUNCTION_NAMES",
     "BenchmarkFn",
+    "evaluate_rows",
+    "evaluate_offspring",
     "rotation_matrix",
     "make",
     "registry",
@@ -63,38 +66,44 @@ def rotation_matrix(dim: int) -> np.ndarray:
     return a
 
 
-def _ackley(x: np.ndarray) -> float:
-    n = x.size
-    quad = np.sqrt(np.sum(x * x) / n)
-    trig = np.sum(np.cos(_TWO_PI * x)) / n
-    return float(20.0 + np.e - 20.0 * np.exp(-0.2 * quad) - np.exp(trig))
+# Each function takes an (n, dim) matrix and reduces along axis 1. A row
+# reduction of a C-contiguous matrix runs the same summation (and product)
+# order as the 1-D reduction of that row, so rows score bit for bit as
+# single genomes do.
 
 
-def _griewank(x: np.ndarray) -> float:
+def _ackley(x: np.ndarray) -> np.ndarray:
+    n = x.shape[1]
+    quad = np.sqrt(np.sum(x * x, axis=1) / n)
+    trig = np.sum(np.cos(_TWO_PI * x), axis=1) / n
+    return 20.0 + np.e - 20.0 * np.exp(-0.2 * quad) - np.exp(trig)
+
+
+def _griewank(x: np.ndarray) -> np.ndarray:
     # shifted variant: the minimum sits at every coordinate equal to 100
     z = x - 100.0
-    i = np.arange(1, x.size + 1, dtype=float)
-    return float(np.sum(z * z) / 4000.0 - np.prod(np.cos(z / np.sqrt(i))) + 1.0)
+    i = np.arange(1, x.shape[1] + 1, dtype=float)
+    return np.sum(z * z, axis=1) / 4000.0 - np.prod(np.cos(z / np.sqrt(i)), axis=1) + 1.0
 
 
-def _rastrigin(x: np.ndarray) -> float:
-    return float(np.sum(x * x - 10.0 * np.cos(_TWO_PI * x) + 10.0))
+def _rastrigin(x: np.ndarray) -> np.ndarray:
+    return np.sum(x * x - 10.0 * np.cos(_TWO_PI * x) + 10.0, axis=1)
 
 
-def _rosenbrock(x: np.ndarray) -> float:
-    a = x[:-1]
-    b = x[1:]
-    return float(np.sum(100.0 * (b - a * a) ** 2 + (a - 1.0) ** 2))
+def _rosenbrock(x: np.ndarray) -> np.ndarray:
+    a = x[:, :-1]
+    b = x[:, 1:]
+    return np.sum(100.0 * (b - a * a) ** 2 + (a - 1.0) ** 2, axis=1)
 
 
-def _ellipsoid(x: np.ndarray) -> float:
-    i = np.arange(1, x.size + 1, dtype=float)
-    return float(np.sum(i * x * x))
+def _ellipsoid(x: np.ndarray) -> np.ndarray:
+    i = np.arange(1, x.shape[1] + 1, dtype=float)
+    return np.sum(i * x * x, axis=1)
 
 
-def _schwefel12(x: np.ndarray) -> float:
-    partial = np.cumsum(x)
-    return float(np.sum(partial * partial))
+def _schwefel12(x: np.ndarray) -> np.ndarray:
+    partial = np.cumsum(x, axis=1)
+    return np.sum(partial * partial, axis=1)
 
 
 _EVALUATORS = {
@@ -122,15 +131,45 @@ class BenchmarkFn:
         g = np.asarray(x, dtype=float)
         if g.shape != (self.dim,):
             raise ValueError(f"{self.name} expects shape ({self.dim},), got {g.shape}")
+        return float(self.evaluate_batch(g[np.newaxis])[0])
+
+    def evaluate_batch(self, x) -> np.ndarray:
+        """Fitness of every row of an (n, dim) matrix, bit-identical to
+        `evaluate` row by row."""
+        rows = np.ascontiguousarray(x, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise ValueError(f"{self.name} expects shape (n, {self.dim}), got {rows.shape}")
         if self.name == "rot_rastrigin":
-            return _rastrigin(self.rotation @ g)
-        return _EVALUATORS[self.name](g)
+            # one matvec per row: a single matrix product rounds differently
+            rows = np.array([self.rotation @ row for row in rows]).reshape(rows.shape)
+            return _rastrigin(rows)
+        return _EVALUATORS[self.name](rows)
 
     def __call__(self, x) -> float:
         return self.evaluate(x)
 
     def optimum(self) -> tuple[np.ndarray, float]:
         return self.optimum_point, self.optimum_value
+
+
+def evaluate_rows(fn, x) -> np.ndarray:
+    """Fitness of every row of `x`: one `fn.evaluate_batch` call if the
+    objective has one, else `fn.evaluate` row by row."""
+    batch = getattr(fn, "evaluate_batch", None)
+    if batch is not None:
+        return np.asarray(batch(x), dtype=float)
+    return np.array([fn.evaluate(row) for row in x], dtype=float)
+
+
+def evaluate_offspring(children: list, fn) -> list[Individual]:
+    """Turn every bare genome in `children` into an evaluated Individual, in
+    one `evaluate_rows` call; members already evaluated stay as they are."""
+    todo = [i for i, child in enumerate(children) if not isinstance(child, Individual)]
+    if todo:
+        fitness = evaluate_rows(fn, np.stack([children[i] for i in todo]))
+        for i, f in zip(todo, fitness.tolist()):
+            children[i] = Individual(children[i], f)
+    return children
 
 
 def make(name: str, dim: int, schwefel_lower: float | None = None) -> BenchmarkFn:

@@ -4,7 +4,10 @@ Every engine is written as an infinite generator yielding one trace record per
 generation (including generation 0, the initialized population), so fixed
 budgets, stagnation-driven runs, and hard caps are all just different ways of
 consuming the same stream. All engines minimize, all use one RngStream per
-run, and all keep the population size constant.
+run, and all keep the population size constant. Each generation evaluates
+its new children in one batch once its loop has drawn them all; no draw
+depends on a child's fitness, so the random stream is the same as with
+evaluation child by child.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
+from .benchmarks import evaluate_offspring
 from .core import Individual, Population, RngStream, SearchSpace
 from .diversity import distance_to_average
 from .informed import InformedOpConfig, detect_victims, informed_mutation, regular_ops
@@ -147,8 +151,7 @@ class RunTrace:
 
 def _init_population(cfg: EngineConfig, fn, rng: RngStream) -> Population:
     genomes = rng.uniform(fn.space.lower, fn.space.upper, size=(cfg.N, fn.space.dim))
-    members = [Individual(g, fn.evaluate(g)) for g in genomes]
-    return Population(members, 0)
+    return Population(evaluate_offspring(list(genomes), fn), 0)
 
 
 def _record(population: Population, space: SearchSpace, generation: int, **extra) -> GenRecord:
@@ -261,7 +264,7 @@ def _sea_like_steps(
     t = 0
     while True:
         t += 1
-        offspring: list[Individual] = []
+        offspring: list = []
         for _ in range(cfg.N):
             p1 = binary_tournament(pop, rng)
             p2 = binary_tournament(pop, rng)
@@ -269,11 +272,8 @@ def _sea_like_steps(
             genome = arithmetic_crossover(p1, p2, rng) if crossed else p1.genome
             if rng.random() < cfg.p_m_genome:
                 genome = gaussian_mutate(genome, variance_source(t - 1, rng), 1.0, space, rng)
-            if genome is p1.genome:
-                offspring.append(p1)
-            else:
-                offspring.append(Individual(genome, fn.evaluate(genome)))
-        pop = _elitist_merge(pop, offspring, cfg.elitism_count, t)
+            offspring.append(p1 if genome is p1.genome else genome)
+        pop = _elitist_merge(pop, evaluate_offspring(offspring, fn), cfg.elitism_count, t)
         best = _track_best(best, pop)
         yield _record(pop, space, t), best
 
@@ -313,7 +313,7 @@ def _cea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenRecor
     while True:
         t += 1
         old = pop.members
-        new_members: list[Individual] = []
+        children: list = []
         for idx in range(cfg.N):
             r, c = divmod(idx, cols)
             nbr, nbc = torus_neighbors(r, c, rows, cols)[int(rng.integers(0, 4))]
@@ -324,11 +324,12 @@ def _cea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenRecor
             if rng.random() < cfg.p_m_genome:
                 variance = pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper)
                 genome = gaussian_mutate(genome, variance, 1.0, space, rng)
-            if genome is center.genome:
-                child = center
-            else:
-                child = Individual(genome, fn.evaluate(genome))
-            new_members.append(child if child.fitness < center.fitness else center)
+            children.append(center if genome is center.genome else genome)
+        children = evaluate_offspring(children, fn)
+        new_members = [
+            child if child.fitness < center.fitness else center
+            for child, center in zip(children, old)
+        ]
         pop = Population(new_members, t)
         best = _track_best(best, pop)
         yield _record(pop, space, t), best
@@ -356,14 +357,13 @@ def _dgea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenReco
     while True:
         t += 1
         mode = dgea_mode(mode, distance_to_average(pop, space), cfg.d_low, cfg.d_high)
-        offspring: list[Individual] = []
+        offspring: list = []
         if mode == "exploit":
             for _ in range(cfg.N):
                 p1 = binary_tournament(pop, rng)
                 p2 = binary_tournament(pop, rng)
                 if rng.random() < cfg.p_r:
-                    genome = arithmetic_crossover(p1, p2, rng)
-                    offspring.append(Individual(genome, fn.evaluate(genome)))
+                    offspring.append(arithmetic_crossover(p1, p2, rng))
                 else:
                     offspring.append(p1)
         else:
@@ -371,13 +371,10 @@ def _dgea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenReco
                 if rng.random() < cfg.p_m_genome:
                     variance = pow_sample(1.0, rng, cfg.pow_exponent, cfg.pow_upper)
                     genome = gaussian_mutate(member.genome, variance, 1.0, space, rng)
-                    if genome is member.genome:
-                        offspring.append(member)
-                    else:
-                        offspring.append(Individual(genome, fn.evaluate(genome)))
+                    offspring.append(member if genome is member.genome else genome)
                 else:
                     offspring.append(member)
-        pop = _elitist_merge(pop, offspring, cfg.elitism_count, t)
+        pop = _elitist_merge(pop, evaluate_offspring(offspring, fn), cfg.elitism_count, t)
         best = _track_best(best, pop)
         yield _record(pop, space, t, mode=mode), best
 

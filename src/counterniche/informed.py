@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .benchmarks import evaluate_offspring, evaluate_rows
 from .core import Individual, Population, RngStream, SearchSpace
 from .niching import GridIndex, MemoryArchive, Region, archive_mean_distance, archive_push
 from .operators import arithmetic_crossover, binary_tournament, gaussian_mutate
@@ -22,6 +24,7 @@ __all__ = [
     "InformedOpConfig",
     "VictimRegion",
     "InformedCounters",
+    "VirginSamples",
     "detect_victims",
     "sample_virgin",
     "select_replacement",
@@ -95,33 +98,34 @@ def detect_victims(
     return victims
 
 
+class VirginSamples(NamedTuple):
+    """Evaluated samples from unoccupied cells, pool by pool in draw order."""
+
+    genomes: np.ndarray  # (m, dim)
+    fitness: np.ndarray  # (m,)
+    pool: np.ndarray     # (m,) the pool each sample was drawn for
+
+
 def sample_virgin(
-    space: SearchSpace, grid: GridIndex, fn, rng: RngStream, budget: int
-) -> list[Individual]:
-    """Up to `budget` evaluated uniform samples whose cell key is unoccupied.
+    space: SearchSpace, grid: GridIndex, fn, rng: RngStream, budget: int, pools: int = 1
+) -> VirginSamples:
+    """Up to `budget` evaluated uniform samples whose cell key is unoccupied,
+    for each of `pools` pools of 10 * budget raw draws.
 
-    At most 10 * budget raw draws are attempted; heavily occupied grids can
-    therefore return fewer samples, or none.
+    Heavily occupied grids can therefore leave a pool with fewer samples, or
+    none. All pools come from one draw, which yields the same rows as one
+    draw per pool, and all samples are evaluated in one batch.
     """
-    if budget <= 0:
-        return []
-    raw = rng.uniform(space.lower, space.upper, size=(10 * budget, space.dim))
-    dims = list(grid.effective_dims)
-    scaled = np.floor(
-        grid.bins_per_dim
-        * (raw[:, dims] - space.lower[dims])
-        / (space.upper[dims] - space.lower[dims])
-    )
-    keys = np.clip(scaled, 0, grid.bins_per_dim - 1).astype(int)
-
-    out: list[Individual] = []
-    for row, key_row in zip(raw, keys.tolist()):
-        if len(out) == budget:
-            break
-        if tuple(key_row) in grid.cells:
-            continue
-        out.append(Individual(row, fn.evaluate(row)))
-    return out
+    if budget <= 0 or pools <= 0:
+        return VirginSamples(np.empty((0, space.dim)), np.empty(0), np.empty(0, dtype=int))
+    draws = 10 * budget
+    raw = rng.uniform(space.lower, space.upper, size=(pools * draws, space.dim))
+    free = grid.unoccupied(raw)
+    # keep the first `budget` unoccupied rows of each pool
+    rank = np.cumsum(free.reshape(pools, draws), axis=1).ravel()
+    keep = np.flatnonzero(free & (rank <= budget))
+    genomes = raw[keep]
+    return VirginSamples(genomes, evaluate_rows(fn, genomes), keep // draws)
 
 
 def select_replacement(
@@ -161,13 +165,21 @@ def informed_mutation(
     Population size never changes. Slots whose sampling finds no qualifying
     candidate keep their original member and bump the fallback counter.
     Replacements carry their own evaluated fitness; nothing is re-evaluated.
+    Each victim region samples one pool per slot, all in one call.
     """
     members = list(population.members)
     counters = InformedCounters(victims=len(victims))
     for victim in victims:
         archive_push(archive, victim.region.centroid)
-        for slot in victim.replace_indices:
-            candidates = sample_virgin(space, grid, fn, rng, cfg.sample_budget)
+        slots = victim.replace_indices
+        samples = sample_virgin(space, grid, fn, rng, cfg.sample_budget, len(slots))
+        # only samples strictly fitter than the region mean can qualify
+        fitter = np.flatnonzero(samples.fitness < victim.region.fitness_mean)
+        for pool, slot in enumerate(slots):
+            candidates = [
+                Individual(samples.genomes[i], samples.fitness[i])
+                for i in fitter[samples.pool[fitter] == pool]
+            ]
             chosen = select_replacement(candidates, victim, archive)
             if chosen is None:
                 counters.fallbacks += 1
@@ -181,19 +193,17 @@ def regular_ops(
     population: Population, space: SearchSpace, fn, rng: RngStream, cfg: InformedOpConfig
 ) -> Population:
     """Standard variation pass: tournament parents, arithmetic crossover with
-    probability p_r, per-gene Gaussian mutation with std sigma_reg * range."""
+    probability p_r, per-gene Gaussian mutation with std sigma_reg * range.
+    The changed children are evaluated in one batch at the end."""
     std = cfg.sigma_reg * space.widths()
     variance = std * std
-    offspring: list[Individual] = []
+    offspring: list = []
     for _ in range(population.size):
         p1 = binary_tournament(population, rng)
         p2 = binary_tournament(population, rng)
         crossed = rng.random() < cfg.p_r
         genome = arithmetic_crossover(p1, p2, rng) if crossed else p1.genome
         mutated = gaussian_mutate(genome, variance, cfg.p_m, space, rng)
-        if mutated is p1.genome:
-            # untouched copy of the first parent keeps its fitness
-            offspring.append(p1)
-        else:
-            offspring.append(Individual(mutated, fn.evaluate(mutated)))
-    return Population(offspring, population.generation)
+        # an untouched copy of the first parent keeps its fitness
+        offspring.append(p1 if mutated is p1.genome else mutated)
+    return Population(evaluate_offspring(offspring, fn), population.generation)

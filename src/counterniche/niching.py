@@ -39,11 +39,19 @@ DEFAULT_KEY_DIM_LIMIT = 10
 DEFAULT_PROJECTED_DIMS = 10
 
 
-def bin_indices(points, space: SearchSpace, bins: int) -> np.ndarray:
-    """Per-coordinate bin index; the upper bound folds into the last bin."""
+def bin_indices(points, space: SearchSpace, bins: int, dims=None) -> np.ndarray:
+    """Per-coordinate bin index of each point, over the coordinates `dims`
+    (all of them by default); the upper bound folds into the last bin."""
     pts = np.asarray(points, dtype=float)
-    scaled = np.floor(bins * (pts - space.lower) / (space.upper - space.lower))
-    return np.clip(scaled, 0, bins - 1).astype(int)
+    lower, upper = space.lower, space.upper
+    if dims is not None:
+        dims = list(dims)
+        pts, lower, upper = pts[..., dims], lower[dims], upper[dims]
+    scaled = pts - lower
+    scaled *= bins
+    scaled /= upper - lower
+    np.floor(scaled, out=scaled)
+    return np.clip(scaled, 0, bins - 1, out=scaled).astype(int)
 
 
 def choose_key_dims(
@@ -68,15 +76,35 @@ class GridIndex:
     space: SearchSpace
 
     def key_of(self, genome) -> tuple[int, ...]:
-        g = np.asarray(genome, dtype=float)
-        dims = list(self.effective_dims)
-        scaled = np.floor(
-            self.bins_per_dim
-            * (g[dims] - self.space.lower[dims])
-            / (self.space.upper[dims] - self.space.lower[dims])
-        )
-        clipped = np.clip(scaled, 0, self.bins_per_dim - 1).astype(int)
-        return tuple(int(v) for v in clipped)
+        return tuple(bin_indices(genome, self.space, self.bins_per_dim, self.effective_dims).tolist())
+
+    def unoccupied(self, points) -> np.ndarray:
+        """Mask of the rows of an (n, dim) matrix whose cell holds no member.
+
+        Keys are matched against the occupied keys a block of coordinates at
+        a time. A matched prefix is coded by its rank among the occupied
+        prefixes, so codes stay below 2**62 however long the keys are; at
+        the default sizes one block covers the whole key.
+        """
+        bins = self.bins_per_dim
+        keys = bin_indices(points, self.space, bins, self.effective_dims)
+        free = np.zeros(len(keys), dtype=bool)
+        if not self.cells:
+            return ~free
+        occupied = np.array(list(self.cells))
+        block = max(1, (62 - len(self.cells).bit_length()) // math.ceil(math.log2(bins)))
+        code = np.zeros(len(keys), dtype=np.int64)
+        occupied_code = np.zeros(len(occupied), dtype=np.int64)
+        for j in range(0, keys.shape[1], block):
+            radix = bins ** np.arange(min(block, keys.shape[1] - j), dtype=np.int64)
+            shift = bins * radix[-1]
+            prefixes, occupied_code = np.unique(
+                occupied_code * shift + occupied[:, j : j + block] @ radix, return_inverse=True
+            )
+            wanted = code * shift + keys[:, j : j + block] @ radix
+            code = np.searchsorted(prefixes, wanted)
+            free |= prefixes[np.minimum(code, len(prefixes) - 1)] != wanted
+        return free
 
     def is_occupied(self, key: tuple[int, ...]) -> bool:
         return key in self.cells
@@ -106,13 +134,7 @@ def build_grid(
                 raise ValueError("rng is required to draw projected key dimensions")
             key_dims = choose_key_dims(space.dim, rng, key_dim_limit, projected_dims)
 
-    x = population.genomes()
-    dims = list(key_dims)
-    sub_lower = space.lower[dims]
-    sub_upper = space.upper[dims]
-    scaled = np.floor(bins * (x[:, dims] - sub_lower) / (sub_upper - sub_lower))
-    keys = np.clip(scaled, 0, bins - 1).astype(int)
-
+    keys = bin_indices(population.genomes(), space, bins, key_dims)
     cells: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(keys.tolist()):
         cells.setdefault(tuple(row), []).append(i)

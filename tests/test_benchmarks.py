@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterniche import FUNCTION_NAMES, make, rotation_matrix
-from counterniche.benchmarks import registry
+from counterniche.benchmarks import evaluate_rows, registry
 
 
 def test_function_names_complete():
@@ -131,6 +131,63 @@ def test_evaluate_rejects_wrong_shape():
     fn = make("ackley", 3)
     with pytest.raises(ValueError):
         fn.evaluate([1.0, 2.0])
+
+
+def _reference(name, x):
+    """The one-genome formulas, written out apart from the package."""
+    n = x.size
+    i = np.arange(1, n + 1, dtype=float)
+    if name == "ackley":
+        quad = np.sqrt(np.sum(x * x) / n)
+        trig = np.sum(np.cos(2.0 * np.pi * x)) / n
+        return float(20.0 + np.e - 20.0 * np.exp(-0.2 * quad) - np.exp(trig))
+    if name == "griewank":
+        z = x - 100.0
+        return float(np.sum(z * z) / 4000.0 - np.prod(np.cos(z / np.sqrt(i))) + 1.0)
+    if name == "rosenbrock":
+        a, b = x[:-1], x[1:]
+        return float(np.sum(100.0 * (b - a * a) ** 2 + (a - 1.0) ** 2))
+    if name == "ellipsoid":
+        return float(np.sum(i * x * x))
+    if name == "schwefel12":
+        partial = np.cumsum(x)
+        return float(np.sum(partial * partial))
+    if name == "rot_rastrigin":
+        x = rotation_matrix(n) @ x
+    return float(np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0))
+
+
+@pytest.mark.parametrize("name", FUNCTION_NAMES)
+def test_evaluate_batch_is_bit_identical_to_evaluate(name):
+    rng = np.random.default_rng(FUNCTION_NAMES.index(name))
+    dims = range(2, 101, 2) if name == "rot_rastrigin" else range(2, 101)
+    for dim in dims:
+        fn = make(name, dim)
+        for rows in (0, 1, 7, 200):
+            x = rng.uniform(fn.space.lower, fn.space.upper, size=(rows, dim))
+            got = fn.evaluate_batch(x)
+            assert got.dtype == np.float64 and got.shape == (rows,)
+            assert np.array_equal(got, [fn.evaluate(row) for row in x]), (dim, rows)
+            assert np.array_equal(got, [_reference(name, row) for row in x]), (dim, rows)
+
+
+def test_evaluate_batch_rejects_wrong_shape():
+    fn = make("rastrigin", 3)
+    for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((2, 4, 3))):
+        with pytest.raises(ValueError):
+            fn.evaluate_batch(bad)
+
+
+def test_evaluate_rows_falls_back_to_evaluate():
+    fn = make("griewank", 5)
+
+    class EvaluateOnly:
+        def evaluate(self, x):
+            return fn.evaluate(x)
+
+    x = np.random.default_rng(0).uniform(fn.space.lower, fn.space.upper, size=(9, 5))
+    assert np.array_equal(evaluate_rows(EvaluateOnly(), x), fn.evaluate_batch(x))
+    assert evaluate_rows(EvaluateOnly(), x[:0]).shape == (0,)
 
 
 def test_make_rejects_unknown():

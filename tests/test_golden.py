@@ -1,0 +1,121 @@
+"""Same-seed traces pinned by SHA-256 digest.
+
+Each digest covers every generation record (with `wall_ms` zeroed) and the
+bytes of the best genome of a short run. The digests were recorded before
+objective evaluation was batched, so they pin the order of every random draw
+and every fitness value. A change that moves a draw on purpose must say so in
+CHANGES.md and record them again with `python tests/test_golden.py`. The
+objective evaluations of each run are pinned beside them.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from counterniche import default_config, make, run
+
+# name -> (algo, function, dim, config overrides)
+CASES = {
+    "cnea-rastrigin-10d": ("cnea", "rastrigin", 10, dict(N=60, generations=30, seed=1)),
+    "cnea-rastrigin-20d-projected": ("cnea", "rastrigin", 20, dict(N=100, generations=100, seed=2)),
+    "cnea-schwefel12-10d-replacement": ("cnea", "schwefel12", 10, dict(N=100, generations=100, seed=5)),
+    "cnea-rot_rastrigin-6d": ("cnea", "rot_rastrigin", 6, dict(N=50, generations=20, seed=3)),
+    "sea-ackley-8d": ("sea", "ackley", 8, dict(N=40, generations=30, seed=4)),
+    "socea-griewank-8d": ("socea", "griewank", 8, dict(N=40, generations=30, seed=5)),
+    "cea-rosenbrock-8d": ("cea", "rosenbrock", 8, dict(N=36, cea_rows=6, cea_cols=6, generations=30, seed=6)),
+    "dgea-ellipsoid-8d": ("dgea", "ellipsoid", 8, dict(N=40, generations=30, seed=7)),
+    "dgea-rastrigin-8d-switching": (
+        "dgea", "rastrigin", 8, dict(N=40, generations=40, seed=8, d_low=0.2, d_high=0.3)
+    ),
+}
+
+DIGESTS = {
+    "cea-rosenbrock-8d": "ba774cc7ec2e372a4ce7f46090c73aea0cee28c59948013322859f6b4fcd5ea3",
+    "cnea-rastrigin-10d": "fa7b2b446520e9942e6b0140740a6a9c08d4328f28373c39345b20cc83f746fd",
+    "cnea-rastrigin-20d-projected": "99a1b313b0290d1abac122154b6eed20aca96fe50b1f55b1c1f4cb3d163d5c84",
+    "cnea-rot_rastrigin-6d": "8a4187fc189134488f91650c4739ac96fb03d273410ceb5ffa34a20173060079",
+    "cnea-schwefel12-10d-replacement": "caa806638e026ace8503aad589318f91e83ed2404781710e20e0c1d37c2873c9",
+    "dgea-ellipsoid-8d": "bdb47e6d9fa9c8f9260776344f3c6bec77c0a1bf3af00f24ad93d73375d86042",
+    "dgea-rastrigin-8d-switching": "f0a7ef40c49c2bdf098a43a074d4a0c01ea2369e07bad494e1522fd96746c220",
+    "sea-ackley-8d": "456250de99cb22dbbbc83c067574e7c604dc058bdf68456f20e6574559bdfd01",
+    "socea-griewank-8d": "44b80a72ea02bbc1fc484c2420158b665099c3550456cca202c01f47270c6dc7",
+}
+
+EVALUATIONS = {
+    "cea-rosenbrock-8d": 1089,
+    "cnea-rastrigin-10d": 3076,
+    "cnea-rastrigin-20d-projected": 18696,
+    "cnea-rot_rastrigin-6d": 1533,
+    "cnea-schwefel12-10d-replacement": 50966,
+    "dgea-ellipsoid-8d": 1115,
+    "dgea-rastrigin-8d-switching": 1313,
+    "sea-ackley-8d": 1204,
+    "socea-griewank-8d": 1207,
+}
+
+
+class EvaluateOnly:
+    """An objective with `evaluate` but no `evaluate_batch`; counts the rows
+    it evaluates."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.space = fn.space
+        self.rows = 0
+
+    def evaluate(self, x):
+        self.rows += 1
+        return self.fn.evaluate(x)
+
+
+class Counting(EvaluateOnly):
+    """The benchmark function with both methods, counting rows."""
+
+    def evaluate_batch(self, x):
+        self.rows += len(x)
+        return self.fn.evaluate_batch(x)
+
+
+def run_case(name: str, objective):
+    algo, function, dim, overrides = CASES[name]
+    fn = objective(make(function, dim))
+    return run(default_config(algo, dim=dim, **overrides), fn), fn.rows
+
+
+def trace_digest(trace) -> str:
+    h = hashlib.sha256()
+    for rec in trace.records:
+        h.update(repr(dataclasses.astuple(dataclasses.replace(rec, wall_ms=0.0))).encode())
+    h.update(trace.best.genome.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_matches_recorded_digest(name):
+    trace, evaluations = run_case(name, Counting)
+    assert trace_digest(trace) == DIGESTS[name]
+    assert evaluations == EVALUATIONS[name]
+
+
+@pytest.mark.parametrize("name", ["cnea-schwefel12-10d-replacement", "cea-rosenbrock-8d"])
+def test_objective_without_evaluate_batch_gives_the_same_trace(name):
+    trace, evaluations = run_case(name, EvaluateOnly)
+    assert trace_digest(trace) == DIGESTS[name]
+    assert evaluations == EVALUATIONS[name]
+
+
+def test_schwefel12_case_makes_one_replacement():
+    trace, _ = run_case("cnea-schwefel12-10d-replacement", Counting)
+    assert sum(r.replacements for r in trace.records) == 1
+
+
+if __name__ == "__main__":
+    runs = {case: run_case(case, EvaluateOnly) for case in sorted(CASES)}
+    print("DIGESTS = {")
+    for case, (trace, _) in runs.items():
+        print(f'    "{case}": "{trace_digest(trace)}",')
+    print("}\n\nEVALUATIONS = {")
+    for case, (_, evaluations) in runs.items():
+        print(f'    "{case}": {evaluations},')
+    print("}")

@@ -108,10 +108,37 @@ def test_sample_virgin_avoids_occupied_cells():
     grid = build_grid(pop, space, bins=4)
     rng = RngStream(0)
     samples = sample_virgin(space, grid, fn, rng, budget=10)
-    assert 0 < len(samples) <= 10
-    for s in samples:
-        assert not grid.is_occupied(grid.key_of(s.genome))
-        assert s.fitness == fn.evaluate(s.genome)
+    assert 0 < len(samples.fitness) <= 10
+    assert samples.pool.tolist() == [0] * len(samples.fitness)
+    for genome, fitness in zip(samples.genomes, samples.fitness):
+        assert not grid.is_occupied(grid.key_of(genome))
+        assert fitness == fn.evaluate(genome)
+
+
+def _virgin_reference(space, grid, fn, rng, budget):
+    """One pool row by row: the first `budget` unoccupied rows of 10 * budget draws."""
+    raw = rng.uniform(space.lower, space.upper, size=(10 * budget, space.dim))
+    rows = [row for row in raw if not grid.is_occupied(grid.key_of(row))][:budget]
+    return rows, [fn.evaluate(row) for row in rows]
+
+
+def test_sample_virgin_pools_match_one_draw_per_pool():
+    space = SearchSpace.cube(2, 0.0, 1.0)
+    fn = _Quadratic(space)
+    # 14 of 16 cells occupied: a pool of 40 draws holds about 5 virgin rows,
+    # so some pools fill the budget of 4 and others run short
+    centres = [[(i + 0.5) / 4, (j + 0.5) / 4] for i in range(4) for j in range(4)][2:]
+    grid = build_grid(_pop(centres, [0.0] * 14), space, bins=4)
+    rng_once, rng_each = RngStream(3), RngStream(3)
+    together = sample_virgin(space, grid, fn, rng_once, budget=4, pools=12)
+    sizes = np.bincount(together.pool, minlength=12)
+    assert sizes.max() == 4 and sizes.min() < 4
+    for pool in range(12):
+        rows, fitness = _virgin_reference(space, grid, fn, rng_each, budget=4)
+        assert np.array_equal(together.genomes[together.pool == pool], np.reshape(rows, (-1, 2)))
+        assert together.fitness[together.pool == pool].tolist() == fitness
+    # both streams are left at the same place
+    assert rng_once.random() == rng_each.random()
 
 
 def test_sample_virgin_budget_and_saturation():
@@ -120,8 +147,9 @@ def test_sample_virgin_budget_and_saturation():
     # every cell occupied: nothing virgin to find
     pop = _pop([[0.1], [0.3], [0.6], [0.9]], [0.0] * 4)
     grid = build_grid(pop, space, bins=4)
-    assert sample_virgin(space, grid, fn, RngStream(0), budget=5) == []
-    assert sample_virgin(space, grid, fn, RngStream(0), budget=0) == []
+    assert len(sample_virgin(space, grid, fn, RngStream(0), budget=5).fitness) == 0
+    assert len(sample_virgin(space, grid, fn, RngStream(0), budget=0).fitness) == 0
+    assert len(sample_virgin(space, grid, fn, RngStream(0), budget=5, pools=3).fitness) == 0
 
 
 def test_select_replacement_requires_strict_improvement():

@@ -93,6 +93,21 @@ def test_is_occupied():
     assert not grid.is_occupied((3, 3))
 
 
+@pytest.mark.parametrize("dim,bins,key_dims", [(2, 4, None), (12, 3, (1, 4, 7)), (60, 4, None), (40, 7, None)])
+def test_unoccupied_matches_key_lookup(dim, bins, key_dims):
+    # 60 and 40 coordinates need more than one 62-bit block per key
+    space = SearchSpace.cube(dim, -1.0, 1.0)
+    rng = np.random.default_rng(dim)
+    centres = rng.uniform(-1.0, 1.0, size=(3, dim))
+    members = np.clip(centres[rng.integers(0, 3, 40)] + rng.normal(0, 0.05, (40, dim)), -1, 1)
+    grid = build_grid(_pop(members), space, bins, key_dims=key_dims or tuple(range(dim)))
+    near = np.clip(members + rng.normal(0, 0.02, members.shape), -1, 1)
+    points = np.concatenate([members, near, rng.uniform(-1.0, 1.0, (40, dim))])
+    free = grid.unoccupied(points)
+    assert free.tolist() == [not grid.is_occupied(grid.key_of(p)) for p in points]
+    assert not free[:40].any() and free[80:].any()
+
+
 def test_high_density_regions_threshold():
     space = SearchSpace.cube(2, 0.0, 1.0)
     rows = [[0.1, 0.1]] * 5 + [[0.9, 0.9]] * 4
