@@ -9,8 +9,8 @@ diversity over improving generations. Useful for choosing generation budgets.
 import argparse
 import sys
 
-from counterniche import RngStream, default_config, make, run_to_stagnation
-from counterniche.harness import StagnationRule, default_burn_in, diversity_profile
+from counterniche import StagnationRule, default_config, make, run
+from counterniche.harness import default_burn_in, diversity_profile
 
 
 def main(argv=None):
@@ -26,7 +26,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     fn = make(args.function, args.dim)
-    rule = StagnationRule(args.window)
+    rule = StagnationRule(args.window, args.hard_cap)
     print(f"{'algo':<6} {'seed':>4}  {'stopped_by':<10} {'generation':>10}  "
           f"{'final_error':>12}  {'avg_diversity':>13}")
     for algo in (a.strip() for a in args.algos.split(",") if a.strip()):
@@ -35,7 +35,7 @@ def main(argv=None):
             cfg = default_config(
                 algo, dim=args.dim, generations=0, seed=seed, N=args.pop_size
             )
-            trace = run_to_stagnation(cfg, fn, RngStream(seed), rule, args.hard_cap)
+            trace = run(cfg, fn, stop=rule)
             err = trace.best.fitness - fn.optimum_value
             profile = diversity_profile(trace, default_burn_in(trace.generations))
             avg = "n/a" if profile.average_diversity is None else f"{profile.average_diversity:.6g}"

@@ -15,26 +15,13 @@ from .engines import (
     EngineConfig,
     GenRecord,
     RunTrace,
+    StagnationRule,
     default_config,
     default_generations,
     run,
-    run_cea,
-    run_cnea,
-    run_dgea,
-    run_sea,
-    run_socea,
 )
-from .harness import (
-    ExperimentMatrix,
-    StagnationRule,
-    detect_stagnation,
-    diversity_profile,
-    run_matrix,
-    run_to_stagnation,
-    timed_run,
-)
+from .harness import ExperimentMatrix, detect_stagnation, diversity_profile, run_matrix
 from .informed import (
-    InformedOpConfig,
     detect_victims,
     informed_mutation,
     regular_ops,

@@ -2,7 +2,8 @@
 
 Thin adapter over the library: every number printed here is computed by the
 benchmark, engine, harness, or stats modules. Exit codes: 0 on success, 2 on
-usage errors, 1 on runtime failures.
+usage errors (including an engine configuration that fails validation), 1 on
+runtime failures.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import benchmarks, harness, stats
 from .core import RngStream
-from .engines import ALGORITHMS, algorithm_registry, default_config, run
+from .engines import ALGORITHMS, algorithm_registry, default_config, engine_knobs, run
 
 OUTPUT_DIR_ENV = "COUNTERNICHE_OUT"
 
@@ -68,24 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write measured per-generation wall_ms instead of 0")
     p_run.add_argument("--regions-dump", default=None,
                        help="JSONL path for per-generation dense-region dumps (cnea only)")
-    p_run.add_argument("--pop-size", type=_positive_int, default=None)
-    p_run.add_argument("--elitism", type=_nonneg_int, default=None)
-    p_run.add_argument("--p-r", type=float, default=None)
-    p_run.add_argument("--p-m", type=float, default=None)
-    p_run.add_argument("--p-m-genome", type=float, default=None)
-    p_run.add_argument("--sigma-reg", type=float, default=None)
-    p_run.add_argument("--grid-bins", type=_positive_int, default=None)
-    p_run.add_argument("--tau-dense", type=float, default=None)
-    p_run.add_argument("--eps-fit", type=float, default=None)
-    p_run.add_argument("--rho-replace", type=float, default=None)
-    p_run.add_argument("--sample-budget", type=_positive_int, default=None)
-    p_run.add_argument("--sea-variance", choices=("printed", "annealed"), default=None)
-    p_run.add_argument("--pow-exponent", type=float, default=None)
-    p_run.add_argument("--pow-upper", type=float, default=None)
-    p_run.add_argument("--d-low", type=float, default=None)
-    p_run.add_argument("--d-high", type=float, default=None)
-    p_run.add_argument("--cea-rows", type=_positive_int, default=None)
-    p_run.add_argument("--cea-cols", type=_positive_int, default=None)
+    for key, knob in engine_knobs().items():
+        kind = type(knob.default)
+        p_run.add_argument("--" + key.replace("_", "-"), dest=knob.name, type=kind,
+                           metavar=kind.__name__.upper(),
+                           help="engine knob read by " + ", ".join(knob.metadata["applies"]))
     p_run.add_argument("--schwefel-lower", type=float, default=None)
 
     p_sweep = sub.add_parser("sweep", help="run a whole experiment matrix from a config file")
@@ -110,28 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--json", action="store_true")
 
     return parser
-
-
-_RUN_OVERRIDES = {
-    "pop_size": "N",
-    "elitism": "elitism_count",
-    "p_r": "p_r",
-    "p_m": "p_m",
-    "p_m_genome": "p_m_genome",
-    "sigma_reg": "sigma_reg",
-    "grid_bins": "grid_bins",
-    "tau_dense": "tau_dense",
-    "eps_fit": "eps_fit",
-    "rho_replace": "rho_replace",
-    "sample_budget": "sample_budget",
-    "sea_variance": "sea_variance_mode",
-    "pow_exponent": "pow_exponent",
-    "pow_upper": "pow_upper",
-    "d_low": "d_low",
-    "d_high": "d_high",
-    "cea_rows": "cea_rows",
-    "cea_cols": "cea_cols",
-}
 
 
 def _cmd_list(args) -> int:
@@ -165,16 +132,24 @@ def _cmd_list(args) -> int:
     return 0
 
 
+def _usage_error(exc: ValueError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
     fn = benchmarks.make(args.function, args.dim, schwefel_lower=args.schwefel_lower)
-    overrides = {}
-    for flag, field in _RUN_OVERRIDES.items():
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
-    cfg = default_config(
-        args.algo, dim=args.dim, generations=args.generations, seed=args.seed, **overrides
-    )
+    overrides = {
+        knob.name: getattr(args, knob.name)
+        for knob in engine_knobs().values()
+        if getattr(args, knob.name) is not None
+    }
+    try:
+        cfg = default_config(
+            args.algo, dim=args.dim, generations=args.generations, seed=args.seed, **overrides
+        )
+    except ValueError as exc:
+        return _usage_error(exc)
 
     on_regions = None
     dump_handle = None
@@ -217,17 +192,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    matrix = harness.load_matrix_config(args.config)
     env_out = os.environ.get(OUTPUT_DIR_ENV)
     updates = {}
     if env_out:
         updates["output_dir"] = env_out
     if args.workers is not None:
         updates["workers"] = args.workers
-    if updates:
-        from dataclasses import replace
-
-        matrix = replace(matrix, **updates)
+    try:
+        matrix = replace(harness.load_matrix_config(args.config), **updates)
+    except ValueError as exc:
+        return _usage_error(exc)
     results = harness.run_matrix(matrix)
     failed = 0
     for cell in results:

@@ -1,9 +1,9 @@
 """Generation loops for the five engines plus the shared run plumbing.
 
 Every engine is written as an infinite generator yielding one trace record per
-generation (including generation 0, the initialized population), so fixed
-budgets, stagnation-driven runs, and hard caps are all just different ways of
-consuming the same stream. All engines minimize, all use one RngStream per
+generation (including generation 0, the initialized population); `run` is the
+one loop that consumes it, for a fixed budget or until a `StagnationRule`
+fires. All engines minimize, all use one RngStream per
 run, and all keep the population size constant. Each generation evaluates
 its new children in one batch once its loop has drawn them all; no draw
 depends on a child's fitness, so the random stream is the same as with
@@ -12,14 +12,15 @@ evaluation child by child.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from typing import Callable, Iterator
 
 from .benchmarks import evaluate_offspring
 from .core import Individual, Population, RngStream, SearchSpace
 from .diversity import distance_to_average
-from .informed import InformedOpConfig, detect_victims, informed_mutation, regular_ops
+from .informed import detect_victims, informed_mutation, regular_ops
 from .niching import MemoryArchive, build_grid, choose_key_dims, high_density_regions
 from .operators import arithmetic_crossover, binary_tournament, gaussian_mutate, pow_sample, sea_variance
 
@@ -28,15 +29,12 @@ __all__ = [
     "EngineConfig",
     "GenRecord",
     "RunTrace",
+    "StagnationRule",
     "default_config",
     "default_generations",
+    "engine_knobs",
     "engine_steps",
     "run",
-    "run_cnea",
-    "run_sea",
-    "run_socea",
-    "run_cea",
-    "run_dgea",
     "dgea_mode",
     "torus_neighbors",
     "algorithm_registry",
@@ -55,31 +53,40 @@ def default_generations(algo: str, dim: int) -> int:
     return 50 * dim
 
 
+BASELINES = ALGORITHMS[1:]
+
+
+def _knob(default, applies: tuple[str, ...], key: str | None = None):
+    """An engine knob: `applies` names the engines that read it, and `key` is
+    its sweep key and `run` flag when that differs from the field name."""
+    return field(default=default, metadata={"applies": applies, "key": key})
+
+
 @dataclass
 class EngineConfig:
     algo: str
-    N: int = 300
+    N: int = _knob(300, ALGORITHMS, key="pop_size")
     generations: int = 500
     seed: int = 0
-    elitism_count: int = 1
-    p_r: float = 0.9
-    p_m: float = 0.01            # per-gene rate (counter-niching regular ops)
-    p_m_genome: float = 0.75     # whole-genome rate (baselines)
-    sigma_reg: float = 0.1
-    grid_bins: int = 4
-    tau_dense: float = 0.05
-    eps_fit: float = 0.01
-    rho_replace: float = 0.5
-    sample_budget: int = 20
-    key_dim_limit: int = 10
-    projected_dims: int = 10
-    sea_variance_mode: str = "printed"
-    pow_exponent: float = 2.0
-    pow_upper: float = 1000.0
-    d_low: float = 5e-6
-    d_high: float = 0.25
-    cea_rows: int = 20
-    cea_cols: int = 20
+    elitism_count: int = _knob(1, ("cnea", "sea", "socea", "dgea"), key="elitism")
+    p_r: float = _knob(0.9, ALGORITHMS)
+    p_m: float = _knob(0.01, ("cnea",))             # per-gene rate (counter-niching regular ops)
+    p_m_genome: float = _knob(0.75, BASELINES)      # whole-genome rate (baselines)
+    sigma_reg: float = _knob(0.1, ("cnea",))
+    grid_bins: int = _knob(4, ("cnea",))
+    tau_dense: float = _knob(0.05, ("cnea",))
+    eps_fit: float = _knob(0.01, ("cnea",))
+    rho_replace: float = _knob(0.5, ("cnea",))
+    sample_budget: int = _knob(20, ("cnea",))
+    key_dim_limit: int = _knob(10, ("cnea",))
+    projected_dims: int = _knob(10, ("cnea",))
+    sea_variance_mode: str = _knob("printed", ("sea",), key="sea_variance")
+    pow_exponent: float = _knob(2.0, ("socea", "cea", "dgea"))
+    pow_upper: float = _knob(1000.0, ("socea", "cea", "dgea"))
+    d_low: float = _knob(5e-6, ("dgea",))
+    d_high: float = _knob(0.25, ("dgea",))
+    cea_rows: int = _knob(20, ("cea",))
+    cea_cols: int = _knob(20, ("cea",))
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
@@ -94,12 +101,35 @@ class EngineConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("eps_fit", "sigma_reg"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+        for name in ("sample_budget", "projected_dims", "cea_rows", "cea_cols"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.rho_replace < 1.0:
+            raise ValueError("rho_replace must lie strictly between 0 and 1")
+        if not 0.0 < self.tau_dense <= 1.0:
+            raise ValueError("tau_dense must lie in (0, 1]")
+        if self.grid_bins < 2:
+            raise ValueError("grid_bins must be at least 2")
+        if self.sea_variance_mode not in ("printed", "annealed"):
+            raise ValueError(f"unknown sea_variance_mode {self.sea_variance_mode!r}")
+        if not self.pow_upper > 1.0:
+            raise ValueError("pow_upper must exceed 1")
         if self.algo == "cea" and self.cea_rows * self.cea_cols != self.N:
             raise ValueError(
                 f"cellular grid {self.cea_rows}x{self.cea_cols} does not hold N={self.N} members"
             )
         if self.d_low >= self.d_high:
             raise ValueError("d_low must stay below d_high")
+
+
+def engine_knobs() -> dict[str, Field]:
+    """Every engine knob of `EngineConfig` by its sweep key, which is also its
+    `counterniche run` flag with `-` for `_`. Values parse with the type of
+    the field's default."""
+    return {f.metadata["key"] or f.name: f for f in fields(EngineConfig) if f.metadata}
 
 
 def default_config(
@@ -217,14 +247,6 @@ def _cnea_steps(
     if space.dim > cfg.key_dim_limit:
         # projection drawn once per run so cell keys stay comparable
         key_dims = choose_key_dims(space.dim, rng, cfg.key_dim_limit, cfg.projected_dims)
-    op_cfg = InformedOpConfig(
-        eps_fit=cfg.eps_fit,
-        rho_replace=cfg.rho_replace,
-        sample_budget=cfg.sample_budget,
-        p_r=cfg.p_r,
-        p_m=cfg.p_m,
-        sigma_reg=cfg.sigma_reg,
-    )
     pop = _init_population(cfg, fn, rng)
     best = pop.best()
     yield _record(pop, space, 0), best
@@ -236,12 +258,12 @@ def _cnea_steps(
         regions = high_density_regions(grid, pop, cfg.tau_dense)
         if on_regions is not None:
             on_regions(t, regions)
-        victims = detect_victims(regions, pop, op_cfg)
+        victims = detect_victims(regions, pop, cfg)
         archive = MemoryArchive()  # cleared every generation by construction
         pop_informed, counters = informed_mutation(
-            pop, victims, space, grid, fn, archive, rng, op_cfg
+            pop, victims, space, grid, fn, archive, rng, cfg
         )
-        offspring = regular_ops(pop_informed, space, fn, rng, op_cfg)
+        offspring = regular_ops(pop_informed, space, fn, rng, cfg)
         pop = _elitist_union_survivors(pop_informed, offspring, cfg.elitism_count, rng, t, cfg.N)
         best = _track_best(best, pop)
         yield _record(
@@ -396,80 +418,85 @@ def engine_steps(
     raise ValueError(f"unknown algorithm {cfg.algo!r}")
 
 
+@dataclass
+class StagnationRule:
+    """Stop a run once its best fitness has not strictly improved for
+    `window` generations, or at generation `hard_cap`."""
+
+    window: int = 500
+    hard_cap: int = 50_000
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError("window must be positive")
+
+    def stall_test(self) -> Callable[[float], bool]:
+        """A fresh test to feed every generation's best fitness in order,
+        starting at generation 0. It answers True at the first generation g
+        with g - (last strict improvement) >= window, and at each after it."""
+        generation = -1
+        last_improvement = 0
+        previous = math.inf
+
+        def stalled(best: float) -> bool:
+            nonlocal generation, last_improvement, previous
+            generation += 1
+            if best < previous:
+                last_improvement = generation
+            previous = best
+            return generation - last_improvement >= self.window
+
+        return stalled
+
+
 def run(
-    cfg: EngineConfig, fn, rng: RngStream | None = None, on_regions: Callable | None = None
+    cfg: EngineConfig,
+    fn,
+    rng: RngStream | None = None,
+    on_regions: Callable | None = None,
+    stop: StagnationRule | None = None,
 ) -> RunTrace:
-    """Run an engine for its configured generation budget."""
+    """Run an engine for its configured generation budget or, given a stop
+    rule, until its best fitness stalls or the rule's hard cap; the trace
+    records which terminator fired."""
     if rng is None:
         rng = RngStream(cfg.seed)
     steps = engine_steps(cfg, fn, rng, on_regions)
+    stalled = None if stop is None else stop.stall_test()
+    last = cfg.generations if stop is None else stop.hard_cap
     records: list[GenRecord] = []
-    best: Individual | None = None
-    for _ in range(cfg.generations + 1):
+    while True:
         t0 = time.perf_counter()
         rec, best = next(steps)
         rec.wall_ms = (time.perf_counter() - t0) * 1000.0
         records.append(rec)
-    return RunTrace(records, best)
+        if stalled is not None and stalled(rec.best_fitness):
+            return RunTrace(records, best, "stagnation", rec.generation)
+        if rec.generation >= last:
+            return RunTrace(records, best, "budget" if stop is None else "cap")
 
 
-def _run_named(algo: str, cfg: EngineConfig, fn, rng, on_regions=None) -> RunTrace:
-    if cfg.algo != algo:
-        raise ValueError(f"config is for {cfg.algo!r}, expected {algo!r}")
-    return run(cfg, fn, rng, on_regions)
-
-
-def run_cnea(cfg: EngineConfig, fn, rng: RngStream | None = None, on_regions=None) -> RunTrace:
-    return _run_named("cnea", cfg, fn, rng, on_regions)
-
-
-def run_sea(cfg: EngineConfig, fn, rng: RngStream | None = None) -> RunTrace:
-    return _run_named("sea", cfg, fn, rng)
-
-
-def run_socea(cfg: EngineConfig, fn, rng: RngStream | None = None) -> RunTrace:
-    return _run_named("socea", cfg, fn, rng)
-
-
-def run_cea(cfg: EngineConfig, fn, rng: RngStream | None = None) -> RunTrace:
-    return _run_named("cea", cfg, fn, rng)
-
-
-def run_dgea(cfg: EngineConfig, fn, rng: RngStream | None = None) -> RunTrace:
-    return _run_named("dgea", cfg, fn, rng)
+_NOTES = {
+    "cnea": "grid pseudo-niching + informed mutation, union elitist selection",
+    "sea": "simple EA, mutation variance 1 + sqrt(t + 1)",
+    "socea": "self-organized criticality EA, mutation variance POW(10)",
+    "cea": "cellular EA on a cea_rows x cea_cols torus, synchronous replace-if-better, POW(10)",
+    "dgea": "diversity-guided EA, explore below d_low, exploit above d_high, POW(1) mutation",
+}
 
 
 def algorithm_registry() -> list[dict]:
-    """Static description of every engine, for listings and tooling."""
-    return [
-        {
-            "name": "cnea",
-            "population": 300,
-            "notes": "grid pseudo-niching + informed mutation, union elitist selection",
-            "defaults": "p_m=0.01 per gene, p_r=0.9, grid_bins=4, tau_dense=0.05",
-        },
-        {
-            "name": "sea",
-            "population": 400,
-            "notes": "simple EA, mutation variance 1 + sqrt(t + 1)",
-            "defaults": "p_m_genome=0.75, p_r=0.9, elitism 1",
-        },
-        {
-            "name": "socea",
-            "population": 400,
-            "notes": "self-organized criticality EA, mutation variance POW(10)",
-            "defaults": "p_m_genome=0.75, p_r=0.9, elitism 1",
-        },
-        {
-            "name": "cea",
-            "population": 400,
-            "notes": "cellular EA on a 20x20 torus, replace-if-better, POW(10) mutation",
-            "defaults": "p_m_genome=0.75, p_r=0.9, synchronous updates",
-        },
-        {
-            "name": "dgea",
-            "population": 400,
-            "notes": "diversity-guided EA, explore below 5e-06, exploit above 0.25, POW(1) mutation",
-            "defaults": "p_m_genome=0.75, p_r=0.9, elitism 1",
-        },
-    ]
+    """Description of every engine, for listings and tooling: its stock
+    population and the stock value of every knob it reads."""
+    out = []
+    for algo in ALGORITHMS:
+        cfg = default_config(algo, generations=0)
+        defaults = ", ".join(
+            f"{key}={getattr(cfg, f.name)}"
+            for key, f in engine_knobs().items()
+            if algo in f.metadata["applies"]
+        )
+        out.append(
+            {"name": algo, "population": cfg.N, "notes": _NOTES[algo], "defaults": defaults}
+        )
+    return out

@@ -19,21 +19,26 @@ from typing import Sequence
 
 from . import benchmarks
 from .core import RngStream
-from .engines import EngineConfig, GenRecord, RunTrace, default_config, engine_steps, run
+from .engines import (
+    EngineConfig,
+    GenRecord,
+    RunTrace,
+    StagnationRule,
+    default_config,
+    engine_knobs,
+    run,
+)
 from .stats import RunSummary, error_value, summarize
 
 __all__ = [
     "TRACE_FIELDS",
     "SUMMARY_FIELDS",
-    "StagnationRule",
     "DiversityProfile",
     "ExperimentMatrix",
     "CellResult",
     "detect_stagnation",
-    "run_to_stagnation",
     "diversity_profile",
     "default_burn_in",
-    "timed_run",
     "write_trace_csv",
     "read_trace_csv",
     "write_summary_csv",
@@ -79,15 +84,6 @@ def _fmt(x: float) -> str:
 
 
 @dataclass
-class StagnationRule:
-    window: int = 500
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be positive")
-
-
-@dataclass
 class DiversityProfile:
     average_diversity: float | None
     generations_counted: int
@@ -104,49 +100,11 @@ def detect_stagnation(trace: RunTrace | Sequence[float], rule: StagnationRule) -
         series = [float(v) for v in trace]
     if not series:
         raise ValueError("empty trace")
-    last_improvement = 0
-    for g in range(1, len(series)):
-        if series[g] < series[g - 1]:
-            last_improvement = g
-        if g - last_improvement >= rule.window:
+    stalled = rule.stall_test()
+    for g, best in enumerate(series):
+        if stalled(best):
             return g
     return None
-
-
-def run_to_stagnation(
-    cfg: EngineConfig,
-    fn,
-    rng: RngStream | None = None,
-    rule: StagnationRule | None = None,
-    hard_cap: int = 50_000,
-) -> RunTrace:
-    """Run an engine until its best fitness stalls for a full window, or until
-    the hard cap. The returned trace records which terminator fired."""
-    if rng is None:
-        rng = RngStream(cfg.seed)
-    if rule is None:
-        rule = StagnationRule()
-    steps = engine_steps(cfg, fn, rng)
-    records: list[GenRecord] = []
-    best = None
-    last_improvement = 0
-    stopped_by = "cap"
-    stagnation_gen: int | None = None
-    while True:
-        t0 = time.perf_counter()
-        rec, best = next(steps)
-        rec.wall_ms = (time.perf_counter() - t0) * 1000.0
-        records.append(rec)
-        g = rec.generation
-        if g >= 1 and rec.best_fitness < records[g - 1].best_fitness:
-            last_improvement = g
-        if g - last_improvement >= rule.window:
-            stopped_by = "stagnation"
-            stagnation_gen = g
-            break
-        if g >= hard_cap:
-            break
-    return RunTrace(records, best, stopped_by, stagnation_gen)
 
 
 def default_burn_in(generations: int) -> int:
@@ -170,17 +128,6 @@ def diversity_profile(trace: RunTrace, burn_in: int) -> DiversityProfile:
     if count == 0:
         return DiversityProfile(None, 0, burn_in)
     return DiversityProfile(total / count, count, burn_in)
-
-
-def timed_run(cfg: EngineConfig, fn, rng: RngStream | None = None) -> tuple[RunTrace, float]:
-    """Run for the configured budget and report wall-clock milliseconds around
-    the loop itself; persistence happens outside the measured span."""
-    if rng is None:
-        rng = RngStream(cfg.seed)
-    t0 = time.perf_counter()
-    trace = run(cfg, fn, rng)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return trace, elapsed_ms
 
 
 def write_trace_csv(trace: RunTrace, path, include_timing: bool = False) -> None:
@@ -297,6 +244,12 @@ class ExperimentMatrix:
             raise ValueError(f"budget must be 'fixed' or 'stagnation', got {self.budget!r}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        for algo in self.algos:  # a bad engine key fails here, not in every cell
+            self.engine_config(algo, self.dims[0])
+
+    def engine_config(self, algo: str, dim: int) -> EngineConfig:
+        """The engine configuration every run of an (algo, dim) cell starts from."""
+        return default_config(algo, dim=dim, generations=self.generations, **self.engine_overrides)
 
 
 @dataclass
@@ -321,34 +274,27 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
     result = CellResult(algo, function, dim, matrix.runs_per_cell)
     try:
         fn = benchmarks.make(function, dim, schwefel_lower=matrix.schwefel_lower)
-        overrides = dict(matrix.engine_overrides)
-        cfg = default_config(algo, dim=dim, generations=matrix.generations, **overrides)
+        cfg = matrix.engine_config(algo, dim)
         out = cell_dir(matrix.output_dir, algo, function, dim)
         out.mkdir(parents=True, exist_ok=True)
-        rule = StagnationRule(matrix.stagnation_window)
+        rule = StagnationRule(matrix.stagnation_window, matrix.hard_cap)
+        stop = rule if matrix.budget == "stagnation" else None
 
         errors: list[float] = []
         walls: list[float] = []
         for r in range(matrix.runs_per_cell):
             seed = matrix.seed_base + r
             cfg_r = replace(cfg, seed=seed)
-            rng = RngStream(seed)
-            if matrix.budget == "stagnation":
-                t0 = time.perf_counter()
-                trace = run_to_stagnation(cfg_r, fn, rng, rule, matrix.hard_cap)
-                elapsed = (time.perf_counter() - t0) * 1000.0
-            else:
-                trace, elapsed = timed_run(cfg_r, fn, rng)
+            # persistence stays outside the timed span
+            t0 = time.perf_counter()
+            trace = run(cfg_r, fn, RngStream(seed), stop=stop)
+            elapsed = (time.perf_counter() - t0) * 1000.0
             path = out / f"run{r}.csv"
             write_trace_csv(trace, path, include_timing=matrix.timing)
             result.trace_paths.append(str(path))
             errors.append(error_value(trace.records[-1].best_fitness, fn.optimum_value))
             walls.append(elapsed)
-            stag = (
-                trace.stagnation_generation
-                if matrix.budget == "stagnation"
-                else detect_stagnation(trace, rule)
-            )
+            stag = detect_stagnation(trace, rule) if stop is None else trace.stagnation_generation
             if stag is not None:
                 result.stagnation_gens.append(stag)
 
@@ -427,30 +373,6 @@ _MATRIX_INT_KEYS = {
     "workers": "workers",
 }
 
-# engine override keys: config-file name -> (EngineConfig field, parser)
-_ENGINE_KEYS = {
-    "pop_size": ("N", int),
-    "elitism": ("elitism_count", int),
-    "p_r": ("p_r", float),
-    "p_m": ("p_m", float),
-    "p_m_genome": ("p_m_genome", float),
-    "sigma_reg": ("sigma_reg", float),
-    "grid_bins": ("grid_bins", int),
-    "tau_dense": ("tau_dense", float),
-    "eps_fit": ("eps_fit", float),
-    "rho_replace": ("rho_replace", float),
-    "sample_budget": ("sample_budget", int),
-    "key_dim_limit": ("key_dim_limit", int),
-    "projected_dims": ("projected_dims", int),
-    "sea_variance": ("sea_variance_mode", str),
-    "pow_exponent": ("pow_exponent", float),
-    "pow_upper": ("pow_upper", float),
-    "d_low": ("d_low", float),
-    "d_high": ("d_high", float),
-    "cea_rows": ("cea_rows", int),
-    "cea_cols": ("cea_cols", int),
-}
-
 _BOOL_VALUES = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
 
 
@@ -462,6 +384,7 @@ def load_matrix_config(path) -> ExperimentMatrix:
     """
     path = Path(path)
     text = path.read_text()
+    knobs = engine_knobs()
     fields: dict = {}
     overrides: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -491,9 +414,9 @@ def load_matrix_config(path) -> ExperimentMatrix:
             fields["schwefel_lower"] = float(value)
         elif key in _MATRIX_INT_KEYS:
             fields[_MATRIX_INT_KEYS[key]] = int(value)
-        elif key in _ENGINE_KEYS:
-            name, parser = _ENGINE_KEYS[key]
-            overrides[name] = parser(value)
+        elif key in knobs:
+            knob = knobs[key]
+            overrides[knob.name] = type(knob.default)(value)
         else:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
     missing = [k for k in ("algos", "functions", "dims") if k not in fields]

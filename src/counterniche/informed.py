@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,10 @@ from .core import Individual, Population, RngStream, SearchSpace
 from .niching import GridIndex, MemoryArchive, Region, archive_mean_distance, archive_push
 from .operators import arithmetic_crossover, binary_tournament, gaussian_mutate
 
+if TYPE_CHECKING:
+    from .engines import EngineConfig
+
 __all__ = [
-    "InformedOpConfig",
     "VictimRegion",
     "InformedCounters",
     "VirginSamples",
@@ -31,30 +33,6 @@ __all__ = [
     "informed_mutation",
     "regular_ops",
 ]
-
-
-@dataclass
-class InformedOpConfig:
-    eps_fit: float = 0.01        # relative fitness-spread threshold for redundancy
-    rho_replace: float = 0.5     # fraction of a victim region slated for replacement
-    sample_budget: int = 20      # virgin samples attempted per replacement slot
-    p_r: float = 0.9
-    p_m: float = 0.01
-    sigma_reg: float = 0.1       # mutation std as a fraction of each coordinate range
-
-    def __post_init__(self):
-        if self.eps_fit < 0:
-            raise ValueError("eps_fit must be nonnegative")
-        if not 0.0 < self.rho_replace < 1.0:
-            raise ValueError("rho_replace must lie strictly between 0 and 1")
-        if self.sample_budget < 1:
-            raise ValueError("sample_budget must be positive")
-        for name in ("p_r", "p_m"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.sigma_reg < 0:
-            raise ValueError("sigma_reg must be nonnegative")
 
 
 @dataclass
@@ -72,7 +50,7 @@ class InformedCounters:
 
 
 def detect_victims(
-    regions: list[Region], population: Population, cfg: InformedOpConfig
+    regions: list[Region], population: Population, cfg: EngineConfig
 ) -> list[VictimRegion]:
     """Flag regions whose fitness spread is negligible relative to their mean.
 
@@ -158,7 +136,7 @@ def informed_mutation(
     fn,
     archive: MemoryArchive,
     rng: RngStream,
-    cfg: InformedOpConfig,
+    cfg: EngineConfig,
 ) -> tuple[Population, InformedCounters]:
     """Replace slated members of each victim region with qualifying virgin samples.
 
@@ -190,7 +168,7 @@ def informed_mutation(
 
 
 def regular_ops(
-    population: Population, space: SearchSpace, fn, rng: RngStream, cfg: InformedOpConfig
+    population: Population, space: SearchSpace, fn, rng: RngStream, cfg: EngineConfig
 ) -> Population:
     """Standard variation pass: tournament parents, arithmetic crossover with
     probability p_r, per-gene Gaussian mutation with std sigma_reg * range.

@@ -15,12 +15,13 @@ import numpy as np
 
 from counterniche import (
     ALGORITHMS,
+    EngineConfig,
     Individual,
-    InformedOpConfig,
     MemoryArchive,
     Population,
     RngStream,
     SearchSpace,
+    StagnationRule,
     build_grid,
     default_config,
     detect_victims,
@@ -36,7 +37,6 @@ from counterniche import (
     run,
 )
 from counterniche.engines import dgea_mode
-from counterniche.harness import StagnationRule
 from counterniche.stats import two_tailed_p
 from counterniche.cli import main as cli_main
 
@@ -183,7 +183,7 @@ def test_criterion_08_informed_op_contract():
     scatter_genomes = rng.uniform(0.3, 0.7, size=(80, 2))
     scatter = [Individual(g, fn.evaluate(g)) for g in scatter_genomes]
     pop = Population(planted + scatter)
-    cfg = InformedOpConfig()
+    cfg = EngineConfig("cnea")
 
     grid = build_grid(pop, space, bins=4)
     regions = high_density_regions(grid, pop, 0.05)

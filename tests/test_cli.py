@@ -117,13 +117,13 @@ def test_run_regions_dump(tmp_path, capsys):
 
 
 def test_run_rejects_invalid_engine_combo(tmp_path, capsys):
-    # cea needs rows*cols == N; the engine config raises, the CLI exits 1
+    # cea needs rows*cols == N; the engine config raises, a usage error
     code = main(
         ["run", "--algo", "cea", "--function", "ackley", "--dim", "2",
          "--generations", "2", "--pop-size", "10",
          "--out", str(tmp_path / "t.csv")]
     )
-    assert code == 1
+    assert code == 2
     assert "error" in capsys.readouterr().err
 
 

@@ -1,0 +1,169 @@
+"""The engine knob table: `EngineConfig` fields against the `run` flags, the
+sweep keys, the validation rules and the table in docs/config.md."""
+
+import math
+import re
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from counterniche import ALGORITHMS, EngineConfig, default_config
+from counterniche import cli
+from counterniche.engines import engine_knobs
+from counterniche.harness import load_matrix_config
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+
+# sweep keys (and flags) that differ from the field name
+KEY_ALIASES = {"N": "pop_size", "elitism_count": "elitism", "sea_variance_mode": "sea_variance"}
+
+# field -> a valid value other than every engine's default (cea at N=12 holds a 3x4 torus)
+KNOB_VALUES = {
+    "N": 12,
+    "elitism_count": 2,
+    "p_r": 0.8,
+    "p_m": 0.02,
+    "p_m_genome": 0.5,
+    "sigma_reg": 0.2,
+    "grid_bins": 3,
+    "tau_dense": 0.1,
+    "eps_fit": 0.02,
+    "rho_replace": 0.25,
+    "sample_budget": 5,
+    "key_dim_limit": 7,
+    "projected_dims": 3,
+    "sea_variance_mode": "annealed",
+    "pow_exponent": 1.5,
+    "pow_upper": 100.0,
+    "d_low": 1e-5,
+    "d_high": 0.3,
+    "cea_rows": 3,
+    "cea_cols": 4,
+}
+
+# values the config rejects when built, for every engine
+BAD_KNOBS = [
+    ("eps_fit", -0.1),
+    ("eps_fit", math.nan),
+    ("rho_replace", 0.0),
+    ("rho_replace", 1.0),
+    ("sample_budget", 0),
+    ("sigma_reg", -0.1),
+    ("tau_dense", -1.0),
+    ("tau_dense", 0.0),
+    ("tau_dense", 1.5),
+    ("tau_dense", math.nan),
+    ("grid_bins", 1),
+    ("projected_dims", 0),
+    ("sea_variance_mode", "bogus"),
+    ("pow_upper", 1.0),
+    ("cea_rows", 0),
+    ("cea_cols", 0),
+]
+
+
+def _key(name: str) -> str:
+    return KEY_ALIASES.get(name, name)
+
+
+def _flag(name: str) -> str:
+    return "--" + _key(name).replace("_", "-")
+
+
+@pytest.mark.parametrize("name,value", BAD_KNOBS)
+def test_bad_knob_rejected_when_built(name, value, tmp_path, capsys):
+    for algo in ALGORITHMS:
+        with pytest.raises(ValueError, match=name):
+            default_config(algo, generations=1, **{name: value})
+
+        dump = tmp_path / "regions.jsonl"
+        code = cli.main(
+            ["run", "--algo", algo, "--function", "ellipsoid", "--dim", "2",
+             "--generations", "1", "--out", str(tmp_path / "t.csv"),
+             "--regions-dump", str(dump), _flag(name), str(value)]
+        )
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not dump.exists()  # the config is built before any output opens
+
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text(
+            f"algos = {algo}\nfunctions = ellipsoid\ndims = 2\n"
+            f"output_dir = {tmp_path / 'r'}\n{_key(name)} = {value}\n"
+        )
+        assert cli.main(["sweep", "--config", str(sweep)]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
+def test_projected_dims_beyond_dim_fails_in_the_run(capsys, tmp_path):
+    # only the run knows the dimension, so this stays a runtime failure
+    code = cli.main(
+        ["run", "--algo", "cnea", "--function", "ellipsoid", "--dim", "4",
+         "--generations", "1", "--pop-size", "10", "--key-dim-limit", "2",
+         "--projected-dims", "5", "--out", str(tmp_path / "t.csv")]
+    )
+    assert code == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_every_knob_is_a_run_flag_and_a_sweep_key(tmp_path, monkeypatch, capsys):
+    knob_fields = [f.name for f in fields(EngineConfig) if f.name not in ("algo", "generations", "seed")]
+    assert sorted(KNOB_VALUES) == sorted(knob_fields)
+
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(
+        "algos = cea\nfunctions = ellipsoid\ndims = 2\ngenerations = 1\n"
+        + "".join(f"{_key(n)} = {v}\n" for n, v in KNOB_VALUES.items())
+    )
+    swept = load_matrix_config(sweep).engine_config("cea", 2)
+
+    built = []
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda cfg, *a, **k: built.append(cfg) or real_run(cfg, *a, **k))
+    argv = ["run", "--algo", "cea", "--function", "ellipsoid", "--dim", "2",
+            "--generations", "1", "--out", str(tmp_path / "t.csv")]
+    for name, value in KNOB_VALUES.items():
+        argv += [_flag(name), str(value)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+
+    assert built == [swept]
+    stock = default_config("cea", dim=2, generations=1)
+    for name, value in KNOB_VALUES.items():
+        assert getattr(swept, name) == value != getattr(stock, name)
+
+
+def _applies(text: str) -> set[str]:
+    if text == "all":
+        return set(ALGORITHMS)
+    if text == "baselines":
+        return set(ALGORITHMS) - {"cnea"}
+    names = set(re.findall(r"`(\w+)`", text))
+    return set(ALGORITHMS) - names if text.startswith("all except") else names
+
+
+def test_docs_engine_keys_table_matches_config():
+    section = DOCS.read_text().split("### Engine keys", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            rows[cells[0].strip("`")] = cells[1:4]
+    knobs = engine_knobs()
+    assert list(rows) == list(knobs)
+    for key, (kind, default, applies) in rows.items():
+        knob = knobs[key]
+        parse = type(knob.default)
+        assert kind == {int: "int", float: "float", str: "string"}[parse], key
+        algos = _applies(applies)
+        assert algos == set(knob.metadata["applies"]), key
+        documented = set()
+        for token in re.findall(r"[\w.+-]+", default):
+            try:
+                documented.add(parse(token))
+            except ValueError:
+                pass
+        stock = {getattr(default_config(a, generations=0), knob.name) for a in algos}
+        assert documented == stock, key

@@ -11,11 +11,6 @@ from counterniche import (
     default_generations,
     make,
     run,
-    run_cea,
-    run_cnea,
-    run_dgea,
-    run_sea,
-    run_socea,
 )
 from counterniche.engines import (
     _elitist_merge,
@@ -186,7 +181,7 @@ def test_cnea_on_regions_callback():
     fn = make("ellipsoid", 2)
     cfg = default_config("cnea", dim=2, seed=0, N=40, generations=5)
     seen = []
-    run_cnea(cfg, fn, on_regions=lambda gen, regions: seen.append((gen, len(regions))))
+    run(cfg, fn, on_regions=lambda gen, regions: seen.append((gen, len(regions))))
     assert [g for g, _ in seen] == [1, 2, 3, 4, 5]
 
 
@@ -197,17 +192,15 @@ def test_cnea_high_dim_projection_stays_fixed():
     assert len(trace.records) == 7  # smoke: high-dim cell keys use 10 of 14 dims
 
 
-def test_run_named_guards_algo():
+def test_run_drives_every_engine():
     fn = make("ackley", 2)
-    cfg = default_config("sea", dim=2, N=10, generations=2)
-    with pytest.raises(ValueError):
-        run_cnea(cfg, fn)
-    assert run_sea(cfg, fn).generations == 2
-    for runner, algo in ((run_socea, "socea"), (run_dgea, "dgea")):
+    for algo in ("cnea", "sea", "socea", "dgea"):
         c = default_config(algo, dim=2, N=10, generations=2)
-        assert runner(c, fn).generations == 2
+        assert run(c, fn).generations == 2
     c = default_config("cea", dim=2, N=12, generations=2, cea_rows=3, cea_cols=4)
-    assert run_cea(c, fn).generations == 2
+    trace = run(c, fn)
+    assert trace.generations == 2
+    assert (trace.stopped_by, trace.stagnation_generation) == ("budget", None)
 
 
 def test_torus_neighbors_wrap():

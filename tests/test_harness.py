@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,8 @@ from counterniche import (
     StagnationRule,
     detect_stagnation,
     make,
+    run,
     run_matrix,
-    run_to_stagnation,
-    timed_run,
 )
 from counterniche.engines import GenRecord, RunTrace, default_config
 from counterniche.harness import (
@@ -98,10 +99,10 @@ def test_detect_stagnation_matches_brute_force(steps, window, seed):
     assert detect_stagnation(series, rule) == brute_force_stagnation(series, window)
 
 
-def test_run_to_stagnation_stops_and_labels():
+def test_run_stop_rule_stops_and_labels():
     fn = make("ellipsoid", 2)
     cfg = default_config("sea", dim=2, seed=0, N=10, generations=0)
-    trace = run_to_stagnation(cfg, fn, rule=StagnationRule(20), hard_cap=5000)
+    trace = run(cfg, fn, stop=StagnationRule(20, hard_cap=5000))
     assert trace.stopped_by == "stagnation"
     assert trace.stagnation_generation == trace.records[-1].generation
     series = trace.best_fitness_series()
@@ -109,13 +110,17 @@ def test_run_to_stagnation_stops_and_labels():
     assert all(series[k] >= series[k - 1] for k in range(len(series) - 20, len(series)))
 
 
-def test_run_to_stagnation_hard_cap():
+def test_run_stop_rule_hard_cap():
     fn = make("rastrigin", 2)
     cfg = default_config("sea", dim=2, seed=0, N=10, generations=0)
-    trace = run_to_stagnation(cfg, fn, rule=StagnationRule(10_000), hard_cap=30)
+    trace = run(cfg, fn, stop=StagnationRule(10_000, hard_cap=30))
     assert trace.stopped_by == "cap"
     assert trace.records[-1].generation == 30
     assert trace.stagnation_generation is None
+    # the stop rule moves no draw: a 30-generation budget run is the same run
+    budget = run(dataclasses.replace(cfg, generations=30), fn)
+    for a, b in zip(trace.records, budget.records, strict=True):
+        assert dataclasses.replace(a, wall_ms=0.0) == dataclasses.replace(b, wall_ms=0.0)
 
 
 def test_default_burn_in():
@@ -148,12 +153,11 @@ def test_diversity_profile_no_signal():
     assert profile.generations_counted == 0
 
 
-def test_timed_run_returns_elapsed():
-    fn = make("ackley", 2)
-    cfg = default_config("sea", dim=2, seed=0, N=10, generations=5)
-    trace, ms = timed_run(cfg, fn)
-    assert trace.generations == 5
-    assert ms > 0.0
+def test_cell_result_mean_wall_ms(tmp_path):
+    # measured in memory even though the summary file writes 0 without timing
+    (cell,) = run_matrix(_tiny_matrix(tmp_path))
+    assert read_trace_csv(cell.trace_paths[0]).generations == 5
+    assert cell.mean_wall_ms > 0.0
 
 
 def test_trace_csv_roundtrip(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from counterniche import (
+    EngineConfig,
     Individual,
-    InformedOpConfig,
     MemoryArchive,
     Population,
     RngStream,
@@ -41,19 +41,19 @@ def _region(indices, pop, key=(0, 0)):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        InformedOpConfig(rho_replace=0.0)
+        EngineConfig("cnea", rho_replace=0.0)
     with pytest.raises(ValueError):
-        InformedOpConfig(rho_replace=1.0)
+        EngineConfig("cnea", rho_replace=1.0)
     with pytest.raises(ValueError):
-        InformedOpConfig(sample_budget=0)
+        EngineConfig("cnea", sample_budget=0)
     with pytest.raises(ValueError):
-        InformedOpConfig(eps_fit=-0.1)
+        EngineConfig("cnea", eps_fit=-0.1)
     with pytest.raises(ValueError):
-        InformedOpConfig(p_r=1.5)
+        EngineConfig("cnea", p_r=1.5)
 
 
 def test_detect_victims_spread_threshold():
-    cfg = InformedOpConfig()
+    cfg = EngineConfig("cnea")
     pop = _pop([[0.1]] * 4 + [[0.9]] * 4, [5.0, 5.0, 5.0, 5.0, 1.0, 2.0, 3.0, 4.0])
     tight = _region([0, 1, 2, 3], pop, key=(0,))
     loose = _region([4, 5, 6, 7], pop, key=(3,))
@@ -64,7 +64,7 @@ def test_detect_victims_spread_threshold():
 
 
 def test_detect_victims_replacement_count_and_ties():
-    cfg = InformedOpConfig(rho_replace=0.5)
+    cfg = EngineConfig("cnea", rho_replace=0.5)
     # five equal-fitness members: floor(0.5 * 5) = 2, ties resolved to lower index
     pop = _pop([[0.1]] * 5, [2.0] * 5)
     region = _region([0, 1, 2, 3, 4], pop, key=(0,))
@@ -74,7 +74,7 @@ def test_detect_victims_replacement_count_and_ties():
 
 
 def test_detect_victims_worst_members_replaced():
-    cfg = InformedOpConfig()
+    cfg = EngineConfig("cnea")
     pop = _pop([[0.1]] * 4, [1.0, 1.004, 1.002, 1.003])
     region = _region([0, 1, 2, 3], pop, key=(0,))
     victims = detect_victims([region], pop, cfg)
@@ -83,7 +83,7 @@ def test_detect_victims_worst_members_replaced():
 
 
 def test_detect_victims_skips_floor_zero():
-    cfg = InformedOpConfig(rho_replace=0.4)
+    cfg = EngineConfig("cnea", rho_replace=0.4)
     pop = _pop([[0.1]] * 2, [1.0, 1.0])
     region = _region([0, 1], pop, key=(0,))
     # floor(0.4 * 2) = 0: nothing to replace, the region is skipped
@@ -190,7 +190,7 @@ def test_informed_mutation_planted_cluster():
     scatter_genomes = rng.uniform(0.3, 0.7, size=(80, 2))
     scatter = [Individual(g, fn.evaluate(g)) for g in scatter_genomes]
     pop = Population(planted + scatter)
-    cfg = InformedOpConfig()
+    cfg = EngineConfig("cnea")
     grid = build_grid(pop, space, bins=4)
     regions = high_density_regions(grid, pop, 0.05)
     victims = detect_victims(regions, pop, cfg)
@@ -222,7 +222,7 @@ def test_informed_mutation_archive_grows_per_victim():
     space = SearchSpace.cube(2, 0.0, 1.0)
     fn = _Quadratic(space)
     pop = _pop([[0.1, 0.1]] * 3 + [[0.9, 0.9]] * 3, [1.0] * 3 + [2.0] * 3)
-    cfg = InformedOpConfig()
+    cfg = EngineConfig("cnea")
     grid = build_grid(pop, space, bins=4)
     regions = high_density_regions(grid, pop, 0.05)
     victims = detect_victims(regions, pop, cfg)
@@ -238,7 +238,7 @@ def test_informed_mutation_no_victims_is_identity():
     pop = _pop([[0.2, 0.2], [0.8, 0.8]], [0.1, 0.9])
     grid = build_grid(pop, space, bins=4)
     out, counters = informed_mutation(
-        pop, [], space, grid, fn, MemoryArchive(), RngStream(0), InformedOpConfig()
+        pop, [], space, grid, fn, MemoryArchive(), RngStream(0), EngineConfig("cnea")
     )
     assert out.members == pop.members
     assert (counters.victims, counters.replaced, counters.fallbacks) == (0, 0, 0)
@@ -250,7 +250,7 @@ def test_regular_ops_shape_and_bounds():
     rng = RngStream(4)
     genomes = rng.uniform(space.lower, space.upper, size=(30, 3))
     pop = Population([Individual(g, fn.evaluate(g)) for g in genomes])
-    out = regular_ops(pop, space, fn, rng, InformedOpConfig())
+    out = regular_ops(pop, space, fn, rng, EngineConfig("cnea"))
     assert out.size == 30
     for m in out.members:
         assert space.contains(m.genome)
@@ -262,6 +262,6 @@ def test_regular_ops_untouched_children_keep_parent_object():
     fn = _Quadratic(space)
     pop = _pop([[0.5, 0.5]] * 10, [0.5] * 10)
     # p_r=0 and p_m=0: every child is its first parent, fitness reused as-is
-    cfg = InformedOpConfig(p_r=0.0, p_m=0.0)
+    cfg = EngineConfig("cnea", p_r=0.0, p_m=0.0)
     out = regular_ops(pop, space, fn, RngStream(0), cfg)
     assert all(m in pop.members for m in out.members)
