@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Individual, SearchSpace
+from .core import SearchSpace
 
 __all__ = [
     "FUNCTION_NAMES",
     "BenchmarkFn",
     "evaluate_rows",
-    "evaluate_offspring",
+    "evaluate_children",
     "rotation_matrix",
     "make",
     "registry",
@@ -154,22 +154,27 @@ class BenchmarkFn:
 
 def evaluate_rows(fn, x) -> np.ndarray:
     """Fitness of every row of `x`: one `fn.evaluate_batch` call if the
-    objective has one, else `fn.evaluate` row by row."""
+    objective has one, else `fn.evaluate` row by row.
+
+    Every fitness value of a run enters here. A NaN raises ValueError, since
+    it has no place in a ranking; +inf is allowed and ranks after every
+    finite value.
+    """
     batch = getattr(fn, "evaluate_batch", None)
-    if batch is not None:
-        return np.asarray(batch(x), dtype=float)
-    return np.array([fn.evaluate(row) for row in x], dtype=float)
+    fitness = np.asarray(batch(x) if batch else [fn.evaluate(row) for row in x], dtype=float)
+    nan = np.count_nonzero(np.isnan(fitness))
+    if nan:
+        raise ValueError(f"objective returned NaN for {nan} of {len(fitness)} rows")
+    return fitness
 
 
-def evaluate_offspring(children: list, fn) -> list[Individual]:
-    """Turn every bare genome in `children` into an evaluated Individual, in
-    one `evaluate_rows` call; members already evaluated stay as they are."""
-    todo = [i for i, child in enumerate(children) if not isinstance(child, Individual)]
-    if todo:
-        fitness = evaluate_rows(fn, np.stack([children[i] for i in todo]))
-        for i, f in zip(todo, fitness.tolist()):
-            children[i] = Individual(children[i], f)
-    return children
+def evaluate_children(fn, children: np.ndarray, fresh: np.ndarray, inherited) -> np.ndarray:
+    """Fitness of a generation's children: `fresh` rows are evaluated in one
+    `evaluate_rows` call, the others copy a parent and keep `inherited`."""
+    fitness = np.array(inherited, dtype=float)
+    if fresh.any():
+        fitness[fresh] = evaluate_rows(fn, children[fresh])
+    return fitness
 
 
 def make(name: str, dim: int, schwefel_lower: float | None = None) -> BenchmarkFn:

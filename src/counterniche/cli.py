@@ -138,13 +138,13 @@ def _usage_error(exc: ValueError) -> int:
 
 
 def _cmd_run(args) -> int:
-    fn = benchmarks.make(args.function, args.dim, schwefel_lower=args.schwefel_lower)
     overrides = {
         knob.name: getattr(args, knob.name)
         for knob in engine_knobs().values()
         if getattr(args, knob.name) is not None
     }
     try:
+        fn = benchmarks.make(args.function, args.dim, schwefel_lower=args.schwefel_lower)
         cfg = default_config(
             args.algo, dim=args.dim, generations=args.generations, seed=args.seed, **overrides
         )

@@ -1,5 +1,5 @@
 """Value types shared across the library: bounded real search spaces,
-evaluated individuals, populations, and seeded random streams.
+populations, the best individual a run reports, and seeded random streams.
 
 Everything downstream (benchmarks, niching, engines, harness) builds on the
 contract established here: genomes are float vectors living inside an
@@ -70,7 +70,7 @@ class SearchSpace:
 
 @dataclass(frozen=True, eq=False)
 class Individual:
-    """A candidate solution. `fitness` stays None until evaluated; smaller is better."""
+    """A genome and its fitness (smaller is better), as a run reports its best in `RunTrace.best`."""
 
     genome: np.ndarray
     fitness: float | None = None
@@ -89,33 +89,33 @@ class Individual:
 
 @dataclass
 class Population:
-    members: list[Individual]
-    generation: int = 0
+    """N genomes as the rows of `X`, shape (N, dim), with their fitness `f`,
+    shape (N,). Both are C-contiguous float arrays; engines build a new
+    population each generation rather than writing into one."""
+
+    X: np.ndarray
+    f: np.ndarray
+
+    def __post_init__(self):
+        self.X = np.ascontiguousarray(self.X, dtype=float)
+        self.f = np.ascontiguousarray(self.f, dtype=float)
+        if self.X.ndim != 2 or len(self.X) == 0:
+            raise ValueError(f"genomes must be a non-empty (N, dim) matrix, got shape {self.X.shape}")
+        if self.f.shape != (len(self.X),):
+            raise ValueError(f"need one fitness per genome: {len(self.X)} rows, fitness shape {self.f.shape}")
 
     @property
     def size(self) -> int:
-        return len(self.members)
-
-    def genomes(self) -> np.ndarray:
-        """All genomes stacked into an (N, dim) matrix."""
-        if not self.members:
-            raise ValueError("population is empty")
-        return np.stack([m.genome for m in self.members])
-
-    def fitness_values(self) -> np.ndarray:
-        vals = [m.fitness for m in self.members]
-        if not vals:
-            raise ValueError("population is empty")
-        if any(v is None for v in vals):
-            raise ValueError("population contains unevaluated members")
-        return np.asarray(vals, dtype=float)
+        return len(self.f)
 
     def best_index(self) -> int:
         # argmin keeps the first occurrence, so ties resolve to the lowest index
-        return int(np.argmin(self.fitness_values()))
+        return int(np.argmin(self.f))
 
     def best(self) -> Individual:
-        return self.members[self.best_index()]
+        """A copy of the fittest member, as a run reports it."""
+        i = self.best_index()
+        return Individual(self.X[i].copy(), self.f[i])
 
 
 class RngStream:

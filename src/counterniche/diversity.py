@@ -11,7 +11,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .core import Individual, Population, SearchSpace
+from .core import Population, SearchSpace
 
 __all__ = [
     "distance_to_average",
@@ -27,7 +27,7 @@ def distance_to_average(population: Population, space: SearchSpace) -> float:
     The normalizer is the diagonal of the search box, so identical
     populations score exactly 0 and no population can exceed 1.
     """
-    x = population.genomes()
+    x = population.X
     if x.shape[1] != space.dim:
         raise ValueError(f"genomes have dim {x.shape[1]}, space has dim {space.dim}")
     if np.all(x == x[0]):
@@ -83,11 +83,9 @@ def maturity(rows: Sequence[Sequence[Hashable]]) -> int:
     return len(rows[0]) - degree_of_diversity(rows)
 
 
-def fitness_std(members: Sequence[Individual]) -> float:
-    """Population (not sample) standard deviation of member fitness."""
-    if not members:
-        raise ValueError("need at least one member")
-    vals = [m.fitness for m in members]
-    if any(v is None for v in vals):
-        raise ValueError("all members must be evaluated")
-    return float(np.std(np.asarray(vals, dtype=float)))
+def fitness_std(fitness: Sequence[float]) -> float:
+    """Population (not sample) standard deviation of a fitness vector."""
+    f = np.asarray(fitness, dtype=float)
+    if f.size == 0 or np.isnan(f).any():
+        raise ValueError("need at least one fitness value, and no NaN")
+    return float(np.std(f))

@@ -12,12 +12,15 @@ evaluation child by child.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Callable, Iterator
 
-from .benchmarks import evaluate_offspring
+import numpy as np
+
+from .benchmarks import evaluate_children, evaluate_rows
 from .core import Individual, Population, RngStream, SearchSpace
 from .diversity import distance_to_average
 from .informed import detect_victims, informed_mutation, regular_ops
@@ -180,63 +183,54 @@ class RunTrace:
 
 
 def _init_population(cfg: EngineConfig, fn, rng: RngStream) -> Population:
-    genomes = rng.uniform(fn.space.lower, fn.space.upper, size=(cfg.N, fn.space.dim))
-    return Population(evaluate_offspring(list(genomes), fn), 0)
+    X = rng.uniform(fn.space.lower, fn.space.upper, size=(cfg.N, fn.space.dim))
+    return Population(X, evaluate_rows(fn, X))
 
 
 def _record(population: Population, space: SearchSpace, generation: int, **extra) -> GenRecord:
-    f = population.fitness_values()
     return GenRecord(
         generation=generation,
-        best_fitness=float(f.min()),
-        mean_fitness=float(f.mean()),
+        best_fitness=float(population.f.min()),
+        mean_fitness=float(population.f.mean()),
         diversity=distance_to_average(population, space),
         **extra,
     )
 
 
-def _elitist_merge(parents: Population, offspring: list[Individual], count: int, generation: int) -> Population:
-    """Generational replacement with elitism: the best `count` parents displace
-    the worst `count` offspring (best elite into the worst slot)."""
-    if count == 0:
-        return Population(list(offspring), generation)
-    fitness = parents.fitness_values()
-    elite_order = sorted(range(parents.size), key=lambda i: (fitness[i], i))
-    elites = [parents.members[i] for i in elite_order[:count]]
-    worst_slots = sorted(
-        range(len(offspring)), key=lambda i: (-offspring[i].fitness, -i)
-    )[:count]
-    out = list(offspring)
-    for slot, elite in zip(worst_slots, elites):
-        out[slot] = elite
-    return Population(out, generation)
+def _elitist_merge(parents: Population, offspring: Population, count: int) -> Population:
+    """Generational replacement with elitism: the best `count` parents, ranked
+    by (fitness, index), displace the worst `count` offspring, the higher
+    index first among equals (best elite into the worst slot)."""
+    X, f = offspring.X.copy(), offspring.f.copy()
+    elites = np.argsort(parents.f, kind="stable")[:count]
+    worst = np.argsort(f, kind="stable")[::-1][:count]
+    X[worst] = parents.X[elites]
+    f[worst] = parents.f[elites]
+    return Population(X, f)
 
 
 def _elitist_union_survivors(
-    parents: Population, offspring: Population, count: int, rng: RngStream, generation: int, n: int
+    parents: Population, offspring: Population, count: int, rng: RngStream, n: int
 ) -> Population:
     """Survivor selection over the union of parents and offspring: the best
     `count` members survive outright, the rest of the next generation is
     filled by binary tournament without replacement over the union minus
     those elites. Each pool member enters at most one tournament, so the
     survivors are distinct and the selection never collapses the population
-    onto copies of a single individual."""
-    union = parents.members + offspring.members
-    order = sorted(range(len(union)), key=lambda i: (union[i].fitness, i))
-    elites = [union[i] for i in order[:count]]
-    pool = [union[i] for i in order[count:]]
+    onto copies of a single individual. The union ranks by (fitness, index)."""
+    X = np.concatenate([parents.X, offspring.X])
+    f = np.concatenate([parents.f, offspring.f])
+    order = np.argsort(f, kind="stable")
+    pool = order[count:]
     # pool has 2n - count members; n - count pairings use 2(n - count) of them
-    pairing = rng.permutation(len(pool))
-    members = list(elites)
-    for s in range(n - count):
-        a, b = pool[pairing[2 * s]], pool[pairing[2 * s + 1]]
-        members.append(b if b.fitness < a.fitness else a)
-    return Population(members, generation)
+    pairing = rng.permutation(len(pool))[: 2 * (n - count)]
+    a, b = pool[pairing[0::2]], pool[pairing[1::2]]
+    keep = np.concatenate([order[:count], np.where(f[b] < f[a], b, a)])
+    return Population(X[keep], f[keep])
 
 
 def _track_best(best: Individual, population: Population) -> Individual:
-    cand = population.best()
-    return cand if cand.fitness < best.fitness else best
+    return population.best() if population.f.min() < best.fitness else best
 
 
 def _cnea_steps(
@@ -250,9 +244,7 @@ def _cnea_steps(
     pop = _init_population(cfg, fn, rng)
     best = pop.best()
     yield _record(pop, space, 0), best
-    t = 0
-    while True:
-        t += 1
+    for t in itertools.count(1):
         grid = build_grid(pop, space, cfg.grid_bins, rng, key_dims=key_dims,
                           key_dim_limit=cfg.key_dim_limit, projected_dims=cfg.projected_dims)
         regions = high_density_regions(grid, pop, cfg.tau_dense)
@@ -264,7 +256,7 @@ def _cnea_steps(
             pop, victims, space, grid, fn, archive, rng, cfg
         )
         offspring = regular_ops(pop_informed, space, fn, rng, cfg)
-        pop = _elitist_union_survivors(pop_informed, offspring, cfg.elitism_count, rng, t, cfg.N)
+        pop = _elitist_union_survivors(pop_informed, offspring, cfg.elitism_count, rng, cfg.N)
         best = _track_best(best, pop)
         yield _record(
             pop, space, t,
@@ -283,19 +275,24 @@ def _sea_like_steps(
     pop = _init_population(cfg, fn, rng)
     best = pop.best()
     yield _record(pop, space, 0), best
-    t = 0
-    while True:
-        t += 1
-        offspring: list = []
-        for _ in range(cfg.N):
-            p1 = binary_tournament(pop, rng)
-            p2 = binary_tournament(pop, rng)
+    for t in itertools.count(1):
+        X = pop.X
+        children = np.empty_like(X)
+        fresh = np.zeros(cfg.N, dtype=bool)
+        parent = np.empty(cfg.N, dtype=int)
+        for k in range(cfg.N):
+            i = binary_tournament(pop, rng)
+            j = binary_tournament(pop, rng)
             crossed = rng.random() < cfg.p_r
-            genome = arithmetic_crossover(p1, p2, rng) if crossed else p1.genome
+            genome = arithmetic_crossover(X[i], X[j], rng) if crossed else X[i]
+            fired = False
             if rng.random() < cfg.p_m_genome:
-                genome = gaussian_mutate(genome, variance_source(t - 1, rng), 1.0, space, rng)
-            offspring.append(p1 if genome is p1.genome else genome)
-        pop = _elitist_merge(pop, evaluate_offspring(offspring, fn), cfg.elitism_count, t)
+                genome, fired = gaussian_mutate(genome, variance_source(t - 1, rng), 1.0, space, rng)
+            children[k] = genome
+            fresh[k] = crossed or fired
+            parent[k] = i
+        offspring = Population(children, evaluate_children(fn, children, fresh, pop.f[parent]))
+        pop = _elitist_merge(pop, offspring, cfg.elitism_count)
         best = _track_best(best, pop)
         yield _record(pop, space, t), best
 
@@ -331,28 +328,25 @@ def _cea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenRecor
     pop = _init_population(cfg, fn, rng)
     best = pop.best()
     yield _record(pop, space, 0), best
-    t = 0
-    while True:
-        t += 1
-        old = pop.members
-        children: list = []
+    for t in itertools.count(1):
+        X, f = pop.X, pop.f
+        children = np.empty_like(X)
+        fresh = np.zeros(cfg.N, dtype=bool)
         for idx in range(cfg.N):
             r, c = divmod(idx, cols)
             nbr, nbc = torus_neighbors(r, c, rows, cols)[int(rng.integers(0, 4))]
-            center = old[idx]
-            mate = old[nbr * cols + nbc]
             crossed = rng.random() < cfg.p_r
-            genome = arithmetic_crossover(center, mate, rng) if crossed else center.genome
+            genome = arithmetic_crossover(X[idx], X[nbr * cols + nbc], rng) if crossed else X[idx]
+            fired = False
             if rng.random() < cfg.p_m_genome:
                 variance = pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper)
-                genome = gaussian_mutate(genome, variance, 1.0, space, rng)
-            children.append(center if genome is center.genome else genome)
-        children = evaluate_offspring(children, fn)
-        new_members = [
-            child if child.fitness < center.fitness else center
-            for child, center in zip(children, old)
-        ]
-        pop = Population(new_members, t)
+                genome, fired = gaussian_mutate(genome, variance, 1.0, space, rng)
+            children[idx] = genome
+            fresh[idx] = crossed or fired
+        # an untouched child equals its cell's member, so it never replaces it
+        child_f = evaluate_children(fn, children, fresh, f)
+        better = child_f < f
+        pop = Population(np.where(better[:, None], children, X), np.where(better, child_f, f))
         best = _track_best(best, pop)
         yield _record(pop, space, t), best
 
@@ -375,28 +369,26 @@ def _dgea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenReco
     best = pop.best()
     mode = "exploit"
     yield _record(pop, space, 0, mode=mode), best
-    t = 0
-    while True:
-        t += 1
+    for t in itertools.count(1):
         mode = dgea_mode(mode, distance_to_average(pop, space), cfg.d_low, cfg.d_high)
-        offspring: list = []
+        X = pop.X
+        children = X.copy()
+        fresh = np.zeros(cfg.N, dtype=bool)
+        parent = np.arange(cfg.N)
         if mode == "exploit":
-            for _ in range(cfg.N):
-                p1 = binary_tournament(pop, rng)
-                p2 = binary_tournament(pop, rng)
-                if rng.random() < cfg.p_r:
-                    offspring.append(arithmetic_crossover(p1, p2, rng))
-                else:
-                    offspring.append(p1)
+            for k in range(cfg.N):
+                i = binary_tournament(pop, rng)
+                j = binary_tournament(pop, rng)
+                parent[k] = i
+                fresh[k] = rng.random() < cfg.p_r
+                children[k] = arithmetic_crossover(X[i], X[j], rng) if fresh[k] else X[i]
         else:
-            for member in pop.members:
+            for k in range(cfg.N):
                 if rng.random() < cfg.p_m_genome:
                     variance = pow_sample(1.0, rng, cfg.pow_exponent, cfg.pow_upper)
-                    genome = gaussian_mutate(member.genome, variance, 1.0, space, rng)
-                    offspring.append(member if genome is member.genome else genome)
-                else:
-                    offspring.append(member)
-        pop = _elitist_merge(pop, evaluate_offspring(offspring, fn), cfg.elitism_count, t)
+                    children[k], fresh[k] = gaussian_mutate(X[k], variance, 1.0, space, rng)
+        offspring = Population(children, evaluate_children(fn, children, fresh, pop.f[parent]))
+        pop = _elitist_merge(pop, offspring, cfg.elitism_count)
         best = _track_best(best, pop)
         yield _record(pop, space, t, mode=mode), best
 

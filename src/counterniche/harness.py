@@ -234,6 +234,7 @@ class ExperimentMatrix:
     timing: bool = False
     schwefel_lower: float | None = None
     engine_overrides: dict = field(default_factory=dict)
+    stagnation_rule: StagnationRule = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.algos or not self.functions or not self.dims:
@@ -244,6 +245,7 @@ class ExperimentMatrix:
             raise ValueError(f"budget must be 'fixed' or 'stagnation', got {self.budget!r}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        self.stagnation_rule = StagnationRule(self.stagnation_window, self.hard_cap)
         for algo in self.algos:  # a bad engine key fails here, not in every cell
             self.engine_config(algo, self.dims[0])
 
@@ -277,7 +279,7 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
         cfg = matrix.engine_config(algo, dim)
         out = cell_dir(matrix.output_dir, algo, function, dim)
         out.mkdir(parents=True, exist_ok=True)
-        rule = StagnationRule(matrix.stagnation_window, matrix.hard_cap)
+        rule = matrix.stagnation_rule
         stop = rule if matrix.budget == "stagnation" else None
 
         errors: list[float] = []
@@ -364,22 +366,42 @@ def collect_final_errors(trace_paths: Sequence[Path], function: str, dim: int) -
     return errors
 
 
-_MATRIX_INT_KEYS = {
-    "runs": "runs_per_cell",
-    "seed_base": "seed_base",
-    "generations": "generations",
-    "stagnation_window": "stagnation_window",
-    "hard_cap": "hard_cap",
-    "workers": "workers",
-}
+def _names(value: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
 
 _BOOL_VALUES = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
+
+
+def _on_off(value: str) -> bool:
+    if value.lower() not in _BOOL_VALUES:
+        raise ValueError(f"expected on/off, got {value!r}")
+    return _BOOL_VALUES[value.lower()]
+
+
+# sweep-file key -> (ExperimentMatrix field, parser); engine knobs come from engine_knobs()
+_MATRIX_KEYS = {
+    "algos": ("algos", _names),
+    "functions": ("functions", _names),
+    "dims": ("dims", lambda value: tuple(int(v) for v in _names(value))),
+    "runs": ("runs_per_cell", int),
+    "budget": ("budget", str),
+    "generations": ("generations", int),
+    "seed_base": ("seed_base", int),
+    "output_dir": ("output_dir", str),
+    "stagnation_window": ("stagnation_window", int),
+    "hard_cap": ("hard_cap", int),
+    "workers": ("workers", int),
+    "timing": ("timing", _on_off),
+    "schwefel_lower": ("schwefel_lower", float),
+}
 
 
 def load_matrix_config(path) -> ExperimentMatrix:
     """Parse a flat key-value config file ("key = value" lines, # comments).
 
-    Unknown keys are errors. Keys left out fall back to the stock experiment
+    Unknown keys are errors, and so are values that do not parse; both name
+    the file, line and key. Keys left out fall back to the stock experiment
     setup: 30 runs per cell, fixed budgets, seeds 0..runs-1.
     """
     path = Path(path)
@@ -393,32 +415,17 @@ def load_matrix_config(path) -> ExperimentMatrix:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "algos":
-            fields["algos"] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "functions":
-            fields["functions"] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "dims":
-            fields["dims"] = tuple(int(v.strip()) for v in value.split(",") if v.strip())
-        elif key == "budget":
-            fields["budget"] = value
-        elif key == "output_dir":
-            fields["output_dir"] = value
-        elif key == "timing":
-            if value.lower() not in _BOOL_VALUES:
-                raise ValueError(f"{path}:{lineno}: timing must be on/off, got {value!r}")
-            fields["timing"] = _BOOL_VALUES[value.lower()]
-        elif key == "schwefel_lower":
-            fields["schwefel_lower"] = float(value)
-        elif key in _MATRIX_INT_KEYS:
-            fields[_MATRIX_INT_KEYS[key]] = int(value)
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in _MATRIX_KEYS:
+            target, (name, parse) = fields, _MATRIX_KEYS[key]
         elif key in knobs:
-            knob = knobs[key]
-            overrides[knob.name] = type(knob.default)(value)
+            target, name, parse = overrides, knobs[key].name, type(knobs[key].default)
         else:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            target[name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     missing = [k for k in ("algos", "functions", "dims") if k not in fields]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")

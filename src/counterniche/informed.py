@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .benchmarks import evaluate_offspring, evaluate_rows
-from .core import Individual, Population, RngStream, SearchSpace
+from .benchmarks import evaluate_children, evaluate_rows
+from .core import Population, RngStream, SearchSpace
 from .niching import GridIndex, MemoryArchive, Region, archive_mean_distance, archive_push
 from .operators import arithmetic_crossover, binary_tournament, gaussian_mutate
 
@@ -59,11 +59,11 @@ def detect_victims(
     (fitness ties broken by lower index); regions where that count floors to
     zero are skipped entirely.
     """
-    fitness = population.fitness_values()
+    fitness = population.f
     victims = []
     for region in regions:
         threshold = cfg.eps_fit * (1.0 + abs(region.fitness_mean))
-        if region.fitness_std > threshold:
+        if not region.fitness_std <= threshold:  # a NaN spread never qualifies
             continue
         k = math.floor(cfg.rho_replace * region.density)
         if k == 0:
@@ -107,23 +107,21 @@ def sample_virgin(
 
 
 def select_replacement(
-    candidates: list[Individual], victim: VictimRegion, archive: MemoryArchive
-) -> Individual | None:
-    """Pick the candidate that strictly beats the victim region's mean fitness
-    while sitting farthest (on average) from the archived centroids.
+    genomes: np.ndarray, fitness: np.ndarray, victim: VictimRegion, archive: MemoryArchive
+) -> int | None:
+    """Index of the candidate row that strictly beats the victim region's
+    mean fitness while sitting farthest (on average) from the archived
+    centroids.
 
-    Distance ties fall back to better fitness, then to insertion order.
+    Distance ties fall back to better fitness, then to the lower index.
     Returns None when no candidate qualifies.
     """
-    mean = victim.region.fitness_mean
-    best: Individual | None = None
+    best: int | None = None
     best_dist = -math.inf
-    for cand in candidates:
-        if not cand.fitness < mean:
-            continue
-        dist = archive_mean_distance(archive, cand.genome)
-        if best is None or dist > best_dist or (dist == best_dist and cand.fitness < best.fitness):
-            best = cand
+    for k in np.flatnonzero(fitness < victim.region.fitness_mean).tolist():
+        dist = archive_mean_distance(archive, genomes[k])
+        if best is None or dist > best_dist or (dist == best_dist and fitness[k] < fitness[best]):
+            best = k
             best_dist = dist
     return best
 
@@ -145,26 +143,24 @@ def informed_mutation(
     Replacements carry their own evaluated fitness; nothing is re-evaluated.
     Each victim region samples one pool per slot, all in one call.
     """
-    members = list(population.members)
+    X, f = population.X.copy(), population.f.copy()
     counters = InformedCounters(victims=len(victims))
     for victim in victims:
         archive_push(archive, victim.region.centroid)
         slots = victim.replace_indices
         samples = sample_virgin(space, grid, fn, rng, cfg.sample_budget, len(slots))
-        # only samples strictly fitter than the region mean can qualify
-        fitter = np.flatnonzero(samples.fitness < victim.region.fitness_mean)
+        # samples come pool by pool: pool p holds rows bounds[p]:bounds[p + 1]
+        bounds = np.searchsorted(samples.pool, np.arange(len(slots) + 1)).tolist()
         for pool, slot in enumerate(slots):
-            candidates = [
-                Individual(samples.genomes[i], samples.fitness[i])
-                for i in fitter[samples.pool[fitter] == pool]
-            ]
-            chosen = select_replacement(candidates, victim, archive)
+            lo, hi = bounds[pool], bounds[pool + 1]
+            chosen = select_replacement(samples.genomes[lo:hi], samples.fitness[lo:hi], victim, archive)
             if chosen is None:
                 counters.fallbacks += 1
                 continue
-            members[slot] = chosen
+            X[slot] = samples.genomes[lo + chosen]
+            f[slot] = samples.fitness[lo + chosen]
             counters.replaced += 1
-    return Population(members, population.generation), counters
+    return Population(X, f), counters
 
 
 def regular_ops(
@@ -172,16 +168,20 @@ def regular_ops(
 ) -> Population:
     """Standard variation pass: tournament parents, arithmetic crossover with
     probability p_r, per-gene Gaussian mutation with std sigma_reg * range.
-    The changed children are evaluated in one batch at the end."""
+    The changed children are evaluated in one batch at the end; a child that
+    is an untouched copy of its first parent keeps the parent's fitness."""
     std = cfg.sigma_reg * space.widths()
     variance = std * std
-    offspring: list = []
-    for _ in range(population.size):
-        p1 = binary_tournament(population, rng)
-        p2 = binary_tournament(population, rng)
+    X, n = population.X, population.size
+    children = np.empty_like(X)
+    fresh = np.zeros(n, dtype=bool)
+    parent = np.empty(n, dtype=int)
+    for k in range(n):
+        i = binary_tournament(population, rng)
+        j = binary_tournament(population, rng)
         crossed = rng.random() < cfg.p_r
-        genome = arithmetic_crossover(p1, p2, rng) if crossed else p1.genome
-        mutated = gaussian_mutate(genome, variance, cfg.p_m, space, rng)
-        # an untouched copy of the first parent keeps its fitness
-        offspring.append(p1 if mutated is p1.genome else mutated)
-    return Population(evaluate_offspring(offspring, fn), population.generation)
+        genome = arithmetic_crossover(X[i], X[j], rng) if crossed else X[i]
+        children[k], fired = gaussian_mutate(genome, variance, cfg.p_m, space, rng)
+        fresh[k] = crossed or fired
+        parent[k] = i
+    return Population(children, evaluate_children(fn, children, fresh, population.f[parent]))

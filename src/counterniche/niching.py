@@ -134,7 +134,7 @@ def build_grid(
                 raise ValueError("rng is required to draw projected key dimensions")
             key_dims = choose_key_dims(space.dim, rng, key_dim_limit, projected_dims)
 
-    keys = bin_indices(population.genomes(), space, bins, key_dims)
+    keys = bin_indices(population.X, space, bins, key_dims)
     cells: dict[tuple[int, ...], list[int]] = {}
     for i, row in enumerate(keys.tolist()):
         cells.setdefault(tuple(row), []).append(i)
@@ -162,16 +162,16 @@ def high_density_regions(
 
     Sorted densest first; ties broken by lower mean fitness, then by cell key.
     """
-    n = population.size
-    threshold = max(2, math.ceil(density_fraction * n))
-    x = population.genomes()
-    fitness = population.fitness_values()
+    threshold = max(2, math.ceil(density_fraction * population.size))
+    x, fitness = population.X, population.f
 
     regions = []
     for key, idxs in grid.cells.items():
         if len(idxs) < threshold:
             continue
         f = fitness[idxs]
+        with np.errstate(invalid="ignore"):  # a member at +inf makes the std NaN
+            std = float(f.std())
         regions.append(
             Region(
                 cell_key=key,
@@ -179,7 +179,7 @@ def high_density_regions(
                 centroid=x[idxs].mean(axis=0),
                 density=len(idxs),
                 fitness_mean=float(f.mean()),
-                fitness_std=float(f.std()),
+                fitness_std=std,
             )
         )
     regions.sort(key=lambda r: (-r.density, r.fitness_mean, r.cell_key))
@@ -226,5 +226,5 @@ def discretize_genomes(
     population: Population, space: SearchSpace, bins: int = DEFAULT_BINS
 ) -> list[tuple[int, ...]]:
     """Full-dimension bin-index rows, suitable for the locus diversity measures."""
-    keys = bin_indices(population.genomes(), space, bins)
+    keys = bin_indices(population.X, space, bins)
     return [tuple(int(v) for v in row) for row in keys.tolist()]

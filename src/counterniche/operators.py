@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import Individual, Population, RngStream, SearchSpace, clamp
+from .core import Population, RngStream, SearchSpace, clamp
 
 __all__ = [
     "binary_tournament",
@@ -17,32 +17,25 @@ __all__ = [
 ]
 
 
-def binary_tournament(population: Population, rng: RngStream) -> Individual:
-    """Draw two members uniformly (with replacement) and keep the fitter.
-
-    Ties go to the first draw.
+def binary_tournament(population: Population, rng: RngStream) -> int:
+    """Draw two member indices uniformly (with replacement) and return the
+    fitter one. Ties go to the first draw.
     """
     n = population.size
     i = int(rng.integers(0, n))
     j = int(rng.integers(0, n))
-    a = population.members[i]
-    b = population.members[j]
-    return b if b.fitness < a.fitness else a
-
-
-def _genome_of(x) -> np.ndarray:
-    return x.genome if isinstance(x, Individual) else np.asarray(x, dtype=float)
+    return j if population.f[j] < population.f[i] else i
 
 
 def arithmetic_crossover(a, b, rng: RngStream) -> np.ndarray:
-    """Per-variable weighted blend of two parents.
+    """Per-variable weighted blend of two parent genomes.
 
     Every weight is drawn from {0, 1} except one uniformly chosen position,
     which gets a uniform weight in [0, 1]. The child is w*a + (1-w)*b
     componentwise, so most genes copy one parent and a single gene blends.
     """
-    ga = _genome_of(a)
-    gb = _genome_of(b)
+    ga = np.asarray(a, dtype=float)
+    gb = np.asarray(b, dtype=float)
     if ga.shape != gb.shape:
         raise ValueError("parents must share genome length")
     dim = ga.size
@@ -52,22 +45,25 @@ def arithmetic_crossover(a, b, rng: RngStream) -> np.ndarray:
     return w * ga + (1.0 - w) * gb
 
 
-def gaussian_mutate(genome, variance, p_gene: float, space: SearchSpace, rng: RngStream) -> np.ndarray:
+def gaussian_mutate(
+    genome, variance, p_gene: float, space: SearchSpace, rng: RngStream
+) -> tuple[np.ndarray, bool]:
     """Add zero-mean Gaussian noise of the given variance to each gene with
     probability p_gene, then clamp to the space.
 
     `variance` may be a scalar or a per-gene vector. The mask and noise draws
     always happen, so random-stream consumption does not depend on outcomes.
-    Returns the input object unchanged when no gene fires.
+    Returns the child and whether any gene fired; when none did, the child
+    is the input genome unchanged.
     """
-    g = _genome_of(genome)
+    g = np.asarray(genome, dtype=float)
     mask = rng.random(space.dim) < p_gene
     noise = rng.normal(0.0, 1.0, space.dim) * np.sqrt(variance)
     if not mask.any():
-        return genome if isinstance(genome, np.ndarray) else g
+        return g, False
     out = np.array(g)
     out[mask] += noise[mask]
-    return clamp(out, space)
+    return clamp(out, space), True
 
 
 def pow_sample(alpha: float, rng: RngStream, exponent: float = 2.0, upper: float = 1000.0) -> float:

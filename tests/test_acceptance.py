@@ -16,7 +16,6 @@ import numpy as np
 from counterniche import (
     ALGORITHMS,
     EngineConfig,
-    Individual,
     MemoryArchive,
     Population,
     RngStream,
@@ -88,16 +87,15 @@ def test_criterion_03_spread_measure_oracle():
         n = int(rng.integers(1, 21))
         space = SearchSpace.cube(dim, -2.0, 3.0)
         genomes = rng.uniform(space.lower, space.upper, size=(n, dim))
-        pop = Population([Individual(g, 0.0) for g in genomes])
+        pop = Population(genomes, np.zeros(n))
         got = distance_to_average(pop, space)
         want = brute_force_spread([list(g) for g in genomes], space)
         worst = max(worst, abs(got - want))
 
     space = SearchSpace.cube(2, 0.0, 1.0)
-    same = Population([Individual(np.array([0.4, 0.6]), 0.0) for _ in range(7)])
+    same = Population(np.tile([0.4, 0.6], (7, 1)), np.zeros(7))
     identical_zero = distance_to_average(same, space)
-    hand = Population([Individual(np.array([0.0, 0.0]), 0.0),
-                       Individual(np.array([1.0, 1.0]), 0.0)])
+    hand = Population([[0.0, 0.0], [1.0, 1.0]], [0.0, 0.0])
     hand_err = abs(distance_to_average(hand, space) - 0.5)
     ok = worst <= 1e-12 and identical_zero == 0.0 and hand_err <= 1e-12
     _report(3, "spread measure matches brute force", ok,
@@ -179,10 +177,9 @@ def test_criterion_08_informed_op_contract():
     fn = make("ellipsoid", 2)
     rng = RngStream(101)
     planted_genome = np.array([0.9, 0.9])
-    planted = [Individual(planted_genome, fn.evaluate(planted_genome)) for _ in range(20)]
     scatter_genomes = rng.uniform(0.3, 0.7, size=(80, 2))
-    scatter = [Individual(g, fn.evaluate(g)) for g in scatter_genomes]
-    pop = Population(planted + scatter)
+    genomes = np.concatenate([np.tile(planted_genome, (20, 1)), scatter_genomes])
+    pop = Population(genomes, fn.evaluate_batch(genomes))
     cfg = EngineConfig("cnea")
 
     grid = build_grid(pop, space, bins=4)
@@ -198,8 +195,8 @@ def test_criterion_08_informed_op_contract():
     )
     size_ok = out.size == pop.size
     mean = victims[0].region.fitness_mean if victims else math.nan
-    changed = [i for i in range(pop.size) if out.members[i] is not pop.members[i]]
-    strict = all(out.members[i].fitness < mean for i in changed)
+    changed = [i for i in range(pop.size) if not np.array_equal(out.X[i], pop.X[i])]
+    strict = all(out.f[i] < mean for i in changed)
     ok = flagged_exactly and size_ok and strict and counters.replaced == len(changed)
     _report(8, "informed replacement contract", ok,
             f"victims={len(victims)}, replaced={counters.replaced}, "

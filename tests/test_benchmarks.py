@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterniche import FUNCTION_NAMES, make, rotation_matrix
-from counterniche.benchmarks import evaluate_rows, registry
+from counterniche.benchmarks import evaluate_children, evaluate_rows, registry
 
 
 def test_function_names_complete():
@@ -188,6 +188,52 @@ def test_evaluate_rows_falls_back_to_evaluate():
     x = np.random.default_rng(0).uniform(fn.space.lower, fn.space.upper, size=(9, 5))
     assert np.array_equal(evaluate_rows(EvaluateOnly(), x), fn.evaluate_batch(x))
     assert evaluate_rows(EvaluateOnly(), x[:0]).shape == (0,)
+
+
+def test_evaluate_rows_rejects_nan_and_counts_the_rows():
+    fn = make("rastrigin", 4)
+    x = np.random.default_rng(1).uniform(fn.space.lower, fn.space.upper, size=(6, 4))
+    x[[1, 4], 2] = np.nan
+    with pytest.raises(ValueError, match="NaN for 2 of 6 rows"):
+        evaluate_rows(fn, x)
+
+    class EvaluateOnly:
+        def evaluate(self, row):
+            return fn.evaluate(row)
+
+    with pytest.raises(ValueError, match="NaN for 2 of 6 rows"):
+        evaluate_rows(EvaluateOnly(), x)
+
+
+def test_evaluate_rows_allows_inf():
+    class Wall:
+        def evaluate_batch(self, x):
+            return np.where(x[:, 0] > 0.0, np.inf, x[:, 0])
+
+    got = evaluate_rows(Wall(), np.array([[-1.0], [1.0], [-2.0]]))
+    assert got.tolist() == [-1.0, np.inf, -2.0]
+
+
+def test_evaluate_children_evaluates_fresh_rows_only():
+    fn = make("ellipsoid", 3)
+    children = np.arange(12.0).reshape(4, 3) / 10.0
+    fresh = np.array([False, True, False, True])
+    seen = []
+
+    class Spy:
+        def evaluate_batch(self, x):
+            seen.append(x.copy())
+            return fn.evaluate_batch(x)
+
+    inherited = np.array([7.0, 8.0, 9.0, 10.0])
+    got = evaluate_children(Spy(), children, fresh, inherited)
+    assert got.tolist() == [7.0, *fn.evaluate_batch(children[[1]]).tolist(), 9.0,
+                            *fn.evaluate_batch(children[[3]]).tolist()]
+    assert len(seen) == 1 and np.array_equal(seen[0], children[fresh])
+    assert inherited.tolist() == [7.0, 8.0, 9.0, 10.0]  # left as it was
+    # nothing fresh: no call at all
+    evaluate_children(Spy(), children, np.zeros(4, dtype=bool), inherited)
+    assert len(seen) == 1
 
 
 def test_make_rejects_unknown():

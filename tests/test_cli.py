@@ -127,6 +127,18 @@ def test_run_rejects_invalid_engine_combo(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_rejects_bad_function_dim_before_any_output(tmp_path, capsys):
+    # rot_rastrigin needs an even dim; make() raises, a usage error
+    dump = tmp_path / "regions.jsonl"
+    code = main(
+        ["run", "--algo", "cnea", "--function", "rot_rastrigin", "--dim", "3",
+         "--generations", "2", "--out", str(tmp_path / "t.csv"), "--regions-dump", str(dump)]
+    )
+    assert code == 2
+    assert "even dimension" in capsys.readouterr().err
+    assert not dump.exists() and not (tmp_path / "t.csv").exists()
+
+
 def _write_sweep_config(path, out_dir):
     path.write_text(
         "algos = sea\n"

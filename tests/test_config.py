@@ -167,3 +167,32 @@ def test_docs_engine_keys_table_matches_config():
                 pass
         stock = {getattr(default_config(a, generations=0), knob.name) for a in algos}
         assert documented == stock, key
+
+
+def test_zero_stagnation_window_fails_at_load(tmp_path, capsys):
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(
+        "algos = sea, cnea\nfunctions = ellipsoid\ndims = 2\nbudget = stagnation\n"
+        f"stagnation_window = 0\noutput_dir = {tmp_path / 'r'}\n"
+    )
+    with pytest.raises(ValueError, match="window"):
+        load_matrix_config(sweep)
+    assert cli.main(["sweep", "--config", str(sweep)]) == 2
+    assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("line,key", [
+    ("pop_size = ten", "pop_size"),
+    ("runs = 2.5", "runs"),
+    ("dims = 2, x", "dims"),
+    ("schwefel_lower = low", "schwefel_lower"),
+    ("rho_replace = half", "rho_replace"),
+])
+def test_unparsable_value_error_names_file_line_and_key(line, key, tmp_path, capsys):
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(f"algos = sea\nfunctions = ellipsoid\n# a comment\ndims = 2\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{sweep}:5: {key}: ")):
+        load_matrix_config(sweep)
+    assert cli.main(["sweep", "--config", str(sweep)]) == 2
+    assert f"{sweep}:5: {key}: " in capsys.readouterr().err

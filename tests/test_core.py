@@ -51,29 +51,31 @@ def test_individual_unevaluated():
 
 
 def test_population_basics():
-    members = [Individual(np.array([float(i), 0.0]), float(i)) for i in range(4)]
-    pop = Population(members, generation=7)
+    X = np.array([[float(i), 0.0] for i in range(4)])
+    pop = Population(X, [0.0, 1.0, 2.0, 3.0])
     assert pop.size == 4
-    assert pop.generation == 7
-    assert pop.genomes().shape == (4, 2)
-    assert np.array_equal(pop.fitness_values(), [0.0, 1.0, 2.0, 3.0])
-    assert pop.best() is members[0]
+    assert pop.X.shape == (4, 2)
+    assert np.array_equal(pop.f, [0.0, 1.0, 2.0, 3.0])
+    best = pop.best()
+    assert isinstance(best, Individual)
+    assert best.fitness == 0.0 and np.array_equal(best.genome, X[0])
+    # the reported best is a copy, not a view into the population
+    assert not np.shares_memory(best.genome, pop.X)
 
 
 def test_population_best_tie_goes_to_lowest_index():
-    members = [
-        Individual(np.zeros(1), 1.0),
-        Individual(np.ones(1), 0.5),
-        Individual(np.full(1, 2.0), 0.5),
-    ]
-    assert Population(members).best_index() == 1
+    pop = Population([[0.0], [1.0], [2.0]], [1.0, 0.5, 0.5])
+    assert pop.best_index() == 1
 
 
 def test_population_rejects_empty_and_unevaluated():
     with pytest.raises(ValueError):
-        Population([]).genomes()
+        Population(np.empty((0, 2)), np.empty(0))
+    # one fitness per row: a genome without a fitness is an error
     with pytest.raises(ValueError):
-        Population([Individual(np.zeros(1))]).fitness_values()
+        Population(np.zeros((1, 1)), np.empty(0))
+    with pytest.raises(ValueError):
+        Population(np.zeros(3), np.zeros(3))  # genomes must be rows of a matrix
 
 
 def test_rng_stream_reproducibility():

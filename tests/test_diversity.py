@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterniche import (
-    Individual,
     Population,
     RngStream,
     SearchSpace,
@@ -18,7 +17,7 @@ from counterniche import (
 
 
 def _pop(rows, fitness=0.0):
-    return Population([Individual(np.asarray(r, dtype=float), fitness) for r in rows])
+    return Population(rows, np.full(len(rows), fitness))
 
 
 def brute_force_spread(genomes, space) -> float:
@@ -134,14 +133,17 @@ def test_degree_plus_maturity_equals_length(length, n, alphabet, seed):
 
 
 def test_fitness_std_population_form():
-    members = [Individual(np.zeros(1), f) for f in (1.0, 2.0, 3.0, 4.0)]
+    pop = _pop([[0.0]] * 4)
+    pop.f[:] = [1.0, 2.0, 3.0, 4.0]
     # population std, not sample std
-    assert fitness_std(members) == pytest.approx(np.std([1.0, 2.0, 3.0, 4.0]))
-    assert fitness_std(members[:1]) == 0.0
+    assert fitness_std(pop.f) == pytest.approx(np.std([1.0, 2.0, 3.0, 4.0]))
+    assert fitness_std(pop.f[:1]) == 0.0
 
 
 def test_fitness_std_validates():
     with pytest.raises(ValueError):
         fitness_std([])
     with pytest.raises(ValueError):
-        fitness_std([Individual(np.zeros(1))])
+        fitness_std([None])  # a missing fitness
+    with pytest.raises(ValueError):
+        fitness_std([1.0, np.nan])

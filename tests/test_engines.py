@@ -4,7 +4,6 @@ import pytest
 from counterniche import (
     ALGORITHMS,
     EngineConfig,
-    Individual,
     Population,
     RngStream,
     default_config,
@@ -66,47 +65,81 @@ def test_engine_config_validation():
 
 
 def _members(fitness):
-    return [Individual(np.array([float(i)]), f) for i, f in enumerate(fitness)]
+    """Member i sits at genome [i], so a survivor's row names its origin."""
+    return Population(np.arange(len(fitness), dtype=float)[:, None], fitness)
 
 
 def test_elitist_merge_preserves_best_parent():
-    parents = Population(_members([3.0, 1.0, 2.0]))
+    parents = _members([3.0, 1.0, 2.0])
     offspring = _members([9.0, 8.0, 7.0])
-    out = _elitist_merge(parents, offspring, 1, generation=1)
+    out = _elitist_merge(parents, offspring, 1)
     assert out.size == 3
-    fits = sorted(m.fitness for m in out.members)
+    fits = sorted(out.f)
     assert fits[0] == 1.0           # elite carried over
-    assert out.members[0].fitness == 1.0  # into the worst offspring slot
+    assert out.f[0] == 1.0  # into the worst offspring slot
+    assert out.X[0, 0] == 1.0       # with its genome
 
 
 def test_elitist_merge_count_zero_is_pure_replacement():
-    parents = Population(_members([0.0, 1.0]))
+    parents = _members([0.0, 1.0])
     offspring = _members([5.0, 6.0])
-    out = _elitist_merge(parents, offspring, 0, generation=1)
-    assert [m.fitness for m in out.members] == [5.0, 6.0]
+    out = _elitist_merge(parents, offspring, 0)
+    assert out.f.tolist() == [5.0, 6.0]
+
+
+def test_elitist_merge_ties_match_sorted_keys():
+    # parents rank by (fitness, index); offspring slots by (-fitness, -index)
+    parents = Population(np.arange(6.0)[:, None], [2.0, 1.0, 1.0, 0.0, 0.0, 3.0])
+    offspring = Population(10.0 + np.arange(6.0)[:, None], [5.0, 7.0, 7.0, 4.0, 7.0, 6.0])
+    count = 4
+    elites = sorted(range(6), key=lambda i: (parents.f[i], i))[:count]
+    slots = sorted(range(6), key=lambda i: (-offspring.f[i], -i))[:count]
+    want = offspring.X[:, 0].tolist()
+    for slot, elite in zip(slots, elites):
+        want[slot] = parents.X[elite, 0]
+    out = _elitist_merge(parents, offspring, count)
+    assert out.X[:, 0].tolist() == want == [10.0, 1.0, 4.0, 13.0, 3.0, 2.0]
 
 
 def test_union_survivors_keeps_elites_and_distinct_rest():
-    parents = Population(_members([4.0, 2.0, 6.0, 8.0]))
-    offspring = Population(_members([5.0, 1.0, 7.0, 3.0]))
+    parents = _members([4.0, 2.0, 6.0, 8.0])
+    offspring = _members([5.0, 1.0, 7.0, 3.0])
+    offspring.X += 4.0  # union member i sits at genome [i]
     rng = RngStream(0)
-    out = _elitist_union_survivors(parents, offspring, 1, rng, 1, 4)
+    out = _elitist_union_survivors(parents, offspring, 1, rng, 4)
     assert out.size == 4
-    assert out.members[0].fitness == 1.0
+    assert out.f[0] == 1.0
     # tournament without replacement: every survivor is a distinct union member
-    ids = [id(m) for m in out.members]
-    assert len(set(ids)) == 4
+    assert len(set(out.X[:, 0].tolist())) == 4
+
+
+def test_union_survivors_ties_match_sorted_keys():
+    # the union ranks by (fitness, index); each pairing keeps the first on ties
+    f = [3.0, 1.0, 3.0, 1.0, 2.0, 1.0, 3.0, 2.0]
+    parents = Population(np.arange(4.0)[:, None], f[:4])
+    offspring = Population(4.0 + np.arange(4.0)[:, None], f[4:])
+    count, n = 2, 4
+    order = sorted(range(8), key=lambda i: (f[i], i))
+    pool = order[count:]
+    pairing = RngStream(7).permutation(len(pool))
+    want = order[:count]
+    for s in range(n - count):
+        a, b = pool[pairing[2 * s]], pool[pairing[2 * s + 1]]
+        want.append(b if f[b] < f[a] else a)
+    out = _elitist_union_survivors(parents, offspring, count, RngStream(7), n)
+    assert out.X[:, 0].tolist() == [float(i) for i in want]
+    assert out.f.tolist() == [f[i] for i in want]
 
 
 def test_union_survivors_selection_pressure():
     # 2N members, half good half bad: pairings guarantee at most one bad
     # survivor per bad-vs-bad pairing, so the mean must drop
-    parents = Population(_members([10.0] * 10))
-    offspring = Population(_members([1.0] * 10))
-    out = _elitist_union_survivors(parents, offspring, 1, RngStream(2), 1, 10)
-    mean = np.mean([m.fitness for m in out.members])
+    parents = _members([10.0] * 10)
+    offspring = _members([1.0] * 10)
+    out = _elitist_union_survivors(parents, offspring, 1, RngStream(2), 10)
+    mean = np.mean(out.f)
     assert mean < 10.0
-    assert min(m.fitness for m in out.members) == 1.0
+    assert min(out.f) == 1.0
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -201,6 +234,40 @@ def test_run_drives_every_engine():
     trace = run(c, fn)
     assert trace.generations == 2
     assert (trace.stopped_by, trace.stagnation_generation) == ("budget", None)
+
+
+class _Patched:
+    """rastrigin with `value` in place of the fitness of every row whose
+    first coordinate exceeds `above`."""
+
+    def __init__(self, fn, value, above):
+        self.fn, self.space, self.value, self.above = fn, fn.space, value, above
+
+    def evaluate_batch(self, x):
+        return np.where(x[:, 0] > self.above, self.value, self.fn.evaluate_batch(x))
+
+
+@pytest.mark.parametrize("algo", ["sea", "cnea"])
+def test_nan_fitness_raises(algo):
+    fn = _Patched(make("rastrigin", 4), np.nan, 4.0)
+    cfg = default_config(algo, dim=4, seed=0, N=40, generations=5)
+    with pytest.raises(ValueError, match=r"NaN for \d+ of \d+ rows"):
+        run(cfg, fn)
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_inf_fitness_is_allowed_and_ranks_last(algo):
+    fn = _Patched(make("rastrigin", 4), np.inf, 2.0)
+    overrides = {"N": 40, "generations": 5}
+    if algo == "cea":
+        overrides.update(cea_rows=5, cea_cols=8)
+    trace = run(default_config(algo, dim=4, seed=0, **overrides), fn)
+    assert np.isfinite(trace.best.fitness)
+    assert all(np.isfinite(r.best_fitness) for r in trace.records)
+    # an inf member is the first to lose its slot to an elite
+    parents = _members([3.0, 1.0])
+    out = _elitist_merge(parents, _members([np.inf, 5.0]), 1)
+    assert out.f.tolist() == [1.0, 5.0]
 
 
 def test_torus_neighbors_wrap():

@@ -3,7 +3,6 @@ import pytest
 
 from counterniche import (
     EngineConfig,
-    Individual,
     MemoryArchive,
     Population,
     RngStream,
@@ -21,14 +20,12 @@ from counterniche.informed import VictimRegion
 
 
 def _pop(rows, fitness):
-    return Population(
-        [Individual(np.asarray(r, dtype=float), f) for r, f in zip(rows, fitness)]
-    )
+    return Population(rows, fitness)
 
 
 def _region(indices, pop, key=(0, 0)):
-    f = pop.fitness_values()[indices]
-    x = pop.genomes()[indices]
+    f = pop.f[indices]
+    x = pop.X[indices]
     return Region(
         cell_key=key,
         member_indices=list(indices),
@@ -61,6 +58,16 @@ def test_detect_victims_spread_threshold():
     # std 0 <= 0.01 * 6 flags the tight region; std ~1.12 > 0.01 * 3.5 spares the loose one
     assert len(victims) == 1
     assert victims[0].region is tight
+
+
+def test_detect_victims_skips_a_region_at_inf():
+    cfg = EngineConfig("cnea")
+    pop = _pop([[0.1]] * 4, [np.inf] * 2 + [1.0] * 2)
+    with np.errstate(invalid="ignore"):
+        region = _region([0, 1, 2, 3], pop, key=(0,))
+    # mean +inf, spread NaN: not "negligible", so not redundant
+    assert region.fitness_mean == np.inf and np.isnan(region.fitness_std)
+    assert detect_victims([region], pop, cfg) == []
 
 
 def test_detect_victims_replacement_count_and_ties():
@@ -152,44 +159,47 @@ def test_sample_virgin_budget_and_saturation():
     assert len(sample_virgin(space, grid, fn, RngStream(0), budget=5, pools=3).fitness) == 0
 
 
+def _candidates(*pairs):
+    """Candidate rows and fitness from (genome, fitness) pairs."""
+    return np.array([g for g, _ in pairs], dtype=float), np.array([f for _, f in pairs])
+
+
 def test_select_replacement_requires_strict_improvement():
     pop = _pop([[0.5, 0.5]] * 3, [1.0, 1.0, 1.0])
     victim = VictimRegion(_region([0, 1, 2], pop), [0], [1, 2])
     archive = MemoryArchive()
-    equal = Individual(np.array([0.1, 0.1]), 1.0)   # not strictly better
-    worse = Individual(np.array([0.2, 0.2]), 2.0)
-    assert select_replacement([equal, worse], victim, archive) is None
-    better = Individual(np.array([0.3, 0.3]), 0.5)
-    assert select_replacement([equal, better, worse], victim, archive) is better
+    equal = ([0.1, 0.1], 1.0)   # not strictly better
+    worse = ([0.2, 0.2], 2.0)
+    assert select_replacement(*_candidates(equal, worse), victim, archive) is None
+    better = ([0.3, 0.3], 0.5)
+    assert select_replacement(*_candidates(equal, better, worse), victim, archive) == 1
 
 
 def test_select_replacement_prefers_distance_then_fitness():
     pop = _pop([[0.0, 0.0]] * 2, [10.0, 10.0])
     victim = VictimRegion(_region([0, 1], pop), [0], [1])
     archive = archive_push(MemoryArchive(), [0.0, 0.0])
-    near_fit = Individual(np.array([0.1, 0.0]), 1.0)
-    far_unfit = Individual(np.array([0.9, 0.0]), 9.0)
+    near_fit = ([0.1, 0.0], 1.0)
+    far_unfit = ([0.9, 0.0], 9.0)
     # distance dominates even though the near candidate is fitter
-    assert select_replacement([near_fit, far_unfit], victim, archive) is far_unfit
+    assert select_replacement(*_candidates(near_fit, far_unfit), victim, archive) == 1
     # equal distances fall back to fitness
-    a = Individual(np.array([0.5, 0.0]), 3.0)
-    b = Individual(np.array([-0.5, 0.0]), 2.0)
-    assert select_replacement([a, b], victim, archive) is b
+    a = ([0.5, 0.0], 3.0)
+    b = ([-0.5, 0.0], 2.0)
+    assert select_replacement(*_candidates(a, b), victim, archive) == 1
     # full tie keeps the first seen
-    c = Individual(np.array([0.5, 0.0]), 3.0)
-    assert select_replacement([a, c], victim, archive) is a
+    c = ([0.5, 0.0], 3.0)
+    assert select_replacement(*_candidates(a, c), victim, archive) == 0
 
 
 def test_informed_mutation_planted_cluster():
     space = SearchSpace.cube(2, 0.0, 1.0)
     fn = _Quadratic(space)
     rng = RngStream(11)
-    planted = [
-        Individual(np.array([0.9, 0.9]), fn.evaluate([0.9, 0.9])) for _ in range(20)
-    ]
-    scatter_genomes = rng.uniform(0.3, 0.7, size=(80, 2))
-    scatter = [Individual(g, fn.evaluate(g)) for g in scatter_genomes]
-    pop = Population(planted + scatter)
+    planted = np.tile([0.9, 0.9], (20, 1))
+    scatter = rng.uniform(0.3, 0.7, size=(80, 2))
+    X = np.concatenate([planted, scatter])
+    pop = Population(X, [fn.evaluate(g) for g in X])
     cfg = EngineConfig("cnea")
     grid = build_grid(pop, space, bins=4)
     regions = high_density_regions(grid, pop, 0.05)
@@ -205,17 +215,20 @@ def test_informed_mutation_planted_cluster():
     assert counters.replaced + counters.fallbacks == 10
     assert counters.replaced > 0
     region_mean = victims[0].region.fitness_mean
-    changed = [i for i in range(pop.size) if out.members[i] is not pop.members[i]]
+    changed = [i for i in range(pop.size) if not np.array_equal(out.X[i], pop.X[i])]
     assert len(changed) == counters.replaced
     for i in changed:
         assert i in victims[0].replace_indices
-        assert out.members[i].fitness < region_mean
+        assert out.f[i] < region_mean
+        assert out.f[i] == fn.evaluate(out.X[i])
         # replacements come from cells that were unoccupied before the pass
-        assert not grid.is_occupied(grid.key_of(out.members[i].genome))
-    # untouched members are the very same objects
+        assert not grid.is_occupied(grid.key_of(out.X[i]))
+    # untouched members keep their genome and fitness
     for i in range(pop.size):
         if i not in changed:
-            assert out.members[i] is pop.members[i]
+            assert out.f[i] == pop.f[i]
+    # the input population is left as it was
+    assert np.array_equal(pop.X, X)
 
 
 def test_informed_mutation_archive_grows_per_victim():
@@ -240,7 +253,7 @@ def test_informed_mutation_no_victims_is_identity():
     out, counters = informed_mutation(
         pop, [], space, grid, fn, MemoryArchive(), RngStream(0), EngineConfig("cnea")
     )
-    assert out.members == pop.members
+    assert np.array_equal(out.X, pop.X) and np.array_equal(out.f, pop.f)
     assert (counters.victims, counters.replaced, counters.fallbacks) == (0, 0, 0)
 
 
@@ -249,19 +262,24 @@ def test_regular_ops_shape_and_bounds():
     fn = _Quadratic(space)
     rng = RngStream(4)
     genomes = rng.uniform(space.lower, space.upper, size=(30, 3))
-    pop = Population([Individual(g, fn.evaluate(g)) for g in genomes])
+    pop = Population(genomes, [fn.evaluate(g) for g in genomes])
     out = regular_ops(pop, space, fn, rng, EngineConfig("cnea"))
     assert out.size == 30
-    for m in out.members:
-        assert space.contains(m.genome)
-        assert m.fitness == pytest.approx(fn.evaluate(m.genome))
+    for genome, fitness in zip(out.X, out.f):
+        assert space.contains(genome)
+        assert fitness == pytest.approx(fn.evaluate(genome))
 
 
-def test_regular_ops_untouched_children_keep_parent_object():
+def test_regular_ops_untouched_children_keep_parent_fitness():
     space = SearchSpace.cube(2, 0.0, 1.0)
     fn = _Quadratic(space)
-    pop = _pop([[0.5, 0.5]] * 10, [0.5] * 10)
+    # fitness values that are not the objective's: only a copied parent keeps one
+    pop = _pop([[0.5, 0.5]] * 5 + [[0.25, 0.75]] * 5, [0.5] * 5 + [0.7] * 5)
     # p_r=0 and p_m=0: every child is its first parent, fitness reused as-is
     cfg = EngineConfig("cnea", p_r=0.0, p_m=0.0)
+    calls = []
+    fn.evaluate = lambda x: calls.append(x)
     out = regular_ops(pop, space, fn, RngStream(0), cfg)
-    assert all(m in pop.members for m in out.members)
+    assert calls == []
+    for genome, fitness in zip(out.X, out.f):
+        assert fitness == (0.5 if genome[0] == 0.5 else 0.7)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterniche import (
-    Individual,
     MemoryArchive,
     Population,
     RngStream,
@@ -20,11 +19,7 @@ from counterniche.niching import bin_indices, choose_key_dims, discretize_genome
 
 
 def _pop(rows, fitness=None):
-    members = []
-    for i, r in enumerate(rows):
-        f = fitness[i] if fitness is not None else 0.0
-        members.append(Individual(np.asarray(r, dtype=float), f))
-    return Population(members)
+    return Population(rows, fitness if fitness is not None else np.zeros(len(rows)))
 
 
 def test_bin_indices_unit_square():

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterniche import (
-    Individual,
     Population,
     RngStream,
     SearchSpace,
@@ -17,7 +16,7 @@ from counterniche.operators import sea_variance
 
 
 def _pop(fitness):
-    return Population([Individual(np.array([float(i)]), f) for i, f in enumerate(fitness)])
+    return Population(np.arange(len(fitness), dtype=float)[:, None], fitness)
 
 
 def test_binary_tournament_picks_the_fitter():
@@ -29,11 +28,10 @@ def test_binary_tournament_picks_the_fitter():
         i = int(shadow.integers(0, pop.size))
         j = int(shadow.integers(0, pop.size))
         w = binary_tournament(pop, rng)
-        a, b = pop.members[i], pop.members[j]
-        if b.fitness < a.fitness:
-            assert w is b
+        if pop.f[j] < pop.f[i]:
+            assert w == j
         else:
-            assert w is a  # ties go to the first draw
+            assert w == i  # ties go to the first draw
 
 
 def test_crossover_mixes_parents_componentwise():
@@ -47,11 +45,10 @@ def test_crossover_mixes_parents_componentwise():
     assert interior <= 1
 
 
-def test_crossover_accepts_individuals():
+def test_crossover_accepts_population_rows():
     rng = RngStream(2)
-    p1 = Individual(np.array([1.0, 2.0]), 0.0)
-    p2 = Individual(np.array([3.0, 4.0]), 0.0)
-    child = arithmetic_crossover(p1, p2, rng)
+    pop = Population([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
+    child = arithmetic_crossover(pop.X[0], pop.X[1], rng)
     assert child.shape == (2,)
 
 
@@ -84,7 +81,8 @@ def test_gaussian_mutate_clamps_to_space():
     rng = RngStream(7)
     g = np.zeros(4)
     for _ in range(50):
-        out = gaussian_mutate(g, 100.0, 1.0, space, rng)
+        out, fired = gaussian_mutate(g, 100.0, 1.0, space, rng)
+        assert fired
         assert space.contains(out)
 
 
@@ -92,8 +90,9 @@ def test_gaussian_mutate_identity_when_no_gene_fires():
     space = SearchSpace.cube(3, -1.0, 1.0)
     rng = RngStream(0)
     g = np.array([0.1, 0.2, 0.3])
-    out = gaussian_mutate(g, 1.0, 0.0, space, rng)
-    assert out is g
+    out, fired = gaussian_mutate(g, 1.0, 0.0, space, rng)
+    assert not fired
+    assert np.array_equal(out, g)
 
 
 def test_gaussian_mutate_consumes_fixed_rng_amount():
@@ -109,7 +108,7 @@ def test_gaussian_mutate_consumes_fixed_rng_amount():
 def test_gaussian_mutate_per_gene_variance_vector():
     space = SearchSpace.cube(2, -1e9, 1e9)
     rng = RngStream(1)
-    outs = np.array([gaussian_mutate(np.zeros(2), np.array([1.0, 1e6]), 1.0, space, rng) for _ in range(300)])
+    outs = np.array([gaussian_mutate(np.zeros(2), np.array([1.0, 1e6]), 1.0, space, rng)[0] for _ in range(300)])
     assert outs[:, 1].std() > 100.0 * outs[:, 0].std()
 
 
