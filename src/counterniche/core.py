@@ -160,9 +160,10 @@ def random_genome(space: SearchSpace, rng: RngStream) -> np.ndarray:
     return rng.uniform(space.lower, space.upper, size=space.dim)
 
 
-def clamp(genome, space: SearchSpace) -> np.ndarray:
-    """Project a genome onto the box. Length mismatches are errors, not repairs."""
-    g = np.asarray(genome, dtype=float)
-    if g.shape != (space.dim,):
-        raise ValueError(f"genome has shape {g.shape}, expected ({space.dim},)")
+def clamp(genomes, space: SearchSpace) -> np.ndarray:
+    """Project a genome, or each row of a matrix of genomes, onto the box.
+    Length mismatches are errors, not repairs."""
+    g = np.asarray(genomes, dtype=float)
+    if g.ndim not in (1, 2) or g.shape[-1] != space.dim:
+        raise ValueError(f"genome has shape {g.shape}, expected ({space.dim},) or (n, {space.dim})")
     return np.minimum(np.maximum(g, space.lower), space.upper)

@@ -25,7 +25,7 @@ from .core import Individual, Population, RngStream, SearchSpace
 from .diversity import distance_to_average
 from .informed import detect_victims, informed_mutation, regular_ops
 from .niching import MemoryArchive, build_grid, choose_key_dims, high_density_regions
-from .operators import arithmetic_crossover, binary_tournament, gaussian_mutate, pow_sample, sea_variance
+from .operators import Variation, pow_sample, sea_variance
 
 __all__ = [
     "ALGORITHMS",
@@ -266,32 +266,33 @@ def _cnea_steps(
         ), best
 
 
+def _sea_offspring(
+    pop: Population, cfg: EngineConfig, fn, rng: RngStream, variance: Callable[[], float]
+) -> Population:
+    """Tournament parents, arithmetic crossover, and whole-genome Gaussian
+    mutation whose variance `variance()` gives child by child."""
+    n, space = cfg.N, fn.space
+    draws = Variation(n, space.dim, rng)
+    for k in range(n):
+        draws.tournaments(k)
+        draws.crossover(k, cfg.p_r)
+        if rng.random() < cfg.p_m_genome:
+            draws.mutation(k, variance())
+    first, second = draws.parents(pop.f)
+    children, fresh = draws.children(pop.X, first, second, space)
+    return Population(children, evaluate_children(fn, children, fresh, pop.f[first]))
+
+
 def _sea_like_steps(
     cfg: EngineConfig, fn, rng: RngStream, variance_source: Callable[[int, RngStream], float]
 ) -> Iterator[tuple[GenRecord, Individual]]:
-    """Generational EA core shared by the simple and self-organized variants:
-    tournament parents, arithmetic crossover, whole-genome Gaussian mutation."""
+    """Generational EA core shared by the simple and self-organized variants."""
     space = fn.space
     pop = _init_population(cfg, fn, rng)
     best = pop.best()
     yield _record(pop, space, 0), best
     for t in itertools.count(1):
-        X = pop.X
-        children = np.empty_like(X)
-        fresh = np.zeros(cfg.N, dtype=bool)
-        parent = np.empty(cfg.N, dtype=int)
-        for k in range(cfg.N):
-            i = binary_tournament(pop, rng)
-            j = binary_tournament(pop, rng)
-            crossed = rng.random() < cfg.p_r
-            genome = arithmetic_crossover(X[i], X[j], rng) if crossed else X[i]
-            fired = False
-            if rng.random() < cfg.p_m_genome:
-                genome, fired = gaussian_mutate(genome, variance_source(t - 1, rng), 1.0, space, rng)
-            children[k] = genome
-            fresh[k] = crossed or fired
-            parent[k] = i
-        offspring = Population(children, evaluate_children(fn, children, fresh, pop.f[parent]))
+        offspring = _sea_offspring(pop, cfg, fn, rng, lambda: variance_source(t - 1, rng))
         pop = _elitist_merge(pop, offspring, cfg.elitism_count)
         best = _track_best(best, pop)
         yield _record(pop, space, t), best
@@ -319,34 +320,47 @@ def torus_neighbors(row: int, col: int, rows: int, cols: int) -> list[tuple[int,
     ]
 
 
+def _cea_neighbors(rows: int, cols: int) -> np.ndarray:
+    """Row-major cell index of each cell's four `torus_neighbors`, shape (rows * cols, 4)."""
+    return np.array([
+        [r * cols + c for r, c in torus_neighbors(*divmod(idx, cols), rows, cols)]
+        for idx in range(rows * cols)
+    ])
+
+
+def _cea_offspring(
+    pop: Population, cfg: EngineConfig, fn, rng: RngStream, neighbors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One child per cell, from the cell and a random neighbor: arithmetic
+    crossover and whole-genome POW(10) mutation. Returns the children and
+    their fitness; an untouched child has its cell's fitness."""
+    n, space = cfg.N, fn.space
+    draws = Variation(n, space.dim, rng)
+    pick = np.empty(n, dtype=np.intp)
+    for idx in range(n):
+        pick[idx] = rng.integers(0, 4)
+        draws.crossover(idx, cfg.p_r)
+        if rng.random() < cfg.p_m_genome:
+            draws.mutation(idx, pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper))
+    cells = np.arange(n)
+    children, fresh = draws.children(pop.X, cells, neighbors[cells, pick], space)
+    return children, evaluate_children(fn, children, fresh, pop.f)
+
+
 def _cea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenRecord, Individual]]:
     """Cellular EA on a torus: every cell mates with a random von Neumann
     neighbor; the offspring takes the cell only if strictly better. Updates
     are synchronous, so each generation reads the previous grid only."""
     space = fn.space
-    rows, cols = cfg.cea_rows, cfg.cea_cols
+    neighbors = _cea_neighbors(cfg.cea_rows, cfg.cea_cols)
     pop = _init_population(cfg, fn, rng)
     best = pop.best()
     yield _record(pop, space, 0), best
     for t in itertools.count(1):
-        X, f = pop.X, pop.f
-        children = np.empty_like(X)
-        fresh = np.zeros(cfg.N, dtype=bool)
-        for idx in range(cfg.N):
-            r, c = divmod(idx, cols)
-            nbr, nbc = torus_neighbors(r, c, rows, cols)[int(rng.integers(0, 4))]
-            crossed = rng.random() < cfg.p_r
-            genome = arithmetic_crossover(X[idx], X[nbr * cols + nbc], rng) if crossed else X[idx]
-            fired = False
-            if rng.random() < cfg.p_m_genome:
-                variance = pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper)
-                genome, fired = gaussian_mutate(genome, variance, 1.0, space, rng)
-            children[idx] = genome
-            fresh[idx] = crossed or fired
+        children, child_f = _cea_offspring(pop, cfg, fn, rng, neighbors)
         # an untouched child equals its cell's member, so it never replaces it
-        child_f = evaluate_children(fn, children, fresh, f)
-        better = child_f < f
-        pop = Population(np.where(better[:, None], children, X), np.where(better, child_f, f))
+        better = child_f < pop.f
+        pop = Population(np.where(better[:, None], children, pop.X), np.where(better, child_f, pop.f))
         best = _track_best(best, pop)
         yield _record(pop, space, t), best
 
@@ -361,36 +375,41 @@ def dgea_mode(previous: str, diversity: float, d_low: float, d_high: float) -> s
     return previous
 
 
+def _dgea_offspring(pop: Population, mode: str, cfg: EngineConfig, fn, rng: RngStream) -> Population:
+    """Exploitation applies selection and crossover only; exploration applies
+    whole-genome POW(1) mutation only, to each member in place."""
+    n, space = cfg.N, fn.space
+    draws = Variation(n, space.dim, rng)
+    if mode == "exploit":
+        for k in range(n):
+            draws.tournaments(k)
+            draws.crossover(k, cfg.p_r)
+        first, second = draws.parents(pop.f)
+    else:
+        for k in range(n):
+            if rng.random() < cfg.p_m_genome:
+                draws.mutation(k, pow_sample(1.0, rng, cfg.pow_exponent, cfg.pow_upper))
+        first = second = np.arange(n)
+    children, fresh = draws.children(pop.X, first, second, space)
+    return Population(children, evaluate_children(fn, children, fresh, pop.f[first]))
+
+
 def _dgea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenRecord, Individual]]:
-    """Diversity-guided EA: exploitation applies selection and crossover only;
-    exploration applies whole-genome Gaussian mutation only."""
+    """Diversity-guided EA: the mode of each generation follows the diversity
+    of the population it starts from, as that population's record holds it."""
     space = fn.space
     pop = _init_population(cfg, fn, rng)
     best = pop.best()
     mode = "exploit"
-    yield _record(pop, space, 0, mode=mode), best
+    rec = _record(pop, space, 0, mode=mode)
+    yield rec, best
     for t in itertools.count(1):
-        mode = dgea_mode(mode, distance_to_average(pop, space), cfg.d_low, cfg.d_high)
-        X = pop.X
-        children = X.copy()
-        fresh = np.zeros(cfg.N, dtype=bool)
-        parent = np.arange(cfg.N)
-        if mode == "exploit":
-            for k in range(cfg.N):
-                i = binary_tournament(pop, rng)
-                j = binary_tournament(pop, rng)
-                parent[k] = i
-                fresh[k] = rng.random() < cfg.p_r
-                children[k] = arithmetic_crossover(X[i], X[j], rng) if fresh[k] else X[i]
-        else:
-            for k in range(cfg.N):
-                if rng.random() < cfg.p_m_genome:
-                    variance = pow_sample(1.0, rng, cfg.pow_exponent, cfg.pow_upper)
-                    children[k], fresh[k] = gaussian_mutate(X[k], variance, 1.0, space, rng)
-        offspring = Population(children, evaluate_children(fn, children, fresh, pop.f[parent]))
+        mode = dgea_mode(mode, rec.diversity, cfg.d_low, cfg.d_high)
+        offspring = _dgea_offspring(pop, mode, cfg, fn, rng)
         pop = _elitist_merge(pop, offspring, cfg.elitism_count)
         best = _track_best(best, pop)
-        yield _record(pop, space, t, mode=mode), best
+        rec = _record(pop, space, t, mode=mode)
+        yield rec, best
 
 
 def engine_steps(

@@ -248,6 +248,9 @@ class ExperimentMatrix:
         self.stagnation_rule = StagnationRule(self.stagnation_window, self.hard_cap)
         for algo in self.algos:  # a bad engine key fails here, not in every cell
             self.engine_config(algo, self.dims[0])
+        for function in self.functions:  # so does a function that cannot take a dim
+            for dim in self.dims:
+                benchmarks.make(function, dim, schwefel_lower=self.schwefel_lower)
 
     def engine_config(self, algo: str, dim: int) -> EngineConfig:
         """The engine configuration every run of an (algo, dim) cell starts from."""

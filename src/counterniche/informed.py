@@ -18,7 +18,7 @@ import numpy as np
 from .benchmarks import evaluate_children, evaluate_rows
 from .core import Population, RngStream, SearchSpace
 from .niching import GridIndex, MemoryArchive, Region, archive_mean_distance, archive_push
-from .operators import arithmetic_crossover, binary_tournament, gaussian_mutate
+from .operators import Variation
 
 if TYPE_CHECKING:
     from .engines import EngineConfig
@@ -92,18 +92,23 @@ def sample_virgin(
 
     Heavily occupied grids can therefore leave a pool with fewer samples, or
     none. All pools come from one draw, which yields the same rows as one
-    draw per pool, and all samples are evaluated in one batch.
+    draw per pool, and all samples are evaluated in one batch. A pool keeps
+    its first `budget` unoccupied rows, so only its first `budget` rows are
+    looked up, unless one of them is occupied: then the whole pool is.
     """
     if budget <= 0 or pools <= 0:
         return VirginSamples(np.empty((0, space.dim)), np.empty(0), np.empty(0, dtype=int))
     draws = 10 * budget
-    raw = rng.uniform(space.lower, space.upper, size=(pools * draws, space.dim))
-    free = grid.unoccupied(raw)
-    # keep the first `budget` unoccupied rows of each pool
-    rank = np.cumsum(free.reshape(pools, draws), axis=1).ravel()
-    keep = np.flatnonzero(free & (rank <= budget))
-    genomes = raw[keep]
-    return VirginSamples(genomes, evaluate_rows(fn, genomes), keep // draws)
+    raw = rng.uniform(space.lower, space.upper, size=(pools, draws, space.dim))
+    free = np.zeros((pools, draws), dtype=bool)
+    free[:, :budget] = grid.unoccupied(raw[:, :budget].reshape(-1, space.dim)).reshape(pools, budget)
+    short = np.flatnonzero(~free[:, :budget].all(axis=1))
+    if short.size:
+        free[short] = grid.unoccupied(raw[short].reshape(-1, space.dim)).reshape(-1, draws)
+        free &= np.cumsum(free, axis=1) <= budget
+    pool, row = np.nonzero(free)
+    genomes = raw[pool, row]
+    return VirginSamples(genomes, evaluate_rows(fn, genomes), pool)
 
 
 def select_replacement(
@@ -149,16 +154,16 @@ def informed_mutation(
         archive_push(archive, victim.region.centroid)
         slots = victim.replace_indices
         samples = sample_virgin(space, grid, fn, rng, cfg.sample_budget, len(slots))
+        # only a pool with a sample below the region mean can replace its slot
+        hopeful = np.unique(samples.pool[samples.fitness < victim.region.fitness_mean])
+        counters.fallbacks += len(slots) - len(hopeful)
         # samples come pool by pool: pool p holds rows bounds[p]:bounds[p + 1]
         bounds = np.searchsorted(samples.pool, np.arange(len(slots) + 1)).tolist()
-        for pool, slot in enumerate(slots):
+        for pool in hopeful.tolist():
             lo, hi = bounds[pool], bounds[pool + 1]
-            chosen = select_replacement(samples.genomes[lo:hi], samples.fitness[lo:hi], victim, archive)
-            if chosen is None:
-                counters.fallbacks += 1
-                continue
-            X[slot] = samples.genomes[lo + chosen]
-            f[slot] = samples.fitness[lo + chosen]
+            chosen = lo + select_replacement(samples.genomes[lo:hi], samples.fitness[lo:hi], victim, archive)
+            X[slots[pool]] = samples.genomes[chosen]
+            f[slots[pool]] = samples.fitness[chosen]
             counters.replaced += 1
     return Population(X, f), counters
 
@@ -171,17 +176,12 @@ def regular_ops(
     The changed children are evaluated in one batch at the end; a child that
     is an untouched copy of its first parent keeps the parent's fitness."""
     std = cfg.sigma_reg * space.widths()
-    variance = std * std
-    X, n = population.X, population.size
-    children = np.empty_like(X)
-    fresh = np.zeros(n, dtype=bool)
-    parent = np.empty(n, dtype=int)
+    n = population.size
+    draws = Variation(n, space.dim, rng)
     for k in range(n):
-        i = binary_tournament(population, rng)
-        j = binary_tournament(population, rng)
-        crossed = rng.random() < cfg.p_r
-        genome = arithmetic_crossover(X[i], X[j], rng) if crossed else X[i]
-        children[k], fired = gaussian_mutate(genome, variance, cfg.p_m, space, rng)
-        fresh[k] = crossed or fired
-        parent[k] = i
-    return Population(children, evaluate_children(fn, children, fresh, population.f[parent]))
+        draws.tournaments(k)
+        draws.crossover(k, cfg.p_r)
+        draws.mutation(k)
+    first, second = draws.parents(population.f)
+    children, fresh = draws.children(population.X, first, second, space, cfg.p_m, std * std)
+    return Population(children, evaluate_children(fn, children, fresh, population.f[first]))

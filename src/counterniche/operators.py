@@ -1,4 +1,14 @@
-"""Selection and variation operators shared by every engine."""
+"""Selection and variation operators shared by every engine.
+
+Variation runs in two halves, both kept here. An engine's loop visits its
+children in order and, for each, calls the draw methods of a `Variation`,
+which only draw from the random stream and store what they drew, in the
+order the child consumes the stream. The arithmetic then runs once over all
+rows: `binary_tournament`, `arithmetic_crossover` and `gaussian_mutate`
+take whole matrices and make the same IEEE operations per element as one
+child at a time, so the children are bit-identical to a child-by-child pass
+and no draw moves.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +16,10 @@ import math
 
 import numpy as np
 
-from .core import Population, RngStream, SearchSpace, clamp
+from .core import RngStream, SearchSpace, clamp
 
 __all__ = [
+    "Variation",
     "binary_tournament",
     "arithmetic_crossover",
     "gaussian_mutate",
@@ -17,53 +28,124 @@ __all__ = [
 ]
 
 
-def binary_tournament(population: Population, rng: RngStream) -> int:
-    """Draw two member indices uniformly (with replacement) and return the
-    fitter one. Ties go to the first draw.
-    """
-    n = population.size
-    i = int(rng.integers(0, n))
-    j = int(rng.integers(0, n))
-    return j if population.f[j] < population.f[i] else i
+def binary_tournament(f: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Winners of the binary tournaments between members i[k] and j[k]:
+    the fitter of each pair, the first draw on ties."""
+    return np.where(f[j] < f[i], j, i)
 
 
-def arithmetic_crossover(a, b, rng: RngStream) -> np.ndarray:
-    """Per-variable weighted blend of two parent genomes.
+def arithmetic_crossover(a, b, weight_draws, position, blend) -> np.ndarray:
+    """Per-variable weighted blends of the parent rows a[k] and b[k].
 
-    Every weight is drawn from {0, 1} except one uniformly chosen position,
-    which gets a uniform weight in [0, 1]. The child is w*a + (1-w)*b
-    componentwise, so most genes copy one parent and a single gene blends.
+    Gene g of child k has weight 1 when weight_draws[k, g] < 0.5 and 0
+    otherwise, except gene position[k], whose weight is blend[k]. The child
+    is w*a + (1-w)*b componentwise, so most genes copy one parent and a
+    single gene blends.
     """
     ga = np.asarray(a, dtype=float)
     gb = np.asarray(b, dtype=float)
     if ga.shape != gb.shape:
         raise ValueError("parents must share genome length")
-    dim = ga.size
-    w = (rng.random(dim) < 0.5).astype(float)
-    j = int(rng.integers(0, dim))
-    w[j] = rng.random()
+    w = (np.asarray(weight_draws) < 0.5).astype(float)
+    w[np.arange(len(w)), position] = blend
     return w * ga + (1.0 - w) * gb
 
 
 def gaussian_mutate(
-    genome, variance, p_gene: float, space: SearchSpace, rng: RngStream
-) -> tuple[np.ndarray, bool]:
-    """Add zero-mean Gaussian noise of the given variance to each gene with
-    probability p_gene, then clamp to the space.
+    genomes, gene_draws, normals, variance, p_gene: float, space: SearchSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """Add zero-mean Gaussian noise of the given variance to each gene whose
+    draw falls below p_gene, then clamp the rows where a gene fired.
 
-    `variance` may be a scalar or a per-gene vector. The mask and noise draws
-    always happen, so random-stream consumption does not depend on outcomes.
-    Returns the child and whether any gene fired; when none did, the child
-    is the input genome unchanged.
+    `variance` is a scalar, a per-gene vector, or an (m, 1) column of
+    per-row values. Returns the children and the mask of rows where any gene
+    fired; the other rows are the input rows unchanged.
     """
-    g = np.asarray(genome, dtype=float)
-    mask = rng.random(space.dim) < p_gene
-    noise = rng.normal(0.0, 1.0, space.dim) * np.sqrt(variance)
-    if not mask.any():
-        return g, False
-    out = np.array(g)
+    out = np.array(genomes, dtype=float)
+    mask = np.asarray(gene_draws) < p_gene
+    noise = np.asarray(normals) * np.sqrt(variance)
     out[mask] += noise[mask]
-    return clamp(out, space), True
+    fired = mask.any(axis=1)
+    out[fired] = clamp(out[fired], space)
+    return out, fired
+
+
+class Variation:
+    """The draws of one generation's variation, for n children of genome
+    length dim, and the arithmetic that turns them into children.
+
+    The draw methods store their draws for child k; `children` applies them
+    to all rows at once. A child that draws no crossover copies its first
+    parent, and one that draws no mutation is not mutated.
+    """
+
+    def __init__(self, n: int, dim: int, rng: RngStream):
+        self.n, self.dim, self.rng = n, dim, rng
+        self.bouts = np.zeros((n, 4), dtype=np.intp)  # i, j of two tournaments
+        self.crossed = np.zeros(n, dtype=bool)
+        self.weight_draws = np.zeros((n, dim))
+        self.position = np.zeros(n, dtype=np.intp)
+        self.blend = np.zeros(n)
+        self.mutated = np.zeros(n, dtype=bool)
+        self.variance = np.zeros((n, 1))
+        self.gene_draws = np.zeros((n, dim))
+        self.normals = np.zeros((n, dim))
+
+    def tournaments(self, k: int) -> None:
+        """Two binary tournaments over the n members: i and j of the first,
+        then of the second, drawn uniformly with replacement."""
+        integers, n, bout = self.rng.integers, self.n, self.bouts[k]
+        bout[0] = integers(0, n)
+        bout[1] = integers(0, n)
+        bout[2] = integers(0, n)
+        bout[3] = integers(0, n)
+
+    def crossover(self, k: int, p_r: float) -> None:
+        """The crossover coin, and when it lands below p_r, the weights: one
+        uniform per gene, then the blended position, then its weight."""
+        rng = self.rng
+        if rng.random() < p_r:
+            self.crossed[k] = True
+            self.weight_draws[k] = rng.random(self.dim)
+            self.position[k] = rng.integers(0, self.dim)
+            self.blend[k] = rng.random()
+
+    def mutation(self, k: int, variance: float = 1.0) -> None:
+        """One uniform per gene (its mask draw), then one standard normal per
+        gene. `variance` is child k's, for `children` without a per-gene one.
+        The draws do not depend on which genes fire."""
+        rng = self.rng
+        self.mutated[k] = True
+        self.variance[k] = variance
+        self.gene_draws[k] = rng.random(self.dim)
+        self.normals[k] = rng.normal(0.0, 1.0, self.dim)
+
+    def parents(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The winners of each child's two tournaments under fitness f."""
+        b = self.bouts
+        return binary_tournament(f, b[:, 0], b[:, 1]), binary_tournament(f, b[:, 2], b[:, 3])
+
+    def children(
+        self, X, first, second, space: SearchSpace, p_gene: float = 1.0, variance=None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Child k from rows first[k] and second[k] of X: crossed over if its
+        coin landed, then mutated with per-gene rate p_gene if it drew a
+        mutation, with the per-gene `variance` when given, else its own.
+        Returns the children and the mask of those that differ from their
+        first parent by construction (crossed over, or a gene fired)."""
+        out = X[first]
+        rows = np.flatnonzero(self.crossed)
+        out[rows] = arithmetic_crossover(
+            X[first[rows]], X[second[rows]], self.weight_draws[rows], self.position[rows], self.blend[rows]
+        )
+        rows = np.flatnonzero(self.mutated)
+        out[rows], fired = gaussian_mutate(
+            out[rows], self.gene_draws[rows], self.normals[rows],
+            self.variance[rows] if variance is None else variance, p_gene, space,
+        )
+        fresh = self.crossed.copy()
+        fresh[rows[fired]] = True
+        return out, fresh
 
 
 def pow_sample(alpha: float, rng: RngStream, exponent: float = 2.0, upper: float = 1000.0) -> float:

@@ -173,15 +173,28 @@ def test_sweep_env_overrides_output_dir(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_reports_cell_failures(tmp_path, capsys):
+    # projected_dims beyond the dim is only seen once a run draws its key dims
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
-        "algos = sea\nfunctions = rot_rastrigin\ndims = 3\nruns = 1\n"
+        "algos = cnea\nfunctions = ellipsoid\ndims = 12\nruns = 1\nprojected_dims = 15\n"
         f"generations = 2\npop_size = 10\noutput_dir = {tmp_path / 'r'}\n"
     )
     assert main(["sweep", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert "ERROR" in captured.out
     assert "failed" in captured.err
+
+
+def test_sweep_rejects_bad_function_dim_before_any_output(tmp_path, capsys):
+    # rot_rastrigin needs an even dim: the matrix fails at load, not in its cell
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "algos = sea\nfunctions = ellipsoid, rot_rastrigin\ndims = 2, 3\nruns = 1\n"
+        f"generations = 2\npop_size = 10\noutput_dir = {tmp_path / 'r'}\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "even dimension" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def _seed_results(tmp_path, capsys):

@@ -118,8 +118,11 @@ def test_clamp_projects_and_validates():
     s = SearchSpace.cube(2, 0.0, 1.0)
     assert np.array_equal(clamp([-1.0, 2.0], s), [0.0, 1.0])
     assert np.array_equal(clamp([0.3, 0.7], s), [0.3, 0.7])
+    assert np.array_equal(clamp([[-1.0, 2.0], [0.3, 0.7]], s), [[0.0, 1.0], [0.3, 0.7]])
     with pytest.raises(ValueError):
         clamp([0.5], s)
+    with pytest.raises(ValueError):
+        clamp(np.zeros((2, 3)), s)
 
 
 @settings(max_examples=200)

@@ -320,3 +320,15 @@ def test_wall_ms_measured_by_run():
     trace = run(default_config("sea", dim=2, N=10, generations=3), fn)
     assert all(r.wall_ms >= 0.0 for r in trace.records)
     assert any(r.wall_ms > 0.0 for r in trace.records)
+
+
+def test_dgea_computes_each_diversity_once(monkeypatch):
+    from counterniche import engines
+
+    calls = []
+    real = engines.distance_to_average
+    monkeypatch.setattr(engines, "distance_to_average", lambda *a: calls.append(1) or real(*a))
+    trace = run(default_config("dgea", generations=10, N=20, seed=0), make("rastrigin", 4))
+    # one per record: the mode reads the diversity its population's record holds
+    assert len(trace.records) == 11
+    assert len(calls) == 11

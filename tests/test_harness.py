@@ -262,11 +262,18 @@ def test_run_matrix_seed_pairing(tmp_path):
 
 
 def test_run_matrix_isolates_cell_failures(tmp_path):
-    matrix = _tiny_matrix(tmp_path, functions=("rot_rastrigin", "ellipsoid"), dims=(3,))
+    # projected_dims beyond the dim fails only in a run that projects (dim > 10)
+    matrix = _tiny_matrix(tmp_path, algos=("cnea",), dims=(12, 4),
+                          engine_overrides={"N": 10, "projected_dims": 15})
     results = run_matrix(matrix)
-    by_fn = {r.function: r for r in results}
-    assert by_fn["rot_rastrigin"].error is not None  # odd dim is invalid
-    assert by_fn["ellipsoid"].error is None
+    by_dim = {r.dim: r for r in results}
+    assert by_dim[12].error is not None
+    assert by_dim[4].error is None
+
+
+def test_matrix_rejects_a_function_that_cannot_take_a_dim(tmp_path):
+    with pytest.raises(ValueError, match="even dimension"):  # odd dim is invalid
+        _tiny_matrix(tmp_path, functions=("rot_rastrigin", "ellipsoid"), dims=(3,))
 
 
 def test_run_matrix_stagnation_budget(tmp_path):

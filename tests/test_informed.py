@@ -16,6 +16,7 @@ from counterniche import (
     select_replacement,
 )
 from counterniche.niching import Region, archive_push
+from counterniche import informed
 from counterniche.informed import VictimRegion
 
 
@@ -148,6 +149,44 @@ def test_sample_virgin_pools_match_one_draw_per_pool():
     assert rng_once.random() == rng_each.random()
 
 
+def _virgin_full_mask(space, grid, fn, rng, budget, pools):
+    """sample_virgin looking up every raw row of every pool."""
+    draws = 10 * budget
+    raw = rng.uniform(space.lower, space.upper, size=(pools * draws, space.dim))
+    free = grid.unoccupied(raw)
+    rank = np.cumsum(free.reshape(pools, draws), axis=1).ravel()
+    keep = np.flatnonzero(free & (rank <= budget))
+    genomes = raw[keep]
+    return genomes, np.array([fn.evaluate(g) for g in genomes]), keep // draws
+
+
+@pytest.mark.parametrize("dim, key_dims", [(2, None), (3, None), (5, (1, 3)), (6, (0, 2, 5))])
+@pytest.mark.parametrize("bins", [2, 3, 4])
+def test_sample_virgin_short_pools_match_full_mask(dim, key_dims, bins):
+    space = SearchSpace.cube(dim, -1.0, 1.0)
+    fn = _Quadratic(space)
+    looked_up_whole_pool = kept_head_only = 0
+    for seed in range(6):
+        rng = RngStream(seed)
+        # crowded grids: from a few members to enough to fill nearly every cell
+        members = rng.uniform(space.lower, space.upper, size=(1 + 7 * seed * bins, dim))
+        grid = build_grid(_pop(members, np.zeros(len(members))), space, bins, key_dims=key_dims)
+        for budget, pools in [(1, 1), (2, 30), (3, 7), (5, 12)]:
+            rng_short, rng_full = RngStream(50 + seed), RngStream(50 + seed)
+            samples = sample_virgin(space, grid, fn, rng_short, budget, pools)
+            genomes, fitness, pool = _virgin_full_mask(space, grid, fn, rng_full, budget, pools)
+            assert np.array_equal(samples.genomes, genomes)
+            assert np.array_equal(samples.fitness, fitness)
+            assert np.array_equal(samples.pool, pool)
+            assert rng_short.random() == rng_full.random()
+            # which path each pool took: a head row occupied means the whole pool is looked up
+            raw = RngStream(50 + seed).uniform(space.lower, space.upper, size=(pools, 10 * budget, dim))
+            head_free = grid.unoccupied(raw[:, :budget].reshape(-1, dim)).reshape(pools, budget).all(axis=1)
+            kept_head_only += int(head_free.sum())
+            looked_up_whole_pool += int((~head_free).sum())
+    assert kept_head_only > 0 and looked_up_whole_pool > 0
+
+
 def test_sample_virgin_budget_and_saturation():
     space = SearchSpace.cube(1, 0.0, 1.0)
     fn = _Quadratic(space)
@@ -229,6 +268,30 @@ def test_informed_mutation_planted_cluster():
             assert out.f[i] == pop.f[i]
     # the input population is left as it was
     assert np.array_equal(pop.X, X)
+
+
+def test_informed_mutation_skips_pools_without_a_sample_below_the_mean(monkeypatch):
+    space = SearchSpace.cube(2, 0.0, 1.0)
+    fn = _Quadratic(space)
+    rng = RngStream(11)
+    # a cluster at fitness 0.82: about two in three virgin samples beat it
+    planted = np.tile([0.9, 0.1], (20, 1))
+    scatter = rng.uniform(0.3, 0.7, size=(80, 2))
+    X = np.concatenate([planted, scatter])
+    pop = Population(X, [fn.evaluate(g) for g in X])
+    cfg = EngineConfig("cnea", sample_budget=1)
+    grid = build_grid(pop, space, bins=4)
+    victims = detect_victims(high_density_regions(grid, pop, 0.05), pop, cfg)
+    calls = []
+    real = informed.select_replacement
+    monkeypatch.setattr(informed, "select_replacement", lambda *a: calls.append(a) or real(*a))
+
+    out, counters = informed_mutation(pop, victims, space, grid, fn, MemoryArchive(), RngStream(3), cfg)
+    # one sample per pool: a pool is asked only when its sample beats the mean, and then replaces
+    assert len(calls) == counters.replaced > 0
+    assert counters.fallbacks == 10 - counters.replaced > 0
+    for genomes, fitness, _, _ in calls:
+        assert fitness.min() < victims[0].region.fitness_mean
 
 
 def test_informed_mutation_archive_grows_per_victim():

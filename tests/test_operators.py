@@ -12,33 +12,53 @@ from counterniche import (
     gaussian_mutate,
     pow_sample,
 )
-from counterniche.operators import sea_variance
+from counterniche.operators import Variation, sea_variance
 
 
 def _pop(fitness):
     return Population(np.arange(len(fitness), dtype=float)[:, None], fitness)
 
 
+def _cross(a, b, rng):
+    """The child of rows a and b from one child's crossover draws."""
+    draws = Variation(1, len(a), rng)
+    draws.crossover(0, 1.0)
+    return arithmetic_crossover([a], [b], draws.weight_draws, draws.position, draws.blend)[0]
+
+
+def _mutate(genome, variance, p_gene, space, rng):
+    """One genome through one child's mutation draws: (child, fired)."""
+    draws = Variation(1, space.dim, rng)
+    draws.mutation(0)
+    out, fired = gaussian_mutate([genome], draws.gene_draws, draws.normals, variance, p_gene, space)
+    return out[0], bool(fired[0])
+
+
 def test_binary_tournament_picks_the_fitter():
     pop = _pop([5.0, 1.0, 3.0, 3.0])
-    # shadow stream reveals which pair the tournament drew
+    # shadow stream reveals which pairs the tournaments drew
     shadow = RngStream(0)
     rng = RngStream(0)
-    for _ in range(200):
-        i = int(shadow.integers(0, pop.size))
-        j = int(shadow.integers(0, pop.size))
-        w = binary_tournament(pop, rng)
-        if pop.f[j] < pop.f[i]:
-            assert w == j
-        else:
-            assert w == i  # ties go to the first draw
+    for _ in range(50):
+        draws = Variation(pop.size, 1, rng)
+        for k in range(pop.size):
+            draws.tournaments(k)
+        for winners in zip(*draws.parents(pop.f)):
+            for w in winners:
+                i = int(shadow.integers(0, pop.size))
+                j = int(shadow.integers(0, pop.size))
+                if pop.f[j] < pop.f[i]:
+                    assert w == j
+                else:
+                    assert w == i  # ties go to the first draw
+    assert binary_tournament(pop.f, np.array([2, 0]), np.array([3, 1])).tolist() == [2, 1]
 
 
 def test_crossover_mixes_parents_componentwise():
     rng = RngStream(1)
     a = np.array([0.0, 0.0, 0.0, 0.0])
     b = np.array([1.0, 1.0, 1.0, 1.0])
-    child = arithmetic_crossover(a, b, rng)
+    child = _cross(a, b, rng)
     # all genes lie in the [a, b] interval; at most one strictly between
     assert np.all(child >= 0.0) and np.all(child <= 1.0)
     interior = np.sum((child > 0.0) & (child < 1.0))
@@ -48,19 +68,19 @@ def test_crossover_mixes_parents_componentwise():
 def test_crossover_accepts_population_rows():
     rng = RngStream(2)
     pop = Population([[1.0, 2.0], [3.0, 4.0]], [0.0, 0.0])
-    child = arithmetic_crossover(pop.X[0], pop.X[1], rng)
+    child = _cross(pop.X[0], pop.X[1], rng)
     assert child.shape == (2,)
 
 
 def test_crossover_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        arithmetic_crossover(np.zeros(2), np.zeros(3), RngStream(0))
+        arithmetic_crossover(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 2)), [0], [0.5])
 
 
 def test_crossover_identical_parents_yield_same_point():
     rng = RngStream(5)
     a = np.array([0.3, -0.7, 2.0])
-    child = arithmetic_crossover(a, a.copy(), rng)
+    child = _cross(a, a.copy(), rng)
     assert np.allclose(child, a)
 
 
@@ -70,10 +90,21 @@ def test_crossover_stays_in_parent_box(dim, seed):
     rng = RngStream(seed)
     a = rng.uniform(-5, 5, size=dim)
     b = rng.uniform(-5, 5, size=dim)
-    child = arithmetic_crossover(a, b, rng)
+    child = _cross(a, b, rng)
     lo = np.minimum(a, b) - 1e-12
     hi = np.maximum(a, b) + 1e-12
     assert np.all(child >= lo) and np.all(child <= hi)
+
+
+def test_crossover_draws_weights_position_then_blend():
+    # the weights, then the blended position, then its weight
+    shadow = RngStream(3)
+    draws = Variation(1, 5, RngStream(3))
+    draws.crossover(0, 1.0)
+    assert draws.crossed[0] and shadow.random() < 1.0
+    assert np.array_equal(draws.weight_draws[0], shadow.random(5))
+    assert draws.position[0] == shadow.integers(0, 5)
+    assert draws.blend[0] == shadow.random()
 
 
 def test_gaussian_mutate_clamps_to_space():
@@ -81,7 +112,7 @@ def test_gaussian_mutate_clamps_to_space():
     rng = RngStream(7)
     g = np.zeros(4)
     for _ in range(50):
-        out, fired = gaussian_mutate(g, 100.0, 1.0, space, rng)
+        out, fired = _mutate(g, 100.0, 1.0, space, rng)
         assert fired
         assert space.contains(out)
 
@@ -90,7 +121,7 @@ def test_gaussian_mutate_identity_when_no_gene_fires():
     space = SearchSpace.cube(3, -1.0, 1.0)
     rng = RngStream(0)
     g = np.array([0.1, 0.2, 0.3])
-    out, fired = gaussian_mutate(g, 1.0, 0.0, space, rng)
+    out, fired = _mutate(g, 1.0, 0.0, space, rng)
     assert not fired
     assert np.array_equal(out, g)
 
@@ -100,16 +131,25 @@ def test_gaussian_mutate_consumes_fixed_rng_amount():
     space = SearchSpace.cube(3, -1.0, 1.0)
     r1 = RngStream(9)
     r2 = RngStream(9)
-    gaussian_mutate(np.zeros(3), 1.0, 0.0, space, r1)   # no genes fire
-    gaussian_mutate(np.zeros(3), 1.0, 1.0, space, r2)   # all genes fire
+    _mutate(np.zeros(3), 1.0, 0.0, space, r1)   # no genes fire
+    _mutate(np.zeros(3), 1.0, 1.0, space, r2)   # all genes fire
     assert r1.random() == r2.random()
 
 
 def test_gaussian_mutate_per_gene_variance_vector():
     space = SearchSpace.cube(2, -1e9, 1e9)
     rng = RngStream(1)
-    outs = np.array([gaussian_mutate(np.zeros(2), np.array([1.0, 1e6]), 1.0, space, rng)[0] for _ in range(300)])
+    outs = np.array([_mutate(np.zeros(2), np.array([1.0, 1e6]), 1.0, space, rng)[0] for _ in range(300)])
     assert outs[:, 1].std() > 100.0 * outs[:, 0].std()
+
+
+def test_gaussian_mutate_clamps_only_rows_that_fired():
+    # an out-of-box row is left as it is unless one of its genes fired
+    space = SearchSpace.cube(2, -1.0, 1.0)
+    rows = np.array([[5.0, 5.0], [5.0, 5.0]])
+    out, fired = gaussian_mutate(rows, [[0.9, 0.9], [0.0, 0.9]], np.zeros((2, 2)), 1.0, 0.5, space)
+    assert fired.tolist() == [False, True]
+    assert out.tolist() == [[5.0, 5.0], [1.0, 1.0]]
 
 
 def test_pow_sample_bounds_and_scale():
