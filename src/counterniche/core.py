@@ -9,6 +9,7 @@ axis-aligned box, fitness is minimized, and all randomness flows through one
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,20 @@ class SearchSpace:
             raise ValueError("each lower bound must be strictly below its upper bound")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        cube = lower.min() == lower.max() and upper.min() == upper.max()
+        bounds = (float(lower[0]), float(upper[0])) if cube else (lower, upper)
+        object.__setattr__(self, "_draw_bounds", bounds)
 
     @classmethod
     def cube(cls, dim: int, lower: float, upper: float) -> "SearchSpace":
         """Box with the same scalar bounds on every coordinate."""
         return cls(dim, np.full(dim, float(lower)), np.full(dim, float(upper)))
+
+    def draw_bounds(self) -> tuple:
+        """(low, high) for a uniform draw of genomes inside the box: two
+        floats on a cube, else the bound vectors. numpy's scalar-bound path
+        gives the same values and stream position as the vector one, faster."""
+        return self._draw_bounds
 
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
@@ -118,17 +128,66 @@ class Population:
         return Individual(self.X[i].copy(), self.f[i])
 
 
+_U32_MAX = 0xFFFFFFFF
+_I64_MIN, _I64_END = -(2**63), 2**63
+_NUMPY_HOLDS = -1  # `RngStream._spare` when numpy's buffer holds the spare half
+
+
 class RngStream:
     """Seeded random stream confined to one run.
 
     A thin wrapper over numpy's PCG64 generator. Two streams built from the
     same seed produce identical sequences of uniform, normal, and integer
     draws, which is what makes whole runs bit-reproducible.
+
+    A scalar `integers` draw with a span in [1, 2**32 - 1] skips numpy's
+    per-call argument handling and runs numpy's own algorithm on raw PCG64
+    words (a span of 1 draws nothing, as in numpy): 32-bit halves, low half
+    first, the high half kept as the spare for the next such draw, and
+    Lemire's bounded-integer method with numpy's rejection threshold. So
+    every value and the stream position equal those of
+    `np.random.Generator(np.random.PCG64(seed))`. The stream takes the spare
+    half from numpy's `has_uint32`/`uinteger` buffer at the first such draw
+    and hands it back before any numpy call that also draws 32-bit halves
+    (`integers` with a size or another span, `permutation`, `index_subset`).
+    `random`, `uniform` and `normal` take whole 64-bit words and never touch
+    the spare half, so they need no hand-off.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._bits = np.random.PCG64(self.seed)
+        self._gen = np.random.Generator(self._bits)
+        self._raw = self._bits.random_raw
+        self._spare = _NUMPY_HOLDS  # the spare half, None when no half is spare, or _NUMPY_HOLDS
+
+    def _next_u32(self) -> int:
+        """numpy's `next_uint32` for PCG64: the spare half, else the low half
+        of a new word, keeping its high half as the spare."""
+        spare = self._spare
+        if spare is None:
+            word = self._raw()
+            self._spare = word >> 32
+            return word & _U32_MAX
+        if spare == _NUMPY_HOLDS:
+            state = self._bits.state
+            self._spare = state["uinteger"] if state["has_uint32"] else None
+            return self._next_u32()
+        self._spare = None
+        return spare
+
+    def _hand_back(self) -> None:
+        """Put the spare half back into numpy's buffer before numpy draws
+        32-bit halves itself."""
+        spare = self._spare
+        if spare == _NUMPY_HOLDS:
+            return
+        state = self._bits.state
+        state["has_uint32"] = int(spare is not None)
+        if spare is not None:
+            state["uinteger"] = spare
+        self._bits.state = state
+        self._spare = _NUMPY_HOLDS
 
     def random(self, size=None):
         return self._gen.random(size)
@@ -140,17 +199,39 @@ class RngStream:
         return self._gen.normal(loc, scale, size)
 
     def integers(self, low, high, size=None):
-        """Integers from [low, high)."""
+        """Integers from [low, high). A scalar draw with integer bounds and a
+        span in [1, 2**32 - 1] returns a Python int; every other call is
+        numpy's, errors included."""
+        if size is None:
+            try:
+                lo, hi = operator.index(low), operator.index(high)
+            except TypeError:
+                pass
+            else:
+                span = hi - lo
+                if 1 <= span <= _U32_MAX and _I64_MIN <= lo and hi <= _I64_END:
+                    if span == 1:  # numpy draws nothing for a single value either
+                        return lo
+                    # numpy's buffered_bounded_lemire_uint32 (Lemire, arXiv:1805.10941)
+                    m = self._next_u32() * span
+                    if m & _U32_MAX < span:
+                        threshold = (_U32_MAX + 1 - span) % span
+                        while m & _U32_MAX < threshold:
+                            m = self._next_u32() * span
+                    return lo + (m >> 32)
+        self._hand_back()
         return self._gen.integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
         """A random ordering of range(n)."""
+        self._hand_back()
         return self._gen.permutation(n)
 
     def index_subset(self, n: int, k: int) -> tuple[int, ...]:
         """k distinct indices out of range(n), returned sorted."""
         if not 0 < k <= n:
             raise ValueError(f"need 0 < k <= n, got k={k} n={n}")
+        self._hand_back()
         picked = self._gen.choice(n, size=k, replace=False)
         return tuple(sorted(int(i) for i in picked))
 

@@ -142,7 +142,9 @@ def default_config(
     seed: int = 0,
     **overrides,
 ) -> EngineConfig:
-    """Stock configuration for an algorithm, with keyword overrides on top."""
+    """Stock configuration for an algorithm, with keyword overrides on top.
+    Given `dim`, the run's dimension, a `cnea` configuration that would
+    project more key dimensions than the run has fails here."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; known: {', '.join(ALGORITHMS)}")
     if generations is None:
@@ -151,7 +153,13 @@ def default_config(
         generations = default_generations(algo, dim)
     n = 300 if algo == "cnea" else 400
     cfg = EngineConfig(algo=algo, N=n, generations=generations, seed=seed)
-    return replace(cfg, **overrides) if overrides else cfg
+    cfg = replace(cfg, **overrides) if overrides else cfg
+    if algo == "cnea" and dim is not None and cfg.key_dim_limit < dim < cfg.projected_dims:
+        raise ValueError(
+            f"projected_dims {cfg.projected_dims} exceeds dim {dim}, "
+            f"which projects because it is above key_dim_limit {cfg.key_dim_limit}"
+        )
+    return cfg
 
 
 @dataclass
@@ -183,7 +191,7 @@ class RunTrace:
 
 
 def _init_population(cfg: EngineConfig, fn, rng: RngStream) -> Population:
-    X = rng.uniform(fn.space.lower, fn.space.upper, size=(cfg.N, fn.space.dim))
+    X = rng.uniform(*fn.space.draw_bounds(), size=(cfg.N, fn.space.dim))
     return Population(X, evaluate_rows(fn, X))
 
 

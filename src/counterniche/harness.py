@@ -58,8 +58,11 @@ TRACE_FIELDS = (
     "mode",
     "victims",
     "replacements",
+    "fallbacks",
     "wall_ms",
 )
+# traces written before `fallbacks` was a column still load, with fallbacks 0
+_TRACE_FIELDS_WITHOUT_FALLBACKS = tuple(f for f in TRACE_FIELDS if f != "fallbacks")
 
 SUMMARY_FIELDS = (
     "algo",
@@ -146,6 +149,7 @@ def write_trace_csv(trace: RunTrace, path, include_timing: bool = False) -> None
                     r.mode,
                     r.victims,
                     r.replacements,
+                    r.fallbacks,
                     _fmt(r.wall_ms if include_timing else 0.0),
                 ]
             )
@@ -155,7 +159,7 @@ def read_trace_csv(path) -> RunTrace:
     records: list[GenRecord] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != TRACE_FIELDS:
+        if tuple(reader.fieldnames or ()) not in (TRACE_FIELDS, _TRACE_FIELDS_WITHOUT_FALLBACKS):
             raise ValueError(f"{path} does not look like a trace file")
         for row in reader:
             records.append(
@@ -167,6 +171,7 @@ def read_trace_csv(path) -> RunTrace:
                     mode=row["mode"],
                     victims=int(row["victims"]),
                     replacements=int(row["replacements"]),
+                    fallbacks=int(row.get("fallbacks", 0)),
                     wall_ms=float(row["wall_ms"]),
                 )
             )
@@ -246,8 +251,9 @@ class ExperimentMatrix:
         if self.workers < 1:
             raise ValueError("workers must be positive")
         self.stagnation_rule = StagnationRule(self.stagnation_window, self.hard_cap)
-        for algo in self.algos:  # a bad engine key fails here, not in every cell
-            self.engine_config(algo, self.dims[0])
+        # a bad engine key, or projected_dims beyond a dim, fails here, not in every cell
+        for algo, dim in product(self.algos, self.dims):
+            self.engine_config(algo, dim)
         for function in self.functions:  # so does a function that cannot take a dim
             for dim in self.dims:
                 benchmarks.make(function, dim, schwefel_lower=self.schwefel_lower)

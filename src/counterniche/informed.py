@@ -99,7 +99,7 @@ def sample_virgin(
     if budget <= 0 or pools <= 0:
         return VirginSamples(np.empty((0, space.dim)), np.empty(0), np.empty(0, dtype=int))
     draws = 10 * budget
-    raw = rng.uniform(space.lower, space.upper, size=(pools, draws, space.dim))
+    raw = rng.uniform(*space.draw_bounds(), size=(pools, draws, space.dim))
     free = np.zeros((pools, draws), dtype=bool)
     free[:, :budget] = grid.unoccupied(raw[:, :budget].reshape(-1, space.dim)).reshape(pools, budget)
     short = np.flatnonzero(~free[:, :budget].all(axis=1))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from counterniche import harness
 from counterniche.cli import OUTPUT_DIR_ENV, main
 from counterniche.harness import read_trace_csv
 
@@ -172,17 +173,26 @@ def test_sweep_env_overrides_output_dir(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "ignored").exists()
 
 
-def test_sweep_reports_cell_failures(tmp_path, capsys):
-    # projected_dims beyond the dim is only seen once a run draws its key dims
+def test_sweep_reports_cell_failures(tmp_path, capsys, monkeypatch):
+    # a run that raises in the dim-12 cell, as a failure load cannot see would
+    real_run = harness.run
+
+    def failing_run(cfg, fn, *args, **kwargs):
+        if fn.space.dim == 12:
+            raise RuntimeError("run failed")
+        return real_run(cfg, fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", failing_run)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
-        "algos = cnea\nfunctions = ellipsoid\ndims = 12\nruns = 1\nprojected_dims = 15\n"
+        "algos = cnea\nfunctions = ellipsoid\ndims = 12, 4\nruns = 1\n"
         f"generations = 2\npop_size = 10\noutput_dir = {tmp_path / 'r'}\n"
     )
     assert main(["sweep", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
-    assert "ERROR" in captured.out
-    assert "failed" in captured.err
+    assert "cnea:ellipsoid:12  ERROR  RuntimeError: run failed" in captured.out
+    assert "cnea:ellipsoid:4  ok" in captured.out
+    assert "1 of 2 cells failed" in captured.err
 
 
 def test_sweep_rejects_bad_function_dim_before_any_output(tmp_path, capsys):

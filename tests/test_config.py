@@ -97,15 +97,30 @@ def test_bad_knob_rejected_when_built(name, value, tmp_path, capsys):
         assert not (tmp_path / "r").exists()
 
 
-def test_projected_dims_beyond_dim_fails_in_the_run(capsys, tmp_path):
-    # only the run knows the dimension, so this stays a runtime failure
+def test_projected_dims_beyond_dim_fails_before_the_run(capsys, tmp_path):
+    # dim 4 projects (above key_dim_limit 2) onto more dims than it has
+    dump = tmp_path / "regions.jsonl"
     code = cli.main(
         ["run", "--algo", "cnea", "--function", "ellipsoid", "--dim", "4",
          "--generations", "1", "--pop-size", "10", "--key-dim-limit", "2",
-         "--projected-dims", "5", "--out", str(tmp_path / "t.csv")]
+         "--projected-dims", "5", "--out", str(tmp_path / "t.csv"), "--regions-dump", str(dump)]
     )
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    assert code == 2
+    assert "projected_dims 5 exceeds dim 4" in capsys.readouterr().err
+    assert not dump.exists() and not (tmp_path / "t.csv").exists()
+
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(
+        "algos = sea, cnea\nfunctions = ellipsoid\ndims = 4, 12\nprojected_dims = 13\n"
+        f"output_dir = {tmp_path / 'r'}\n"
+    )
+    assert cli.main(["sweep", "--config", str(sweep)]) == 2
+    assert "projected_dims 13 exceeds dim 12" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    # a run that does not project, or projects onto no more dims than it has, is fine
+    assert default_config("cnea", dim=4, projected_dims=11).projected_dims == 11
+    assert default_config("cnea", dim=12, projected_dims=12).projected_dims == 12
+    assert default_config("sea", dim=4, key_dim_limit=2, projected_dims=5).projected_dims == 5
 
 
 def test_every_knob_is_a_run_flag_and_a_sweep_key(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,9 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from counterniche import Individual, Population, RngStream, SearchSpace, clamp, random_genome
@@ -88,6 +91,16 @@ def test_rng_stream_reproducibility():
     assert a.index_subset(50, 10) == b.index_subset(50, 10)
 
 
+def test_rng_stream_copies_continue_the_stream():
+    fresh, drawing = RngStream(9), RngStream(9)
+    drawing.integers(0, 10)  # leaves the spare half with the stream
+    for rng in (fresh, drawing):
+        for duplicate in (lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy):
+            twin = duplicate(rng)
+            assert [twin.integers(0, 100) for _ in range(5)] == [rng.integers(0, 100) for _ in range(5)]
+            assert np.array_equal(twin.permutation(10), rng.permutation(10))
+
+
 def test_rng_stream_index_subset_contract():
     rng = RngStream(0)
     picked = rng.index_subset(10, 4)
@@ -105,6 +118,102 @@ def test_rng_permutation_is_a_permutation():
     rng = RngStream(5)
     perm = rng.permutation(30)
     assert sorted(perm.tolist()) == list(range(30))
+
+
+# Spans of `integers`: 1 draws nothing on either side, 2**31 + 1 redraws about half the
+# time, 2**32 - 1 is the widest exact scalar span and 2**32 is numpy's own
+# 32-bit path; 0 is an error on both sides.
+SPANS = (0, 1, 2, 100, 2**31 + 1, 2**32 - 1, 2**32)
+
+_bounds = st.tuples(st.integers(-1000, 1000), st.sampled_from(SPANS), st.booleans())
+_size = st.none() | st.integers(0, 4)
+_draw_ops = st.lists(
+    st.one_of(  # scalar integers twice, so they come up most often
+        st.tuples(st.just("integers"), _bounds, st.none()),
+        st.tuples(st.just("integers"), _bounds, st.none()),
+        st.tuples(st.just("integers"), _bounds, _size),
+        st.tuples(st.just("permutation"), st.integers(0, 12)),
+        st.integers(1, 12).flatmap(lambda n: st.tuples(st.just("index_subset"), st.just(n), st.integers(1, n))),
+        st.tuples(st.just("random"), _size),
+        st.tuples(st.just("uniform"), st.booleans(), _size),
+        st.tuples(st.just("normal"), _size),
+    ),
+    max_size=40,
+)
+
+
+def _apply(op, rng):
+    """Run one draw on an RngStream or, with the same meaning, on a plain
+    numpy Generator."""
+    name, *args = op
+    plain = isinstance(rng, np.random.Generator)
+    if name == "integers":
+        (low, span, numpy_ints), size = args
+        high = low + span
+        if numpy_ints:
+            low, high = np.int64(low), np.int64(high)
+        return rng.integers(low, high, size=size)
+    if name == "permutation":
+        return rng.permutation(args[0])
+    if name == "index_subset":
+        n, k = args
+        if plain:
+            return tuple(sorted(int(i) for i in rng.choice(n, size=k, replace=False)))
+        return rng.index_subset(n, k)
+    if name == "random":
+        return rng.random(args[0])
+    if name == "uniform":
+        vector, size = args
+        if vector:
+            return rng.uniform(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 3.0]), size=(size or 1, 3))
+        return rng.uniform(-2.0, 3.0, size)
+    return rng.normal(0.0, 1.0, args[0])
+
+
+def _span_at_threshold(below: bool) -> tuple[int, int]:
+    """A seed and a span in (2**31, 2**32) for which the first 32-bit half of
+    the seed's stream lands Lemire's leftover exactly on numpy's rejection
+    threshold 2**32 - span (kept), or one below it (redrawn)."""
+    for seed in range(100):
+        u = int(np.random.PCG64(seed).random_raw()) & 0xFFFFFFFF
+        if below and u % 2 == 0:
+            # span * (u + 1) == -1 (mod 2**32), so the leftover is 2**32 - span - 1
+            span = -pow(u + 1, -1, 2**32) % 2**32
+            if span > 2**31:
+                return seed, span
+        if not below and u % 4 == 3:
+            # 3 * 2**30 * (u + 1) == 0 (mod 2**32), so the leftover is 2**30
+            return seed, 3 * 2**30
+    raise AssertionError("no seed found")
+
+
+_KEPT = _span_at_threshold(below=False)
+_REDRAWN = _span_at_threshold(below=True)
+
+
+@settings(max_examples=300, deadline=None)
+@example(seed=_KEPT[0], ops=[("integers", (0, _KEPT[1], False), None)] * 3)
+@example(seed=_REDRAWN[0], ops=[("integers", (0, _REDRAWN[1], False), None)] * 3)
+@given(st.integers(0, 2**32), _draw_ops)
+def test_rng_stream_draws_equal_numpy(seed, ops):
+    """Every RngStream method, interleaved at random, gives the values of a
+    plain Generator on the same seed, and leaves it in the same state."""
+    rng, plain = RngStream(seed), np.random.Generator(np.random.PCG64(seed))
+    for op in ops:
+        try:
+            want = _apply(op, plain)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                _apply(op, rng)
+            continue
+        got = _apply(op, rng)
+        assert np.array_equal(np.asarray(got), np.asarray(want)), op
+    rng._hand_back()
+    ours, theirs = rng._bits.state, plain.bit_generator.state
+    assert ours["state"] == theirs["state"]
+    assert ours["has_uint32"] == theirs["has_uint32"]
+    if theirs["has_uint32"]:
+        assert ours["uinteger"] == theirs["uinteger"]
 
 
 def test_random_genome_inside_space():

@@ -13,6 +13,7 @@ from counterniche import (
     run,
     run_matrix,
 )
+from counterniche import harness
 from counterniche.engines import GenRecord, RunTrace, default_config
 from counterniche.harness import (
     SUMMARY_FIELDS,
@@ -179,6 +180,29 @@ def test_trace_csv_roundtrip(tmp_path):
         assert b.wall_ms == 0.0  # timing off by default
 
 
+def test_trace_csv_roundtrips_fallbacks_and_reads_the_old_header(tmp_path):
+    records = [
+        GenRecord(0, 5.0, 6.0, 0.5),
+        GenRecord(1, 4.0, 5.5, 0.25, victims=3, replacements=1, fallbacks=2),
+    ]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(RunTrace(records, None), path)
+    assert path.read_text().splitlines()[0].endswith("victims,replacements,fallbacks,wall_ms")
+    again = read_trace_csv(path).records
+    assert [(r.victims, r.replacements, r.fallbacks) for r in again] == [(0, 0, 0), (3, 1, 2)]
+
+    # a trace written before the fallbacks column: 8 columns, read as 0
+    old = tmp_path / "old.csv"
+    old.write_text(
+        "generation,best_fitness,mean_fitness,diversity,mode,victims,replacements,wall_ms\n"
+        "0,5,6,0.5,,0,0,0\n1,4,5.5,0.25,,3,1,0\n"
+    )
+    again = read_trace_csv(old).records
+    assert [(r.generation, r.best_fitness, r.victims, r.replacements, r.fallbacks) for r in again] == [
+        (0, 5.0, 0, 0, 0), (1, 4.0, 3, 1, 0)
+    ]
+
+
 def test_trace_csv_timing_flag(tmp_path):
     fn = make("ackley", 2)
     cfg = default_config("sea", dim=2, seed=0, N=10, generations=3)
@@ -261,19 +285,33 @@ def test_run_matrix_seed_pairing(tmp_path):
     assert a == b
 
 
-def test_run_matrix_isolates_cell_failures(tmp_path):
-    # projected_dims beyond the dim fails only in a run that projects (dim > 10)
-    matrix = _tiny_matrix(tmp_path, algos=("cnea",), dims=(12, 4),
-                          engine_overrides={"N": 10, "projected_dims": 15})
+def test_run_matrix_isolates_cell_failures(tmp_path, monkeypatch):
+    # a run that raises in the dim-12 cell, as a failure load cannot see would
+    real_run = harness.run
+
+    def failing_run(cfg, fn, *args, **kwargs):
+        if fn.space.dim == 12:
+            raise RuntimeError("run failed")
+        return real_run(cfg, fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", failing_run)
+    matrix = _tiny_matrix(tmp_path, algos=("cnea",), dims=(12, 4))
     results = run_matrix(matrix)
     by_dim = {r.dim: r for r in results}
-    assert by_dim[12].error is not None
-    assert by_dim[4].error is None
+    assert by_dim[12].error == "RuntimeError: run failed"
+    assert by_dim[4].error is None and by_dim[4].summary is not None
 
 
 def test_matrix_rejects_a_function_that_cannot_take_a_dim(tmp_path):
     with pytest.raises(ValueError, match="even dimension"):  # odd dim is invalid
         _tiny_matrix(tmp_path, functions=("rot_rastrigin", "ellipsoid"), dims=(3,))
+
+
+def test_matrix_rejects_projecting_onto_more_dims_than_a_cell_has(tmp_path):
+    # dim 12 projects (above key_dim_limit 10); dim 4 alone would load
+    with pytest.raises(ValueError, match="projected_dims 15 exceeds dim 12"):
+        _tiny_matrix(tmp_path, algos=("cnea",), dims=(4, 12), engine_overrides={"projected_dims": 15})
+    _tiny_matrix(tmp_path, algos=("cnea",), dims=(4,), engine_overrides={"projected_dims": 15})
 
 
 def test_run_matrix_stagnation_budget(tmp_path):

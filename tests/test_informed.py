@@ -187,6 +187,36 @@ def test_sample_virgin_short_pools_match_full_mask(dim, key_dims, bins):
     assert kept_head_only > 0 and looked_up_whole_pool > 0
 
 
+def test_sample_virgin_scalar_bounds_match_vector_bounds(monkeypatch):
+    space = SearchSpace.cube(3, -2.0, 3.0)
+    fn = _Quadratic(space)
+    members = RngStream(1).uniform(space.lower, space.upper, size=(40, 3))
+    grid = build_grid(_pop(members, np.zeros(40)), space, bins=3)
+    assert space.draw_bounds() == (-2.0, 3.0)
+    scalar_rng, vector_rng = RngStream(8), RngStream(8)
+    scalar = sample_virgin(space, grid, fn, scalar_rng, budget=4, pools=9)
+    monkeypatch.setattr(SearchSpace, "draw_bounds", lambda self: (self.lower, self.upper))
+    vector = sample_virgin(space, grid, fn, vector_rng, budget=4, pools=9)
+    assert len(scalar.fitness) > 0
+    assert np.array_equal(scalar.genomes, vector.genomes)
+    assert np.array_equal(scalar.fitness, vector.fitness)
+    assert np.array_equal(scalar.pool, vector.pool)
+    assert scalar_rng.random() == vector_rng.random()
+
+
+def test_sample_virgin_draws_inside_per_coordinate_bounds():
+    lower, upper = np.array([-1.0, 0.0, 10.0]), np.array([1.0, 0.5, 20.0])
+    space = SearchSpace(3, lower, upper)
+    low, high = space.draw_bounds()
+    assert np.array_equal(low, lower) and np.array_equal(high, upper)
+    grid = build_grid(_pop([[0.0, 0.25, 15.0]], [0.0]), space, bins=4)
+    samples = sample_virgin(space, grid, _Quadratic(space), RngStream(2), budget=50, pools=4)
+    assert len(samples.fitness) == 200
+    assert np.all(samples.genomes >= lower) and np.all(samples.genomes <= upper)
+    # each coordinate spans most of its own interval
+    assert np.all(samples.genomes.max(axis=0) - samples.genomes.min(axis=0) > 0.9 * (upper - lower))
+
+
 def test_sample_virgin_budget_and_saturation():
     space = SearchSpace.cube(1, 0.0, 1.0)
     fn = _Quadratic(space)
