@@ -8,7 +8,7 @@ experiment harness with rank summaries and paired t-tests.
 """
 
 from .benchmarks import FUNCTION_NAMES, BenchmarkFn, make, rotation_matrix
-from .core import Individual, Population, RngStream, SearchSpace, clamp, random_genome
+from .core import Individual, Population, RngStream, SearchSpace, clamp
 from .diversity import degree_of_diversity, distance_to_average, fitness_std, maturity
 from .engines import (
     ALGORITHMS,
@@ -28,15 +28,7 @@ from .informed import (
     sample_virgin,
     select_replacement,
 )
-from .niching import (
-    GridIndex,
-    MemoryArchive,
-    Region,
-    archive_mean_distance,
-    archive_push,
-    build_grid,
-    high_density_regions,
-)
+from .niching import build_grid, high_density_regions
 from .operators import arithmetic_crossover, binary_tournament, gaussian_mutate, pow_sample
 from .stats import RunSummary, TTestResult, error_value, paired_ttest, summarize
 

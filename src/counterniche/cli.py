@@ -157,15 +157,16 @@ def _cmd_run(args) -> int:
         dump_handle = open(args.regions_dump, "w")
 
         def on_regions(generation, regions, _fh=dump_handle):
-            for r in regions:
+            rows = zip(*(a.tolist() for a in (regions.key, regions.density, regions.mean, regions.std)))
+            for key, density, mean, std in rows:
                 _fh.write(
                     json.dumps(
                         {
                             "generation": generation,
-                            "cell_key": list(r.cell_key),
-                            "density": r.density,
-                            "fitness_mean": r.fitness_mean,
-                            "fitness_std": r.fitness_std,
+                            "cell_key": key,
+                            "density": density,
+                            "fitness_mean": mean,
+                            "fitness_std": std,
                         }
                     )
                     + "\n"

@@ -19,7 +19,6 @@ __all__ = [
     "Individual",
     "Population",
     "RngStream",
-    "random_genome",
     "clamp",
 ]
 
@@ -234,11 +233,6 @@ class RngStream:
         self._hand_back()
         picked = self._gen.choice(n, size=k, replace=False)
         return tuple(sorted(int(i) for i in picked))
-
-
-def random_genome(space: SearchSpace, rng: RngStream) -> np.ndarray:
-    """Uniform draw inside the box, coordinate by coordinate."""
-    return rng.uniform(space.lower, space.upper, size=space.dim)
 
 
 def clamp(genomes, space: SearchSpace) -> np.ndarray:

@@ -24,7 +24,7 @@ from .benchmarks import evaluate_children, evaluate_rows
 from .core import Individual, Population, RngStream, SearchSpace
 from .diversity import distance_to_average
 from .informed import detect_victims, informed_mutation, regular_ops
-from .niching import MemoryArchive, build_grid, choose_key_dims, high_density_regions
+from .niching import build_grid, check_key_length, choose_key_dims, high_density_regions
 from .operators import Variation, pow_sample, sea_variance
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "RunTrace",
     "StagnationRule",
     "default_config",
+    "check_dim",
     "default_generations",
     "engine_knobs",
     "engine_steps",
@@ -143,8 +144,7 @@ def default_config(
     **overrides,
 ) -> EngineConfig:
     """Stock configuration for an algorithm, with keyword overrides on top.
-    Given `dim`, the run's dimension, a `cnea` configuration that would
-    project more key dimensions than the run has fails here."""
+    Given `dim`, the run's dimension, the checks of `check_dim` run here."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; known: {', '.join(ALGORITHMS)}")
     if generations is None:
@@ -154,12 +154,27 @@ def default_config(
     n = 300 if algo == "cnea" else 400
     cfg = EngineConfig(algo=algo, N=n, generations=generations, seed=seed)
     cfg = replace(cfg, **overrides) if overrides else cfg
-    if algo == "cnea" and dim is not None and cfg.key_dim_limit < dim < cfg.projected_dims:
-        raise ValueError(
-            f"projected_dims {cfg.projected_dims} exceeds dim {dim}, "
-            f"which projects because it is above key_dim_limit {cfg.key_dim_limit}"
-        )
+    if dim is not None:
+        check_dim(cfg, dim)
     return cfg
+
+
+def check_dim(cfg: EngineConfig, dim: int) -> None:
+    """The checks of a configuration that need the run's dimension. A `cnea`
+    run keys its grid cells on all `dim` dimensions, or on `projected_dims`
+    of them when `dim` is above `key_dim_limit`; it cannot project onto more
+    dimensions than it has, and its cell codes must fit int64."""
+    if cfg.algo != "cnea":
+        return
+    key_length = dim
+    if dim > cfg.key_dim_limit:
+        if cfg.projected_dims > dim:
+            raise ValueError(
+                f"projected_dims {cfg.projected_dims} exceeds dim {dim}, "
+                f"which projects because it is above key_dim_limit {cfg.key_dim_limit}"
+            )
+        key_length = cfg.projected_dims
+    check_key_length(cfg.grid_bins, key_length)
 
 
 @dataclass
@@ -253,16 +268,12 @@ def _cnea_steps(
     best = pop.best()
     yield _record(pop, space, 0), best
     for t in itertools.count(1):
-        grid = build_grid(pop, space, cfg.grid_bins, rng, key_dims=key_dims,
-                          key_dim_limit=cfg.key_dim_limit, projected_dims=cfg.projected_dims)
+        grid = build_grid(pop, space, cfg.grid_bins, key_dims)
         regions = high_density_regions(grid, pop, cfg.tau_dense)
         if on_regions is not None:
             on_regions(t, regions)
         victims = detect_victims(regions, pop, cfg)
-        archive = MemoryArchive()  # cleared every generation by construction
-        pop_informed, counters = informed_mutation(
-            pop, victims, space, grid, fn, archive, rng, cfg
-        )
+        pop_informed, counters = informed_mutation(pop, victims, space, grid, fn, rng, cfg)
         offspring = regular_ops(pop_informed, space, fn, rng, cfg)
         pop = _elitist_union_survivors(pop_informed, offspring, cfg.elitism_count, rng, cfg.N)
         best = _track_best(best, pop)
@@ -477,7 +488,9 @@ def run(
 ) -> RunTrace:
     """Run an engine for its configured generation budget or, given a stop
     rule, until its best fitness stalls or the rule's hard cap; the trace
-    records which terminator fired."""
+    records which terminator fired. A configuration that fails `check_dim`
+    for the objective's dimension fails here, before any draw."""
+    check_dim(cfg, fn.space.dim)
     if rng is None:
         rng = RngStream(cfg.seed)
     steps = engine_steps(cfg, fn, rng, on_regions)

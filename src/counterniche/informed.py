@@ -9,7 +9,6 @@ the whole population.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -17,14 +16,14 @@ import numpy as np
 
 from .benchmarks import evaluate_children, evaluate_rows
 from .core import Population, RngStream, SearchSpace
-from .niching import GridIndex, MemoryArchive, Region, archive_mean_distance, archive_push
+from .niching import GridIndex, Regions
 from .operators import Variation
 
 if TYPE_CHECKING:
     from .engines import EngineConfig
 
 __all__ = [
-    "VictimRegion",
+    "Victims",
     "InformedCounters",
     "VirginSamples",
     "detect_victims",
@@ -35,11 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass
-class VictimRegion:
-    region: Region
-    replace_indices: list[int]
-    keep_indices: list[int]
+@dataclass(frozen=True)
+class Victims:
+    """The victim regions in regions-table order, one row each. The archive
+    at victim i, the centroids handled so far, is `centroid[:i + 1]`."""
+
+    row: np.ndarray           # (v,) row of each victim in the regions table
+    mean: np.ndarray          # (v,) its fitness mean, which a replacement must beat
+    centroid: np.ndarray      # (v, dim) its centroid
+    replace: list[list[int]]  # member indices to replace, worst first
+
+    def __len__(self) -> int:
+        return len(self.row)
 
 
 @dataclass
@@ -49,31 +55,27 @@ class InformedCounters:
     fallbacks: int = 0
 
 
-def detect_victims(
-    regions: list[Region], population: Population, cfg: EngineConfig
-) -> list[VictimRegion]:
+def detect_victims(regions: Regions, population: Population, cfg: EngineConfig) -> Victims:
     """Flag regions whose fitness spread is negligible relative to their mean.
 
-    A region is a victim iff fitness_std <= eps_fit * (1 + |fitness_mean|).
-    Its worst floor(rho_replace * density) members are slated for replacement
-    (fitness ties broken by lower index); regions where that count floors to
-    zero are skipped entirely.
+    A region is a victim iff std <= eps_fit * (1 + |mean|). Its worst
+    floor(rho_replace * density) members are slated for replacement (fitness
+    ties broken by lower index); regions where that count floors to zero are
+    skipped entirely.
     """
-    fitness = population.f
-    victims = []
-    for region in regions:
-        threshold = cfg.eps_fit * (1.0 + abs(region.fitness_mean))
-        if not region.fitness_std <= threshold:  # a NaN spread never qualifies
-            continue
-        k = math.floor(cfg.rho_replace * region.density)
-        if k == 0:
-            continue
-        order = sorted(region.member_indices, key=lambda i: (-fitness[i], i))
-        replace = order[:k]
-        chosen = set(replace)
-        keep = [i for i in region.member_indices if i not in chosen]
-        victims.append(VictimRegion(region, replace, keep))
-    return victims
+    with np.errstate(invalid="ignore"):  # eps_fit 0 times a mean at +inf
+        flat = regions.std <= cfg.eps_fit * (1.0 + np.abs(regions.mean))  # NaN never qualifies
+    slots = np.floor(cfg.rho_replace * regions.density).astype(int)
+    rows = np.flatnonzero(flat & (slots > 0))
+    replace = []
+    if rows.size:
+        grid = regions.grid
+        # members cell by cell, worst first; the sort is stable, so ties keep index order
+        order = np.lexsort((-population.f, grid.cell_of))
+        start = np.cumsum(grid.counts) - grid.counts
+        first = start[np.searchsorted(grid.cells, regions.code[rows])]
+        replace = [order[a : a + k].tolist() for a, k in zip(first.tolist(), slots[rows].tolist())]
+    return Victims(rows, regions.mean[rows], regions.centroid[rows], replace)
 
 
 class VirginSamples(NamedTuple):
@@ -111,33 +113,29 @@ def sample_virgin(
     return VirginSamples(genomes, evaluate_rows(fn, genomes), pool)
 
 
-def select_replacement(
-    genomes: np.ndarray, fitness: np.ndarray, victim: VictimRegion, archive: MemoryArchive
-) -> int | None:
-    """Index of the candidate row that strictly beats the victim region's
-    mean fitness while sitting farthest (on average) from the archived
-    centroids.
+def select_replacement(genomes: np.ndarray, fitness: np.ndarray, mean, archive: np.ndarray) -> int | None:
+    """Index of the candidate row that strictly beats `mean` while sitting
+    farthest, on average, from the archived centroids (the rows of `archive`,
+    at least one).
 
     Distance ties fall back to better fitness, then to the lower index.
     Returns None when no candidate qualifies.
     """
-    best: int | None = None
-    best_dist = -math.inf
-    for k in np.flatnonzero(fitness < victim.region.fitness_mean).tolist():
-        dist = archive_mean_distance(archive, genomes[k])
-        if best is None or dist > best_dist or (dist == best_dist and fitness[k] < fitness[best]):
-            best = k
-            best_dist = dist
-    return best
+    hopeful = np.flatnonzero(fitness < mean)
+    if not hopeful.size:
+        return None
+    diffs = genomes[hopeful, None, :] - archive
+    dist = np.sqrt(np.sum(diffs * diffs, axis=2)).mean(axis=1)
+    # the sort is stable, so full ties keep the lower index
+    return int(hopeful[np.lexsort((fitness[hopeful], -dist))[0]])
 
 
 def informed_mutation(
     population: Population,
-    victims: list[VictimRegion],
+    victims: Victims,
     space: SearchSpace,
     grid: GridIndex,
     fn,
-    archive: MemoryArchive,
     rng: RngStream,
     cfg: EngineConfig,
 ) -> tuple[Population, InformedCounters]:
@@ -150,18 +148,17 @@ def informed_mutation(
     """
     X, f = population.X.copy(), population.f.copy()
     counters = InformedCounters(victims=len(victims))
-    for victim in victims:
-        archive_push(archive, victim.region.centroid)
-        slots = victim.replace_indices
+    for i, slots in enumerate(victims.replace):
+        mean, archive = victims.mean[i], victims.centroid[: i + 1]
         samples = sample_virgin(space, grid, fn, rng, cfg.sample_budget, len(slots))
         # only a pool with a sample below the region mean can replace its slot
-        hopeful = np.unique(samples.pool[samples.fitness < victim.region.fitness_mean])
+        hopeful = np.unique(samples.pool[samples.fitness < mean])
         counters.fallbacks += len(slots) - len(hopeful)
         # samples come pool by pool: pool p holds rows bounds[p]:bounds[p + 1]
         bounds = np.searchsorted(samples.pool, np.arange(len(slots) + 1)).tolist()
         for pool in hopeful.tolist():
             lo, hi = bounds[pool], bounds[pool + 1]
-            chosen = lo + select_replacement(samples.genomes[lo:hi], samples.fitness[lo:hi], victim, archive)
+            chosen = lo + select_replacement(samples.genomes[lo:hi], samples.fitness[lo:hi], mean, archive)
             X[slots[pool]] = samples.genomes[chosen]
             f[slots[pool]] = samples.fitness[chosen]
             counters.replaced += 1

@@ -1,15 +1,15 @@
 """Grid pseudo-niching: coarse occupancy clustering without distance thresholds.
 
 The population is dropped into a per-dimension grid; every occupied cell is a
-cluster, and cells holding enough members count as high-density regions. A
-small per-generation archive of region centroids lets the replacement step
-prefer samples far from everything already explored this generation.
+cluster, and cells holding enough members count as high-density regions.
+Each cell has one integer code, so the grid is a few arrays: the sorted codes
+of the occupied cells, each member's cell, and the member count per cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,14 +21,13 @@ __all__ = [
     "DEFAULT_KEY_DIM_LIMIT",
     "DEFAULT_PROJECTED_DIMS",
     "GridIndex",
-    "Region",
-    "MemoryArchive",
+    "Regions",
     "bin_indices",
+    "cell_codes",
+    "check_key_length",
     "choose_key_dims",
     "build_grid",
     "high_density_regions",
-    "archive_push",
-    "archive_mean_distance",
     "discretize_genomes",
 ]
 
@@ -54,6 +53,26 @@ def bin_indices(points, space: SearchSpace, bins: int, dims=None) -> np.ndarray:
     return np.clip(scaled, 0, bins - 1, out=scaled).astype(int)
 
 
+def check_key_length(bins: int, length: int) -> None:
+    """Cell codes are int64: a grid needs bins ** length < 2**63 cells."""
+    if bins**length >= 2**63:
+        raise ValueError(
+            f"grid_bins {bins} ** key length {length} is at least 2**63, "
+            "too many cells for int64 cell codes"
+        )
+
+
+def _radix(bins: int, length: int) -> np.ndarray:
+    return bins ** np.arange(length - 1, -1, -1, dtype=np.int64)
+
+
+def cell_codes(points, space: SearchSpace, bins: int, dims) -> np.ndarray:
+    """Cell code of each point: the mixed-radix number of its bin indices
+    over `dims`, the first most significant, so codes sort as the bin-index
+    tuples do."""
+    return bin_indices(points, space, bins, dims) @ _radix(bins, len(dims))
+
+
 def choose_key_dims(
     dim: int,
     rng: RngStream,
@@ -68,158 +87,89 @@ def choose_key_dims(
 
 @dataclass
 class GridIndex:
-    """Occupancy map from cell key (tuple of bin indices) to member indices."""
+    """The occupied cells of a population, by `cell_codes` over `effective_dims`."""
 
     bins_per_dim: int
     effective_dims: tuple[int, ...]
-    cells: dict[tuple[int, ...], list[int]]
     space: SearchSpace
+    cells: np.ndarray    # sorted codes of the occupied cells
+    cell_of: np.ndarray  # each member's position in `cells`
+    counts: np.ndarray   # members per occupied cell
 
-    def key_of(self, genome) -> tuple[int, ...]:
-        return tuple(bin_indices(genome, self.space, self.bins_per_dim, self.effective_dims).tolist())
+    def keys(self, codes) -> np.ndarray:
+        """Bin-index rows of cell codes, the inverse of `cell_codes`."""
+        radix = _radix(self.bins_per_dim, len(self.effective_dims))
+        return np.asarray(codes)[:, None] // radix % self.bins_per_dim
 
     def unoccupied(self, points) -> np.ndarray:
-        """Mask of the rows of an (n, dim) matrix whose cell holds no member.
-
-        Keys are matched against the occupied keys a block of coordinates at
-        a time. A matched prefix is coded by its rank among the occupied
-        prefixes, so codes stay below 2**62 however long the keys are; at
-        the default sizes one block covers the whole key.
-        """
-        bins = self.bins_per_dim
-        keys = bin_indices(points, self.space, bins, self.effective_dims)
-        free = np.zeros(len(keys), dtype=bool)
-        if not self.cells:
-            return ~free
-        occupied = np.array(list(self.cells))
-        block = max(1, (62 - len(self.cells).bit_length()) // math.ceil(math.log2(bins)))
-        code = np.zeros(len(keys), dtype=np.int64)
-        occupied_code = np.zeros(len(occupied), dtype=np.int64)
-        for j in range(0, keys.shape[1], block):
-            radix = bins ** np.arange(min(block, keys.shape[1] - j), dtype=np.int64)
-            shift = bins * radix[-1]
-            prefixes, occupied_code = np.unique(
-                occupied_code * shift + occupied[:, j : j + block] @ radix, return_inverse=True
-            )
-            wanted = code * shift + keys[:, j : j + block] @ radix
-            code = np.searchsorted(prefixes, wanted)
-            free |= prefixes[np.minimum(code, len(prefixes) - 1)] != wanted
-        return free
-
-    def is_occupied(self, key: tuple[int, ...]) -> bool:
-        return key in self.cells
+        """Mask of the rows of an (n, dim) matrix whose cell holds no member."""
+        codes = cell_codes(points, self.space, self.bins_per_dim, self.effective_dims)
+        at = np.minimum(np.searchsorted(self.cells, codes), len(self.cells) - 1)
+        return self.cells[at] != codes
 
 
 def build_grid(
     population: Population,
     space: SearchSpace,
     bins: int = DEFAULT_BINS,
-    rng: RngStream | None = None,
     key_dims: tuple[int, ...] | None = None,
-    key_dim_limit: int = DEFAULT_KEY_DIM_LIMIT,
-    projected_dims: int = DEFAULT_PROJECTED_DIMS,
 ) -> GridIndex:
-    """Index every member by its cell key.
-
-    Callers that run many generations should draw `key_dims` once and pass it
-    in, so high-dimensional runs keep a stable projection.
-    """
+    """Index every member by its cell code, over `key_dims` (all dimensions
+    by default). Runs that project draw `key_dims` once and pass it in, so
+    the projection stays fixed."""
     if bins < 2:
         raise ValueError(f"need at least 2 bins per dimension, got {bins}")
-    if key_dims is None:
-        if space.dim <= key_dim_limit:
-            key_dims = tuple(range(space.dim))
-        else:
-            if rng is None:
-                raise ValueError("rng is required to draw projected key dimensions")
-            key_dims = choose_key_dims(space.dim, rng, key_dim_limit, projected_dims)
-
-    keys = bin_indices(population.X, space, bins, key_dims)
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for i, row in enumerate(keys.tolist()):
-        cells.setdefault(tuple(row), []).append(i)
-    return GridIndex(bins, tuple(key_dims), cells, space)
+    key_dims = tuple(range(space.dim)) if key_dims is None else tuple(key_dims)
+    check_key_length(bins, len(key_dims))
+    cells, cell_of = np.unique(cell_codes(population.X, space, bins, key_dims), return_inverse=True)
+    return GridIndex(bins, key_dims, space, cells, cell_of, np.bincount(cell_of))
 
 
-@dataclass
-class Region:
-    """One occupied cell dense enough to count: members, centroid, fitness stats."""
+@dataclass(frozen=True)
+class Regions:
+    """The high-density cells of `grid`, one row each: densest first, then
+    lower fitness mean, then lower cell code (the order of the bin-index
+    tuples)."""
 
-    cell_key: tuple[int, ...]
-    member_indices: list[int]
-    centroid: np.ndarray
-    density: int
-    fitness_mean: float
-    fitness_std: float
+    grid: GridIndex
+    code: np.ndarray      # (r,) cell code
+    density: np.ndarray   # (r,) members in the cell
+    mean: np.ndarray      # (r,) fitness mean of the members
+    std: np.ndarray       # (r,) fitness std of the members; NaN when one is at +inf
+    centroid: np.ndarray  # (r, dim) mean genome of the members
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    @property
+    def key(self) -> np.ndarray:
+        """(r, key length) bin indices of each region's cell."""
+        return self.grid.keys(self.code)
 
 
 def high_density_regions(
     grid: GridIndex,
     population: Population,
     density_fraction: float = DEFAULT_DENSITY_FRACTION,
-) -> list[Region]:
+) -> Regions:
     """Occupied cells holding at least max(2, ceil(fraction * N)) members.
 
-    Sorted densest first; ties broken by lower mean fitness, then by cell key.
+    Each region's statistics are taken over its members in index order, one
+    region at a time, so they are the same to the bit as numpy's `mean` and
+    `std` of those members.
     """
     threshold = max(2, math.ceil(density_fraction * population.size))
-    x, fitness = population.X, population.f
-
-    regions = []
-    for key, idxs in grid.cells.items():
-        if len(idxs) < threshold:
-            continue
-        f = fitness[idxs]
-        with np.errstate(invalid="ignore"):  # a member at +inf makes the std NaN
-            std = float(f.std())
-        regions.append(
-            Region(
-                cell_key=key,
-                member_indices=list(idxs),
-                centroid=x[idxs].mean(axis=0),
-                density=len(idxs),
-                fitness_mean=float(f.mean()),
-                fitness_std=std,
-            )
-        )
-    regions.sort(key=lambda r: (-r.density, r.fitness_mean, r.cell_key))
-    return regions
-
-
-@dataclass
-class MemoryArchive:
-    """Centroids of regions processed so far in the current generation."""
-
-    centroids: list[np.ndarray] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.centroids)
-
-    def clear(self) -> None:
-        self.centroids.clear()
-
-
-def archive_push(archive: MemoryArchive, centroid) -> MemoryArchive:
-    archive.centroids.append(np.asarray(centroid, dtype=float))
-    return archive
-
-
-def archive_mean_distance(archive: MemoryArchive, x) -> float:
-    """Mean Euclidean distance from x to the archived centroids.
-
-    An empty archive returns +inf, which outranks any finite distance and
-    makes the first region's replacements prefer fitness alone.
-    """
-    if not archive.centroids:
-        return math.inf
-    point = np.asarray(x, dtype=float)
-    stacked = np.stack(archive.centroids)
-    if stacked.shape[1] != point.shape[0]:
-        raise ValueError(
-            f"archive centroids have dim {stacked.shape[1]}, point has dim {point.shape[0]}"
-        )
-    diffs = stacked - point
-    return float(np.mean(np.sqrt(np.sum(diffs * diffs, axis=1))))
+    dense = np.flatnonzero(grid.counts >= threshold)
+    mean, std = np.empty(len(dense)), np.empty(len(dense))
+    centroid = np.empty((len(dense), population.X.shape[1]))
+    with np.errstate(invalid="ignore"):  # a member at +inf makes the std NaN
+        for r, c in enumerate(dense.tolist()):
+            idx = np.flatnonzero(grid.cell_of == c)
+            f = population.f[idx]
+            mean[r], std[r], centroid[r] = f.mean(), f.std(), population.X[idx].mean(axis=0)
+    code, density = grid.cells[dense], grid.counts[dense]
+    order = np.lexsort((code, mean, -density))
+    return Regions(grid, code[order], density[order], mean[order], std[order], centroid[order])
 
 
 def discretize_genomes(

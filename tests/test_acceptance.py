@@ -16,7 +16,6 @@ import numpy as np
 from counterniche import (
     ALGORITHMS,
     EngineConfig,
-    MemoryArchive,
     Population,
     RngStream,
     SearchSpace,
@@ -185,16 +184,15 @@ def test_criterion_08_informed_op_contract():
     grid = build_grid(pop, space, bins=4)
     regions = high_density_regions(grid, pop, 0.05)
     victims = detect_victims(regions, pop, cfg)
+    member_codes = grid.cells[grid.cell_of]
     flagged_exactly = (
         len(victims) == 1
-        and sorted(victims[0].region.member_indices) == list(range(20))
+        and sorted(np.flatnonzero(member_codes == regions.code[victims.row[0]])) == list(range(20))
     )
 
-    out, counters = informed_mutation(
-        pop, victims, space, grid, fn, MemoryArchive(), rng, cfg
-    )
+    out, counters = informed_mutation(pop, victims, space, grid, fn, rng, cfg)
     size_ok = out.size == pop.size
-    mean = victims[0].region.fitness_mean if victims else math.nan
+    mean = victims.mean[0] if victims else math.nan
     changed = [i for i in range(pop.size) if not np.array_equal(out.X[i], pop.X[i])]
     strict = all(out.f[i] < mean for i in changed)
     ok = flagged_exactly and size_ok and strict and counters.replaced == len(changed)

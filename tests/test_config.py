@@ -6,9 +6,20 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from counterniche import ALGORITHMS, EngineConfig, default_config
+from counterniche import (
+    ALGORITHMS,
+    EngineConfig,
+    Population,
+    RngStream,
+    SearchSpace,
+    build_grid,
+    default_config,
+    make,
+    run,
+)
 from counterniche import cli
 from counterniche.engines import engine_knobs
 from counterniche.harness import load_matrix_config
@@ -121,6 +132,61 @@ def test_projected_dims_beyond_dim_fails_before_the_run(capsys, tmp_path):
     assert default_config("cnea", dim=4, projected_dims=11).projected_dims == 11
     assert default_config("cnea", dim=12, projected_dims=12).projected_dims == 12
     assert default_config("sea", dim=4, key_dim_limit=2, projected_dims=5).projected_dims == 5
+
+
+def test_projected_dims_beyond_dim_fails_in_run_before_any_draw():
+    cfg = EngineConfig("cnea", N=10, generations=1, key_dim_limit=2, projected_dims=5)
+    rng = RngStream(0)
+    with pytest.raises(ValueError, match="projected_dims 5 exceeds dim 4"):
+        run(cfg, make("ellipsoid", 4), rng)
+    assert rng.random() == RngStream(0).random()
+
+
+@pytest.mark.parametrize("dim,bins", [(60, 4), (40, 7)])
+def test_key_length_beyond_int64_is_rejected(dim, bins, tmp_path, capsys):
+    # every coordinate keys the grid: bins ** dim cells do not fit int64 codes
+    with pytest.raises(ValueError, match="too many cells"):
+        default_config("cnea", dim=dim, generations=1, grid_bins=bins, key_dim_limit=dim)
+    cfg = EngineConfig("cnea", N=10, generations=1, grid_bins=bins, key_dim_limit=dim)
+    with pytest.raises(ValueError, match="too many cells"):
+        run(cfg, make("ellipsoid", dim))
+
+    trace, dump = tmp_path / "t.csv", tmp_path / "regions.jsonl"
+    code = cli.main(
+        ["run", "--algo", "cnea", "--function", "ellipsoid", "--dim", str(dim),
+         "--generations", "1", "--grid-bins", str(bins), "--key-dim-limit", str(dim),
+         "--out", str(trace), "--regions-dump", str(dump)]
+    )
+    assert code == 2
+    assert f"grid_bins {bins} ** key length {dim}" in capsys.readouterr().err
+    assert not trace.exists() and not dump.exists()
+
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(
+        f"algos = cnea\nfunctions = ellipsoid\ndims = {dim}\ngrid_bins = {bins}\n"
+        f"key_dim_limit = {dim}\noutput_dir = {tmp_path / 'r'}\n"
+    )
+    assert cli.main(["sweep", "--config", str(sweep)]) == 2
+    assert "too many cells" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    # the same dimension projected onto the stock 10 key dims is fine
+    assert default_config("cnea", dim=dim, generations=1, grid_bins=bins).grid_bins == bins
+
+
+def test_key_length_bound_is_exact():
+    for bins, longest in [(2, 62), (3, 39), (4, 31)]:
+        default_config("cnea", dim=longest, generations=1, grid_bins=bins, key_dim_limit=longest)
+        with pytest.raises(ValueError, match="too many cells"):
+            default_config("cnea", dim=longest + 1, generations=1, grid_bins=bins, key_dim_limit=longest + 1)
+    # at the longest keys 2 bins allow, the first and the last key dim still tell cells apart
+    X = np.zeros((3, 62))
+    X[1, 0] = X[2, -1] = 1.0
+    grid = build_grid(Population(X, np.zeros(3)), SearchSpace.cube(62, 0.0, 1.0), 2)
+    assert grid.cells.tolist() == [0, 1, 2**61] and grid.cell_of.tolist() == [0, 2, 1]
+    cfg = default_config("cnea", dim=62, generations=3, N=20, grid_bins=2, key_dim_limit=62)
+    assert len(run(cfg, make("ellipsoid", 62)).records) == 4
+    # the check is the cnea grid's: other engines never key a grid
+    assert default_config("sea", dim=60, generations=1, key_dim_limit=60).key_dim_limit == 60
 
 
 def test_every_knob_is_a_run_flag_and_a_sweep_key(tmp_path, monkeypatch, capsys):

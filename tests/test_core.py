@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from counterniche import Individual, Population, RngStream, SearchSpace, clamp, random_genome
+from counterniche import Individual, Population, RngStream, SearchSpace, clamp
 
 
 def test_search_space_validation():
@@ -214,13 +214,6 @@ def test_rng_stream_draws_equal_numpy(seed, ops):
     assert ours["has_uint32"] == theirs["has_uint32"]
     if theirs["has_uint32"]:
         assert ours["uinteger"] == theirs["uinteger"]
-
-
-def test_random_genome_inside_space():
-    s = SearchSpace.cube(6, -3.0, 5.0)
-    rng = RngStream(0)
-    for _ in range(20):
-        assert s.contains(random_genome(s, rng))
 
 
 def test_clamp_projects_and_validates():

@@ -5,15 +5,22 @@ bytes of the best genome of a short run. The digests were recorded before
 objective evaluation was batched, so they pin the order of every random draw
 and every fitness value. A change that moves a draw on purpose must say so in
 CHANGES.md and record them again with `python tests/test_golden.py`. The
-objective evaluations of each run are pinned beside them.
+objective evaluations of each run are pinned beside them, and for two cnea
+runs so is the `--regions-dump` output, which holds every dense region's key,
+density and fitness statistics. Those two were recorded while the grid was
+still a dict of member lists, before it became arrays of integer cell codes.
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from counterniche import default_config, make, run
+from counterniche import cli, default_config, make, run
 
 # name -> (algo, function, dim, config overrides)
 CASES = {
@@ -52,6 +59,12 @@ EVALUATIONS = {
     "dgea-rastrigin-8d-switching": 1313,
     "sea-ackley-8d": 1204,
     "socea-griewank-8d": 1207,
+}
+
+# name -> SHA-256 of the JSONL `counterniche run --regions-dump` writes for it
+REGIONS_DUMP_DIGESTS = {
+    "cnea-rastrigin-20d-projected": "d9c8ad76af9e01fc0329ec14e51241544465e252e36cef2d18157aa920cbcdef",
+    "cnea-schwefel12-10d-replacement": "333e403e5b35a2f04785ea148696791b262a1cc4eef6b210b8b33e30c3ab561f",
 }
 
 
@@ -110,6 +123,25 @@ def test_schwefel12_case_makes_one_replacement():
     assert sum(r.replacements for r in trace.records) == 1
 
 
+def regions_dump_digest(name: str, out_dir) -> str:
+    algo, function, dim, overrides = CASES[name]
+    dump = out_dir / f"{name}.jsonl"
+    code = cli.main(
+        ["run", "--algo", algo, "--function", function, "--dim", str(dim),
+         "--pop-size", str(overrides["N"]), "--generations", str(overrides["generations"]),
+         "--seed", str(overrides["seed"]), "--out", str(out_dir / f"{name}.csv"),
+         "--regions-dump", str(dump)]
+    )
+    assert code == 0
+    return hashlib.sha256(dump.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REGIONS_DUMP_DIGESTS))
+def test_regions_dump_matches_recorded_digest(name, tmp_path, capsys):
+    assert regions_dump_digest(name, tmp_path) == REGIONS_DUMP_DIGESTS[name]
+    capsys.readouterr()
+
+
 if __name__ == "__main__":
     runs = {case: run_case(case, EvaluateOnly) for case in sorted(CASES)}
     print("DIGESTS = {")
@@ -118,4 +150,10 @@ if __name__ == "__main__":
     print("}\n\nEVALUATIONS = {")
     for case, (_, evaluations) in runs.items():
         print(f'    "{case}": {evaluations},')
+    print("}\n\nREGIONS_DUMP_DIGESTS = {")
+    with tempfile.TemporaryDirectory() as out_dir:
+        for case in sorted(REGIONS_DUMP_DIGESTS):
+            with contextlib.redirect_stdout(io.StringIO()):
+                digest = regions_dump_digest(case, Path(out_dir))
+            print(f'    "{case}": "{digest}",')
     print("}")

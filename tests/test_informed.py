@@ -3,7 +3,6 @@ import pytest
 
 from counterniche import (
     EngineConfig,
-    MemoryArchive,
     Population,
     RngStream,
     SearchSpace,
@@ -15,26 +14,28 @@ from counterniche import (
     sample_virgin,
     select_replacement,
 )
-from counterniche.niching import Region, archive_push
+from counterniche.niching import bin_indices
 from counterniche import informed
-from counterniche.informed import VictimRegion
 
 
 def _pop(rows, fitness):
     return Population(rows, fitness)
 
 
-def _region(indices, pop, key=(0, 0)):
-    f = pop.f[indices]
-    x = pop.X[indices]
-    return Region(
-        cell_key=key,
-        member_indices=list(indices),
-        centroid=x.mean(axis=0),
-        density=len(indices),
-        fitness_mean=float(f.mean()),
-        fitness_std=float(f.std()),
-    )
+def _regions(pop):
+    """Grid (4 bins on the unit cube) and dense regions of a population."""
+    grid = build_grid(pop, SearchSpace.cube(pop.X.shape[1], 0.0, 1.0), bins=4)
+    return grid, high_density_regions(grid, pop, 0.05)
+
+
+def _members(grid, regions, row):
+    """Member indices of one region, ascending."""
+    return np.flatnonzero(grid.cells[grid.cell_of] == regions.code[row]).tolist()
+
+
+def _occupied(space, bins, members):
+    """Cell keys of the members, as a set of tuples."""
+    return {tuple(k) for k in bin_indices(members, space, bins).tolist()}
 
 
 def test_config_validation():
@@ -53,49 +54,48 @@ def test_config_validation():
 def test_detect_victims_spread_threshold():
     cfg = EngineConfig("cnea")
     pop = _pop([[0.1]] * 4 + [[0.9]] * 4, [5.0, 5.0, 5.0, 5.0, 1.0, 2.0, 3.0, 4.0])
-    tight = _region([0, 1, 2, 3], pop, key=(0,))
-    loose = _region([4, 5, 6, 7], pop, key=(3,))
-    victims = detect_victims([tight, loose], pop, cfg)
+    grid, regions = _regions(pop)
+    tight = _members(grid, regions, 1)
+    assert (tight, _members(grid, regions, 0)) == ([0, 1, 2, 3], [4, 5, 6, 7])
+    victims = detect_victims(regions, pop, cfg)
     # std 0 <= 0.01 * 6 flags the tight region; std ~1.12 > 0.01 * 3.5 spares the loose one
     assert len(victims) == 1
-    assert victims[0].region is tight
+    assert victims.row.tolist() == [1]
 
 
 def test_detect_victims_skips_a_region_at_inf():
     cfg = EngineConfig("cnea")
     pop = _pop([[0.1]] * 4, [np.inf] * 2 + [1.0] * 2)
-    with np.errstate(invalid="ignore"):
-        region = _region([0, 1, 2, 3], pop, key=(0,))
+    grid, regions = _regions(pop)
     # mean +inf, spread NaN: not "negligible", so not redundant
-    assert region.fitness_mean == np.inf and np.isnan(region.fitness_std)
-    assert detect_victims([region], pop, cfg) == []
+    assert regions.mean[0] == np.inf and np.isnan(regions.std[0])
+    assert len(detect_victims(regions, pop, cfg)) == 0
 
 
 def test_detect_victims_replacement_count_and_ties():
     cfg = EngineConfig("cnea", rho_replace=0.5)
     # five equal-fitness members: floor(0.5 * 5) = 2, ties resolved to lower index
     pop = _pop([[0.1]] * 5, [2.0] * 5)
-    region = _region([0, 1, 2, 3, 4], pop, key=(0,))
-    victims = detect_victims([region], pop, cfg)
-    assert victims[0].replace_indices == [0, 1]
-    assert victims[0].keep_indices == [2, 3, 4]
+    grid, regions = _regions(pop)
+    victims = detect_victims(regions, pop, cfg)
+    assert victims.replace[0] == [0, 1]
 
 
 def test_detect_victims_worst_members_replaced():
     cfg = EngineConfig("cnea")
     pop = _pop([[0.1]] * 4, [1.0, 1.004, 1.002, 1.003])
-    region = _region([0, 1, 2, 3], pop, key=(0,))
-    victims = detect_victims([region], pop, cfg)
+    grid, regions = _regions(pop)
+    victims = detect_victims(regions, pop, cfg)
     # floor(0.5 * 4) = 2 worst by fitness: indices 1 (1.004) then 3 (1.003)
-    assert victims[0].replace_indices == [1, 3]
+    assert victims.replace[0] == [1, 3]
 
 
 def test_detect_victims_skips_floor_zero():
     cfg = EngineConfig("cnea", rho_replace=0.4)
     pop = _pop([[0.1]] * 2, [1.0, 1.0])
-    region = _region([0, 1], pop, key=(0,))
+    grid, regions = _regions(pop)
     # floor(0.4 * 2) = 0: nothing to replace, the region is skipped
-    assert detect_victims([region], pop, cfg) == []
+    assert len(detect_victims(regions, pop, cfg)) == 0
 
 
 class _Quadratic:
@@ -118,15 +118,17 @@ def test_sample_virgin_avoids_occupied_cells():
     samples = sample_virgin(space, grid, fn, rng, budget=10)
     assert 0 < len(samples.fitness) <= 10
     assert samples.pool.tolist() == [0] * len(samples.fitness)
+    occupied = _occupied(space, 4, pop.X)
     for genome, fitness in zip(samples.genomes, samples.fitness):
-        assert not grid.is_occupied(grid.key_of(genome))
+        assert tuple(bin_indices(genome, space, 4).tolist()) not in occupied
         assert fitness == fn.evaluate(genome)
 
 
-def _virgin_reference(space, grid, fn, rng, budget):
-    """One pool row by row: the first `budget` unoccupied rows of 10 * budget draws."""
+def _virgin_reference(space, occupied, fn, rng, budget):
+    """One pool row by row: the first `budget` rows of 10 * budget draws
+    whose 4-bin cell key is not in `occupied`."""
     raw = rng.uniform(space.lower, space.upper, size=(10 * budget, space.dim))
-    rows = [row for row in raw if not grid.is_occupied(grid.key_of(row))][:budget]
+    rows = [row for row in raw if tuple(bin_indices(row, space, 4).tolist()) not in occupied][:budget]
     return rows, [fn.evaluate(row) for row in rows]
 
 
@@ -142,7 +144,7 @@ def test_sample_virgin_pools_match_one_draw_per_pool():
     sizes = np.bincount(together.pool, minlength=12)
     assert sizes.max() == 4 and sizes.min() < 4
     for pool in range(12):
-        rows, fitness = _virgin_reference(space, grid, fn, rng_each, budget=4)
+        rows, fitness = _virgin_reference(space, _occupied(space, 4, centres), fn, rng_each, budget=4)
         assert np.array_equal(together.genomes[together.pool == pool], np.reshape(rows, (-1, 2)))
         assert together.fitness[together.pool == pool].tolist() == fitness
     # both streams are left at the same place
@@ -234,31 +236,29 @@ def _candidates(*pairs):
 
 
 def test_select_replacement_requires_strict_improvement():
-    pop = _pop([[0.5, 0.5]] * 3, [1.0, 1.0, 1.0])
-    victim = VictimRegion(_region([0, 1, 2], pop), [0], [1, 2])
-    archive = MemoryArchive()
+    mean = 1.0  # the victim region's fitness mean
+    archive = np.array([[0.5, 0.5]])
     equal = ([0.1, 0.1], 1.0)   # not strictly better
     worse = ([0.2, 0.2], 2.0)
-    assert select_replacement(*_candidates(equal, worse), victim, archive) is None
+    assert select_replacement(*_candidates(equal, worse), mean, archive) is None
     better = ([0.3, 0.3], 0.5)
-    assert select_replacement(*_candidates(equal, better, worse), victim, archive) == 1
+    assert select_replacement(*_candidates(equal, better, worse), mean, archive) == 1
 
 
 def test_select_replacement_prefers_distance_then_fitness():
-    pop = _pop([[0.0, 0.0]] * 2, [10.0, 10.0])
-    victim = VictimRegion(_region([0, 1], pop), [0], [1])
-    archive = archive_push(MemoryArchive(), [0.0, 0.0])
+    mean = 10.0
+    archive = np.array([[0.0, 0.0]])
     near_fit = ([0.1, 0.0], 1.0)
     far_unfit = ([0.9, 0.0], 9.0)
     # distance dominates even though the near candidate is fitter
-    assert select_replacement(*_candidates(near_fit, far_unfit), victim, archive) == 1
+    assert select_replacement(*_candidates(near_fit, far_unfit), mean, archive) == 1
     # equal distances fall back to fitness
     a = ([0.5, 0.0], 3.0)
     b = ([-0.5, 0.0], 2.0)
-    assert select_replacement(*_candidates(a, b), victim, archive) == 1
+    assert select_replacement(*_candidates(a, b), mean, archive) == 1
     # full tie keeps the first seen
     c = ([0.5, 0.0], 3.0)
-    assert select_replacement(*_candidates(a, c), victim, archive) == 0
+    assert select_replacement(*_candidates(a, c), mean, archive) == 0
 
 
 def test_informed_mutation_planted_cluster():
@@ -274,24 +274,24 @@ def test_informed_mutation_planted_cluster():
     regions = high_density_regions(grid, pop, 0.05)
     victims = detect_victims(regions, pop, cfg)
     assert len(victims) == 1
-    assert sorted(victims[0].region.member_indices) == list(range(20))
-    assert len(victims[0].replace_indices) == 10
+    assert _members(grid, regions, victims.row[0]) == list(range(20))
+    assert len(victims.replace[0]) == 10
 
-    archive = MemoryArchive()
-    out, counters = informed_mutation(pop, victims, space, grid, fn, archive, rng, cfg)
+    out, counters = informed_mutation(pop, victims, space, grid, fn, rng, cfg)
     assert out.size == pop.size
     assert counters.victims == 1
     assert counters.replaced + counters.fallbacks == 10
     assert counters.replaced > 0
-    region_mean = victims[0].region.fitness_mean
+    region_mean = victims.mean[0]
     changed = [i for i in range(pop.size) if not np.array_equal(out.X[i], pop.X[i])]
     assert len(changed) == counters.replaced
+    occupied = _occupied(space, 4, X)
     for i in changed:
-        assert i in victims[0].replace_indices
+        assert i in victims.replace[0]
         assert out.f[i] < region_mean
         assert out.f[i] == fn.evaluate(out.X[i])
         # replacements come from cells that were unoccupied before the pass
-        assert not grid.is_occupied(grid.key_of(out.X[i]))
+        assert tuple(bin_indices(out.X[i], space, 4).tolist()) not in occupied
     # untouched members keep their genome and fitness
     for i in range(pop.size):
         if i not in changed:
@@ -316,15 +316,15 @@ def test_informed_mutation_skips_pools_without_a_sample_below_the_mean(monkeypat
     real = informed.select_replacement
     monkeypatch.setattr(informed, "select_replacement", lambda *a: calls.append(a) or real(*a))
 
-    out, counters = informed_mutation(pop, victims, space, grid, fn, MemoryArchive(), RngStream(3), cfg)
+    out, counters = informed_mutation(pop, victims, space, grid, fn, RngStream(3), cfg)
     # one sample per pool: a pool is asked only when its sample beats the mean, and then replaces
     assert len(calls) == counters.replaced > 0
     assert counters.fallbacks == 10 - counters.replaced > 0
     for genomes, fitness, _, _ in calls:
-        assert fitness.min() < victims[0].region.fitness_mean
+        assert fitness.min() < victims.mean[0]
 
 
-def test_informed_mutation_archive_grows_per_victim():
+def test_informed_mutation_archive_grows_per_victim(monkeypatch):
     space = SearchSpace.cube(2, 0.0, 1.0)
     fn = _Quadratic(space)
     pop = _pop([[0.1, 0.1]] * 3 + [[0.9, 0.9]] * 3, [1.0] * 3 + [2.0] * 3)
@@ -333,9 +333,13 @@ def test_informed_mutation_archive_grows_per_victim():
     regions = high_density_regions(grid, pop, 0.05)
     victims = detect_victims(regions, pop, cfg)
     assert len(victims) == 2
-    archive = MemoryArchive()
-    informed_mutation(pop, victims, space, grid, fn, archive, RngStream(0), cfg)
-    assert len(archive) == 2
+    archives = []
+    real = informed.select_replacement
+    monkeypatch.setattr(informed, "select_replacement", lambda *a: archives.append(a[3]) or real(*a))
+    informed_mutation(pop, victims, space, grid, fn, RngStream(0), cfg)
+    # the first victim's slots see its own centroid, the second's see both
+    assert {len(a) for a in archives} == {1, 2}
+    assert np.array_equal(archives[-1], regions.centroid)
 
 
 def test_informed_mutation_no_victims_is_identity():
@@ -343,9 +347,9 @@ def test_informed_mutation_no_victims_is_identity():
     fn = _Quadratic(space)
     pop = _pop([[0.2, 0.2], [0.8, 0.8]], [0.1, 0.9])
     grid = build_grid(pop, space, bins=4)
-    out, counters = informed_mutation(
-        pop, [], space, grid, fn, MemoryArchive(), RngStream(0), EngineConfig("cnea")
-    )
+    victims = detect_victims(high_density_regions(grid, pop, 0.05), pop, EngineConfig("cnea"))
+    assert len(victims) == 0
+    out, counters = informed_mutation(pop, victims, space, grid, fn, RngStream(0), EngineConfig("cnea"))
     assert np.array_equal(out.X, pop.X) and np.array_equal(out.f, pop.f)
     assert (counters.victims, counters.replaced, counters.fallbacks) == (0, 0, 0)
 

@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from counterniche import (
-    MemoryArchive,
-    Population,
-    RngStream,
-    SearchSpace,
-    archive_mean_distance,
-    archive_push,
-    build_grid,
-    high_density_regions,
-)
+from counterniche import Population, RngStream, SearchSpace, build_grid, high_density_regions
 from counterniche.niching import bin_indices, choose_key_dims, discretize_genomes
 
 
 def _pop(rows, fitness=None):
     return Population(rows, fitness if fitness is not None else np.zeros(len(rows)))
+
+
+def _cells(grid):
+    """The grid as a dict from cell key (tuple of bin indices) to member indices."""
+    cells = {}
+    for i, key in enumerate(grid.keys(grid.cells[grid.cell_of]).tolist()):
+        cells.setdefault(tuple(key), []).append(i)
+    return cells
 
 
 def test_bin_indices_unit_square():
@@ -55,11 +54,15 @@ def test_build_grid_partitions_population():
     genomes = rng.uniform(space.lower, space.upper, size=(40, 3))
     pop = _pop(genomes)
     grid = build_grid(pop, space, bins=4)
-    seen = sorted(i for idxs in grid.cells.values() for i in idxs)
+    cells = _cells(grid)
+    seen = sorted(i for idxs in cells.values() for i in idxs)
     assert seen == list(range(40))
-    for key, idxs in grid.cells.items():
+    for key, idxs in cells.items():
         for i in idxs:
-            assert grid.key_of(genomes[i]) == key
+            assert tuple(bin_indices(genomes[i], space, 4).tolist()) == key
+    keys = [tuple(k) for k in grid.keys(grid.cells).tolist()]
+    assert keys == sorted(cells)  # code order is key order
+    assert grid.counts.tolist() == [len(cells[k]) for k in keys]
 
 
 def test_build_grid_validates_bins():
@@ -68,29 +71,29 @@ def test_build_grid_validates_bins():
         build_grid(pop, SearchSpace.cube(1, 0.0, 1.0), bins=1)
 
 
-def test_build_grid_high_dim_needs_rng_or_key_dims():
+def test_build_grid_uses_key_dims_verbatim():
     space = SearchSpace.cube(20, 0.0, 1.0)
     pop = _pop(np.full((3, 20), 0.5))
-    with pytest.raises(ValueError):
-        build_grid(pop, space, bins=4)
-    grid = build_grid(pop, space, bins=4, rng=RngStream(1))
-    assert len(grid.effective_dims) == 10
+    assert build_grid(pop, space, bins=4).effective_dims == tuple(range(20))
     # precomputed projection is used verbatim
     grid2 = build_grid(pop, space, bins=4, key_dims=(0, 1, 2))
     assert grid2.effective_dims == (0, 1, 2)
-    assert len(next(iter(grid2.cells.keys()))) == 3
+    assert grid2.keys(grid2.cells).tolist() == [[2, 2, 2]]
+    # keys too long for int64 codes fail, unless a projection shortens them
+    wide, wide_space = _pop(np.full((3, 40), 0.5)), SearchSpace.cube(40, 0.0, 1.0)
+    with pytest.raises(ValueError, match="too many cells"):
+        build_grid(wide, wide_space, bins=4)
+    assert len(build_grid(wide, wide_space, bins=4, key_dims=range(31)).cells) == 1
 
 
 def test_is_occupied():
     space = SearchSpace.cube(2, 0.0, 1.0)
     grid = build_grid(_pop([[0.1, 0.1]]), space, bins=4)
-    assert grid.is_occupied((0, 0))
-    assert not grid.is_occupied((3, 3))
+    assert grid.unoccupied([[0.1, 0.2], [0.9, 0.9]]).tolist() == [False, True]
 
 
-@pytest.mark.parametrize("dim,bins,key_dims", [(2, 4, None), (12, 3, (1, 4, 7)), (60, 4, None), (40, 7, None)])
+@pytest.mark.parametrize("dim,bins,key_dims", [(2, 4, None), (12, 3, (1, 4, 7))])
 def test_unoccupied_matches_key_lookup(dim, bins, key_dims):
-    # 60 and 40 coordinates need more than one 62-bit block per key
     space = SearchSpace.cube(dim, -1.0, 1.0)
     rng = np.random.default_rng(dim)
     centres = rng.uniform(-1.0, 1.0, size=(3, dim))
@@ -99,7 +102,10 @@ def test_unoccupied_matches_key_lookup(dim, bins, key_dims):
     near = np.clip(members + rng.normal(0, 0.02, members.shape), -1, 1)
     points = np.concatenate([members, near, rng.uniform(-1.0, 1.0, (40, dim))])
     free = grid.unoccupied(points)
-    assert free.tolist() == [not grid.is_occupied(grid.key_of(p)) for p in points]
+    dims = grid.effective_dims
+    occupied = {tuple(k) for k in bin_indices(members, space, bins, dims).tolist()}
+    keys = bin_indices(points, space, bins, dims).tolist()
+    assert free.tolist() == [tuple(k) not in occupied for k in keys]
     assert not free[:40].any() and free[80:].any()
 
 
@@ -114,14 +120,14 @@ def test_high_density_regions_threshold():
     # 13 members: ceil(0.05 * 13) = 1, so the floor of 2 is what binds
     threshold = max(2, math.ceil(0.05 * pop.size))
     assert threshold == 2
-    assert all(r.density >= threshold for r in regions)
-    dense_keys = {r.cell_key for r in regions}
+    assert all(regions.density >= threshold)
+    dense_keys = {tuple(k) for k in regions.key.tolist()}
     assert (0, 0) in dense_keys
     assert (3, 3) in dense_keys
     # singletons never count, whatever the fraction says
     big = _pop([[0.1, 0.1], [0.9, 0.9]], [0.0, 1.0])
     lone = high_density_regions(build_grid(big, space, bins=4), big, 0.0)
-    assert lone == []
+    assert len(lone) == 0
 
 
 def test_high_density_regions_stats_and_order():
@@ -133,11 +139,11 @@ def test_high_density_regions_stats_and_order():
     regions = high_density_regions(grid, pop, 0.05)
     assert len(regions) == 2
     # equal densities: the lower fitness mean comes first
-    assert regions[0].cell_key == (3,)
-    assert regions[0].fitness_mean == pytest.approx(2.0)
-    assert regions[0].fitness_std == pytest.approx(np.std([1.0, 2.0, 3.0]))
-    assert regions[1].centroid[0] == pytest.approx(0.1)
-    assert regions[0].density == regions[1].density == 3
+    assert regions.key[0].tolist() == [3]
+    assert regions.mean[0] == pytest.approx(2.0)
+    assert regions.std[0] == pytest.approx(np.std([1.0, 2.0, 3.0]))
+    assert regions.centroid[1][0] == pytest.approx(0.1)
+    assert regions.density[0] == regions.density[1] == 3
 
 
 def test_high_density_sorted_densest_first():
@@ -146,25 +152,7 @@ def test_high_density_sorted_densest_first():
     pop = _pop(rows, [1.0] * 6)
     grid = build_grid(pop, space, bins=4)
     regions = high_density_regions(grid, pop, 0.05)
-    assert [r.density for r in regions] == [4, 2]
-
-
-def test_archive_distance_and_push():
-    archive = MemoryArchive()
-    assert len(archive) == 0
-    assert archive_mean_distance(archive, [0.0, 0.0]) == math.inf
-    archive_push(archive, [0.0, 0.0])
-    archive_push(archive, [2.0, 0.0])
-    assert len(archive) == 2
-    assert archive_mean_distance(archive, [1.0, 0.0]) == pytest.approx(1.0)
-    archive.clear()
-    assert len(archive) == 0
-
-
-def test_archive_distance_validates_dim():
-    archive = archive_push(MemoryArchive(), [0.0, 0.0])
-    with pytest.raises(ValueError):
-        archive_mean_distance(archive, [1.0, 2.0, 3.0])
+    assert regions.density.tolist() == [4, 2]
 
 
 def test_discretize_genomes_full_dimension():
@@ -181,7 +169,8 @@ def test_grid_cells_always_partition(bins, n, seed):
     space = SearchSpace.cube(2, -4.0, 4.0)
     genomes = rng.uniform(space.lower, space.upper, size=(n, 2))
     grid = build_grid(_pop(genomes), space, bins=bins)
-    seen = sorted(i for idxs in grid.cells.values() for i in idxs)
+    cells = _cells(grid)
+    seen = sorted(i for idxs in cells.values() for i in idxs)
     assert seen == list(range(n))
-    for key in grid.cells:
+    for key in cells:
         assert all(0 <= k < bins for k in key)
