@@ -169,11 +169,15 @@ class RngStream:
             self._spare = word >> 32
             return word & _U32_MAX
         if spare == _NUMPY_HOLDS:
-            state = self._bits.state
-            self._spare = state["uinteger"] if state["has_uint32"] else None
+            self._take_spare()
             return self._next_u32()
         self._spare = None
         return spare
+
+    def _take_spare(self) -> None:
+        """Move the spare half, if numpy's buffer holds one, to the stream."""
+        state = self._bits.state
+        self._spare = state["uinteger"] if state["has_uint32"] else None
 
     def _hand_back(self) -> None:
         """Put the spare half back into numpy's buffer before numpy draws
@@ -187,6 +191,27 @@ class RngStream:
             state["uinteger"] = spare
         self._bits.state = state
         self._spare = _NUMPY_HOLDS
+
+    def skip(self, words: int) -> None:
+        """Move the stream past `words` 64-bit words without drawing them, to
+        where `random(words)` would leave it: each uniform double takes one
+        word, so PCG64's `advance` is exact. `advance` drops numpy's buffered
+        spare half, so the stream takes that half first."""
+        if self._spare == _NUMPY_HOLDS:
+            self._take_spare()
+        self._bits.advance(words)
+
+    def position(self) -> dict:
+        """The stream's place, for `replay`."""
+        return self._bits.state
+
+    @staticmethod
+    def replay(position: dict) -> np.random.Generator:
+        """A generator that starts at a `position` of some stream, to draw
+        again words that stream has passed, without moving it."""
+        bits = np.random.PCG64()
+        bits.state = position
+        return np.random.Generator(bits)
 
     def random(self, size=None):
         return self._gen.random(size)

@@ -93,21 +93,41 @@ def sample_virgin(
     for each of `pools` pools of 10 * budget raw draws.
 
     Heavily occupied grids can therefore leave a pool with fewer samples, or
-    none. All pools come from one draw, which yields the same rows as one
-    draw per pool, and all samples are evaluated in one batch. A pool keeps
-    its first `budget` unoccupied rows, so only its first `budget` rows are
-    looked up, unless one of them is occupied: then the whole pool is.
+    none. The pools take consecutive stretches of the stream, as one draw per
+    pool would, and all samples are evaluated in one batch. A pool keeps its
+    first `budget` unoccupied rows, so only its first `budget` rows are drawn
+    and looked up; the stream skips its other 9 * budget rows. If one of those
+    first rows is occupied, the pool is short: its skipped rows are drawn
+    again from the stream's position at the start of the call, and the whole
+    pool is looked up. Either way the stream ends where drawing every row of
+    every pool would leave it.
     """
+    dim = space.dim
     if budget <= 0 or pools <= 0:
-        return VirginSamples(np.empty((0, space.dim)), np.empty(0), np.empty(0, dtype=int))
-    draws = 10 * budget
-    raw = rng.uniform(*space.draw_bounds(), size=(pools, draws, space.dim))
+        return VirginSamples(np.empty((0, dim)), np.empty(0), np.empty(0, dtype=int))
+    draws, (low, high) = 10 * budget, space.draw_bounds()
+    start = rng.position()
+    head = np.empty((pools, budget, dim))
+    for p in range(pools):
+        head[p] = rng.uniform(low, high, size=(budget, dim))
+        rng.skip((draws - budget) * dim)
+    genomes = head.reshape(-1, dim)
+    head_free = grid.unoccupied(genomes).reshape(pools, budget)
+    short = np.flatnonzero(~head_free.all(axis=1))
+    if not short.size:
+        return VirginSamples(genomes, evaluate_rows(fn, genomes), np.repeat(np.arange(pools), budget))
+    raw = np.empty((pools, draws, dim))
+    raw[:, :budget] = head
+    replay, at = RngStream.replay(start), 0
+    for p in short.tolist():
+        tail = (p * draws + budget) * dim  # the first word of the pool's skipped rows
+        replay.bit_generator.advance(tail - at)
+        raw[p, budget:] = replay.uniform(low, high, size=(draws - budget, dim))
+        at = tail + (draws - budget) * dim
     free = np.zeros((pools, draws), dtype=bool)
-    free[:, :budget] = grid.unoccupied(raw[:, :budget].reshape(-1, space.dim)).reshape(pools, budget)
-    short = np.flatnonzero(~free[:, :budget].all(axis=1))
-    if short.size:
-        free[short] = grid.unoccupied(raw[short].reshape(-1, space.dim)).reshape(-1, draws)
-        free &= np.cumsum(free, axis=1) <= budget
+    free[:, :budget] = head_free
+    free[short, budget:] = grid.unoccupied(raw[short, budget:].reshape(-1, dim)).reshape(len(short), -1)
+    free &= np.cumsum(free, axis=1) <= budget
     pool, row = np.nonzero(free)
     genomes = raw[pool, row]
     return VirginSamples(genomes, evaluate_rows(fn, genomes), pool)

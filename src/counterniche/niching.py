@@ -28,7 +28,6 @@ __all__ = [
     "choose_key_dims",
     "build_grid",
     "high_density_regions",
-    "discretize_genomes",
 ]
 
 DEFAULT_BINS = 4
@@ -171,10 +170,3 @@ def high_density_regions(
     order = np.lexsort((code, mean, -density))
     return Regions(grid, code[order], density[order], mean[order], std[order], centroid[order])
 
-
-def discretize_genomes(
-    population: Population, space: SearchSpace, bins: int = DEFAULT_BINS
-) -> list[tuple[int, ...]]:
-    """Full-dimension bin-index rows, suitable for the locus diversity measures."""
-    keys = bin_indices(population.X, space, bins)
-    return [tuple(int(v) for v in row) for row in keys.tolist()]

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 __all__ = [
     "RunSummary",
@@ -83,7 +82,12 @@ class TTestResult:
 
 def two_tailed_p(t: float, df: int) -> float:
     """P(|T| >= |t|) for T with df degrees of freedom, via the regularized
-    incomplete beta function. Exactly 1 at t=0."""
+    incomplete beta function. Exactly 1 at t=0.
+
+    scipy is imported here, not at module level: it is about half of the
+    package's import time, and only the t-test needs it."""
+    from scipy.special import betainc
+
     if df < 1:
         raise ValueError("degrees of freedom must be at least 1")
     t = float(t)

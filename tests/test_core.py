@@ -216,6 +216,45 @@ def test_rng_stream_draws_equal_numpy(seed, ops):
         assert ours["uinteger"] == theirs["uinteger"]
 
 
+# Start states for `skip`: numpy's buffer holds the spare half, the stream
+# holds it, or no half is spare.
+SKIP_STARTS = {
+    "numpy-spare": lambda r: r.integers(0, 5, size=1),
+    "stream-spare": lambda r: r.integers(0, 5),
+    "no-spare": lambda r: (r.integers(0, 5), r.integers(0, 5)),
+}
+
+
+@pytest.mark.parametrize("start", SKIP_STARTS)
+@pytest.mark.parametrize("words", [0, 1, 7, 1800])
+def test_rng_stream_skip_equals_drawing_the_words(start, words):
+    """skip(k) leaves the stream where random(k) leaves a plain Generator,
+    spare half included, whatever holds that half."""
+    rng, plain = RngStream(11), np.random.Generator(np.random.PCG64(11))
+    assert np.array_equal(SKIP_STARTS[start](rng), SKIP_STARTS[start](plain))
+    if start == "numpy-spare":
+        assert rng._bits.state["has_uint32"] == 1
+    rng.skip(words)
+    plain.random(words)
+    for _ in range(3):
+        assert [rng.integers(0, 1000) for _ in range(3)] == [int(plain.integers(0, 1000)) for _ in range(3)]
+        assert np.array_equal(rng.random(4), plain.random(4))
+        assert np.array_equal(rng.normal(size=3), plain.normal(size=3))
+        assert np.array_equal(rng.permutation(9), plain.permutation(9))
+
+
+def test_rng_stream_replay_draws_from_a_saved_position():
+    rng = RngStream(4)
+    rng.integers(0, 5)
+    start = rng.position()
+    ahead = rng.random(6)
+    rng.skip(3)
+    replay = RngStream.replay(start)
+    assert np.array_equal(replay.random(6), ahead)
+    replay.bit_generator.advance(3)
+    assert np.array_equal(replay.random(2), rng.random(2))
+
+
 def test_clamp_projects_and_validates():
     s = SearchSpace.cube(2, 0.0, 1.0)
     assert np.array_equal(clamp([-1.0, 2.0], s), [0.0, 1.0])

@@ -173,16 +173,21 @@ def test_sample_virgin_short_pools_match_full_mask(dim, key_dims, bins):
         # crowded grids: from a few members to enough to fill nearly every cell
         members = rng.uniform(space.lower, space.upper, size=(1 + 7 * seed * bins, dim))
         grid = build_grid(_pop(members, np.zeros(len(members))), space, bins, key_dims=key_dims)
-        for budget, pools in [(1, 1), (2, 30), (3, 7), (5, 12)]:
-            rng_short, rng_full = RngStream(50 + seed), RngStream(50 + seed)
+        # the last case starts with a spare 32-bit half pending in numpy's buffer
+        for budget, pools, spare in [(1, 1, False), (2, 30, False), (3, 7, False), (5, 12, False), (4, 9, True)]:
+            rng_short, rng_full, rng_raw = RngStream(50 + seed), RngStream(50 + seed), RngStream(50 + seed)
+            if spare:
+                for r in (rng_short, rng_full, rng_raw):
+                    r.integers(0, 5, size=1)
             samples = sample_virgin(space, grid, fn, rng_short, budget, pools)
             genomes, fitness, pool = _virgin_full_mask(space, grid, fn, rng_full, budget, pools)
             assert np.array_equal(samples.genomes, genomes)
             assert np.array_equal(samples.fitness, fitness)
             assert np.array_equal(samples.pool, pool)
+            assert rng_short.integers(0, 1000) == rng_full.integers(0, 1000)
             assert rng_short.random() == rng_full.random()
             # which path each pool took: a head row occupied means the whole pool is looked up
-            raw = RngStream(50 + seed).uniform(space.lower, space.upper, size=(pools, 10 * budget, dim))
+            raw = rng_raw.uniform(space.lower, space.upper, size=(pools, 10 * budget, dim))
             head_free = grid.unoccupied(raw[:, :budget].reshape(-1, dim)).reshape(pools, budget).all(axis=1)
             kept_head_only += int(head_free.sum())
             looked_up_whole_pool += int((~head_free).sum())

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterniche import Population, RngStream, SearchSpace, build_grid, high_density_regions
-from counterniche.niching import bin_indices, choose_key_dims, discretize_genomes
+from counterniche.niching import bin_indices, choose_key_dims
 
 
 def _pop(rows, fitness=None):
@@ -153,13 +153,6 @@ def test_high_density_sorted_densest_first():
     grid = build_grid(pop, space, bins=4)
     regions = high_density_regions(grid, pop, 0.05)
     assert regions.density.tolist() == [4, 2]
-
-
-def test_discretize_genomes_full_dimension():
-    space = SearchSpace.cube(2, 0.0, 1.0)
-    pop = _pop([[0.1, 0.9], [0.6, 0.2]])
-    rows = discretize_genomes(pop, space, bins=4)
-    assert rows == [(0, 3), (2, 0)]
 
 
 @settings(max_examples=100)
