@@ -119,6 +119,8 @@ class EngineConfig:
             raise ValueError("grid_bins must be at least 2")
         if self.sea_variance_mode not in ("printed", "annealed"):
             raise ValueError(f"unknown sea_variance_mode {self.sea_variance_mode!r}")
+        for name in _FINITE_KNOBS:
+            check_finite(name, getattr(self, name))
         if not self.pow_upper > 1.0:
             raise ValueError("pow_upper must exceed 1")
         if self.algo == "cea" and self.cea_rows * self.cea_cols != self.N:
@@ -127,6 +129,16 @@ class EngineConfig:
             )
         if self.d_low >= self.d_high:
             raise ValueError("d_low must stay below d_high")
+
+
+_FINITE_KNOBS = ("pow_exponent", "pow_upper", "d_low", "d_high")
+
+
+def check_finite(name: str, value) -> None:
+    """Refuse NaN and +-inf for the float knobs that have no range check to
+    catch them: `pow_exponent`, `pow_upper`, `d_low` and `d_high`."""
+    if name in _FINITE_KNOBS and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def engine_knobs() -> dict[str, Field]:
@@ -285,48 +297,65 @@ def _cnea_steps(
         ), best
 
 
-def _sea_offspring(
-    pop: Population, cfg: EngineConfig, fn, rng: RngStream, variance: Callable[[], float]
-) -> Population:
-    """Tournament parents, arithmetic crossover, and whole-genome Gaussian
-    mutation whose variance `variance()` gives child by child."""
-    n, space = cfg.N, fn.space
-    draws = Variation(n, space.dim, rng)
-    for k in range(n):
-        draws.tournaments(k)
-        draws.crossover(k, cfg.p_r)
-        if rng.random() < cfg.p_m_genome:
-            draws.mutation(k, variance())
-    first, second = draws.parents(pop.f)
-    children, fresh = draws.children(pop.X, first, second, space)
+def _breed(pop: Population, draws: Variation, first, second, fn) -> Population:
+    """The children `draws` makes from rows first[k] and second[k] of the
+    population, with their fitness: the changed ones are evaluated, the
+    others keep their first parent's."""
+    children, fresh = draws.children(pop.X, first, second, fn.space)
     return Population(children, evaluate_children(fn, children, fresh, pop.f[first]))
 
 
+def _pow_variances(alpha: float, cfg: EngineConfig, rng: RngStream) -> Callable[[int], np.ndarray]:
+    """POW(alpha) mutation variances, `size` per call."""
+    return lambda size: pow_sample(alpha, rng, cfg.pow_exponent, cfg.pow_upper, size=size)
+
+
+def _sea_offspring(pop: Population, cfg: EngineConfig, fn, rng: RngStream, variance: float) -> Population:
+    """Tournament parents, arithmetic crossover, and whole-genome Gaussian
+    mutation of the given variance, drawn child by child."""
+    draws = Variation(cfg.N, fn.space.dim, rng)
+    for k in range(cfg.N):
+        draws.tournaments(k)
+        draws.crossover(k, cfg.p_r)
+        if rng.random() < cfg.p_m_genome:
+            draws.mutation(k, variance)
+    return _breed(pop, draws, *draws.parents(pop.f), fn)
+
+
+def _socea_offspring(pop: Population, cfg: EngineConfig, fn, rng: RngStream) -> Population:
+    """Tournament parents, arithmetic crossover, and whole-genome POW(10)
+    mutation, drawn as whole arrays."""
+    draws = Variation(cfg.N, fn.space.dim, rng)
+    draws.all_tournaments()
+    draws.all_crossovers(cfg.p_r)
+    draws.all_mutations(cfg.p_m_genome, _pow_variances(10.0, cfg, rng))
+    return _breed(pop, draws, *draws.parents(pop.f), fn)
+
+
 def _sea_like_steps(
-    cfg: EngineConfig, fn, rng: RngStream, variance_source: Callable[[int, RngStream], float]
+    cfg: EngineConfig, fn, rng: RngStream, offspring: Callable[[Population, int], Population]
 ) -> Iterator[tuple[GenRecord, Individual]]:
-    """Generational EA core shared by the simple and self-organized variants."""
+    """Generational EA core shared by the simple and self-organized variants:
+    `offspring(pop, t)` breeds generation t from its parents."""
     space = fn.space
     pop = _init_population(cfg, fn, rng)
     best = pop.best()
     yield _record(pop, space, 0), best
     for t in itertools.count(1):
-        offspring = _sea_offspring(pop, cfg, fn, rng, lambda: variance_source(t - 1, rng))
-        pop = _elitist_merge(pop, offspring, cfg.elitism_count)
+        pop = _elitist_merge(pop, offspring(pop, t), cfg.elitism_count)
         best = _track_best(best, pop)
         yield _record(pop, space, t), best
 
 
 def _sea_steps(cfg: EngineConfig, fn, rng: RngStream):
     mode = cfg.sea_variance_mode
-    return _sea_like_steps(cfg, fn, rng, lambda t, _rng: sea_variance(t, mode))
+    return _sea_like_steps(
+        cfg, fn, rng, lambda pop, t: _sea_offspring(pop, cfg, fn, rng, sea_variance(t - 1, mode))
+    )
 
 
 def _socea_steps(cfg: EngineConfig, fn, rng: RngStream):
-    return _sea_like_steps(
-        cfg, fn, rng,
-        lambda _t, r: pow_sample(10.0, r, cfg.pow_exponent, cfg.pow_upper),
-    )
+    return _sea_like_steps(cfg, fn, rng, lambda pop, _t: _socea_offspring(pop, cfg, fn, rng))
 
 
 def torus_neighbors(row: int, col: int, rows: int, cols: int) -> list[tuple[int, int]]:
@@ -349,21 +378,17 @@ def _cea_neighbors(rows: int, cols: int) -> np.ndarray:
 
 def _cea_offspring(
     pop: Population, cfg: EngineConfig, fn, rng: RngStream, neighbors: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Population:
     """One child per cell, from the cell and a random neighbor: arithmetic
-    crossover and whole-genome POW(10) mutation. Returns the children and
-    their fitness; an untouched child has its cell's fitness."""
-    n, space = cfg.N, fn.space
-    draws = Variation(n, space.dim, rng)
-    pick = np.empty(n, dtype=np.intp)
-    for idx in range(n):
-        pick[idx] = rng.integers(0, 4)
-        draws.crossover(idx, cfg.p_r)
-        if rng.random() < cfg.p_m_genome:
-            draws.mutation(idx, pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper))
+    crossover and whole-genome POW(10) mutation, drawn as whole arrays with
+    the neighbor picks first. An untouched child has its cell's fitness."""
+    n = cfg.N
+    pick = rng.integers(0, 4, size=n)
+    draws = Variation(n, fn.space.dim, rng)
+    draws.all_crossovers(cfg.p_r)
+    draws.all_mutations(cfg.p_m_genome, _pow_variances(10.0, cfg, rng))
     cells = np.arange(n)
-    children, fresh = draws.children(pop.X, cells, neighbors[cells, pick], space)
-    return children, evaluate_children(fn, children, fresh, pop.f)
+    return _breed(pop, draws, cells, neighbors[cells, pick], fn)
 
 
 def _cea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenRecord, Individual]]:
@@ -376,10 +401,10 @@ def _cea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenRecor
     best = pop.best()
     yield _record(pop, space, 0), best
     for t in itertools.count(1):
-        children, child_f = _cea_offspring(pop, cfg, fn, rng, neighbors)
+        children = _cea_offspring(pop, cfg, fn, rng, neighbors)
         # an untouched child equals its cell's member, so it never replaces it
-        better = child_f < pop.f
-        pop = Population(np.where(better[:, None], children, pop.X), np.where(better, child_f, pop.f))
+        better = children.f < pop.f
+        pop = Population(np.where(better[:, None], children.X, pop.X), np.where(better, children.f, pop.f))
         best = _track_best(best, pop)
         yield _record(pop, space, t), best
 
@@ -396,21 +421,16 @@ def dgea_mode(previous: str, diversity: float, d_low: float, d_high: float) -> s
 
 def _dgea_offspring(pop: Population, mode: str, cfg: EngineConfig, fn, rng: RngStream) -> Population:
     """Exploitation applies selection and crossover only; exploration applies
-    whole-genome POW(1) mutation only, to each member in place."""
-    n, space = cfg.N, fn.space
-    draws = Variation(n, space.dim, rng)
+    whole-genome POW(1) mutation only, to each member in place. Either draws
+    its arrays whole."""
+    draws = Variation(cfg.N, fn.space.dim, rng)
     if mode == "exploit":
-        for k in range(n):
-            draws.tournaments(k)
-            draws.crossover(k, cfg.p_r)
-        first, second = draws.parents(pop.f)
-    else:
-        for k in range(n):
-            if rng.random() < cfg.p_m_genome:
-                draws.mutation(k, pow_sample(1.0, rng, cfg.pow_exponent, cfg.pow_upper))
-        first = second = np.arange(n)
-    children, fresh = draws.children(pop.X, first, second, space)
-    return Population(children, evaluate_children(fn, children, fresh, pop.f[first]))
+        draws.all_tournaments()
+        draws.all_crossovers(cfg.p_r)
+        return _breed(pop, draws, *draws.parents(pop.f), fn)
+    draws.all_mutations(cfg.p_m_genome, _pow_variances(1.0, cfg, rng))
+    members = np.arange(cfg.N)
+    return _breed(pop, draws, members, members, fn)
 
 
 def _dgea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenRecord, Individual]]:

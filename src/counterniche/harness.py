@@ -24,6 +24,7 @@ from .engines import (
     GenRecord,
     RunTrace,
     StagnationRule,
+    check_finite,
     default_config,
     engine_knobs,
     run,
@@ -433,6 +434,7 @@ def load_matrix_config(path) -> ExperimentMatrix:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             target[name] = parse(value)
+            check_finite(name, target[name])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     missing = [k for k in ("algos", "functions", "dims") if k not in fields]

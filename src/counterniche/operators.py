@@ -1,18 +1,25 @@
 """Selection and variation operators shared by every engine.
 
-Variation runs in two halves, both kept here. An engine's loop visits its
-children in order and, for each, calls the draw methods of a `Variation`,
-which only draw from the random stream and store what they drew, in the
-order the child consumes the stream. The arithmetic then runs once over all
-rows: `binary_tournament`, `arithmetic_crossover` and `gaussian_mutate`
-take whole matrices and make the same IEEE operations per element as one
-child at a time, so the children are bit-identical to a child-by-child pass
-and no draw moves.
+Variation runs in two halves, both kept here. The draw methods of a
+`Variation` only draw from the random stream and store what they drew; the
+arithmetic then runs once over all rows: `binary_tournament`,
+`arithmetic_crossover` and `gaussian_mutate` take whole matrices and make
+the same IEEE operations per element as one child at a time.
+
+The draws come in two layouts. The per-child methods (`tournaments`,
+`crossover`, `mutation`) are called child by child, in the order the child
+consumes the stream, and draw crossover and mutation only where a child's
+coin lands; `sea` and `cnea` use them. The whole-array methods
+(`all_tournaments`, `all_crossovers`, `all_mutations`) draw one array per
+draw kind for all n children, every row whatever its coin says, so the
+words a generation takes do not depend on the population or on the coins;
+`socea`, `cea` and `dgea` use them.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -74,8 +81,9 @@ class Variation:
     """The draws of one generation's variation, for n children of genome
     length dim, and the arithmetic that turns them into children.
 
-    The draw methods store their draws for child k; `children` applies them
-    to all rows at once. A child that draws no crossover copies its first
+    The per-child draw methods store their draws for child k, the
+    whole-array ones for all children at once; `children` applies them to
+    all rows at once. A child that draws no crossover copies its first
     parent, and one that draws no mutation is not mutated.
     """
 
@@ -120,6 +128,34 @@ class Variation:
         self.gene_draws[k] = rng.random(self.dim)
         self.normals[k] = rng.normal(0.0, 1.0, self.dim)
 
+    def all_tournaments(self) -> None:
+        """Every child's two tournaments as one (n, 4) array of members drawn
+        uniformly with replacement: i and j of the first, then of the second."""
+        self.bouts = self.rng.integers(0, self.n, size=(self.n, 4))
+
+    def all_crossovers(self, p_r: float) -> None:
+        """Every child's crossover draws, one array per kind: the coins (n,),
+        which land below p_r for the children that cross over, then the
+        weight draws (n, dim), the blended positions (n,) and their weights
+        (n,), drawn for every child whatever its coin says."""
+        rng, n = self.rng, self.n
+        self.crossed = rng.random(n) < p_r
+        self.weight_draws = rng.random((n, self.dim))
+        self.position = rng.integers(0, self.dim, size=n)
+        self.blend = rng.random(n)
+
+    def all_mutations(self, p_m: float, variances: Callable[[int], np.ndarray]) -> None:
+        """Every child's whole-genome mutation draws, one array per kind: the
+        coins (n,), which land below p_m for the children that mutate, then
+        one variance per child from `variances(n)`, then the standard
+        normals (n, dim), drawn for every child whatever its coin says. No
+        mask is drawn: `gene_draws` stay 0, so every gene of a mutated child
+        fires under any p_gene above 0."""
+        rng, n = self.rng, self.n
+        self.mutated = rng.random(n) < p_m
+        self.variance = variances(n)[:, None]
+        self.normals = rng.normal(0.0, 1.0, (n, self.dim))
+
     def parents(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The winners of each child's two tournaments under fitness f."""
         b = self.bouts
@@ -148,25 +184,29 @@ class Variation:
         return out, fresh
 
 
-def pow_sample(alpha: float, rng: RngStream, exponent: float = 2.0, upper: float = 1000.0) -> float:
-    """One draw from alpha times a truncated power law on [1, upper].
+def pow_sample(alpha: float, rng: RngStream, exponent: float = 2.0, upper: float = 1000.0, size=None):
+    """Draws from alpha times a truncated power law on [1, upper]: one float,
+    or an array of `size` draws.
 
     The base variable has density proportional to u**(-exponent) on
-    [1, upper], sampled by inverting the CDF from a single uniform draw.
-    With the defaults the median lands near 2*alpha and the output always
-    stays inside [alpha, upper*alpha].
+    [1, upper], sampled by inverting the CDF from one uniform draw each, so
+    `size=k` takes the k uniforms that k scalar calls would take, in order.
+    A scalar call is one row of an array call, so both give bit-equal
+    values (numpy's vectorized `power` and C's `pow` may differ in the last
+    bit). With the defaults the median lands near 2*alpha and the output
+    always stays inside [alpha, upper*alpha].
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if upper <= 1.0:
         raise ValueError(f"upper truncation must exceed 1, got {upper}")
-    u = rng.random()
+    u = rng.random(1 if size is None else size)
     if exponent == 1.0:
         v = upper**u
     else:
         k = 1.0 - exponent
         v = (1.0 - u * (1.0 - upper**k)) ** (1.0 / k)
-    return alpha * float(v)
+    return alpha * float(v[0]) if size is None else alpha * v
 
 
 def sea_variance(t: int, mode: str = "printed") -> float:

@@ -69,6 +69,10 @@ BAD_KNOBS = [
     ("projected_dims", 0),
     ("sea_variance_mode", "bogus"),
     ("pow_upper", 1.0),
+    ("pow_upper", math.inf),
+    ("pow_exponent", math.nan),
+    ("d_low", math.nan),
+    ("d_high", math.inf),
     ("cea_rows", 0),
     ("cea_cols", 0),
 ]
@@ -106,6 +110,40 @@ def test_bad_knob_rejected_when_built(name, value, tmp_path, capsys):
         assert cli.main(["sweep", "--config", str(sweep)]) == 2
         assert name in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("pow_exponent", math.nan),
+    ("pow_exponent", -math.inf),
+    ("pow_upper", math.inf),
+    ("d_low", math.nan),
+    ("d_low", -math.inf),
+    ("d_high", math.nan),
+    ("d_high", math.inf),
+])
+def test_non_finite_float_knob_fails_before_the_run(name, value, tmp_path, capsys):
+    algo = "dgea" if name.startswith("d_") else "socea"
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        EngineConfig(algo, **{name: value})
+    trace = tmp_path / "t.csv"
+    code = cli.main(
+        ["run", "--algo", algo, "--function", "ellipsoid", "--dim", "2", "--generations", "3",
+         "--pop-size", "14", "--out", str(trace), f"{_flag(name)}={value}"]
+    )
+    assert code == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not trace.exists()
+
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(
+        f"algos = {algo}\nfunctions = ellipsoid\ndims = 2\n"
+        f"output_dir = {tmp_path / 'r'}\n{_key(name)} = {value}\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{sweep}:5: {_key(name)}: {name} must be finite")):
+        load_matrix_config(sweep)
+    assert cli.main(["sweep", "--config", str(sweep)]) == 2
+    assert f"{sweep}:5: {_key(name)}: " in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_projected_dims_beyond_dim_fails_before_the_run(capsys, tmp_path):

@@ -3,8 +3,10 @@
 Each digest covers every generation record (with `wall_ms` zeroed) and the
 bytes of the best genome of a short run. The digests were recorded before
 objective evaluation was batched, so they pin the order of every random draw
-and every fitness value. A change that moves a draw on purpose must say so in
-CHANGES.md and record them again with `python tests/test_golden.py`. The
+and every fitness value; those of `socea`, `cea` and `dgea` were recorded
+again when those engines began to draw their variation as whole arrays. A
+change that moves a draw on purpose must say so in CHANGES.md and record
+them again with `python tests/test_golden.py`. The
 objective evaluations of each run are pinned beside them, and for two cnea
 runs so is the `--regions-dump` output, which holds every dense region's key,
 density and fitness statistics. Those two were recorded while the grid was
@@ -38,27 +40,27 @@ CASES = {
 }
 
 DIGESTS = {
-    "cea-rosenbrock-8d": "ba774cc7ec2e372a4ce7f46090c73aea0cee28c59948013322859f6b4fcd5ea3",
+    "cea-rosenbrock-8d": "3e5ba785989cb0f1471faab8fdde26e0953686e882e0a5d87cb7d782069886ec",
     "cnea-rastrigin-10d": "fa7b2b446520e9942e6b0140740a6a9c08d4328f28373c39345b20cc83f746fd",
     "cnea-rastrigin-20d-projected": "99a1b313b0290d1abac122154b6eed20aca96fe50b1f55b1c1f4cb3d163d5c84",
     "cnea-rot_rastrigin-6d": "8a4187fc189134488f91650c4739ac96fb03d273410ceb5ffa34a20173060079",
     "cnea-schwefel12-10d-replacement": "caa806638e026ace8503aad589318f91e83ed2404781710e20e0c1d37c2873c9",
-    "dgea-ellipsoid-8d": "bdb47e6d9fa9c8f9260776344f3c6bec77c0a1bf3af00f24ad93d73375d86042",
-    "dgea-rastrigin-8d-switching": "f0a7ef40c49c2bdf098a43a074d4a0c01ea2369e07bad494e1522fd96746c220",
+    "dgea-ellipsoid-8d": "9d151b1e913fc1d488f7f0156b4baf2b18770b02c5aa1a67b8a8eea72ff1ddf9",
+    "dgea-rastrigin-8d-switching": "6d79215a6a47d58fadfab7dd8d4ea2c248891532c07ed0d8bebfb669c53154fd",
     "sea-ackley-8d": "456250de99cb22dbbbc83c067574e7c604dc058bdf68456f20e6574559bdfd01",
-    "socea-griewank-8d": "44b80a72ea02bbc1fc484c2420158b665099c3550456cca202c01f47270c6dc7",
+    "socea-griewank-8d": "01bd8cbfc41b90b2274b0dc571d3150606828f6b0138c84506ee25dc40334317",
 }
 
 EVALUATIONS = {
-    "cea-rosenbrock-8d": 1089,
+    "cea-rosenbrock-8d": 1091,
     "cnea-rastrigin-10d": 3076,
     "cnea-rastrigin-20d-projected": 18696,
     "cnea-rot_rastrigin-6d": 1533,
     "cnea-schwefel12-10d-replacement": 50966,
-    "dgea-ellipsoid-8d": 1115,
-    "dgea-rastrigin-8d-switching": 1313,
+    "dgea-ellipsoid-8d": 1120,
+    "dgea-rastrigin-8d-switching": 1265,
     "sea-ackley-8d": 1204,
-    "socea-griewank-8d": 1207,
+    "socea-griewank-8d": 1211,
 }
 
 # name -> SHA-256 of the JSONL `counterniche run --regions-dump` writes for it

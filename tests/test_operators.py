@@ -107,6 +107,28 @@ def test_crossover_draws_weights_position_then_blend():
     assert draws.blend[0] == shadow.random()
 
 
+def test_whole_array_draws_come_in_their_documented_order():
+    # tournaments (n, 4); crossover coins, weights, positions, blends; mutation
+    # coins, the variances `all_mutations` asks for, normals
+    n, dim = 6, 3
+    shadow = RngStream(4)
+    draws = Variation(n, dim, RngStream(4))
+    asked = []
+    draws.all_tournaments()
+    draws.all_crossovers(0.5)
+    draws.all_mutations(0.25, lambda size: asked.append(size) or draws.rng.random(size) + 1.0)
+    assert np.array_equal(draws.bouts, shadow.integers(0, n, size=(n, 4)))
+    assert np.array_equal(draws.crossed, shadow.random(n) < 0.5)
+    assert np.array_equal(draws.weight_draws, shadow.random((n, dim)))
+    assert np.array_equal(draws.position, shadow.integers(0, dim, size=n))
+    assert np.array_equal(draws.blend, shadow.random(n))
+    assert np.array_equal(draws.mutated, shadow.random(n) < 0.25)
+    assert asked == [n] and np.array_equal(draws.variance[:, 0], shadow.random(n) + 1.0)
+    assert np.array_equal(draws.normals, shadow.normal(0.0, 1.0, (n, dim)))
+    assert draws.rng.random() == shadow.random()
+    assert not draws.gene_draws.any()  # no mask draws: every gene of a mutated child fires
+
+
 def test_gaussian_mutate_clamps_to_space():
     space = SearchSpace.cube(4, -1.0, 1.0)
     rng = RngStream(7)
@@ -168,11 +190,27 @@ def test_pow_sample_exponent_one_branch():
 
 
 def test_pow_sample_validation():
-    rng = RngStream(0)
-    with pytest.raises(ValueError):
-        pow_sample(0.0, rng)
-    with pytest.raises(ValueError):
-        pow_sample(1.0, rng, upper=1.0)
+    for size in (None, 5):
+        rng = RngStream(0)
+        with pytest.raises(ValueError):
+            pow_sample(0.0, rng, size=size)
+        with pytest.raises(ValueError):
+            pow_sample(1.0, rng, upper=1.0, size=size)
+        assert rng.random() == RngStream(0).random()  # a refused call draws nothing
+
+
+@pytest.mark.parametrize("size", [1, 7, 400])
+@pytest.mark.parametrize("alpha,exponent,upper", [
+    (10.0, 2.0, 1000.0), (1.0, 2.0, 1000.0), (1.0, 1.0, 100.0), (0.5, 3.5, 20.0),
+])
+def test_pow_sample_size_equals_that_many_scalar_calls(alpha, exponent, upper, size):
+    for seed in range(5):
+        whole, scalar = RngStream(seed), RngStream(seed)
+        drawn = pow_sample(alpha, whole, exponent, upper, size=size)
+        one_by_one = [pow_sample(alpha, scalar, exponent, upper) for _ in range(size)]
+        assert drawn.shape == (size,)
+        assert np.array_equal(drawn, one_by_one)  # bit-equal, not only close
+        assert whole.random() == scalar.random()
 
 
 @settings(max_examples=200)
