@@ -148,9 +148,6 @@ class BenchmarkFn:
     def __call__(self, x) -> float:
         return self.evaluate(x)
 
-    def optimum(self) -> tuple[np.ndarray, float]:
-        return self.optimum_point, self.optimum_value
-
 
 def evaluate_rows(fn, x) -> np.ndarray:
     """Fitness of every row of `x`: one `fn.evaluate_batch` call if the

@@ -231,21 +231,7 @@ def _cmd_summarize(args) -> int:
         summary = stats.summarize(errors)
         title = f"{algo}  {function}  dim={dim}  runs={summary.n}"
         blocks.append(stats.render_summary_text(title, summary))
-        payload.append(
-            {
-                "algo": algo,
-                "function": function,
-                "dim": dim,
-                "runs": summary.n,
-                "best": summary.best,
-                "p23": summary.p23,
-                "median": summary.median,
-                "p73": summary.p73,
-                "worst": summary.worst,
-                "mean": summary.mean,
-                "std": summary.std,
-            }
-        )
+        payload.append(harness.summary_row(algo, function, dim, summary))
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -283,22 +269,7 @@ def _cmd_ttest(args) -> int:
     }
     print(stats.render_ttest_text([row]))
     if args.csv:
-        import csv as _csv
-
-        with open(args.csv, "w", newline="") as fh:
-            w = _csv.writer(fh, lineterminator="\n")
-            w.writerow(("function", "dim", "algo_a", "algo_b", "t", "df", "p"))
-            w.writerow(
-                (
-                    row["function"],
-                    row["dim"],
-                    row["algo_a"],
-                    row["algo_b"],
-                    f"{result.t_statistic:.17g}",
-                    result.degrees_of_freedom,
-                    f"{result.p_value:.17g}",
-                )
-            )
+        harness.write_row_csv(args.csv, row)
     return 0
 
 

@@ -44,6 +44,8 @@ class SearchSpace:
             raise ValueError(f"dim must be positive, got {self.dim}")
         lower = _frozen_vector(self.lower, self.dim, "lower")
         upper = _frozen_vector(self.upper, self.dim, "upper")
+        if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+            raise ValueError("bounds must be finite")
         if not np.all(lower < upper):
             raise ValueError("each lower bound must be strictly below its upper bound")
         object.__setattr__(self, "lower", lower)
@@ -82,18 +84,13 @@ class Individual:
     """A genome and its fitness (smaller is better), as a run reports its best in `RunTrace.best`."""
 
     genome: np.ndarray
-    fitness: float | None = None
+    fitness: float
 
     def __post_init__(self):
         genome = np.ascontiguousarray(self.genome, dtype=float)
         genome.setflags(write=False)
         object.__setattr__(self, "genome", genome)
-        if self.fitness is not None:
-            object.__setattr__(self, "fitness", float(self.fitness))
-
-    @property
-    def evaluated(self) -> bool:
-        return self.fitness is not None
+        object.__setattr__(self, "fitness", float(self.fitness))
 
 
 @dataclass

@@ -1,13 +1,14 @@
-"""Generation loops for the five engines plus the shared run plumbing.
+"""The five engines, their one generation loop, and the run driver.
 
-Every engine is written as an infinite generator yielding one trace record per
-generation (including generation 0, the initialized population); `run` is the
-one loop that consumes it, for a fixed budget or until a `StagnationRule`
-fires. All engines minimize, all use one RngStream per
-run, and all keep the population size constant. Each generation evaluates
-its new children in one batch once its loop has drawn them all; no draw
-depends on a child's fitness, so the random stream is the same as with
-evaluation child by child.
+Every engine is a generation function, which makes the next population from
+the current one. `engine_steps` is the one loop around it: it initializes
+the population and yields one trace record per generation (including
+generation 0, the initialized population), and `run` consumes that stream
+for a fixed budget or until a `StagnationRule` fires. All engines minimize,
+all use one RngStream per run, and all keep the population size constant.
+Each generation evaluates its new children in one batch once it has drawn
+them all; no draw depends on a child's fitness, so the random stream is the
+same as with evaluation child by child.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}; known: {', '.join(ALGORITHMS)}")
+        for f in fields(self):
+            check_finite(f.name, getattr(self, f.name))
         if self.N < 2:
             raise ValueError("population size must be at least 2")
         if self.generations < 0:
@@ -119,8 +122,6 @@ class EngineConfig:
             raise ValueError("grid_bins must be at least 2")
         if self.sea_variance_mode not in ("printed", "annealed"):
             raise ValueError(f"unknown sea_variance_mode {self.sea_variance_mode!r}")
-        for name in _FINITE_KNOBS:
-            check_finite(name, getattr(self, name))
         if not self.pow_upper > 1.0:
             raise ValueError("pow_upper must exceed 1")
         if self.algo == "cea" and self.cea_rows * self.cea_cols != self.N:
@@ -131,13 +132,9 @@ class EngineConfig:
             raise ValueError("d_low must stay below d_high")
 
 
-_FINITE_KNOBS = ("pow_exponent", "pow_upper", "d_low", "d_high")
-
-
 def check_finite(name: str, value) -> None:
-    """Refuse NaN and +-inf for the float knobs that have no range check to
-    catch them: `pow_exponent`, `pow_upper`, `d_low` and `d_high`."""
-    if name in _FINITE_KNOBS and not math.isfinite(value):
+    """Refuse NaN and +-inf for a float knob, before any range check reads it."""
+    if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -264,39 +261,6 @@ def _elitist_union_survivors(
     return Population(X[keep], f[keep])
 
 
-def _track_best(best: Individual, population: Population) -> Individual:
-    return population.best() if population.f.min() < best.fitness else best
-
-
-def _cnea_steps(
-    cfg: EngineConfig, fn, rng: RngStream, on_regions: Callable | None = None
-) -> Iterator[tuple[GenRecord, Individual]]:
-    space = fn.space
-    key_dims = None
-    if space.dim > cfg.key_dim_limit:
-        # projection drawn once per run so cell keys stay comparable
-        key_dims = choose_key_dims(space.dim, rng, cfg.key_dim_limit, cfg.projected_dims)
-    pop = _init_population(cfg, fn, rng)
-    best = pop.best()
-    yield _record(pop, space, 0), best
-    for t in itertools.count(1):
-        grid = build_grid(pop, space, cfg.grid_bins, key_dims)
-        regions = high_density_regions(grid, pop, cfg.tau_dense)
-        if on_regions is not None:
-            on_regions(t, regions)
-        victims = detect_victims(regions, pop, cfg)
-        pop_informed, counters = informed_mutation(pop, victims, space, grid, fn, rng, cfg)
-        offspring = regular_ops(pop_informed, space, fn, rng, cfg)
-        pop = _elitist_union_survivors(pop_informed, offspring, cfg.elitism_count, rng, cfg.N)
-        best = _track_best(best, pop)
-        yield _record(
-            pop, space, t,
-            victims=counters.victims,
-            replacements=counters.replaced,
-            fallbacks=counters.fallbacks,
-        ), best
-
-
 def _breed(pop: Population, draws: Variation, first, second, fn) -> Population:
     """The children `draws` makes from rows first[k] and second[k] of the
     population, with their fitness: the changed ones are evaluated, the
@@ -332,32 +296,6 @@ def _socea_offspring(pop: Population, cfg: EngineConfig, fn, rng: RngStream) -> 
     return _breed(pop, draws, *draws.parents(pop.f), fn)
 
 
-def _sea_like_steps(
-    cfg: EngineConfig, fn, rng: RngStream, offspring: Callable[[Population, int], Population]
-) -> Iterator[tuple[GenRecord, Individual]]:
-    """Generational EA core shared by the simple and self-organized variants:
-    `offspring(pop, t)` breeds generation t from its parents."""
-    space = fn.space
-    pop = _init_population(cfg, fn, rng)
-    best = pop.best()
-    yield _record(pop, space, 0), best
-    for t in itertools.count(1):
-        pop = _elitist_merge(pop, offspring(pop, t), cfg.elitism_count)
-        best = _track_best(best, pop)
-        yield _record(pop, space, t), best
-
-
-def _sea_steps(cfg: EngineConfig, fn, rng: RngStream):
-    mode = cfg.sea_variance_mode
-    return _sea_like_steps(
-        cfg, fn, rng, lambda pop, t: _sea_offspring(pop, cfg, fn, rng, sea_variance(t - 1, mode))
-    )
-
-
-def _socea_steps(cfg: EngineConfig, fn, rng: RngStream):
-    return _sea_like_steps(cfg, fn, rng, lambda pop, _t: _socea_offspring(pop, cfg, fn, rng))
-
-
 def torus_neighbors(row: int, col: int, rows: int, cols: int) -> list[tuple[int, int]]:
     """Von Neumann neighborhood on a wrapped grid: up, down, left, right."""
     return [
@@ -391,24 +329,6 @@ def _cea_offspring(
     return _breed(pop, draws, cells, neighbors[cells, pick], fn)
 
 
-def _cea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenRecord, Individual]]:
-    """Cellular EA on a torus: every cell mates with a random von Neumann
-    neighbor; the offspring takes the cell only if strictly better. Updates
-    are synchronous, so each generation reads the previous grid only."""
-    space = fn.space
-    neighbors = _cea_neighbors(cfg.cea_rows, cfg.cea_cols)
-    pop = _init_population(cfg, fn, rng)
-    best = pop.best()
-    yield _record(pop, space, 0), best
-    for t in itertools.count(1):
-        children = _cea_offspring(pop, cfg, fn, rng, neighbors)
-        # an untouched child equals its cell's member, so it never replaces it
-        better = children.f < pop.f
-        pop = Population(np.where(better[:, None], children.X, pop.X), np.where(better, children.f, pop.f))
-        best = _track_best(best, pop)
-        yield _record(pop, space, t), best
-
-
 def dgea_mode(previous: str, diversity: float, d_low: float, d_high: float) -> str:
     """Hysteresis switch: explore below d_low, exploit above d_high,
     otherwise keep the previous mode."""
@@ -433,39 +353,115 @@ def _dgea_offspring(pop: Population, mode: str, cfg: EngineConfig, fn, rng: RngS
     return _breed(pop, draws, members, members, fn)
 
 
-def _dgea_steps(cfg: EngineConfig, fn, rng: RngStream) -> Iterator[tuple[GenRecord, Individual]]:
+# An engine is a per-run factory, (cfg, fn, rng, on_regions) -> generation,
+# that does the engine's one-time work before the first population is drawn.
+# generation(pop, t, previous) makes generation t from pop, whose record is
+# `previous`, and returns it with the extra fields of its record.
+Generation = Callable[[Population, int, GenRecord], tuple[Population, dict]]
+
+
+def _cnea(cfg: EngineConfig, fn, rng: RngStream, on_regions: Callable | None) -> Generation:
+    """Counter-niching GA: informed mutation of the victims in dense regions,
+    regular operators, then elitist survivor selection over the union."""
+    space = fn.space
+    key_dims = None
+    if space.dim > cfg.key_dim_limit:
+        # projection drawn once per run so cell keys stay comparable
+        key_dims = choose_key_dims(space.dim, rng, cfg.key_dim_limit, cfg.projected_dims)
+
+    def generation(pop: Population, t: int, _previous: GenRecord):
+        grid = build_grid(pop, space, cfg.grid_bins, key_dims)
+        regions = high_density_regions(grid, pop, cfg.tau_dense)
+        if on_regions is not None:
+            on_regions(t, regions)
+        victims = detect_victims(regions, pop, cfg)
+        pop_informed, counters = informed_mutation(pop, victims, space, grid, fn, rng, cfg)
+        offspring = regular_ops(pop_informed, space, fn, rng, cfg)
+        survivors = _elitist_union_survivors(pop_informed, offspring, cfg.elitism_count, rng, cfg.N)
+        return survivors, dict(
+            victims=counters.victims, replacements=counters.replaced, fallbacks=counters.fallbacks
+        )
+
+    return generation
+
+
+def _sea(cfg: EngineConfig, fn, rng: RngStream, _on_regions) -> Generation:
+    """Simple EA: generational replacement with elitism, Gaussian mutation
+    of the variance `sea_variance_mode` gives generation t."""
+
+    def generation(pop: Population, t: int, _previous: GenRecord):
+        offspring = _sea_offspring(pop, cfg, fn, rng, sea_variance(t - 1, cfg.sea_variance_mode))
+        return _elitist_merge(pop, offspring, cfg.elitism_count), {}
+
+    return generation
+
+
+def _socea(cfg: EngineConfig, fn, rng: RngStream, _on_regions) -> Generation:
+    """Self-organized criticality EA: the simple EA with POW(10) mutation."""
+
+    def generation(pop: Population, _t: int, _previous: GenRecord):
+        return _elitist_merge(pop, _socea_offspring(pop, cfg, fn, rng), cfg.elitism_count), {}
+
+    return generation
+
+
+def _cea(cfg: EngineConfig, fn, rng: RngStream, _on_regions) -> Generation:
+    """Cellular EA on a torus: every cell mates with a random von Neumann
+    neighbor; the offspring takes the cell only if strictly better. Updates
+    are synchronous, so each generation reads the previous grid only."""
+    neighbors = _cea_neighbors(cfg.cea_rows, cfg.cea_cols)
+
+    def generation(pop: Population, _t: int, _previous: GenRecord):
+        children = _cea_offspring(pop, cfg, fn, rng, neighbors)
+        # an untouched child equals its cell's member, so it never replaces it
+        better = children.f < pop.f
+        X = np.where(better[:, None], children.X, pop.X)
+        return Population(X, np.where(better, children.f, pop.f)), {}
+
+    return generation
+
+
+def _dgea(cfg: EngineConfig, fn, rng: RngStream, _on_regions) -> Generation:
     """Diversity-guided EA: the mode of each generation follows the diversity
     of the population it starts from, as that population's record holds it."""
-    space = fn.space
-    pop = _init_population(cfg, fn, rng)
-    best = pop.best()
-    mode = "exploit"
-    rec = _record(pop, space, 0, mode=mode)
-    yield rec, best
-    for t in itertools.count(1):
-        mode = dgea_mode(mode, rec.diversity, cfg.d_low, cfg.d_high)
+
+    def generation(pop: Population, _t: int, previous: GenRecord):
+        mode = dgea_mode(previous.mode, previous.diversity, cfg.d_low, cfg.d_high)
         offspring = _dgea_offspring(pop, mode, cfg, fn, rng)
-        pop = _elitist_merge(pop, offspring, cfg.elitism_count)
-        best = _track_best(best, pop)
-        rec = _record(pop, space, t, mode=mode)
-        yield rec, best
+        return _elitist_merge(pop, offspring, cfg.elitism_count), {"mode": mode}
+
+    return generation
+
+
+# algo -> (its factory, the extra fields of its generation-0 record)
+_ENGINES = {
+    "cnea": (_cnea, {}),
+    "sea": (_sea, {}),
+    "socea": (_socea, {}),
+    "cea": (_cea, {}),
+    "dgea": (_dgea, {"mode": "exploit"}),
+}
 
 
 def engine_steps(
     cfg: EngineConfig, fn, rng: RngStream, on_regions: Callable | None = None
 ) -> Iterator[tuple[GenRecord, Individual]]:
-    """The per-generation stream for any engine. Yields (record, best so far)."""
-    if cfg.algo == "cnea":
-        return _cnea_steps(cfg, fn, rng, on_regions)
-    if cfg.algo == "sea":
-        return _sea_steps(cfg, fn, rng)
-    if cfg.algo == "socea":
-        return _socea_steps(cfg, fn, rng)
-    if cfg.algo == "cea":
-        return _cea_steps(cfg, fn, rng)
-    if cfg.algo == "dgea":
-        return _dgea_steps(cfg, fn, rng)
-    raise ValueError(f"unknown algorithm {cfg.algo!r}")
+    """The one generation loop, for any engine: yields (record, best so far)
+    for generation 0, the initialized population, and then for every
+    generation the engine's generation function makes. `on_regions(t,
+    regions)` sees the dense regions of each cnea generation."""
+    factory, first = _ENGINES[cfg.algo]
+    generation = factory(cfg, fn, rng, on_regions)
+    pop = _init_population(cfg, fn, rng)
+    best = pop.best()
+    rec = _record(pop, fn.space, 0, **first)
+    yield rec, best
+    for t in itertools.count(1):
+        pop, extras = generation(pop, t, rec)
+        if pop.f.min() < best.fitness:
+            best = pop.best()
+        rec = _record(pop, fn.space, t, **extras)
+        yield rec, best
 
 
 @dataclass

@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from . import benchmarks
 from .core import RngStream
@@ -42,6 +42,8 @@ __all__ = [
     "default_burn_in",
     "write_trace_csv",
     "read_trace_csv",
+    "summary_row",
+    "write_row_csv",
     "write_summary_csv",
     "read_summary_csv",
     "cell_dir",
@@ -51,34 +53,16 @@ __all__ = [
     "load_matrix_config",
 ]
 
-TRACE_FIELDS = (
-    "generation",
-    "best_fitness",
-    "mean_fitness",
-    "diversity",
-    "mode",
-    "victims",
-    "replacements",
-    "fallbacks",
-    "wall_ms",
-)
-# traces written before `fallbacks` was a column still load, with fallbacks 0
+# a trace file's columns are GenRecord's fields, each parsed with its type
+TRACE_FIELDS = tuple(f.name for f in fields(GenRecord))
+_TRACE_TYPES = get_type_hints(GenRecord)
+# traces written before `fallbacks` was a column still load, with its default
 _TRACE_FIELDS_WITHOUT_FALLBACKS = tuple(f for f in TRACE_FIELDS if f != "fallbacks")
 
+# the RunSummary statistics of a summary row, in column order
+_SUMMARY_STATS = ("best", "p23", "median", "p73", "worst", "mean", "std")
 SUMMARY_FIELDS = (
-    "algo",
-    "function",
-    "dim",
-    "runs",
-    "best",
-    "p23",
-    "median",
-    "p73",
-    "worst",
-    "mean",
-    "std",
-    "mean_wall_ms",
-    "stagnation_gen_mean",
+    "algo", "function", "dim", "runs", *_SUMMARY_STATS, "mean_wall_ms", "stagnation_gen_mean"
 )
 
 
@@ -135,50 +119,47 @@ def diversity_profile(trace: RunTrace, burn_in: int) -> DiversityProfile:
 
 
 def write_trace_csv(trace: RunTrace, path, include_timing: bool = False) -> None:
+    """One row per record, one column per `GenRecord` field: floats with
+    `_fmt`, and `wall_ms` as 0 unless `include_timing`."""
+    columns = [(name, _fmt if _TRACE_TYPES[name] is float else str) for name in TRACE_FIELDS]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRACE_FIELDS)
         for r in trace.records:
-            w.writerow(
-                [
-                    r.generation,
-                    _fmt(r.best_fitness),
-                    _fmt(r.mean_fitness),
-                    _fmt(r.diversity),
-                    r.mode,
-                    r.victims,
-                    r.replacements,
-                    r.fallbacks,
-                    _fmt(r.wall_ms if include_timing else 0.0),
-                ]
-            )
+            r = r if include_timing else replace(r, wall_ms=0.0)
+            w.writerow([fmt(getattr(r, name)) for name, fmt in columns])
 
 
 def read_trace_csv(path) -> RunTrace:
-    records: list[GenRecord] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) not in (TRACE_FIELDS, _TRACE_FIELDS_WITHOUT_FALLBACKS):
+        header = tuple(reader.fieldnames or ())
+        if header not in (TRACE_FIELDS, _TRACE_FIELDS_WITHOUT_FALLBACKS):
             raise ValueError(f"{path} does not look like a trace file")
-        for row in reader:
-            records.append(
-                GenRecord(
-                    generation=int(row["generation"]),
-                    best_fitness=float(row["best_fitness"]),
-                    mean_fitness=float(row["mean_fitness"]),
-                    diversity=float(row["diversity"]),
-                    mode=row["mode"],
-                    victims=int(row["victims"]),
-                    replacements=int(row["replacements"]),
-                    fallbacks=int(row.get("fallbacks", 0)),
-                    wall_ms=float(row["wall_ms"]),
-                )
-            )
+        parse = [(name, _TRACE_TYPES[name]) for name in header]
+        records = [GenRecord(**{name: kind(row[name]) for name, kind in parse}) for row in reader]
     if not records:
         raise ValueError(f"{path} holds no generations")
     return RunTrace(records, None)
+
+
+def summary_row(algo: str, function: str, dim: int, summary: RunSummary) -> dict:
+    """The SUMMARY_FIELDS values that a cell's run errors give, by name:
+    every column but `mean_wall_ms` and `stagnation_gen_mean`."""
+    stats = {name: getattr(summary, name) for name in _SUMMARY_STATS}
+    return {"algo": algo, "function": function, "dim": dim, "runs": summary.n, **stats}
+
+
+def write_row_csv(path, row: dict) -> None:
+    """A one-row table: the keys of `row` as the header, its floats with `_fmt`."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(row)
+        w.writerow(_fmt(v) if isinstance(v, float) else v for v in row.values())
 
 
 def write_summary_csv(
@@ -190,29 +171,9 @@ def write_summary_csv(
     mean_wall_ms: float,
     stagnation_gens: Sequence[int],
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    stag = _fmt(sum(stagnation_gens) / len(stagnation_gens)) if stagnation_gens else ""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SUMMARY_FIELDS)
-        w.writerow(
-            [
-                algo,
-                function,
-                dim,
-                summary.n,
-                _fmt(summary.best),
-                _fmt(summary.p23),
-                _fmt(summary.median),
-                _fmt(summary.p73),
-                _fmt(summary.worst),
-                _fmt(summary.mean),
-                _fmt(summary.std),
-                _fmt(mean_wall_ms),
-                stag,
-            ]
-        )
+    stag = sum(stagnation_gens) / len(stagnation_gens) if stagnation_gens else ""
+    row = summary_row(algo, function, dim, summary)
+    write_row_csv(path, {**row, "mean_wall_ms": float(mean_wall_ms), "stagnation_gen_mean": stag})
 
 
 def read_summary_csv(path) -> dict:

@@ -57,10 +57,12 @@ KNOB_VALUES = {
 BAD_KNOBS = [
     ("eps_fit", -0.1),
     ("eps_fit", math.nan),
+    ("eps_fit", math.inf),
     ("rho_replace", 0.0),
     ("rho_replace", 1.0),
     ("sample_budget", 0),
     ("sigma_reg", -0.1),
+    ("sigma_reg", math.inf),
     ("tau_dense", -1.0),
     ("tau_dense", 0.0),
     ("tau_dense", 1.5),
@@ -120,23 +122,34 @@ def test_bad_knob_rejected_when_built(name, value, tmp_path, capsys):
     ("d_low", -math.inf),
     ("d_high", math.nan),
     ("d_high", math.inf),
+    ("sigma_reg", math.inf),
+    ("eps_fit", math.inf),
+    ("schwefel_lower", -math.inf),
+    ("schwefel_lower", math.nan),
 ])
 def test_non_finite_float_knob_fails_before_the_run(name, value, tmp_path, capsys):
-    algo = "dgea" if name.startswith("d_") else "socea"
-    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
-        EngineConfig(algo, **{name: value})
+    algo = {"d_low": "dgea", "d_high": "dgea", "sigma_reg": "cnea", "eps_fit": "cnea"}.get(name, "socea")
+    function = "schwefel12" if name == "schwefel_lower" else "ellipsoid"
+    if name == "schwefel_lower":  # the search space refuses the bound; its message names no knob
+        message = "bounds must be finite"
+        with pytest.raises(ValueError, match=message):
+            make(function, 2, schwefel_lower=value)
+    else:
+        message = f"{name} must be finite"
+        with pytest.raises(ValueError, match=f"{message}, got {value}"):
+            EngineConfig(algo, **{name: value})
     trace = tmp_path / "t.csv"
     code = cli.main(
-        ["run", "--algo", algo, "--function", "ellipsoid", "--dim", "2", "--generations", "3",
+        ["run", "--algo", algo, "--function", function, "--dim", "2", "--generations", "3",
          "--pop-size", "14", "--out", str(trace), f"{_flag(name)}={value}"]
     )
     assert code == 2
-    assert f"{name} must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not trace.exists()
 
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text(
-        f"algos = {algo}\nfunctions = ellipsoid\ndims = 2\n"
+        f"algos = {algo}\nfunctions = {function}\ndims = 2\n"
         f"output_dir = {tmp_path / 'r'}\n{_key(name)} = {value}\n"
     )
     with pytest.raises(ValueError, match=re.escape(f"{sweep}:5: {_key(name)}: {name} must be finite")):

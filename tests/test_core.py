@@ -18,6 +18,16 @@ def test_search_space_validation():
         SearchSpace(2, np.array([0.0]), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("lower,upper", [
+    (-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan), (-np.inf, np.inf),
+])
+def test_search_space_rejects_non_finite_bounds(lower, upper):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        SearchSpace(2, np.array([0.0, lower]), np.array([1.0, upper]))
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        SearchSpace.cube(3, lower, upper)
+
+
 def test_search_space_cube_and_widths():
     s = SearchSpace.cube(3, -2.0, 2.0)
     assert s.dim == 3
@@ -42,15 +52,8 @@ def test_search_space_bounds_are_read_only():
 def test_individual_freezes_genome():
     ind = Individual(np.array([1.0, 2.0]), 3.0)
     assert ind.fitness == 3.0
-    assert ind.evaluated
     with pytest.raises(ValueError):
         ind.genome[0] = 9.0
-
-
-def test_individual_unevaluated():
-    ind = Individual(np.zeros(2))
-    assert ind.fitness is None
-    assert not ind.evaluated
 
 
 def test_population_basics():

@@ -1,0 +1,109 @@
+"""Persisted outputs pinned byte for byte by SHA-256.
+
+`test_golden.py` pins the records a run yields; this file pins the bytes the
+harness and the CLI write from them: the trace CSV of two golden cases (one
+with victims, replacements and fallbacks, one with the `mode` column), and a
+tiny sweep's `summary.csv` files, its `summarize --json` output and its
+`ttest --csv` file. A change to a column, to the float format or to the
+order of a table fails here. A change that alters an output on purpose must
+say so in CHANGES.md and record the digests again with
+`python tests/test_output_bytes.py`.
+"""
+
+import contextlib
+import hashlib
+import io
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from counterniche import cli, default_config, make, run
+from counterniche.harness import TRACE_FIELDS, write_trace_csv
+
+from test_golden import CASES
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+
+# golden case -> SHA-256 of its `write_trace_csv` file, timing off
+TRACE_CSV_DIGESTS = {
+    "cnea-schwefel12-10d-replacement": "0190f201fb4029b04ffe7c1f0927912c1a7f95c8fbef386f66cad97c8d28fcbd",
+    "dgea-rastrigin-8d-switching": "b9cd51eef16f684745cb3efd343994a642b389ddf49641d6e6bc15cb3a41ca8b",
+}
+
+SWEEP_CFG = (
+    "algos = cnea, sea\n"
+    "functions = ellipsoid\n"
+    "dims = 4\n"
+    "runs = 3\n"
+    "generations = 12\n"
+    "pop_size = 20\n"
+    "stagnation_window = 2\n"
+)
+
+# output -> SHA-256 of its bytes, for the sweep of SWEEP_CFG
+SWEEP_DIGESTS = {
+    "cnea summary.csv": "53ee702a37af59b354c2378f073281c366d438f7236cd3609a863872971d115b",
+    "sea summary.csv": "797b3c52262d0e5f30014e9a896676e7ba8b469be92a89f15dc1d7fcb5f837af",
+    "summarize --json": "2d22f066531e874889320f23b68adc64827e0a41d2c31be27289b8b77a359685",
+    "ttest --csv": "d5e63ff436524a98267694a9a9537c47137e97374d041551db7d0b0c94c2eec4",
+}
+
+
+def trace_csv_digest(name: str, out_dir: Path) -> str:
+    algo, function, dim, overrides = CASES[name]
+    trace = run(default_config(algo, dim=dim, **overrides), make(function, dim))
+    path = out_dir / f"{name}.csv"
+    write_trace_csv(trace, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def sweep_digests(out_dir: Path) -> dict[str, str]:
+    results = out_dir / "results"
+    cfg = out_dir / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG + f"output_dir = {results}\n")
+    out = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+    for algo in ("cnea", "sea"):
+        summary = results / algo / "ellipsoid" / "4d" / "summary.csv"
+        out[f"{algo} summary.csv"] = summary.read_bytes()
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli.main(["summarize", "--in", str(results), "--json"]) == 0
+    out["summarize --json"] = printed.getvalue().encode()
+    ttest = out_dir / "ttest.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(
+            ["ttest", "--in", str(results), "--a", "cnea:ellipsoid:4",
+             "--b", "sea:ellipsoid:4", "--csv", str(ttest)]
+        ) == 0
+    out["ttest --csv"] = ttest.read_bytes()
+    return {key: hashlib.sha256(data).hexdigest() for key, data in out.items()}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CSV_DIGESTS))
+def test_trace_csv_matches_recorded_digest(name, tmp_path):
+    assert trace_csv_digest(name, tmp_path) == TRACE_CSV_DIGESTS[name]
+
+
+def test_sweep_outputs_match_recorded_digests(tmp_path):
+    assert sweep_digests(tmp_path) == SWEEP_DIGESTS
+
+
+def test_docs_trace_columns_list_trace_fields():
+    section = DOCS.read_text().split("### Trace CSV columns", 1)[1].split("\n- ", 1)[0]
+    columns = next(span for span in re.findall(r"`([^`]+)`", section) if "," in span)
+    assert tuple(c.strip() for c in columns.split(",")) == TRACE_FIELDS
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out_dir:
+        print("TRACE_CSV_DIGESTS = {")
+        for case in sorted(TRACE_CSV_DIGESTS):
+            print(f'    "{case}": "{trace_csv_digest(case, Path(out_dir))}",')
+        print("}\n\nSWEEP_DIGESTS = {")
+        for key, digest in sweep_digests(Path(out_dir)).items():
+            print(f'    "{key}": "{digest}",')
+        print("}")
