@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SearchSpace
+from .core import SearchSpace, check_finite
 
 __all__ = [
     "FUNCTION_NAMES",
@@ -24,27 +24,6 @@ __all__ = [
     "make",
     "registry",
 ]
-
-FUNCTION_NAMES = (
-    "ackley",
-    "griewank",
-    "rastrigin",
-    "rosenbrock",
-    "ellipsoid",
-    "schwefel12",
-    "rot_rastrigin",
-)
-
-# symmetric half-widths of the default boxes
-_HALF_WIDTH = {
-    "ackley": 30.0,
-    "griewank": 600.0,
-    "rastrigin": 5.12,
-    "rosenbrock": 100.0,
-    "ellipsoid": 5.12,
-    "schwefel12": 64.0,
-    "rot_rastrigin": 5.12,
-}
 
 _TWO_PI = 2.0 * np.pi
 
@@ -106,14 +85,19 @@ def _schwefel12(x: np.ndarray) -> np.ndarray:
     return np.sum(partial * partial, axis=1)
 
 
-_EVALUATORS = {
-    "ackley": _ackley,
-    "griewank": _griewank,
-    "rastrigin": _rastrigin,
-    "rosenbrock": _rosenbrock,
-    "ellipsoid": _ellipsoid,
-    "schwefel12": _schwefel12,
+# name -> (half width of the symmetric default box, the value of every
+# coordinate of the optimum point, row evaluator); rot_rastrigin rotates its
+# rows in `evaluate_batch` before it scores them as rastrigin does
+_FUNCTIONS = {
+    "ackley": (30.0, 0.0, _ackley),
+    "griewank": (600.0, 100.0, _griewank),
+    "rastrigin": (5.12, 0.0, _rastrigin),
+    "rosenbrock": (100.0, 1.0, _rosenbrock),
+    "ellipsoid": (5.12, 0.0, _ellipsoid),
+    "schwefel12": (64.0, 0.0, _schwefel12),
+    "rot_rastrigin": (5.12, 0.0, _rastrigin),
 }
+FUNCTION_NAMES = tuple(_FUNCTIONS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +110,10 @@ class BenchmarkFn:
     optimum_point: np.ndarray
     optimum_value: float
     rotation: np.ndarray | None = None
+
+    def __post_init__(self):
+        # the table lookup happens once here, not on every evaluate_batch call
+        object.__setattr__(self, "_score_rows", _FUNCTIONS[self.name][2])
 
     def evaluate(self, x) -> float:
         g = np.asarray(x, dtype=float)
@@ -142,8 +130,7 @@ class BenchmarkFn:
         if self.name == "rot_rastrigin":
             # one matvec per row: a single matrix product rounds differently
             rows = np.array([self.rotation @ row for row in rows]).reshape(rows.shape)
-            return _rastrigin(rows)
-        return _EVALUATORS[self.name](rows)
+        return self._score_rows(rows)
 
     def __call__(self, x) -> float:
         return self.evaluate(x)
@@ -185,7 +172,9 @@ def make(name: str, dim: int, schwefel_lower: float | None = None) -> BenchmarkF
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
 
-    half = _HALF_WIDTH[name]
+    if schwefel_lower is not None:
+        check_finite("schwefel_lower", schwefel_lower)
+    half, coordinate, _ = _FUNCTIONS[name]
     lower, upper = -half, half
     if name == "schwefel12" and schwefel_lower is not None:
         lower = float(schwefel_lower)
@@ -198,12 +187,7 @@ def make(name: str, dim: int, schwefel_lower: float | None = None) -> BenchmarkF
         rotation = rotation_matrix(dim)  # raises for odd dim
         rotation.setflags(write=False)
 
-    if name == "rosenbrock":
-        point = np.ones(dim)
-    elif name == "griewank":
-        point = np.full(dim, 100.0)
-    else:
-        point = np.zeros(dim)
+    point = np.full(dim, coordinate)
     point.setflags(write=False)
 
     return BenchmarkFn(name, dim, space, point, 0.0, rotation)
@@ -212,20 +196,13 @@ def make(name: str, dim: int, schwefel_lower: float | None = None) -> BenchmarkF
 def registry() -> list[dict]:
     """Static description of every function, for listings and tooling."""
     out = []
-    for name in FUNCTION_NAMES:
-        half = _HALF_WIDTH[name]
-        if name == "rosenbrock":
-            where = "all coordinates 1"
-        elif name == "griewank":
-            where = "all coordinates 100"
-        else:
-            where = "all coordinates 0"
+    for name, (half, coordinate, _) in _FUNCTIONS.items():
         entry = {
             "name": name,
             "lower": -half,
             "upper": half,
             "optimum_value": 0.0,
-            "optimum_point": where,
+            "optimum_point": f"all coordinates {coordinate:g}",
         }
         if name == "rot_rastrigin":
             entry["constraint"] = "even dimension required"

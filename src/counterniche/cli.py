@@ -86,11 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--in", dest="in_dir", required=True)
     p_sum.add_argument("--json", action="store_true")
 
-    p_tt = sub.add_parser("ttest", help="paired t-test between two cells")
+    p_tt = sub.add_parser("ttest", help="paired t-test of one cell against another, or against the rest")
     p_tt.add_argument("--in", dest="in_dir", required=True)
     p_tt.add_argument("--a", dest="cell_a", required=True, type=_cell_ref, metavar="ALGO:FUNCTION:DIM")
-    p_tt.add_argument("--b", dest="cell_b", required=True, type=_cell_ref, metavar="ALGO:FUNCTION:DIM")
-    p_tt.add_argument("--csv", default=None, help="also write the result as CSV")
+    p_tt.add_argument("--b", dest="cell_b", default=None, type=_cell_ref, metavar="ALGO:FUNCTION:DIM",
+                      help="defaults to every other algo's cell of the same function and dim")
+    p_tt.add_argument("--csv", default=None, help="also write the result as CSV, one row per pair")
 
     p_div = sub.add_parser("diversity-report", help="average diversity profiles per cell")
     p_div.add_argument("--in", dest="in_dir", required=True)
@@ -239,37 +240,39 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
-def _load_cell_errors(in_dir, ref: tuple[str, str, int]) -> list[float]:
-    algo, function, dim = ref
-    cdir = harness.cell_dir(in_dir, algo, function, dim)
-    traces = sorted(cdir.glob("run*.csv"), key=lambda p: int(p.stem[3:]))
-    if not traces:
-        raise FileNotFoundError(f"no run traces under {cdir}")
-    return harness.collect_final_errors(traces, function, dim)
-
-
 def _cmd_ttest(args) -> int:
-    errors_a = _load_cell_errors(args.in_dir, args.cell_a)
-    errors_b = _load_cell_errors(args.in_dir, args.cell_b)
-    if len(errors_a) != len(errors_b):
-        raise ValueError(
-            f"run counts differ: {len(errors_a)} vs {len(errors_b)}; pairing needs equal counts"
+    cells = {cell[:3]: cell[3] for cell in harness.discover_cells(args.in_dir)}
+
+    def errors(ref):
+        if ref not in cells:
+            raise FileNotFoundError(f"no run traces under {harness.cell_dir(args.in_dir, *ref)}")
+        return harness.collect_final_errors(cells[ref], ref[1], ref[2])
+
+    algo_a, function_a, dim_a = args.cell_a
+    errors_a = errors(args.cell_a)
+    if args.cell_b is None:
+        others = [ref for ref in cells if ref[1:] == (function_a, dim_a) and ref[0] != algo_a]
+        if not others:
+            raise FileNotFoundError(f"no other algo's {function_a}:{dim_a} cell under {args.in_dir}")
+    else:
+        others = [args.cell_b]
+    rows = []
+    for algo_b, function_b, dim_b in others:
+        result = stats.paired_ttest(errors_a, errors((algo_b, function_b, dim_b)))
+        rows.append(
+            {
+                "function": function_a if function_a == function_b else f"{function_a}/{function_b}",
+                "dim": dim_a if dim_a == dim_b else f"{dim_a}/{dim_b}",
+                "algo_a": algo_a,
+                "algo_b": algo_b,
+                "t": result.t_statistic,
+                "df": result.degrees_of_freedom,
+                "p": result.p_value,
+            }
         )
-    result = stats.paired_ttest(errors_a, errors_b)
-    func_label = args.cell_a[1] if args.cell_a[1] == args.cell_b[1] else f"{args.cell_a[1]}/{args.cell_b[1]}"
-    dim_label = args.cell_a[2] if args.cell_a[2] == args.cell_b[2] else f"{args.cell_a[2]}/{args.cell_b[2]}"
-    row = {
-        "function": func_label,
-        "dim": dim_label,
-        "algo_a": args.cell_a[0],
-        "algo_b": args.cell_b[0],
-        "t": result.t_statistic,
-        "df": result.degrees_of_freedom,
-        "p": result.p_value,
-    }
-    print(stats.render_ttest_text([row]))
+    print(stats.render_ttest_text(rows))
     if args.csv:
-        harness.write_row_csv(args.csv, row)
+        harness.write_rows_csv(args.csv, rows)
     return 0
 
 

@@ -9,6 +9,7 @@ axis-aligned box, fitness is minimized, and all randomness flows through one
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ __all__ = [
     "Population",
     "RngStream",
     "clamp",
+    "check_finite",
 ]
 
 
@@ -264,3 +266,9 @@ def clamp(genomes, space: SearchSpace) -> np.ndarray:
     if g.ndim not in (1, 2) or g.shape[-1] != space.dim:
         raise ValueError(f"genome has shape {g.shape}, expected ({space.dim},) or (n, {space.dim})")
     return np.minimum(np.maximum(g, space.lower), space.upper)
+
+
+def check_finite(name: str, value) -> None:
+    """Refuse NaN and +-inf for a float knob, before any range check reads it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")

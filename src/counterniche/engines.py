@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .benchmarks import evaluate_children, evaluate_rows
-from .core import Individual, Population, RngStream, SearchSpace
+from .core import Individual, Population, RngStream, SearchSpace, check_finite
 from .diversity import distance_to_average
 from .informed import detect_victims, informed_mutation, regular_ops
 from .niching import build_grid, check_key_length, choose_key_dims, high_density_regions
@@ -130,12 +130,6 @@ class EngineConfig:
             )
         if self.d_low >= self.d_high:
             raise ValueError("d_low must stay below d_high")
-
-
-def check_finite(name: str, value) -> None:
-    """Refuse NaN and +-inf for a float knob, before any range check reads it."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def engine_knobs() -> dict[str, Field]:

@@ -18,13 +18,12 @@ from pathlib import Path
 from typing import Sequence, get_type_hints
 
 from . import benchmarks
-from .core import RngStream
+from .core import RngStream, check_finite
 from .engines import (
     EngineConfig,
     GenRecord,
     RunTrace,
     StagnationRule,
-    check_finite,
     default_config,
     engine_knobs,
     run,
@@ -43,7 +42,7 @@ __all__ = [
     "write_trace_csv",
     "read_trace_csv",
     "summary_row",
-    "write_row_csv",
+    "write_rows_csv",
     "write_summary_csv",
     "read_summary_csv",
     "cell_dir",
@@ -152,14 +151,16 @@ def summary_row(algo: str, function: str, dim: int, summary: RunSummary) -> dict
     return {"algo": algo, "function": function, "dim": dim, "runs": summary.n, **stats}
 
 
-def write_row_csv(path, row: dict) -> None:
-    """A one-row table: the keys of `row` as the header, its floats with `_fmt`."""
+def write_rows_csv(path, rows: Sequence[dict]) -> None:
+    """A table of rows with the same keys: those keys as the header, one
+    line per row, floats with `_fmt`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(row)
-        w.writerow(_fmt(v) if isinstance(v, float) else v for v in row.values())
+        w.writerow(rows[0])
+        for row in rows:
+            w.writerow(_fmt(v) if isinstance(v, float) else v for v in row.values())
 
 
 def write_summary_csv(
@@ -173,7 +174,7 @@ def write_summary_csv(
 ) -> None:
     stag = sum(stagnation_gens) / len(stagnation_gens) if stagnation_gens else ""
     row = summary_row(algo, function, dim, summary)
-    write_row_csv(path, {**row, "mean_wall_ms": float(mean_wall_ms), "stagnation_gen_mean": stag})
+    write_rows_csv(path, [{**row, "mean_wall_ms": float(mean_wall_ms), "stagnation_gen_mean": stag}])
 
 
 def read_summary_csv(path) -> dict:

@@ -16,10 +16,6 @@ import numpy as np
 from .core import Population, RngStream, SearchSpace
 
 __all__ = [
-    "DEFAULT_BINS",
-    "DEFAULT_DENSITY_FRACTION",
-    "DEFAULT_KEY_DIM_LIMIT",
-    "DEFAULT_PROJECTED_DIMS",
     "GridIndex",
     "Regions",
     "bin_indices",
@@ -29,12 +25,6 @@ __all__ = [
     "build_grid",
     "high_density_regions",
 ]
-
-DEFAULT_BINS = 4
-DEFAULT_DENSITY_FRACTION = 0.05
-# above this dimensionality, cell keys use a fixed random subset of dimensions
-DEFAULT_KEY_DIM_LIMIT = 10
-DEFAULT_PROJECTED_DIMS = 10
 
 
 def bin_indices(points, space: SearchSpace, bins: int, dims=None) -> np.ndarray:
@@ -72,13 +62,9 @@ def cell_codes(points, space: SearchSpace, bins: int, dims) -> np.ndarray:
     return bin_indices(points, space, bins, dims) @ _radix(bins, len(dims))
 
 
-def choose_key_dims(
-    dim: int,
-    rng: RngStream,
-    limit: int = DEFAULT_KEY_DIM_LIMIT,
-    projected: int = DEFAULT_PROJECTED_DIMS,
-) -> tuple[int, ...]:
-    """Dimensions used for cell keys. Drawn once per run when dim exceeds the limit."""
+def choose_key_dims(dim: int, rng: RngStream, limit: int, projected: int) -> tuple[int, ...]:
+    """Dimensions used for cell keys: all of them up to `limit`, above it
+    `projected` of them, drawn once per run."""
     if dim <= limit:
         return tuple(range(dim))
     return rng.index_subset(dim, projected)
@@ -110,7 +96,7 @@ class GridIndex:
 def build_grid(
     population: Population,
     space: SearchSpace,
-    bins: int = DEFAULT_BINS,
+    bins: int,
     key_dims: tuple[int, ...] | None = None,
 ) -> GridIndex:
     """Index every member by its cell code, over `key_dims` (all dimensions
@@ -146,11 +132,7 @@ class Regions:
         return self.grid.keys(self.code)
 
 
-def high_density_regions(
-    grid: GridIndex,
-    population: Population,
-    density_fraction: float = DEFAULT_DENSITY_FRACTION,
-) -> Regions:
+def high_density_regions(grid: GridIndex, population: Population, density_fraction: float) -> Regions:
     """Occupied cells holding at least max(2, ceil(fraction * N)) members.
 
     Each region's statistics are taken over its members in index order, one

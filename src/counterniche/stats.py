@@ -158,20 +158,10 @@ def render_summary_text(title: str, summary: RunSummary) -> str:
 
 
 def render_ttest_text(rows: list[dict]) -> str:
-    header = ("function", "dim", "algo_a", "algo_b", "t", "df", "p")
-    table = [header]
-    for row in rows:
-        table.append(
-            (
-                str(row["function"]),
-                str(row["dim"]),
-                str(row["algo_a"]),
-                str(row["algo_b"]),
-                f"{row['t']:.4g}",
-                str(row["df"]),
-                f"{row['p']:.4g}",
-            )
-        )
-    widths = [max(len(r[c]) for r in table) for c in range(len(header))]
+    """Rows with the same keys as an aligned text table: those keys as the
+    header, floats with 4 significant digits."""
+    table = [list(rows[0])]
+    table += [[f"{v:.4g}" if isinstance(v, float) else str(v) for v in row.values()] for row in rows]
+    widths = [max(len(r[c]) for r in table) for c in range(len(table[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
     return "\n".join(lines)

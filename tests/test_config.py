@@ -130,13 +130,11 @@ def test_bad_knob_rejected_when_built(name, value, tmp_path, capsys):
 def test_non_finite_float_knob_fails_before_the_run(name, value, tmp_path, capsys):
     algo = {"d_low": "dgea", "d_high": "dgea", "sigma_reg": "cnea", "eps_fit": "cnea"}.get(name, "socea")
     function = "schwefel12" if name == "schwefel_lower" else "ellipsoid"
-    if name == "schwefel_lower":  # the search space refuses the bound; its message names no knob
-        message = "bounds must be finite"
-        with pytest.raises(ValueError, match=message):
+    message = f"{name} must be finite"
+    with pytest.raises(ValueError, match=f"{message}, got {value}"):
+        if name == "schwefel_lower":
             make(function, 2, schwefel_lower=value)
-    else:
-        message = f"{name} must be finite"
-        with pytest.raises(ValueError, match=f"{message}, got {value}"):
+        else:
             EngineConfig(algo, **{name: value})
     trace = tmp_path / "t.csv"
     code = cli.main(
@@ -144,7 +142,7 @@ def test_non_finite_float_knob_fails_before_the_run(name, value, tmp_path, capsy
          "--pop-size", "14", "--out", str(trace), f"{_flag(name)}={value}"]
     )
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert f"{message}, got {value}" in capsys.readouterr().err
     assert not trace.exists()
 
     sweep = tmp_path / "sweep.cfg"

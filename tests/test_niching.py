@@ -36,7 +36,7 @@ def test_bin_indices_upper_bound_folds_into_last_bin():
 
 def test_choose_key_dims_low_dim_identity():
     rng = RngStream(0)
-    assert choose_key_dims(7, rng) == (0, 1, 2, 3, 4, 5, 6)
+    assert choose_key_dims(7, rng, 10, 10) == (0, 1, 2, 3, 4, 5, 6)
 
 
 def test_choose_key_dims_projection_above_limit():

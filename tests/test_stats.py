@@ -191,3 +191,10 @@ def test_render_ttest_text_alignment():
     lines = text.splitlines()
     assert lines[0].startswith("function")
     assert "cnea" in lines[1] and "sea" in lines[1]
+    # the header is the rows' keys, so a new column shows without other edits
+    rows.append({**rows[0], "algo_b": "dgea", "t": 0.25, "p": 0.8})
+    rows = [{**row, "note": "x"} for row in rows]
+    lines = render_ttest_text(rows).splitlines()
+    assert lines[0].split() == ["function", "dim", "algo_a", "algo_b", "t", "df", "p", "note"]
+    assert lines[2].split() == ["rastrigin", "10", "cnea", "dgea", "0.25", "9", "0.8", "x"]
+    assert lines[1].index("-16.7") == lines[0].index("t ") == lines[2].index("0.25")
