@@ -190,15 +190,16 @@ def regular_ops(
 ) -> Population:
     """Standard variation pass: tournament parents, arithmetic crossover with
     probability p_r, per-gene Gaussian mutation with std sigma_reg * range.
+    The draws come as whole arrays, in this order: tournaments (n, 4);
+    crossover coins (n,), weight draws (n, dim), positions (n,), blends (n,);
+    gene-mask uniforms (n, dim), standard normals (n, dim).
     The changed children are evaluated in one batch at the end; a child that
     is an untouched copy of its first parent keeps the parent's fitness."""
     std = cfg.sigma_reg * space.widths()
-    n = population.size
-    draws = Variation(n, space.dim, rng)
-    for k in range(n):
-        draws.tournaments(k)
-        draws.crossover(k, cfg.p_r)
-        draws.mutation(k)
+    draws = Variation(population.size, space.dim, rng)
+    draws.all_tournaments()
+    draws.all_crossovers(cfg.p_r)
+    draws.all_gene_mutations()
     first, second = draws.parents(population.f)
     children, fresh = draws.children(population.X, first, second, space, cfg.p_m, std * std)
     return Population(children, evaluate_children(fn, children, fresh, population.f[first]))

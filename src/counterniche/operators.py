@@ -9,10 +9,11 @@ the same IEEE operations per element as one child at a time.
 The draws come in two layouts. The per-child methods (`tournaments`,
 `crossover`, `mutation`) are called child by child, in the order the child
 consumes the stream, and draw crossover and mutation only where a child's
-coin lands; `sea` and `cnea` use them. The whole-array methods
-(`all_tournaments`, `all_crossovers`, `all_mutations`) draw one array per
-draw kind for all n children, every row whatever its coin says, so the
-words a generation takes do not depend on the population or on the coins;
+coin lands; `sea` alone uses them. The whole-array methods
+(`all_tournaments`, `all_crossovers`, `all_mutations`,
+`all_gene_mutations`) draw one array per draw kind for all n children,
+every row whatever its coin says, so the words a generation takes do not
+depend on the population or on the coins; `cnea`'s regular operators,
 `socea`, `cea` and `dgea` use them.
 """
 
@@ -118,7 +119,7 @@ class Variation:
             self.position[k] = rng.integers(0, self.dim)
             self.blend[k] = rng.random()
 
-    def mutation(self, k: int, variance: float = 1.0) -> None:
+    def mutation(self, k: int, variance: float) -> None:
         """One uniform per gene (its mask draw), then one standard normal per
         gene. `variance` is child k's, for `children` without a per-gene one.
         The draws do not depend on which genes fire."""
@@ -155,6 +156,16 @@ class Variation:
         self.mutated = rng.random(n) < p_m
         self.variance = variances(n)[:, None]
         self.normals = rng.normal(0.0, 1.0, (n, self.dim))
+
+    def all_gene_mutations(self) -> None:
+        """Every child's per-gene mutation draws, one array per kind: the
+        mask uniforms (n, dim), then the standard normals (n, dim). Every
+        child counts as mutated; which of its genes fire is left to the
+        per-gene rate `children` gets, with the per-gene variance it gets."""
+        rng, shape = self.rng, (self.n, self.dim)
+        self.mutated = np.ones(self.n, dtype=bool)
+        self.gene_draws = rng.random(shape)
+        self.normals = rng.normal(0.0, 1.0, shape)
 
     def parents(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The winners of each child's two tournaments under fitness f."""

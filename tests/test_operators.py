@@ -29,7 +29,7 @@ def _cross(a, b, rng):
 def _mutate(genome, variance, p_gene, space, rng):
     """One genome through one child's mutation draws: (child, fired)."""
     draws = Variation(1, space.dim, rng)
-    draws.mutation(0)
+    draws.mutation(0, 1.0)  # the stored variance is unused: `variance` goes to gaussian_mutate
     out, fired = gaussian_mutate([genome], draws.gene_draws, draws.normals, variance, p_gene, space)
     return out[0], bool(fired[0])
 
@@ -127,6 +127,18 @@ def test_whole_array_draws_come_in_their_documented_order():
     assert np.array_equal(draws.normals, shadow.normal(0.0, 1.0, (n, dim)))
     assert draws.rng.random() == shadow.random()
     assert not draws.gene_draws.any()  # no mask draws: every gene of a mutated child fires
+
+
+def test_gene_mutation_draws_come_masks_then_normals():
+    # every child mutates: its mask uniforms (n, dim), then its standard normals (n, dim)
+    n, dim = 6, 3
+    shadow = RngStream(5)
+    draws = Variation(n, dim, RngStream(5))
+    draws.all_gene_mutations()
+    assert draws.mutated.all()
+    assert np.array_equal(draws.gene_draws, shadow.random((n, dim)))
+    assert np.array_equal(draws.normals, shadow.normal(0.0, 1.0, (n, dim)))
+    assert draws.rng.random() == shadow.random()
 
 
 def test_gaussian_mutate_clamps_to_space():

@@ -28,7 +28,7 @@ DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
 # golden case -> SHA-256 of its `write_trace_csv` file, timing off
 TRACE_CSV_DIGESTS = {
-    "cnea-schwefel12-10d-replacement": "0190f201fb4029b04ffe7c1f0927912c1a7f95c8fbef386f66cad97c8d28fcbd",
+    "cnea-schwefel12-10d-replacement": "b2cc20519ebf390739245dffb20092c12dea418759717096d2cd66fff9af5012",
     "dgea-rastrigin-8d-switching": "b9cd51eef16f684745cb3efd343994a642b389ddf49641d6e6bc15cb3a41ca8b",
 }
 
@@ -44,10 +44,10 @@ SWEEP_CFG = (
 
 # output -> SHA-256 of its bytes, for the sweep of SWEEP_CFG
 SWEEP_DIGESTS = {
-    "cnea summary.csv": "53ee702a37af59b354c2378f073281c366d438f7236cd3609a863872971d115b",
+    "cnea summary.csv": "9374eb3f05347e5cd7bb2d066060a9aa17d85ad756e4016a6223cb76c4fec985",
     "sea summary.csv": "797b3c52262d0e5f30014e9a896676e7ba8b469be92a89f15dc1d7fcb5f837af",
-    "summarize --json": "2d22f066531e874889320f23b68adc64827e0a41d2c31be27289b8b77a359685",
-    "ttest --csv": "d5e63ff436524a98267694a9a9537c47137e97374d041551db7d0b0c94c2eec4",
+    "summarize --json": "56b005ec1782f5601354b6b6da1094cb2841f758b7bef630334c89106e187ce7",
+    "ttest --csv": "0e86f9b27643c8fd738e725417d0dd7474ad3f83f932b67f60731feedc497824",
 }
 
 

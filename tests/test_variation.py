@@ -1,20 +1,19 @@
 """Batched variation against child-by-child references.
 
 Every engine draws its children first and then runs the crossover and
-mutation arithmetic once over all rows. `sea` and cnea's regular operators
-draw child by child; the reference loops `ref_regular_ops` and
-`ref_sea_offspring` are the loop bodies that made each child in turn, and
-both sides must give bit-identical children and fitness and leave the random
-stream at the same place.
+mutation arithmetic once over all rows. `sea` alone draws child by child;
+the reference loop `ref_sea_offspring` is the loop body that made each child
+in turn, and both sides must give bit-identical children and fitness and
+leave the random stream at the same place.
 
-`socea`, `cea` and `dgea` draw each generation's variation as whole arrays,
-one call per draw kind, in the order `ref_whole_array_draws` spells out;
-`ref_whole_array_children` builds each child in turn from those arrays, and
-must match the engines bit for bit too. Their old child-by-child loops
-(`ref_sea_offspring` with a POW variance, `ref_cea_offspring`,
-`ref_dgea_offspring`) draw in another order, so they are kept as the
-"before" of a distributional check: over many seeds the final errors of
-whole runs must not tell the two apart.
+cnea's regular operators, `socea`, `cea` and `dgea` draw each generation's
+variation as whole arrays, one call per draw kind, in the order
+`ref_whole_array_draws` spells out; `ref_whole_array_children` builds each
+child in turn from those arrays, and must match the engines bit for bit too.
+Their old child-by-child loops (`ref_regular_ops`, `ref_sea_offspring` with a
+POW variance, `ref_cea_offspring`, `ref_dgea_offspring`) draw in another
+order, so they are kept as the "before" of a distributional check: over many
+seeds the final errors of whole runs must not tell the two apart.
 """
 
 import numpy as np
@@ -65,8 +64,8 @@ def ref_children(fn, children, fresh, inherited):
     return np.where(fresh, fn.evaluate_batch(children), inherited)
 
 
-def ref_regular_ops(pop, rng, cfg):
-    std = cfg.sigma_reg * SPACE.widths()
+def ref_regular_ops(pop, space, fn, rng, cfg):
+    std = cfg.sigma_reg * space.widths()
     X, f = pop.X, pop.f
     children, fresh, parent = np.empty_like(X), np.zeros(len(f), bool), np.empty(len(f), int)
     for k in range(len(f)):
@@ -74,9 +73,9 @@ def ref_regular_ops(pop, rng, cfg):
         j = ref_tournament(f, rng)
         crossed = rng.random() < cfg.p_r
         genome = ref_crossover(X[i], X[j], rng) if crossed else X[i]
-        children[k], fired = ref_mutate(genome, std * std, cfg.p_m, SPACE, rng)
+        children[k], fired = ref_mutate(genome, std * std, cfg.p_m, space, rng)
         fresh[k], parent[k] = crossed or fired, i
-    return children, ref_children(Sphere(), children, fresh, f[parent])
+    return children, ref_children(fn, children, fresh, f[parent])
 
 
 def ref_sea_offspring(pop, rng, cfg, variance, fn):
@@ -133,8 +132,10 @@ def ref_winner(f, i, j):
     return j if f[j] < f[i] else i
 
 
-def ref_whole_array_draws(n, rng, cfg, tournaments=False, crossover=False, alpha=None):
-    """The arrays of one whole-array generation, in the engines' order."""
+def ref_whole_array_draws(n, rng, cfg, tournaments=False, crossover=False, alpha=None, genes=False):
+    """The arrays of one whole-array generation, in the engines' order:
+    whole-genome POW(alpha) mutation for the baselines, per-gene mutation
+    for cnea. `genes` holds the (n, DIM) mask of the genes that fire."""
     d = {}
     if tournaments:
         d["bouts"] = rng.integers(0, n, size=(n, 4))
@@ -144,9 +145,15 @@ def ref_whole_array_draws(n, rng, cfg, tournaments=False, crossover=False, alpha
         d["position"] = rng.integers(0, DIM, size=n)
         d["blend"] = rng.random(n)
     if alpha is not None:
-        d["mutated"] = rng.random(n) < cfg.p_m_genome
-        d["variance"] = pow_sample(alpha, rng, cfg.pow_exponent, cfg.pow_upper, size=n)
+        mutated = rng.random(n) < cfg.p_m_genome
+        d["variance"] = pow_sample(alpha, rng, cfg.pow_exponent, cfg.pow_upper, size=n)[:, None]
         d["normals"] = rng.normal(0.0, 1.0, (n, DIM))
+        d["genes"] = np.repeat(mutated[:, None], DIM, axis=1)
+    if genes:
+        d["genes"] = rng.random((n, DIM)) < cfg.p_m
+        d["normals"] = rng.normal(0.0, 1.0, (n, DIM))
+        std = cfg.sigma_reg * SPACE.widths()
+        d["variance"] = np.broadcast_to(std * std, (n, DIM))
     return d
 
 
@@ -160,8 +167,9 @@ def ref_whole_array_children(pop, d, first, second):
             w[d["position"][k]] = d["blend"][k]
             children[k] = w * X[first[k]] + (1.0 - w) * X[second[k]]
             fresh[k] = True
-        if "mutated" in d and d["mutated"][k]:
-            genome = children[k] + d["normals"][k] * np.sqrt(d["variance"][k])
+        if "genes" in d and d["genes"][k].any():
+            fire, genome = d["genes"][k], children[k].copy()
+            genome[fire] += (d["normals"][k] * np.sqrt(d["variance"][k]))[fire]
             children[k] = np.minimum(np.maximum(genome, SPACE.lower), SPACE.upper)
             fresh[k] = True
     return children, ref_children(Sphere(), children, fresh, f[first])
@@ -179,7 +187,7 @@ def ref_whole_array_offspring(algo, pop, rng, cfg):
         d = ref_whole_array_draws(n, rng, cfg, alpha=1.0)
         return ref_whole_array_children(pop, d, np.arange(n), np.arange(n))
     alpha = 10.0 if algo == "socea" else None
-    d = ref_whole_array_draws(n, rng, cfg, tournaments=True, crossover=True, alpha=alpha)
+    d = ref_whole_array_draws(n, rng, cfg, tournaments=True, crossover=True, alpha=alpha, genes=algo == "cnea")
     b = d["bouts"]
     first = [ref_winner(pop.f, b[k, 0], b[k, 1]) for k in range(n)]
     second = [ref_winner(pop.f, b[k, 2], b[k, 3]) for k in range(n)]
@@ -210,8 +218,6 @@ def _variation(algo, pop, cfg, rng):
 
 
 def _reference(algo, pop, cfg, rng):
-    if algo == "cnea":
-        return ref_regular_ops(pop, rng, cfg)
     if algo == "sea":
         return ref_sea_offspring(pop, rng, cfg, lambda: sea_variance(3), Sphere())
     return ref_whole_array_offspring(algo, pop, rng, cfg)
@@ -243,7 +249,7 @@ def test_batched_variation_matches_child_by_child(algo, p_r, p_m):
         assert clamped > 0  # the clamp was exercised
 
 
-@pytest.mark.parametrize("algo", ["socea", "cea", "dgea-exploit", "dgea-explore"])
+@pytest.mark.parametrize("algo", ["cnea", "socea", "cea", "dgea-exploit", "dgea-explore"])
 def test_whole_array_generation_takes_the_same_words_whatever_it_draws(algo):
     # two populations of different fitness, and coins that all land, none, or some:
     # every whole-array generation from one seed leaves the stream at one place
@@ -259,6 +265,8 @@ def test_whole_array_generation_takes_the_same_words_whatever_it_draws(algo):
 
 # the old child-by-child loops, as the engines call their offspring functions
 BEFORE = {
+    "cnea": ("regular_ops", lambda pop, space, fn, rng, cfg: Population(*ref_regular_ops(
+        pop, space, fn, rng, cfg))),
     "socea": ("_socea_offspring", lambda pop, cfg, fn, rng: Population(*ref_sea_offspring(
         pop, rng, cfg, lambda: pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper), fn))),
     "cea": ("_cea_offspring", lambda pop, cfg, fn, rng, _neighbors: Population(*ref_cea_offspring(
@@ -281,7 +289,7 @@ def _final_errors(algo, function):
 
 
 @pytest.mark.parametrize("function", ["rastrigin", "ackley", "griewank"])
-@pytest.mark.parametrize("algo", ["socea", "cea", "dgea"])
+@pytest.mark.parametrize("algo", ["cnea", "socea", "cea", "dgea"])
 def test_whole_array_draws_keep_the_final_error_distribution(algo, function, monkeypatch):
     from scipy.stats import mannwhitneyu
 
