@@ -232,7 +232,8 @@ def _cmd_summarize(args) -> int:
         summary = stats.summarize(errors)
         title = f"{algo}  {function}  dim={dim}  runs={summary.n}"
         blocks.append(stats.render_summary_text(title, summary))
-        payload.append(harness.summary_row(algo, function, dim, summary))
+        row = harness.summary_row(algo, function, dim, summary)
+        payload.append({**row, "stalled_runs": harness.read_stalled_runs(traces[0].parent)})
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

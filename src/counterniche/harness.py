@@ -44,6 +44,7 @@ __all__ = [
     "summary_row",
     "write_rows_csv",
     "write_summary_csv",
+    "read_stalled_runs",
     "read_summary_csv",
     "cell_dir",
     "discover_cells",
@@ -61,7 +62,8 @@ _TRACE_FIELDS_WITHOUT_FALLBACKS = tuple(f for f in TRACE_FIELDS if f != "fallbac
 # the RunSummary statistics of a summary row, in column order
 _SUMMARY_STATS = ("best", "p23", "median", "p73", "worst", "mean", "std")
 SUMMARY_FIELDS = (
-    "algo", "function", "dim", "runs", *_SUMMARY_STATS, "mean_wall_ms", "stagnation_gen_mean"
+    "algo", "function", "dim", "runs", *_SUMMARY_STATS, "mean_wall_ms", "stagnation_gen_mean",
+    "stalled_runs",
 )
 
 
@@ -146,7 +148,8 @@ def read_trace_csv(path) -> RunTrace:
 
 def summary_row(algo: str, function: str, dim: int, summary: RunSummary) -> dict:
     """The SUMMARY_FIELDS values that a cell's run errors give, by name:
-    every column but `mean_wall_ms` and `stagnation_gen_mean`."""
+    every column but `mean_wall_ms`, `stagnation_gen_mean` and
+    `stalled_runs`."""
     stats = {name: getattr(summary, name) for name in _SUMMARY_STATS}
     return {"algo": algo, "function": function, "dim": dim, "runs": summary.n, **stats}
 
@@ -172,9 +175,25 @@ def write_summary_csv(
     mean_wall_ms: float,
     stagnation_gens: Sequence[int],
 ) -> None:
+    """One cell's summary row. `stagnation_gens` holds the stall generation
+    of each run that stalled, so `stagnation_gen_mean` averages those runs
+    only, and `stalled_runs` counts them beside `runs`."""
     stag = sum(stagnation_gens) / len(stagnation_gens) if stagnation_gens else ""
     row = summary_row(algo, function, dim, summary)
-    write_rows_csv(path, [{**row, "mean_wall_ms": float(mean_wall_ms), "stagnation_gen_mean": stag}])
+    write_rows_csv(path, [{
+        **row, "mean_wall_ms": float(mean_wall_ms), "stagnation_gen_mean": stag,
+        "stalled_runs": len(stagnation_gens),
+    }])
+
+
+def read_stalled_runs(cell) -> int | None:
+    """The `stalled_runs` of the summary.csv in a cell directory; None when
+    the cell has no summary.csv or one written before that column."""
+    path = Path(cell) / "summary.csv"
+    if not path.exists():
+        return None
+    stalled = read_summary_csv(path).get("stalled_runs")
+    return None if stalled is None else int(stalled)
 
 
 def read_summary_csv(path) -> dict:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from counterniche import (
     run,
     run_matrix,
 )
-from counterniche import harness
+from counterniche import cli, harness
 from counterniche.engines import GenRecord, RunTrace, default_config
 from counterniche.harness import (
     SUMMARY_FIELDS,
@@ -272,6 +273,20 @@ def test_run_matrix_writes_expected_layout(tmp_path):
     row = read_summary_csv(base / "summary.csv")
     assert row["runs"] == "2"
     assert float(row["mean_wall_ms"]) == 0.0  # timing off
+
+
+def test_summary_counts_stalled_runs_beside_all_runs(tmp_path, capsys):
+    # seed 0 stalls at generation 11, seed 1 runs to the cap of 20
+    matrix = _tiny_matrix(tmp_path, budget="stagnation", stagnation_window=5, hard_cap=20)
+    run_matrix(matrix)
+    cell = tmp_path / "results" / "sea" / "ellipsoid" / "2d"
+    assert [read_trace_csv(cell / f"run{r}.csv").records[-1].generation for r in range(2)] == [11, 20]
+    row = read_summary_csv(cell / "summary.csv")
+    assert (row["runs"], row["stalled_runs"]) == ("2", "1")
+    assert float(row["stagnation_gen_mean"]) == 11.0  # the stalled run's generation alone
+    assert cli.main(["summarize", "--in", matrix.output_dir, "--json"]) == 0
+    (summary,) = json.loads(capsys.readouterr().out)
+    assert (summary["runs"], summary["stalled_runs"]) == (2, 1)
 
 
 def test_run_matrix_seed_pairing(tmp_path):

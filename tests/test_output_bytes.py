@@ -44,9 +44,9 @@ SWEEP_CFG = (
 
 # output -> SHA-256 of its bytes, for the sweep of SWEEP_CFG
 SWEEP_DIGESTS = {
-    "cnea summary.csv": "9374eb3f05347e5cd7bb2d066060a9aa17d85ad756e4016a6223cb76c4fec985",
-    "sea summary.csv": "797b3c52262d0e5f30014e9a896676e7ba8b469be92a89f15dc1d7fcb5f837af",
-    "summarize --json": "56b005ec1782f5601354b6b6da1094cb2841f758b7bef630334c89106e187ce7",
+    "cnea summary.csv": "04c3c1c2f5358c76e01029b58316bc6a5a17ccf538abbd3901df7a5d78c05bed",
+    "sea summary.csv": "4a7b0bdb19bf927b16a06b6621378e3974e886c42d0417ad2d5b368aa6fa7390",
+    "summarize --json": "9647c4f04d2f12d47ece92cc8ed448d26dbf1382d957ffd80c52f4e1fa7bd177",
     "ttest --csv": "0e86f9b27643c8fd738e725417d0dd7474ad3f83f932b67f60731feedc497824",
 }
 
