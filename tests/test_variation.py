@@ -265,8 +265,7 @@ def test_whole_array_generation_takes_the_same_words_whatever_it_draws(algo):
 
 # the old child-by-child loops, as the engines call their offspring functions
 BEFORE = {
-    "cnea": ("regular_ops", lambda pop, space, fn, rng, cfg: Population(*ref_regular_ops(
-        pop, space, fn, rng, cfg))),
+    "cnea": ("regular_ops", lambda *args: Population(*ref_regular_ops(*args))),
     "socea": ("_socea_offspring", lambda pop, cfg, fn, rng: Population(*ref_sea_offspring(
         pop, rng, cfg, lambda: pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper), fn))),
     "cea": ("_cea_offspring", lambda pop, cfg, fn, rng, _neighbors: Population(*ref_cea_offspring(
