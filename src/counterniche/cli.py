@@ -22,13 +22,6 @@ from .engines import ALGORITHMS, algorithm_registry, default_config, engine_knob
 OUTPUT_DIR_ENV = "COUNTERNICHE_OUT"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -61,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="one engine run, trace written as CSV")
     p_run.add_argument("--algo", required=True, choices=ALGORITHMS)
     p_run.add_argument("--function", required=True, choices=benchmarks.FUNCTION_NAMES)
-    p_run.add_argument("--dim", required=True, type=_positive_int)
-    p_run.add_argument("--generations", type=_nonneg_int, default=None,
+    p_run.add_argument("--dim", required=True, type=int)
+    p_run.add_argument("--generations", type=int, default=None,
                        help="budget; defaults to the stock schedule for the algo and dim")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", default=None, help="trace CSV path")
@@ -79,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a whole experiment matrix from a config file")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--workers", type=_positive_int, default=None,
+    p_sweep.add_argument("--workers", type=int, default=None,
                          help="parallel cell workers; defaults to the config value")
 
     p_sum = sub.add_parser("summarize", help="rank-pick summary rows for every cell in a directory")

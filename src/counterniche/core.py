@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +22,10 @@ __all__ = [
     "RngStream",
     "clamp",
     "check_finite",
+    "config_field",
+    "check_value",
+    "check_fields",
+    "value_range",
 ]
 
 
@@ -272,3 +276,48 @@ def check_finite(name: str, value) -> None:
     """Refuse NaN and +-inf for a float knob, before any range check reads it."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
+
+
+# the bounds a config field may declare in its metadata: the test of each, and its symbol
+_BOUNDS = {
+    "ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="), "lt": (operator.lt, "<"),
+}
+
+
+def config_field(default=MISSING, **rules) -> Field:
+    """A field of a config dataclass. Its metadata holds `rules`: the bounds
+    `ge`, `gt`, `le` and `lt`, or the allowed `choices`, which `check_value`
+    holds a value to, and whatever else the config's tables read."""
+    return field(default=default, metadata=rules)
+
+
+def value_range(field: Field) -> str:
+    """The values a config field allows, as text (`>= 0 and <= 1`, `printed
+    or annealed`); "" when the field declares no rule."""
+    rules = field.metadata
+    if "choices" in rules:
+        return " or ".join(rules["choices"])
+    return " and ".join(f"{symbol} {rules[op]}" for op, (_, symbol) in _BOUNDS.items() if op in rules)
+
+
+def check_value(field: Field, value) -> None:
+    """Check one value against the rules its config field declares: a float
+    is finite, a number keeps the field's bounds, and a field with `choices`
+    holds one of them. None, the unset value of an optional field, passes."""
+    if value is None:
+        return
+    check_finite(field.name, value)
+    rules = field.metadata
+    if "choices" in rules:
+        ok = value in rules["choices"]
+    else:
+        ok = all(test(value, rules[op]) for op, (test, _) in _BOUNDS.items() if op in rules)
+    if not ok:
+        raise ValueError(f"{field.name} must be {value_range(field)}, got {value!r}")
+
+
+def check_fields(config) -> None:
+    """`check_value` on every init field of a config dataclass, in field order."""
+    for f in fields(config):
+        if f.init:
+            check_value(f, getattr(config, f.name))

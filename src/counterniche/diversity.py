@@ -17,7 +17,6 @@ __all__ = [
     "distance_to_average",
     "degree_of_diversity",
     "maturity",
-    "fitness_std",
 ]
 
 
@@ -82,10 +81,3 @@ def maturity(rows: Sequence[Sequence[Hashable]]) -> int:
     rows = _validated_rows(rows)
     return len(rows[0]) - degree_of_diversity(rows)
 
-
-def fitness_std(fitness: Sequence[float]) -> float:
-    """Population (not sample) standard deviation of a fitness vector."""
-    f = np.asarray(fitness, dtype=float)
-    if f.size == 0 or np.isnan(f).any():
-        raise ValueError("need at least one fitness value, and no NaN")
-    return float(np.std(f))

@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import Field, dataclass, fields, replace
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .benchmarks import evaluate_children, evaluate_rows
-from .core import Individual, Population, RngStream, SearchSpace, check_finite
+from .core import Individual, Population, RngStream, SearchSpace, check_fields, config_field
 from .diversity import distance_to_average
 from .informed import detect_victims, informed_mutation, regular_ops
 from .niching import build_grid, check_key_length, choose_key_dims, high_density_regions
@@ -61,69 +61,46 @@ def default_generations(algo: str, dim: int) -> int:
 BASELINES = ALGORITHMS[1:]
 
 
-def _knob(default, applies: tuple[str, ...], key: str | None = None):
-    """An engine knob: `applies` names the engines that read it, and `key` is
-    its sweep key and `run` flag when that differs from the field name."""
-    return field(default=default, metadata={"applies": applies, "key": key})
+def _knob(default, applies: tuple[str, ...], key: str | None = None, **rules):
+    """An engine knob: `applies` names the engines that read it, `key` is its
+    sweep key and `run` flag when that differs from the field name, and
+    `rules` are its bounds or choices (`core.config_field`)."""
+    return config_field(default, applies=applies, key=key, **rules)
 
 
 @dataclass
 class EngineConfig:
     algo: str
-    N: int = _knob(300, ALGORITHMS, key="pop_size")
-    generations: int = 500
-    seed: int = 0
-    elitism_count: int = _knob(1, ("cnea", "sea", "socea", "dgea"), key="elitism")
-    p_r: float = _knob(0.9, ALGORITHMS)
-    p_m: float = _knob(0.01, ("cnea",))             # per-gene rate (counter-niching regular ops)
-    p_m_genome: float = _knob(0.75, BASELINES)      # whole-genome rate (baselines)
-    sigma_reg: float = _knob(0.1, ("cnea",))
-    grid_bins: int = _knob(4, ("cnea",))
-    tau_dense: float = _knob(0.05, ("cnea",))
-    eps_fit: float = _knob(0.01, ("cnea",))
-    rho_replace: float = _knob(0.5, ("cnea",))
-    sample_budget: int = _knob(20, ("cnea",))
+    N: int = _knob(300, ALGORITHMS, key="pop_size", ge=2)
+    generations: int = config_field(500, ge=0)
+    seed: int = config_field(0, ge=0)
+    elitism_count: int = _knob(1, ("cnea", "sea", "socea", "dgea"), key="elitism", ge=0)
+    p_r: float = _knob(0.9, ALGORITHMS, ge=0, le=1)
+    p_m: float = _knob(0.01, ("cnea",), ge=0, le=1)          # per-gene rate (counter-niching regular ops)
+    p_m_genome: float = _knob(0.75, BASELINES, ge=0, le=1)   # whole-genome rate (baselines)
+    sigma_reg: float = _knob(0.1, ("cnea",), ge=0)
+    grid_bins: int = _knob(4, ("cnea",), ge=2)
+    tau_dense: float = _knob(0.05, ("cnea",), gt=0, le=1)
+    eps_fit: float = _knob(0.01, ("cnea",), ge=0)
+    rho_replace: float = _knob(0.5, ("cnea",), gt=0, lt=1)
+    sample_budget: int = _knob(20, ("cnea",), ge=1)
     key_dim_limit: int = _knob(10, ("cnea",))
-    projected_dims: int = _knob(10, ("cnea",))
-    sea_variance_mode: str = _knob("printed", ("sea",), key="sea_variance")
+    projected_dims: int = _knob(10, ("cnea",), ge=1)
+    sea_variance_mode: str = _knob("printed", ("sea",), key="sea_variance", choices=("printed", "annealed"))
     pow_exponent: float = _knob(2.0, ("socea", "cea", "dgea"))
-    pow_upper: float = _knob(1000.0, ("socea", "cea", "dgea"))
+    pow_upper: float = _knob(1000.0, ("socea", "cea", "dgea"), gt=1)
     d_low: float = _knob(5e-6, ("dgea",))
     d_high: float = _knob(0.25, ("dgea",))
-    cea_rows: int = _knob(20, ("cea",))
-    cea_cols: int = _knob(20, ("cea",))
+    cea_rows: int = _knob(20, ("cea",), ge=1)
+    cea_cols: int = _knob(20, ("cea",), ge=1)
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}; known: {', '.join(ALGORITHMS)}")
-        for f in fields(self):
-            check_finite(f.name, getattr(self, f.name))
-        if self.N < 2:
-            raise ValueError("population size must be at least 2")
-        if self.generations < 0:
-            raise ValueError("generations must be nonnegative")
-        if not 0 <= self.elitism_count <= self.N:
-            raise ValueError("elitism_count must lie in [0, N]")
-        for name in ("p_r", "p_m", "p_m_genome"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("eps_fit", "sigma_reg"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("sample_budget", "projected_dims", "cea_rows", "cea_cols"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.rho_replace < 1.0:
-            raise ValueError("rho_replace must lie strictly between 0 and 1")
-        if not 0.0 < self.tau_dense <= 1.0:
-            raise ValueError("tau_dense must lie in (0, 1]")
-        if self.grid_bins < 2:
-            raise ValueError("grid_bins must be at least 2")
-        if self.sea_variance_mode not in ("printed", "annealed"):
-            raise ValueError(f"unknown sea_variance_mode {self.sea_variance_mode!r}")
-        if not self.pow_upper > 1.0:
-            raise ValueError("pow_upper must exceed 1")
+        check_fields(self)
+        # the checks that read two fields at once
+        if self.elitism_count > self.N:
+            raise ValueError(f"elitism_count {self.elitism_count} exceeds N {self.N}")
         if self.algo == "cea" and self.cea_rows * self.cea_cols != self.N:
             raise ValueError(
                 f"cellular grid {self.cea_rows}x{self.cea_cols} does not hold N={self.N} members"
@@ -136,7 +113,7 @@ def engine_knobs() -> dict[str, Field]:
     """Every engine knob of `EngineConfig` by its sweep key, which is also its
     `counterniche run` flag with `-` for `_`. Values parse with the type of
     the field's default."""
-    return {f.metadata["key"] or f.name: f for f in fields(EngineConfig) if f.metadata}
+    return {f.metadata["key"] or f.name: f for f in fields(EngineConfig) if "applies" in f.metadata}
 
 
 def default_config(
@@ -148,8 +125,6 @@ def default_config(
 ) -> EngineConfig:
     """Stock configuration for an algorithm, with keyword overrides on top.
     Given `dim`, the run's dimension, the checks of `check_dim` run here."""
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}; known: {', '.join(ALGORITHMS)}")
     if generations is None:
         if dim is None:
             raise ValueError("need either dim or generations to size the budget")
@@ -463,12 +438,11 @@ class StagnationRule:
     """Stop a run once its best fitness has not strictly improved for
     `window` generations, or at generation `hard_cap`."""
 
-    window: int = 500
+    window: int = config_field(500, ge=1)
     hard_cap: int = 50_000
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be positive")
+        check_fields(self)
 
     def stall_test(self) -> Callable[[float], bool]:
         """A fresh test to feed every generation's best fitness in order,

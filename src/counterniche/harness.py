@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
 from . import benchmarks
-from .core import RngStream, check_finite
+from .core import RngStream, check_fields, check_value, config_field
 from .engines import (
     EngineConfig,
     GenRecord,
@@ -50,6 +50,7 @@ __all__ = [
     "discover_cells",
     "collect_final_errors",
     "run_matrix",
+    "matrix_keys",
     "load_matrix_config",
 ]
 
@@ -205,33 +206,41 @@ def read_summary_csv(path) -> dict:
     return rows[0]
 
 
+def _names(value: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
+_BOOL_VALUES = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
+
+
+def _on_off(value: str) -> bool:
+    if value.lower() not in _BOOL_VALUES:
+        raise ValueError(f"expected on/off, got {value!r}")
+    return _BOOL_VALUES[value.lower()]
+
+
 @dataclass
 class ExperimentMatrix:
-    algos: tuple[str, ...]
-    functions: tuple[str, ...]
-    dims: tuple[int, ...]
-    runs_per_cell: int = 30
-    budget: str = "fixed"  # "fixed" or "stagnation"
-    generations: int | None = None  # overrides the stock budget when set
-    seed_base: int = 0
-    output_dir: str = "results"
-    stagnation_window: int = 500
-    hard_cap: int = 50_000
-    workers: int = 1
-    timing: bool = False
-    schwefel_lower: float | None = None
+    algos: tuple[str, ...] = config_field(parse=_names)
+    functions: tuple[str, ...] = config_field(parse=_names)
+    dims: tuple[int, ...] = config_field(parse=lambda value: tuple(int(v) for v in _names(value)))
+    runs_per_cell: int = config_field(30, parse=int, key="runs", ge=1)
+    budget: str = config_field("fixed", parse=str, choices=("fixed", "stagnation"))
+    generations: int | None = config_field(None, parse=int, ge=0)  # overrides the stock budget when set
+    seed_base: int = config_field(0, parse=int, ge=0)
+    output_dir: str = config_field("results", parse=str)
+    stagnation_window: int = config_field(StagnationRule.window, parse=int, ge=1)
+    hard_cap: int = config_field(StagnationRule.hard_cap, parse=int)
+    workers: int = config_field(1, parse=int, ge=1)
+    timing: bool = config_field(False, parse=_on_off)
+    schwefel_lower: float | None = config_field(None, parse=float)
     engine_overrides: dict = field(default_factory=dict)
     stagnation_rule: StagnationRule = field(init=False, repr=False)
 
     def __post_init__(self):
+        check_fields(self)
         if not self.algos or not self.functions or not self.dims:
             raise ValueError("matrix needs at least one algo, function, and dim")
-        if self.runs_per_cell < 1:
-            raise ValueError("runs_per_cell must be positive")
-        if self.budget not in ("fixed", "stagnation"):
-            raise ValueError(f"budget must be 'fixed' or 'stagnation', got {self.budget!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
         self.stagnation_rule = StagnationRule(self.stagnation_window, self.hard_cap)
         # a bad engine key, or projected_dims beyond a dim, fails here, not in every cell
         for algo, dim in product(self.algos, self.dims):
@@ -357,48 +366,25 @@ def collect_final_errors(trace_paths: Sequence[Path], function: str, dim: int) -
     return errors
 
 
-def _names(value: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in value.split(",") if v.strip())
-
-
-_BOOL_VALUES = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
-
-
-def _on_off(value: str) -> bool:
-    if value.lower() not in _BOOL_VALUES:
-        raise ValueError(f"expected on/off, got {value!r}")
-    return _BOOL_VALUES[value.lower()]
-
-
-# sweep-file key -> (ExperimentMatrix field, parser); engine knobs come from engine_knobs()
-_MATRIX_KEYS = {
-    "algos": ("algos", _names),
-    "functions": ("functions", _names),
-    "dims": ("dims", lambda value: tuple(int(v) for v in _names(value))),
-    "runs": ("runs_per_cell", int),
-    "budget": ("budget", str),
-    "generations": ("generations", int),
-    "seed_base": ("seed_base", int),
-    "output_dir": ("output_dir", str),
-    "stagnation_window": ("stagnation_window", int),
-    "hard_cap": ("hard_cap", int),
-    "workers": ("workers", int),
-    "timing": ("timing", _on_off),
-    "schwefel_lower": ("schwefel_lower", float),
-}
+def matrix_keys() -> dict[str, Field]:
+    """Every sweep-file key of `ExperimentMatrix` by name, with its field; the
+    field's `parse` reads the key's value. Engine knobs come from
+    `engine_knobs()`."""
+    return {f.metadata.get("key", f.name): f for f in fields(ExperimentMatrix) if "parse" in f.metadata}
 
 
 def load_matrix_config(path) -> ExperimentMatrix:
     """Parse a flat key-value config file ("key = value" lines, # comments).
 
-    Unknown keys are errors, and so are values that do not parse; both name
-    the file, line and key. Keys left out fall back to the stock experiment
-    setup: 30 runs per cell, fixed budgets, seeds 0..runs-1.
+    Unknown keys are errors, and so are values that do not parse or break
+    their field's rules (`core.check_value`); each names the file, line and
+    key. Keys left out fall back to the stock experiment setup: 30 runs per
+    cell, fixed budgets, seeds 0..runs-1.
     """
     path = Path(path)
     text = path.read_text()
-    knobs = engine_knobs()
-    fields: dict = {}
+    keys, knobs = matrix_keys(), engine_knobs()
+    values: dict = {}
     overrides: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -407,18 +393,18 @@ def load_matrix_config(path) -> ExperimentMatrix:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key in _MATRIX_KEYS:
-            target, (name, parse) = fields, _MATRIX_KEYS[key]
+        if key in keys:
+            target, f, parse = values, keys[key], keys[key].metadata["parse"]
         elif key in knobs:
-            target, name, parse = overrides, knobs[key].name, type(knobs[key].default)
+            target, f, parse = overrides, knobs[key], type(knobs[key].default)
         else:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            target[name] = parse(value)
-            check_finite(name, target[name])
+            target[f.name] = parse(value)
+            check_value(f, target[f.name])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    missing = [k for k in ("algos", "functions", "dims") if k not in fields]
+    missing = [k for k in ("algos", "functions", "dims") if k not in values]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
-    return ExperimentMatrix(engine_overrides=overrides, **fields)
+    return ExperimentMatrix(engine_overrides=overrides, **values)

@@ -207,6 +207,28 @@ def test_sweep_rejects_bad_function_dim_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--dim", "0", "dim must be positive, got 0"),
+    ("--dim", "-3", "dim must be positive, got -3"),
+    ("--generations", "-1", "generations must be >= 0, got -1"),
+])
+def test_run_bad_dim_or_generations_exit_2_before_any_output(flag, value, message, tmp_path, capsys):
+    # the library refuses these values; the flags only parse an int
+    argv = {"--algo": "sea", "--function": "ellipsoid", "--dim": "2", "--generations": "2",
+            "--out": str(tmp_path / "t.csv"), flag: value}
+    assert main(["run", *(part for pair in argv.items() for part in pair)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_sweep_workers_flag_is_checked_by_the_matrix(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"algos = sea\nfunctions = ellipsoid\ndims = 2\noutput_dir = {tmp_path / 'r'}\n")
+    assert main(["sweep", "--config", str(cfg), "--workers", "0"]) == 2
+    assert "workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def _seed_results(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     out_dir = tmp_path / "results"

@@ -21,8 +21,9 @@ from counterniche import (
     run,
 )
 from counterniche import cli
+from counterniche.core import value_range
 from counterniche.engines import engine_knobs
-from counterniche.harness import load_matrix_config
+from counterniche.harness import load_matrix_config, matrix_keys
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
@@ -280,13 +281,14 @@ def test_docs_engine_keys_table_matches_config():
     for line in section.splitlines():
         if line.startswith("| `"):
             cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
-            rows[cells[0].strip("`")] = cells[1:4]
+            rows[cells[0].strip("`")] = cells[1:5]
     knobs = engine_knobs()
     assert list(rows) == list(knobs)
-    for key, (kind, default, applies) in rows.items():
+    for key, (kind, default, allowed, applies) in rows.items():
         knob = knobs[key]
         parse = type(knob.default)
         assert kind == {int: "int", float: "float", str: "string"}[parse], key
+        assert allowed == (value_range(knob) or "any"), key
         algos = _applies(applies)
         assert algos == set(knob.metadata["applies"]), key
         documented = set()
@@ -309,6 +311,54 @@ def test_zero_stagnation_window_fails_at_load(tmp_path, capsys):
         load_matrix_config(sweep)
     assert cli.main(["sweep", "--config", str(sweep)]) == 2
     assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def _outside(knob):
+    """A value just outside each rule a field declares."""
+    rules = knob.metadata
+    if "choices" in rules:
+        yield "bogus"
+    for op, step in (("ge", -1), ("gt", 0), ("le", 1), ("lt", 0)):
+        if op in rules:
+            yield rules[op] + step
+
+
+OUT_OF_RANGE = [
+    (key, value) for key, knob in {**engine_knobs(), **matrix_keys()}.items() for value in _outside(knob)
+]
+
+
+@pytest.mark.parametrize("key,value", OUT_OF_RANGE)
+def test_every_bound_is_reported_at_its_line(key, value, tmp_path, capsys):
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(
+        f"algos = sea\nfunctions = ellipsoid\ndims = 2\noutput_dir = {tmp_path / 'r'}\n{key} = {value}\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{sweep}:5: {key}: ")):
+        load_matrix_config(sweep)
+    assert cli.main(["sweep", "--config", str(sweep)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {sweep}:5: {key}: ")
+    assert not (tmp_path / "r").exists()
+
+
+def test_negative_seed_fails_before_any_output(tmp_path, capsys):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        default_config("sea", dim=2, seed=-1)
+
+    trace = tmp_path / "t.csv"
+    code = cli.main(
+        ["run", "--algo", "sea", "--function", "ellipsoid", "--dim", "2", "--generations", "1",
+         "--seed", "-1", "--out", str(trace)]
+    )
+    assert code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not trace.exists()
+
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(f"algos = sea\nfunctions = ellipsoid\ndims = 2\noutput_dir = {tmp_path / 'r'}\nseed_base = -1\n")
+    assert cli.main(["sweep", "--config", str(sweep)]) == 2
+    assert capsys.readouterr().err == f"error: {sweep}:5: seed_base: seed_base must be >= 0, got -1\n"
     assert not (tmp_path / "r").exists()
 
 

@@ -11,7 +11,6 @@ from counterniche import (
     SearchSpace,
     degree_of_diversity,
     distance_to_average,
-    fitness_std,
     maturity,
 )
 
@@ -130,20 +129,3 @@ def test_degree_plus_maturity_equals_length(length, n, alphabet, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = ["".join(str(v) for v in rng.integers(0, alphabet, size=length)) for _ in range(n)]
     assert degree_of_diversity(rows) + maturity(rows) == length
-
-
-def test_fitness_std_population_form():
-    pop = _pop([[0.0]] * 4)
-    pop.f[:] = [1.0, 2.0, 3.0, 4.0]
-    # population std, not sample std
-    assert fitness_std(pop.f) == pytest.approx(np.std([1.0, 2.0, 3.0, 4.0]))
-    assert fitness_std(pop.f[:1]) == 0.0
-
-
-def test_fitness_std_validates():
-    with pytest.raises(ValueError):
-        fitness_std([])
-    with pytest.raises(ValueError):
-        fitness_std([None])  # a missing fitness
-    with pytest.raises(ValueError):
-        fitness_std([1.0, np.nan])

@@ -12,18 +12,18 @@ import contextlib
 import csv
 import io
 import json
-from dataclasses import MISSING, fields
+from dataclasses import MISSING
 from pathlib import Path
 
 import pytest
 
 from counterniche import StagnationRule, cli, default_config, make, paired_ttest, run
+from counterniche.core import value_range
 from counterniche.harness import (
-    _MATRIX_KEYS,
-    ExperimentMatrix,
     default_burn_in,
     diversity_profile,
     load_matrix_config,
+    matrix_keys,
     read_trace_csv,
 )
 
@@ -151,12 +151,13 @@ def test_docs_matrix_keys_table_matches_matrix():
     for line in section.splitlines():
         if line.startswith("| `"):
             cells = [c.strip() for c in line.split("|")[1:-1]]
-            rows.setdefault(cells[0].strip("`"), []).append(cells[2])
-    assert sorted(rows) == sorted(_MATRIX_KEYS)
-    stock = {f.name: f.default for f in fields(ExperimentMatrix)}
+            rows.setdefault(cells[0].strip("`"), []).append(cells[2:4])
+    keys = matrix_keys()
+    assert sorted(rows) == sorted(keys)
     for key, documented in rows.items():
         assert len(documented) == 1, key
-        name, parse = _MATRIX_KEYS[key]
-        text = documented[0]
-        value = _UNSET[text] if text in _UNSET else parse(text.strip("`"))
-        assert value == stock[name], key
+        f = keys[key]
+        (text, allowed), = documented
+        value = _UNSET[text] if text in _UNSET else f.metadata["parse"](text.strip("`"))
+        assert value == f.default, key
+        assert allowed == (value_range(f) or "any"), key
