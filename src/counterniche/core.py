@@ -303,8 +303,13 @@ def value_range(field: Field) -> str:
 def check_value(field: Field, value) -> None:
     """Check one value against the rules its config field declares: a float
     is finite, a number keeps the field's bounds, and a field with `choices`
-    holds one of them. None, the unset value of an optional field, passes."""
+    holds one of them. Each element of a tuple is checked so. None, the
+    unset value of an optional field, passes."""
     if value is None:
+        return
+    if isinstance(value, tuple):
+        for element in value:
+            check_value(field, element)
         return
     check_finite(field.name, value)
     rules = field.metadata

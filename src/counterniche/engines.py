@@ -42,6 +42,7 @@ __all__ = [
     "run",
     "dgea_mode",
     "torus_neighbors",
+    "torus_shape",
     "algorithm_registry",
 ]
 
@@ -84,15 +85,12 @@ class EngineConfig:
     eps_fit: float = _knob(0.01, ("cnea",), ge=0)
     rho_replace: float = _knob(0.5, ("cnea",), gt=0, lt=1)
     sample_budget: int = _knob(20, ("cnea",), ge=1)
-    key_dim_limit: int = _knob(10, ("cnea",))
-    projected_dims: int = _knob(10, ("cnea",), ge=1)
+    key_dim_limit: int = _knob(10, ("cnea",), ge=1)
     sea_variance_mode: str = _knob("printed", ("sea",), key="sea_variance", choices=("printed", "annealed"))
     pow_exponent: float = _knob(2.0, ("socea", "cea", "dgea"))
     pow_upper: float = _knob(1000.0, ("socea", "cea", "dgea"), gt=1)
     d_low: float = _knob(5e-6, ("dgea",))
     d_high: float = _knob(0.25, ("dgea",))
-    cea_rows: int = _knob(20, ("cea",), ge=1)
-    cea_cols: int = _knob(20, ("cea",), ge=1)
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
@@ -101,10 +99,6 @@ class EngineConfig:
         # the checks that read two fields at once
         if self.elitism_count > self.N:
             raise ValueError(f"elitism_count {self.elitism_count} exceeds N {self.N}")
-        if self.algo == "cea" and self.cea_rows * self.cea_cols != self.N:
-            raise ValueError(
-                f"cellular grid {self.cea_rows}x{self.cea_cols} does not hold N={self.N} members"
-            )
         if self.d_low >= self.d_high:
             raise ValueError("d_low must stay below d_high")
 
@@ -138,21 +132,11 @@ def default_config(
 
 
 def check_dim(cfg: EngineConfig, dim: int) -> None:
-    """The checks of a configuration that need the run's dimension. A `cnea`
-    run keys its grid cells on all `dim` dimensions, or on `projected_dims`
-    of them when `dim` is above `key_dim_limit`; it cannot project onto more
-    dimensions than it has, and its cell codes must fit int64."""
-    if cfg.algo != "cnea":
-        return
-    key_length = dim
-    if dim > cfg.key_dim_limit:
-        if cfg.projected_dims > dim:
-            raise ValueError(
-                f"projected_dims {cfg.projected_dims} exceeds dim {dim}, "
-                f"which projects because it is above key_dim_limit {cfg.key_dim_limit}"
-            )
-        key_length = cfg.projected_dims
-    check_key_length(cfg.grid_bins, key_length)
+    """The check of a configuration that needs the run's dimension. A `cnea`
+    run keys its grid cells on min(dim, key_dim_limit) dimensions, and its
+    cell codes must fit int64."""
+    if cfg.algo == "cnea":
+        check_key_length(cfg.grid_bins, min(dim, cfg.key_dim_limit))
 
 
 @dataclass
@@ -172,8 +156,7 @@ class GenRecord:
 class RunTrace:
     records: list[GenRecord]
     best: Individual | None
-    stopped_by: str = "budget"
-    stagnation_generation: int | None = None
+    stopped_by: str = "budget"  # or "stagnation", at generation `generations`
 
     @property
     def generations(self) -> int:
@@ -275,11 +258,20 @@ def torus_neighbors(row: int, col: int, rows: int, cols: int) -> list[tuple[int,
     ]
 
 
-def _cea_neighbors(rows: int, cols: int) -> np.ndarray:
-    """Row-major cell index of each cell's four `torus_neighbors`, shape (rows * cols, 4)."""
+def torus_shape(n: int) -> tuple[int, int]:
+    """(rows, cols) of the most nearly square torus holding n cells: rows is
+    the largest divisor of n that is at most sqrt(n), so a prime n is a ring."""
+    rows = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return rows, n // rows
+
+
+def _cea_neighbors(n: int) -> np.ndarray:
+    """Row-major cell index of each cell's four `torus_neighbors` on the
+    `torus_shape(n)` torus, shape (n, 4)."""
+    rows, cols = torus_shape(n)
     return np.array([
         [r * cols + c for r, c in torus_neighbors(*divmod(idx, cols), rows, cols)]
-        for idx in range(rows * cols)
+        for idx in range(n)
     ])
 
 
@@ -336,7 +328,7 @@ def _cnea(cfg: EngineConfig, fn, rng: RngStream, on_regions: Callable | None) ->
     key_dims = None
     if space.dim > cfg.key_dim_limit:
         # projection drawn once per run so cell keys stay comparable
-        key_dims = choose_key_dims(space.dim, rng, cfg.key_dim_limit, cfg.projected_dims)
+        key_dims = choose_key_dims(space.dim, rng, cfg.key_dim_limit)
 
     def generation(pop: Population, t: int, _previous: GenRecord):
         grid = build_grid(pop, space, cfg.grid_bins, key_dims)
@@ -375,10 +367,11 @@ def _socea(cfg: EngineConfig, fn, rng: RngStream, _on_regions) -> Generation:
 
 
 def _cea(cfg: EngineConfig, fn, rng: RngStream, _on_regions) -> Generation:
-    """Cellular EA on a torus: every cell mates with a random von Neumann
-    neighbor; the offspring takes the cell only if strictly better. Updates
-    are synchronous, so each generation reads the previous grid only."""
-    neighbors = _cea_neighbors(cfg.cea_rows, cfg.cea_cols)
+    """Cellular EA on the most nearly square torus holding N: every cell mates
+    with a random von Neumann neighbor; the offspring takes the cell only if
+    strictly better. Updates are synchronous, so each generation reads the
+    previous grid only."""
+    neighbors = _cea_neighbors(cfg.N)
 
     def generation(pop: Population, _t: int, _previous: GenRecord):
         children = _cea_offspring(pop, cfg, fn, rng, neighbors)
@@ -436,10 +429,9 @@ def engine_steps(
 @dataclass
 class StagnationRule:
     """Stop a run once its best fitness has not strictly improved for
-    `window` generations, or at generation `hard_cap`."""
+    `window` generations; its `generations` still caps it."""
 
     window: int = config_field(500, ge=1)
-    hard_cap: int = 50_000
 
     def __post_init__(self):
         check_fields(self)
@@ -470,16 +462,15 @@ def run(
     on_regions: Callable | None = None,
     stop: StagnationRule | None = None,
 ) -> RunTrace:
-    """Run an engine for its configured generation budget or, given a stop
-    rule, until its best fitness stalls or the rule's hard cap; the trace
-    records which terminator fired. A configuration that fails `check_dim`
-    for the objective's dimension fails here, before any draw."""
+    """Run an engine to generation `cfg.generations` or, given a stop rule,
+    until its best fitness stalls, if that comes first; the trace records
+    which fired. A configuration that fails `check_dim` for the objective's
+    dimension fails here, before any draw."""
     check_dim(cfg, fn.space.dim)
     if rng is None:
         rng = RngStream(cfg.seed)
     steps = engine_steps(cfg, fn, rng, on_regions)
     stalled = None if stop is None else stop.stall_test()
-    last = cfg.generations if stop is None else stop.hard_cap
     records: list[GenRecord] = []
     while True:
         t0 = time.perf_counter()
@@ -487,16 +478,16 @@ def run(
         rec.wall_ms = (time.perf_counter() - t0) * 1000.0
         records.append(rec)
         if stalled is not None and stalled(rec.best_fitness):
-            return RunTrace(records, best, "stagnation", rec.generation)
-        if rec.generation >= last:
-            return RunTrace(records, best, "budget" if stop is None else "cap")
+            return RunTrace(records, best, "stagnation")
+        if rec.generation >= cfg.generations:
+            return RunTrace(records, best)
 
 
 _NOTES = {
     "cnea": "grid pseudo-niching + informed mutation, union elitist selection",
-    "sea": "simple EA, mutation variance 1 + sqrt(t + 1)",
+    "sea": "simple EA, mutation variance 1 + sqrt(t + 1), or 1 / sqrt(t + 1) under sea_variance = annealed",
     "socea": "self-organized criticality EA, mutation variance POW(10)",
-    "cea": "cellular EA on a cea_rows x cea_cols torus, synchronous replace-if-better, POW(10)",
+    "cea": "cellular EA on the most nearly square torus holding N, synchronous replace-if-better, POW(10)",
     "dgea": "diversity-guided EA, explore below d_low, exploit above d_high, POW(1) mutation",
 }
 

@@ -223,14 +223,13 @@ def _on_off(value: str) -> bool:
 class ExperimentMatrix:
     algos: tuple[str, ...] = config_field(parse=_names)
     functions: tuple[str, ...] = config_field(parse=_names)
-    dims: tuple[int, ...] = config_field(parse=lambda value: tuple(int(v) for v in _names(value)))
+    dims: tuple[int, ...] = config_field(parse=lambda value: tuple(int(v) for v in _names(value)), ge=1)
     runs_per_cell: int = config_field(30, parse=int, key="runs", ge=1)
     budget: str = config_field("fixed", parse=str, choices=("fixed", "stagnation"))
-    generations: int | None = config_field(None, parse=int, ge=0)  # overrides the stock budget when set
+    generations: int | None = config_field(None, parse=int, ge=0)  # the last generation of every run; stock when unset
     seed_base: int = config_field(0, parse=int, ge=0)
     output_dir: str = config_field("results", parse=str)
     stagnation_window: int = config_field(StagnationRule.window, parse=int, ge=1)
-    hard_cap: int = config_field(StagnationRule.hard_cap, parse=int)
     workers: int = config_field(1, parse=int, ge=1)
     timing: bool = config_field(False, parse=_on_off)
     schwefel_lower: float | None = config_field(None, parse=float)
@@ -241,8 +240,8 @@ class ExperimentMatrix:
         check_fields(self)
         if not self.algos or not self.functions or not self.dims:
             raise ValueError("matrix needs at least one algo, function, and dim")
-        self.stagnation_rule = StagnationRule(self.stagnation_window, self.hard_cap)
-        # a bad engine key, or projected_dims beyond a dim, fails here, not in every cell
+        self.stagnation_rule = StagnationRule(self.stagnation_window)
+        # a bad engine key, or a cnea key too long for a dim's cell codes, fails here, not in every cell
         for algo, dim in product(self.algos, self.dims):
             self.engine_config(algo, dim)
         for function in self.functions:  # so does a function that cannot take a dim
@@ -296,7 +295,7 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
             result.trace_paths.append(str(path))
             errors.append(error_value(trace.records[-1].best_fitness, fn.optimum_value))
             walls.append(elapsed)
-            stag = detect_stagnation(trace, rule) if stop is None else trace.stagnation_generation
+            stag = detect_stagnation(trace, rule)
             if stag is not None:
                 result.stagnation_gens.append(stag)
 

@@ -62,12 +62,12 @@ def cell_codes(points, space: SearchSpace, bins: int, dims) -> np.ndarray:
     return bin_indices(points, space, bins, dims) @ _radix(bins, len(dims))
 
 
-def choose_key_dims(dim: int, rng: RngStream, limit: int, projected: int) -> tuple[int, ...]:
+def choose_key_dims(dim: int, rng: RngStream, limit: int) -> tuple[int, ...]:
     """Dimensions used for cell keys: all of them up to `limit`, above it
-    `projected` of them, drawn once per run."""
+    `limit` of them, drawn once per run."""
     if dim <= limit:
         return tuple(range(dim))
-    return rng.index_subset(dim, projected)
+    return rng.index_subset(dim, limit)
 
 
 @dataclass

@@ -125,10 +125,7 @@ def test_criterion_05_elitism_monotonicity():
     violations = 0
     for algo in ALGORITHMS:
         for seed in range(5):
-            overrides = {"N": 50, "generations": 100}
-            if algo == "cea":
-                overrides.update(cea_rows=5, cea_cols=10)
-            cfg = default_config(algo, dim=5, seed=seed, **overrides)
+            cfg = default_config(algo, dim=5, seed=seed, N=50, generations=100)
             series = run(cfg, fn).best_fitness_series()
             violations += sum(1 for a, b in zip(series, series[1:]) if b > a)
     ok = violations == 0
@@ -266,7 +263,7 @@ def test_criterion_12_cli_determinism(tmp_path):
             "--generations", "8", "--seed", "5",
         ]
         if algo == "cea":
-            args += ["--pop-size", "36", "--cea-rows", "6", "--cea-cols", "6"]
+            args += ["--pop-size", "36"]
         else:
             args += ["--pop-size", "30"]
         a = tmp_path / f"{algo}_a.csv"

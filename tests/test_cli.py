@@ -118,14 +118,26 @@ def test_run_regions_dump(tmp_path, capsys):
 
 
 def test_run_rejects_invalid_engine_combo(tmp_path, capsys):
-    # cea needs rows*cols == N; the engine config raises, a usage error
+    # more elites than members; the engine config raises, a usage error
     code = main(
-        ["run", "--algo", "cea", "--function", "ackley", "--dim", "2",
-         "--generations", "2", "--pop-size", "10",
+        ["run", "--algo", "sea", "--function", "ackley", "--dim", "2",
+         "--generations", "2", "--pop-size", "10", "--elitism", "11",
          "--out", str(tmp_path / "t.csv")]
     )
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    assert "elitism_count 11 exceeds N 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--cea-rows", "--cea-cols", "--projected-dims"])
+def test_run_has_no_flag_for_a_derived_value(flag, tmp_path, capsys):
+    # cea's torus comes from --pop-size, cnea's projection from --key-dim-limit
+    code = main(
+        ["run", "--algo", "cea", "--function", "ackley", "--dim", "2",
+         "--generations", "2", "--out", str(tmp_path / "t.csv"), flag, "5"]
+    )
+    assert code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_run_rejects_bad_function_dim_before_any_output(tmp_path, capsys):

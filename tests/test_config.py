@@ -44,14 +44,11 @@ KNOB_VALUES = {
     "rho_replace": 0.25,
     "sample_budget": 5,
     "key_dim_limit": 7,
-    "projected_dims": 3,
     "sea_variance_mode": "annealed",
     "pow_exponent": 1.5,
     "pow_upper": 100.0,
     "d_low": 1e-5,
     "d_high": 0.3,
-    "cea_rows": 3,
-    "cea_cols": 4,
 }
 
 # values the config rejects when built, for every engine
@@ -69,15 +66,13 @@ BAD_KNOBS = [
     ("tau_dense", 1.5),
     ("tau_dense", math.nan),
     ("grid_bins", 1),
-    ("projected_dims", 0),
+    ("key_dim_limit", 0),
     ("sea_variance_mode", "bogus"),
     ("pow_upper", 1.0),
     ("pow_upper", math.inf),
     ("pow_exponent", math.nan),
     ("d_low", math.nan),
     ("d_high", math.inf),
-    ("cea_rows", 0),
-    ("cea_cols", 0),
 ]
 
 
@@ -158,37 +153,21 @@ def test_non_finite_float_knob_fails_before_the_run(name, value, tmp_path, capsy
     assert not (tmp_path / "r").exists()
 
 
-def test_projected_dims_beyond_dim_fails_before_the_run(capsys, tmp_path):
-    # dim 4 projects (above key_dim_limit 2) onto more dims than it has
-    dump = tmp_path / "regions.jsonl"
-    code = cli.main(
-        ["run", "--algo", "cnea", "--function", "ellipsoid", "--dim", "4",
-         "--generations", "1", "--pop-size", "10", "--key-dim-limit", "2",
-         "--projected-dims", "5", "--out", str(tmp_path / "t.csv"), "--regions-dump", str(dump)]
-    )
-    assert code == 2
-    assert "projected_dims 5 exceeds dim 4" in capsys.readouterr().err
-    assert not dump.exists() and not (tmp_path / "t.csv").exists()
-
-    sweep = tmp_path / "sweep.cfg"
-    sweep.write_text(
-        "algos = sea, cnea\nfunctions = ellipsoid\ndims = 4, 12\nprojected_dims = 13\n"
-        f"output_dir = {tmp_path / 'r'}\n"
-    )
-    assert cli.main(["sweep", "--config", str(sweep)]) == 2
-    assert "projected_dims 13 exceeds dim 12" in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()
-    # a run that does not project, or projects onto no more dims than it has, is fine
-    assert default_config("cnea", dim=4, projected_dims=11).projected_dims == 11
-    assert default_config("cnea", dim=12, projected_dims=12).projected_dims == 12
-    assert default_config("sea", dim=4, key_dim_limit=2, projected_dims=5).projected_dims == 5
+def test_key_dim_limit_is_the_key_length():
+    # all dims up to the limit; above it, that many dims, drawn once per run
+    for dim, limit, length in [(4, 10, 4), (10, 10, 10), (12, 10, 10), (12, 3, 3)]:
+        keys = set()
+        cfg = default_config("cnea", dim=dim, generations=3, N=20, key_dim_limit=limit)
+        run(cfg, make("ellipsoid", dim), on_regions=lambda t, regions: keys.add(regions.grid.effective_dims))
+        (key,) = keys
+        assert len(key) == length and len(set(key)) == length
 
 
-def test_projected_dims_beyond_dim_fails_in_run_before_any_draw():
-    cfg = EngineConfig("cnea", N=10, generations=1, key_dim_limit=2, projected_dims=5)
+def test_key_length_beyond_int64_fails_in_run_before_any_draw():
+    cfg = EngineConfig("cnea", N=10, generations=1, grid_bins=2, key_dim_limit=63)
     rng = RngStream(0)
-    with pytest.raises(ValueError, match="projected_dims 5 exceeds dim 4"):
-        run(cfg, make("ellipsoid", 4), rng)
+    with pytest.raises(ValueError, match="too many cells"):
+        run(cfg, make("ellipsoid", 63), rng)
     assert rng.random() == RngStream(0).random()
 
 
@@ -326,7 +305,7 @@ def _outside(knob):
 
 OUT_OF_RANGE = [
     (key, value) for key, knob in {**engine_knobs(), **matrix_keys()}.items() for value in _outside(knob)
-]
+] + [("dims", "4, 0")]  # each element of a list is held to the bound
 
 
 @pytest.mark.parametrize("key,value", OUT_OF_RANGE)

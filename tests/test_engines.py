@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from counterniche import (
     ALGORITHMS,
@@ -18,12 +22,15 @@ from counterniche.engines import (
     dgea_mode,
     engine_steps,
     torus_neighbors,
+    torus_shape,
 )
 
 
 def test_algorithm_list():
     assert ALGORITHMS == ("cnea", "sea", "socea", "cea", "dgea")
     assert [a["name"] for a in algorithm_registry()] == list(ALGORITHMS)
+    notes = {a["name"]: a["notes"] for a in algorithm_registry()}
+    assert "annealed" in notes["sea"] and "torus holding N" in notes["cea"]
 
 
 def test_default_generations_schedules():
@@ -59,7 +66,7 @@ def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(algo="sea", p_r=1.2)
     with pytest.raises(ValueError):
-        EngineConfig(algo="cea", N=30)  # 20x20 grid cannot hold 30
+        EngineConfig(algo="cnea", key_dim_limit=0)  # a cell key needs a dimension
     with pytest.raises(ValueError):
         EngineConfig(algo="dgea", d_low=0.5, d_high=0.2)
 
@@ -145,10 +152,7 @@ def test_union_survivors_selection_pressure():
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_engines_run_and_record(algo):
     fn = make("rastrigin", 3)
-    overrides = {"N": 20, "generations": 15}
-    if algo == "cea":
-        overrides.update(cea_rows=4, cea_cols=5)
-    cfg = default_config(algo, dim=3, seed=1, **overrides)
+    cfg = default_config(algo, dim=3, seed=1, N=20, generations=15)
     trace = run(cfg, fn)
     assert len(trace.records) == 16           # generation 0 plus the budget
     assert trace.records[0].generation == 0
@@ -164,10 +168,7 @@ def test_engines_run_and_record(algo):
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_best_fitness_monotone(algo):
     fn = make("ellipsoid", 4)
-    overrides = {"N": 20, "generations": 30}
-    if algo == "cea":
-        overrides.update(cea_rows=4, cea_cols=5)
-    cfg = default_config(algo, dim=4, seed=3, **overrides)
+    cfg = default_config(algo, dim=4, seed=3, N=20, generations=30)
     series = run(cfg, fn).best_fitness_series()
     assert all(b <= a for a, b in zip(series, series[1:]))
 
@@ -175,10 +176,7 @@ def test_best_fitness_monotone(algo):
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_same_seed_same_trace(algo):
     fn = make("griewank", 2)
-    overrides = {"N": 12, "generations": 10}
-    if algo == "cea":
-        overrides.update(cea_rows=3, cea_cols=4)
-    cfg = default_config(algo, dim=2, seed=42, **overrides)
+    cfg = default_config(algo, dim=2, seed=42, N=12, generations=10)
     s1 = run(cfg, fn).best_fitness_series()
     s2 = run(cfg, fn).best_fitness_series()
     assert s1 == s2
@@ -227,13 +225,9 @@ def test_cnea_high_dim_projection_stays_fixed():
 
 def test_run_drives_every_engine():
     fn = make("ackley", 2)
-    for algo in ("cnea", "sea", "socea", "dgea"):
-        c = default_config(algo, dim=2, N=10, generations=2)
-        assert run(c, fn).generations == 2
-    c = default_config("cea", dim=2, N=12, generations=2, cea_rows=3, cea_cols=4)
-    trace = run(c, fn)
-    assert trace.generations == 2
-    assert (trace.stopped_by, trace.stagnation_generation) == ("budget", None)
+    for algo in ALGORITHMS:
+        trace = run(default_config(algo, dim=2, N=10, generations=2), fn)
+        assert (trace.generations, trace.stopped_by) == (2, "budget")
 
 
 class _Patched:
@@ -258,16 +252,24 @@ def test_nan_fitness_raises(algo):
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_inf_fitness_is_allowed_and_ranks_last(algo):
     fn = _Patched(make("rastrigin", 4), np.inf, 2.0)
-    overrides = {"N": 40, "generations": 5}
-    if algo == "cea":
-        overrides.update(cea_rows=5, cea_cols=8)
-    trace = run(default_config(algo, dim=4, seed=0, **overrides), fn)
+    trace = run(default_config(algo, dim=4, seed=0, N=40, generations=5), fn)
     assert np.isfinite(trace.best.fitness)
     assert all(np.isfinite(r.best_fitness) for r in trace.records)
     # an inf member is the first to lose its slot to an elite
     parents = _members([3.0, 1.0])
     out = _elitist_merge(parents, _members([np.inf, 5.0]), 1)
     assert out.f.tolist() == [1.0, 5.0]
+
+
+@given(st.integers(2, 2000))
+@example(400)  # the stock 20x20 torus
+@example(1999)  # a prime
+def test_torus_shape_is_the_most_nearly_square(n):
+    rows, cols = torus_shape(n)
+    assert rows * cols == n and rows <= cols
+    assert not any(n % d == 0 for d in range(rows + 1, math.isqrt(n) + 1))
+    if all(n % d for d in range(2, math.isqrt(n) + 1)):  # a prime is the 1 x n ring
+        assert (rows, cols) == (1, n)
 
 
 def test_torus_neighbors_wrap():

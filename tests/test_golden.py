@@ -33,7 +33,7 @@ CASES = {
     "cnea-rot_rastrigin-6d": ("cnea", "rot_rastrigin", 6, dict(N=50, generations=20, seed=3)),
     "sea-ackley-8d": ("sea", "ackley", 8, dict(N=40, generations=30, seed=4)),
     "socea-griewank-8d": ("socea", "griewank", 8, dict(N=40, generations=30, seed=5)),
-    "cea-rosenbrock-8d": ("cea", "rosenbrock", 8, dict(N=36, cea_rows=6, cea_cols=6, generations=30, seed=6)),
+    "cea-rosenbrock-8d": ("cea", "rosenbrock", 8, dict(N=36, generations=30, seed=6)),
     "dgea-ellipsoid-8d": ("dgea", "ellipsoid", 8, dict(N=40, generations=30, seed=7)),
     "dgea-rastrigin-8d-switching": (
         "dgea", "rastrigin", 8, dict(N=40, generations=40, seed=8, d_low=0.2, d_high=0.3)

@@ -103,24 +103,25 @@ def test_detect_stagnation_matches_brute_force(steps, window, seed):
 
 def test_run_stop_rule_stops_and_labels():
     fn = make("ellipsoid", 2)
-    cfg = default_config("sea", dim=2, seed=0, N=10, generations=0)
-    trace = run(cfg, fn, stop=StagnationRule(20, hard_cap=5000))
+    cfg = default_config("sea", dim=2, seed=0, N=10, generations=5000)
+    rule = StagnationRule(20)
+    trace = run(cfg, fn, stop=rule)
     assert trace.stopped_by == "stagnation"
-    assert trace.stagnation_generation == trace.records[-1].generation
+    assert detect_stagnation(trace, rule) == trace.generations < 5000
     series = trace.best_fitness_series()
     # the full 20-step window ending at the stagnation point is improvement-free
     assert all(series[k] >= series[k - 1] for k in range(len(series) - 20, len(series)))
 
 
-def test_run_stop_rule_hard_cap():
+def test_run_stop_rule_stops_at_generations():
+    # a stall rule with a window the run never reaches stops at cfg.generations
     fn = make("rastrigin", 2)
-    cfg = default_config("sea", dim=2, seed=0, N=10, generations=0)
-    trace = run(cfg, fn, stop=StagnationRule(10_000, hard_cap=30))
-    assert trace.stopped_by == "cap"
+    cfg = default_config("sea", dim=2, seed=0, N=10, generations=30)
+    trace = run(cfg, fn, stop=StagnationRule(10_000))
+    assert trace.stopped_by == "budget"
     assert trace.records[-1].generation == 30
-    assert trace.stagnation_generation is None
-    # the stop rule moves no draw: a 30-generation budget run is the same run
-    budget = run(dataclasses.replace(cfg, generations=30), fn)
+    # the stop rule moves no draw: the plain budget run is the same run
+    budget = run(cfg, fn)
     for a, b in zip(trace.records, budget.records, strict=True):
         assert dataclasses.replace(a, wall_ms=0.0) == dataclasses.replace(b, wall_ms=0.0)
 
@@ -277,7 +278,7 @@ def test_run_matrix_writes_expected_layout(tmp_path):
 
 def test_summary_counts_stalled_runs_beside_all_runs(tmp_path, capsys):
     # seed 0 stalls at generation 11, seed 1 runs to the cap of 20
-    matrix = _tiny_matrix(tmp_path, budget="stagnation", stagnation_window=5, hard_cap=20)
+    matrix = _tiny_matrix(tmp_path, budget="stagnation", stagnation_window=5, generations=20)
     run_matrix(matrix)
     cell = tmp_path / "results" / "sea" / "ellipsoid" / "2d"
     assert [read_trace_csv(cell / f"run{r}.csv").records[-1].generation for r in range(2)] == [11, 20]
@@ -322,11 +323,11 @@ def test_matrix_rejects_a_function_that_cannot_take_a_dim(tmp_path):
         _tiny_matrix(tmp_path, functions=("rot_rastrigin", "ellipsoid"), dims=(3,))
 
 
-def test_matrix_rejects_projecting_onto_more_dims_than_a_cell_has(tmp_path):
-    # dim 12 projects (above key_dim_limit 10); dim 4 alone would load
-    with pytest.raises(ValueError, match="projected_dims 15 exceeds dim 12"):
-        _tiny_matrix(tmp_path, algos=("cnea",), dims=(4, 12), engine_overrides={"projected_dims": 15})
-    _tiny_matrix(tmp_path, algos=("cnea",), dims=(4,), engine_overrides={"projected_dims": 15})
+def test_matrix_rejects_a_key_too_long_for_a_cell_dim(tmp_path):
+    # cnea keys dim 40 on all 40 dims: 4 ** 40 cell codes do not fit int64; dim 4 alone would load
+    with pytest.raises(ValueError, match="too many cells"):
+        _tiny_matrix(tmp_path, algos=("cnea",), dims=(4, 40), engine_overrides={"key_dim_limit": 40})
+    _tiny_matrix(tmp_path, algos=("cnea",), dims=(4,), engine_overrides={"key_dim_limit": 40})
 
 
 def test_run_matrix_stagnation_budget(tmp_path):
@@ -334,12 +335,34 @@ def test_run_matrix_stagnation_budget(tmp_path):
         tmp_path,
         budget="stagnation",
         stagnation_window=10,
-        hard_cap=2000,
-        generations=None,
+        generations=2000,
     )
     results = run_matrix(matrix)
     assert results[0].error is None
     assert len(results[0].stagnation_gens) == 2
+
+
+def test_stagnation_sweep_caps_its_runs_at_generations(tmp_path):
+    # no run stalls for 1000 generations by 20, so every run stops at generations = 20
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "algos = sea, cnea\nfunctions = ellipsoid\ndims = 2\nruns = 2\nbudget = stagnation\n"
+        f"stagnation_window = 1000\ngenerations = 20\npop_size = 10\noutput_dir = {tmp_path / 'r'}\n"
+    )
+    results = run_matrix(load_matrix_config(cfg))
+    for cell in results:
+        assert cell.error is None and cell.stagnation_gens == []
+        assert [read_trace_csv(path).generations for path in cell.trace_paths] == [20, 20]
+
+
+@pytest.mark.parametrize("line", ["hard_cap = 5", "cea_rows = 20", "cea_cols = 20", "projected_dims = 10"])
+def test_deleted_keys_fail_at_their_line(line, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"algos = sea\nfunctions = ellipsoid\ndims = 2\noutput_dir = {tmp_path / 'r'}\n{line}\n")
+    key = line.split(" =")[0]
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:5: unknown config key {key!r}\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_discover_cells_and_collect_errors(tmp_path):

@@ -36,12 +36,12 @@ def test_bin_indices_upper_bound_folds_into_last_bin():
 
 def test_choose_key_dims_low_dim_identity():
     rng = RngStream(0)
-    assert choose_key_dims(7, rng, 10, 10) == (0, 1, 2, 3, 4, 5, 6)
+    assert choose_key_dims(7, rng, 10) == (0, 1, 2, 3, 4, 5, 6)
 
 
 def test_choose_key_dims_projection_above_limit():
     rng = RngStream(0)
-    dims = choose_key_dims(30, rng, limit=10, projected=10)
+    dims = choose_key_dims(30, rng, limit=10)
     assert len(dims) == 10
     assert len(set(dims)) == 10
     assert dims == tuple(sorted(dims))

@@ -37,10 +37,10 @@ DESK_CFG = (
     f"runs = {DESK_RUNS}\ngenerations = {DESK_GENERATIONS}\npop_size = 100\n"
 )
 
-STAG_FUNCTION, STAG_DIM, STAG_RUNS, STAG_WINDOW, STAG_CAP, STAG_POP = "rastrigin", 4, 3, 5, 60, 20
+STAG_FUNCTION, STAG_DIM, STAG_RUNS, STAG_WINDOW, STAG_GENERATIONS, STAG_POP = "rastrigin", 4, 3, 5, 60, 20
 STAG_CFG = (
     f"algos = {', '.join(ALGOS)}\nfunctions = {STAG_FUNCTION}\ndims = {STAG_DIM}\nruns = {STAG_RUNS}\n"
-    f"budget = stagnation\nstagnation_window = {STAG_WINDOW}\nhard_cap = {STAG_CAP}\n"
+    f"budget = stagnation\nstagnation_window = {STAG_WINDOW}\ngenerations = {STAG_GENERATIONS}\n"
     f"pop_size = {STAG_POP}\n"
 )
 
@@ -60,10 +60,10 @@ def desk_reference(function: str) -> dict:
 def stagnation_reference(algo: str) -> list[tuple]:
     """(stop generation, final error, average diversity) of each run."""
     fn = make(STAG_FUNCTION, STAG_DIM)
-    rule = StagnationRule(STAG_WINDOW, STAG_CAP)
+    rule = StagnationRule(STAG_WINDOW)
     out = []
     for seed in range(STAG_RUNS):
-        cfg = default_config(algo, dim=STAG_DIM, generations=0, seed=seed, N=STAG_POP)
+        cfg = default_config(algo, dim=STAG_DIM, generations=STAG_GENERATIONS, seed=seed, N=STAG_POP)
         trace = run(cfg, fn, stop=rule)
         profile = diversity_profile(trace, default_burn_in(trace.generations))
         out.append((trace.records[-1].generation, trace.best.fitness - fn.optimum_value,
@@ -120,7 +120,7 @@ def test_stagnation_sweep_reproduces_the_stagnation_study(tmp_path):
         cell = results / algo / STAG_FUNCTION / f"{STAG_DIM}d"
         stops = [read_trace_csv(cell / f"run{r}.csv").records[-1].generation for r in range(STAG_RUNS)]
         assert stops == [stop for stop, _, _ in expected]
-        assert all(stop < STAG_CAP for stop in stops)  # each run stalled before the cap
+        assert all(stop < STAG_GENERATIONS for stop in stops)  # each run stalled before its last generation
         # three runs: best, median and worst are all of the sorted final errors
         summary = summaries[algo]
         assert [summary[k] for k in ("best", "median", "worst")] == sorted(e for _, e, _ in expected)

@@ -95,7 +95,7 @@ def ref_sea_offspring(pop, rng, cfg, variance, fn):
 
 def ref_cea_offspring(pop, rng, cfg, fn):
     X, f = pop.X, pop.f
-    rows, cols = cfg.cea_rows, cfg.cea_cols
+    rows, cols = engines.torus_shape(cfg.N)
     children, fresh = np.empty_like(X), np.zeros(len(f), bool)
     for idx in range(len(f)):
         r, c = divmod(idx, cols)
@@ -180,7 +180,7 @@ def ref_whole_array_offspring(algo, pop, rng, cfg):
     if algo == "cea":
         pick = rng.integers(0, 4, size=n)
         d = ref_whole_array_draws(n, rng, cfg, crossover=True, alpha=10.0)
-        rows, cols = cfg.cea_rows, cfg.cea_cols
+        rows, cols = engines.torus_shape(n)
         r, c = np.array([engines.torus_neighbors(*divmod(idx, cols), rows, cols)[pick[idx]] for idx in range(n)]).T
         return ref_whole_array_children(pop, d, np.arange(n), r * cols + c)
     if algo == "dgea-explore":
@@ -211,7 +211,7 @@ def _variation(algo, pop, cfg, rng):
     elif algo == "socea":
         out = engines._socea_offspring(pop, cfg, fn, rng)
     elif algo == "cea":
-        out = engines._cea_offspring(pop, cfg, fn, rng, engines._cea_neighbors(cfg.cea_rows, cfg.cea_cols))
+        out = engines._cea_offspring(pop, cfg, fn, rng, engines._cea_neighbors(cfg.N))
     else:
         out = engines._dgea_offspring(pop, algo.split("-")[1], cfg, fn, rng)
     return out.X, out.f
@@ -226,8 +226,7 @@ def _reference(algo, pop, cfg, rng):
 def _config(algo, p_r, p_m):
     # p_m is the per-gene rate of cnea and the whole-genome rate of the baselines;
     # sigma_reg 2 gives a std of twice the box width, so mutated genes clamp
-    return EngineConfig(algo.split("-")[0], N=24, p_r=p_r, p_m=p_m, p_m_genome=p_m, sigma_reg=2.0,
-                        cea_rows=4, cea_cols=6)
+    return EngineConfig(algo.split("-")[0], N=24, p_r=p_r, p_m=p_m, p_m_genome=p_m, sigma_reg=2.0)
 
 
 @pytest.mark.parametrize("p_m", [0.0, 0.01, 1.0])
@@ -281,8 +280,8 @@ def _final_errors(algo, function):
     fn = make(function, 8)
     errors = []
     for seed in range(SEEDS):
-        # N=36 holds cea's 6x6 torus; dgea switches modes in both directions here
-        cfg = default_config(algo, dim=8, generations=60, seed=seed, N=36, cea_rows=6, cea_cols=6)
+        # N=36 gives cea a 6x6 torus; dgea switches modes in both directions here
+        cfg = default_config(algo, dim=8, generations=60, seed=seed, N=36)
         errors.append(engines.run(cfg, fn).best.fitness - fn.optimum_value)
     return errors
 
