@@ -66,9 +66,10 @@ class SearchSpace:
         return cls(dim, np.full(dim, float(lower)), np.full(dim, float(upper)))
 
     def draw_bounds(self) -> tuple:
-        """(low, high) for a uniform draw of genomes inside the box: two
-        floats on a cube, else the bound vectors. numpy's scalar-bound path
-        gives the same values and stream position as the vector one, faster."""
+        """(low, high) of the box for uniform draws, binning and clamping:
+        two floats on a cube, else the bound vectors. numpy's scalar-bound
+        path gives the same values (and draws the same stream) as the vector
+        one, faster."""
         return self._draw_bounds
 
     def widths(self) -> np.ndarray:
@@ -203,6 +204,26 @@ class RngStream:
         if self._spare == _NUMPY_HOLDS:
             self._take_spare()
         self._bits.advance(words)
+
+    def uniform_heads(self, low, high, pools: int, rows: int, stride: int, dim: int) -> np.ndarray:
+        """The first `rows` rows of each of `pools` consecutive stretches of
+        `stride` rows of `uniform(low, high, size=(pools * stride, dim))`,
+        shape (pools, rows, dim), leaving the stream where that draw would.
+
+        Each pool's head is `rows * dim` raw words, and `skip` passes its
+        tail. All words then go through numpy's `next_double` and
+        `random_uniform` formula at once, `low + (high - low) * ((word >> 11)
+        * 2**-53)`, the same IEEE operations numpy makes per value, so the
+        values are numpy's to the bit.
+        """
+        head, tail = rows * dim, (stride - rows) * dim
+        words = np.empty((pools, head), dtype=np.uint64)
+        for p in range(pools):
+            words[p] = self._raw(head)
+            self.skip(tail)
+        words >>= 11
+        unit = words.reshape(pools, rows, dim) * 2.0**-53
+        return low + (high - low) * unit
 
     def position(self) -> dict:
         """The stream's place, for `replay`."""

@@ -96,7 +96,8 @@ def sample_virgin(
     none. The pools take consecutive stretches of the stream, as one draw per
     pool would, and all samples are evaluated in one batch. A pool keeps its
     first `budget` unoccupied rows, so only its first `budget` rows are drawn
-    and looked up; the stream skips its other 9 * budget rows. If one of those
+    (as raw words, by `RngStream.uniform_heads`) and looked up; the stream
+    skips its other 9 * budget rows. If one of those
     first rows is occupied, the pool is short: its skipped rows are drawn
     again from the stream's position at the start of the call, and the whole
     pool is looked up. Either way the stream ends where drawing every row of
@@ -107,10 +108,7 @@ def sample_virgin(
         return VirginSamples(np.empty((0, dim)), np.empty(0), np.empty(0, dtype=int))
     draws, (low, high) = 10 * budget, space.draw_bounds()
     start = rng.position()
-    head = np.empty((pools, budget, dim))
-    for p in range(pools):
-        head[p] = rng.uniform(low, high, size=(budget, dim))
-        rng.skip((draws - budget) * dim)
+    head = rng.uniform_heads(low, high, pools, budget, draws, dim)
     genomes = head.reshape(-1, dim)
     head_free = grid.unoccupied(genomes).reshape(pools, budget)
     short = np.flatnonzero(~head_free.all(axis=1))
@@ -195,7 +193,8 @@ def regular_ops(
     gene-mask uniforms (n, dim), standard normals (n, dim).
     The changed children are evaluated in one batch at the end; a child that
     is an untouched copy of its first parent keeps the parent's fitness."""
-    std = cfg.sigma_reg * space.widths()
+    low, high = space.draw_bounds()  # two floats on a cube, which numpy broadcasts fastest
+    std = cfg.sigma_reg * (high - low)
     draws = Variation(population.size, space.dim, rng)
     draws.all_tournaments()
     draws.all_crossovers(cfg.p_r)

@@ -31,15 +31,18 @@ def bin_indices(points, space: SearchSpace, bins: int, dims=None) -> np.ndarray:
     """Per-coordinate bin index of each point, over the coordinates `dims`
     (all of them by default); the upper bound folds into the last bin."""
     pts = np.asarray(points, dtype=float)
-    lower, upper = space.lower, space.upper
-    if dims is not None:
+    lower, upper = space.draw_bounds()  # two floats on a cube, which numpy broadcasts fastest
+    if dims is not None and tuple(dims) != tuple(range(space.dim)):  # a key of every dim needs no copy
         dims = list(dims)
-        pts, lower, upper = pts[..., dims], lower[dims], upper[dims]
+        pts = pts[..., dims]
+        if isinstance(lower, np.ndarray):
+            lower, upper = lower[dims], upper[dims]
     scaled = pts - lower
     scaled *= bins
     scaled /= upper - lower
     np.floor(scaled, out=scaled)
-    return np.clip(scaled, 0, bins - 1, out=scaled).astype(int)
+    np.maximum(scaled, 0, out=scaled)
+    return np.minimum(scaled, bins - 1, out=scaled).astype(int)
 
 
 def check_key_length(bins: int, length: int) -> None:
@@ -135,20 +138,27 @@ class Regions:
 def high_density_regions(grid: GridIndex, population: Population, density_fraction: float) -> Regions:
     """Occupied cells holding at least max(2, ceil(fraction * N)) members.
 
-    Each region's statistics are taken over its members in index order, one
-    region at a time, so they are the same to the bit as numpy's `mean` and
-    `std` of those members.
+    One stable sort of `cell_of` lays the members out cell by cell, in index
+    order within each cell. Each region's statistics are then the operations
+    numpy's `mean` and `std` run on its members (`np.add.reduce`, divided by
+    the count), one region at a time, so they are the same to the bit.
     """
     threshold = max(2, math.ceil(density_fraction * population.size))
     dense = np.flatnonzero(grid.counts >= threshold)
     mean, std = np.empty(len(dense)), np.empty(len(dense))
     centroid = np.empty((len(dense), population.X.shape[1]))
-    with np.errstate(invalid="ignore"):  # a member at +inf makes the std NaN
-        for r, c in enumerate(dense.tolist()):
-            idx = np.flatnonzero(grid.cell_of == c)
-            f = population.f[idx]
-            mean[r], std[r], centroid[r] = f.mean(), f.std(), population.X[idx].mean(axis=0)
+    if len(dense):
+        members = np.argsort(grid.cell_of, kind="stable")
+        f, X = population.f[members], population.X[members]
+        ends = np.cumsum(grid.counts)
+        with np.errstate(invalid="ignore"):  # a member at +inf makes the std NaN
+            for r, c in enumerate(dense.tolist()):
+                n = int(grid.counts[c])
+                cell = slice(int(ends[c]) - n, int(ends[c]))
+                mean[r] = np.add.reduce(f[cell]) / n
+                spread = f[cell] - mean[r]
+                std[r] = np.sqrt(np.add.reduce(spread * spread) / n)
+                centroid[r] = np.add.reduce(X[cell], axis=0) / n
     code, density = grid.cells[dense], grid.counts[dense]
     order = np.lexsort((code, mean, -density))
     return Regions(grid, code[order], density[order], mean[order], std[order], centroid[order])
-

@@ -5,6 +5,9 @@ Variation runs in two halves, both kept here. The draw methods of a
 arithmetic then runs once over all rows: `binary_tournament`,
 `arithmetic_crossover` and `gaussian_mutate` take whole matrices and make
 the same IEEE operations per element as one child at a time.
+`Variation.children` is one masked pass over all n rows, with no per-kind
+row gathers: crossover takes a mask of the crossed rows, and mutation a mask
+of the mutated rows, so each piece of arithmetic has one copy.
 
 The draws come in two layouts. The per-child methods (`tournaments`,
 `crossover`, `mutation`) are called child by child, in the order the child
@@ -24,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RngStream, SearchSpace, clamp
+from .core import RngStream, SearchSpace
 
 __all__ = [
     "Variation",
@@ -42,8 +45,10 @@ def binary_tournament(f: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray
     return np.where(f[j] < f[i], j, i)
 
 
-def arithmetic_crossover(a, b, weight_draws, position, blend) -> np.ndarray:
-    """Per-variable weighted blends of the parent rows a[k] and b[k].
+def arithmetic_crossover(a, b, weight_draws, position, blend, crossed=None) -> np.ndarray:
+    """Per-variable weighted blends of the parent rows a[k] and b[k], for
+    the rows where `crossed` is True (every row by default); the other rows
+    copy a.
 
     Gene g of child k has weight 1 when weight_draws[k, g] < 0.5 and 0
     otherwise, except gene position[k], whose weight is blend[k]. The child
@@ -56,25 +61,37 @@ def arithmetic_crossover(a, b, weight_draws, position, blend) -> np.ndarray:
         raise ValueError("parents must share genome length")
     w = (np.asarray(weight_draws) < 0.5).astype(float)
     w[np.arange(len(w)), position] = blend
-    return w * ga + (1.0 - w) * gb
+    # w*a + (1-w)*b in place, op for op: each (n, dim) temporary freed per
+    # generation lets glibc trim the heap and fault its pages back in
+    child = w * ga
+    np.subtract(1.0, w, out=w)
+    w *= gb
+    child += w
+    if crossed is not None:
+        np.copyto(child, ga, where=~np.asarray(crossed)[:, None])
+    return child
 
 
 def gaussian_mutate(
-    genomes, gene_draws, normals, variance, p_gene: float, space: SearchSpace
+    genomes, gene_draws, normals, variance, p_gene: float, space: SearchSpace, mutated=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Add zero-mean Gaussian noise of the given variance to each gene whose
-    draw falls below p_gene, then clamp the rows where a gene fired.
+    draw falls below p_gene, in the rows where `mutated` is True (every row
+    by default), then clamp the rows where a gene fired.
 
     `variance` is a scalar, a per-gene vector, or an (m, 1) column of
     per-row values. Returns the children and the mask of rows where any gene
     fired; the other rows are the input rows unchanged.
     """
     out = np.array(genomes, dtype=float)
-    mask = np.asarray(gene_draws) < p_gene
+    fire = np.asarray(gene_draws) < p_gene
+    if mutated is not None:
+        fire &= np.asarray(mutated)[:, None]
     noise = np.asarray(normals) * np.sqrt(variance)
-    out[mask] += noise[mask]
-    fired = mask.any(axis=1)
-    out[fired] = clamp(out[fired], space)
+    np.add(out, noise, out=out, where=fire)
+    fired = fire.any(axis=1)
+    lower, upper = space.draw_bounds()
+    np.clip(out, lower, upper, out=out, where=fired[:, None])
     return out, fired
 
 
@@ -179,20 +196,20 @@ class Variation:
         coin landed, then mutated with per-gene rate p_gene if it drew a
         mutation, with the per-gene `variance` when given, else its own.
         Returns the children and the mask of those that differ from their
-        first parent by construction (crossed over, or a gene fired)."""
-        out = X[first]
-        rows = np.flatnonzero(self.crossed)
-        out[rows] = arithmetic_crossover(
-            X[first[rows]], X[second[rows]], self.weight_draws[rows], self.position[rows], self.blend[rows]
+        first parent by construction (crossed over, or a gene fired).
+
+        One masked pass over all n rows: `arithmetic_crossover` blends the
+        crossed rows and copies the first parent elsewhere, then
+        `gaussian_mutate` adds noise to the fired genes of mutated rows and
+        clamps the rows where a gene fired."""
+        out = arithmetic_crossover(
+            X[first], X[second], self.weight_draws, self.position, self.blend, self.crossed
         )
-        rows = np.flatnonzero(self.mutated)
-        out[rows], fired = gaussian_mutate(
-            out[rows], self.gene_draws[rows], self.normals[rows],
-            self.variance[rows] if variance is None else variance, p_gene, space,
+        out, fired = gaussian_mutate(
+            out, self.gene_draws, self.normals,
+            self.variance if variance is None else variance, p_gene, space, self.mutated,
         )
-        fresh = self.crossed.copy()
-        fresh[rows[fired]] = True
-        return out, fresh
+        return out, self.crossed | fired
 
 
 def pow_sample(alpha: float, rng: RngStream, exponent: float = 2.0, upper: float = 1000.0, size=None):

@@ -140,6 +140,7 @@ _draw_ops = st.lists(
         st.tuples(st.just("random"), _size),
         st.tuples(st.just("uniform"), st.booleans(), _size),
         st.tuples(st.just("normal"), _size),
+        st.tuples(st.just("uniform_heads"), st.booleans(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 5)),
     ),
     max_size=40,
 )
@@ -170,6 +171,13 @@ def _apply(op, rng):
         if vector:
             return rng.uniform(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 3.0]), size=(size or 1, 3))
         return rng.uniform(-2.0, 3.0, size)
+    if name == "uniform_heads":
+        # pools of `rows + extra` rows, of which the first `rows` are kept
+        vector, pools, rows, extra = args
+        low, high, dim = (np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 3.0]), 3) if vector else (-3.0, 64.0, 2)
+        if plain:
+            return rng.uniform(low, high, size=(pools, rows + extra, dim))[:, :rows]
+        return rng.uniform_heads(low, high, pools, rows, rows + extra, dim)
     return rng.normal(0.0, 1.0, args[0])
 
 
@@ -197,6 +205,9 @@ _REDRAWN = _span_at_threshold(below=True)
 @settings(max_examples=300, deadline=None)
 @example(seed=_KEPT[0], ops=[("integers", (0, _KEPT[1], False), None)] * 3)
 @example(seed=_REDRAWN[0], ops=[("integers", (0, _REDRAWN[1], False), None)] * 3)
+# uniform_heads with numpy's buffer holding the spare half, then with the stream holding it
+@example(seed=3, ops=[("integers", (0, 100, False), 1), ("uniform_heads", True, 3, 2, 4), ("integers", (0, 100, False), None)])
+@example(seed=3, ops=[("integers", (0, 100, False), None), ("uniform_heads", False, 2, 1, 3), ("integers", (0, 100, False), None)])
 @given(st.integers(0, 2**32), _draw_ops)
 def test_rng_stream_draws_equal_numpy(seed, ops):
     """Every RngStream method, interleaved at random, gives the values of a

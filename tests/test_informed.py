@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from counterniche import (
     EngineConfig,
@@ -160,6 +162,53 @@ def _virgin_full_mask(space, grid, fn, rng, budget, pools):
     keep = np.flatnonzero(free & (rank <= budget))
     genomes = raw[keep]
     return genomes, np.array([fn.evaluate(g) for g in genomes]), keep // draws
+
+
+def _heads_by_uniform_and_skip(rng, low, high, pools, budget, dim):
+    """The pool heads as sample_virgin drew them before `uniform_heads`: per
+    pool, `uniform` for its first `budget` rows, then `skip` past the other
+    9 * budget rows."""
+    head = np.empty((pools, budget, dim))
+    for p in range(pools):
+        head[p] = rng.uniform(low, high, size=(budget, dim))
+        rng.skip(9 * budget * dim)
+    return head
+
+
+# every benchmark function's default box, a box of unequal ends, and bound vectors
+HEAD_BOXES = [(-30.0, 30.0), (-600.0, 600.0), (-5.12, 5.12), (-100.0, 100.0), (-64.0, 64.0), (-3.0, 64.0)]
+_box = st.sampled_from(HEAD_BOXES) | st.tuples(
+    st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)).map(lambda lw: (lw[0], lw[0] + lw[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    budget=st.integers(1, 30),
+    pools=st.integers(1, 60),
+    dim=st.integers(1, 6),
+    box=_box,
+    vector=st.booleans(),
+    spare=st.sampled_from(["none", "numpy", "stream"]),
+)
+def test_uniform_heads_equal_the_uniform_and_skip_loop(seed, budget, pools, dim, box, vector, spare):
+    """`RngStream.uniform_heads` converts raw words with numpy's uniform
+    formula; a numpy whose `uniform` rounds otherwise (a fused multiply-add,
+    say) fails here. The heads and the next draws must be equal."""
+    low, high = box
+    if vector:
+        low, high = np.linspace(low, low + 1.0, dim), np.linspace(high, high + 2.0, dim)
+    ours, theirs = RngStream(seed), RngStream(seed)
+    for r in (ours, theirs):
+        if spare == "numpy":
+            r.integers(0, 5, size=1)  # numpy's buffer holds a spare 32-bit half
+        elif spare == "stream":
+            r.integers(0, 5)  # the stream holds it
+    got = ours.uniform_heads(low, high, pools, budget, 10 * budget, dim)
+    want = _heads_by_uniform_and_skip(theirs, low, high, pools, budget, dim)
+    assert np.array_equal(got, want)
+    assert ours.integers(0, 1000) == theirs.integers(0, 1000)
+    assert ours.random() == theirs.random()
 
 
 @pytest.mark.parametrize("dim, key_dims", [(2, None), (3, None), (5, (1, 3)), (6, (0, 2, 5))])

@@ -34,6 +34,23 @@ def test_bin_indices_upper_bound_folds_into_last_bin():
     assert bin_indices([[-2.0]], space, 4).tolist() == [[0]]
 
 
+def test_bin_indices_per_coordinate_box_and_key_subsets(monkeypatch):
+    # a box of unequal sides keys each coordinate on its own interval, for any key subset
+    lower, upper = np.array([-1.0, 0.0, 10.0, -5.0]), np.array([1.0, 0.5, 20.0, 5.0])
+    box = SearchSpace(4, lower, upper)
+    pts = RngStream(6).uniform(lower, upper, size=(200, 4))
+    want = np.minimum(np.floor((pts - lower) * 4 / (upper - lower)), 3).astype(int)
+    assert np.array_equal(bin_indices(pts, box, 4), want)
+    for dims in [(0, 1, 2, 3), (1, 3), (2,), (3, 0)]:
+        assert np.array_equal(bin_indices(pts, box, 4, dims), want[:, list(dims)])
+    # a cube keys with its two scalar bounds as with its bound vectors
+    cube = SearchSpace.cube(4, -5.12, 5.12)
+    pts = RngStream(7).uniform(-5.12, 5.12, size=(200, 4))
+    scalar = [bin_indices(pts, cube, 5, dims) for dims in (None, (1, 3))]
+    monkeypatch.setattr(SearchSpace, "draw_bounds", lambda self: (self.lower, self.upper))
+    assert all(np.array_equal(a, bin_indices(pts, cube, 5, dims)) for a, dims in zip(scalar, (None, (1, 3))))
+
+
 def test_choose_key_dims_low_dim_identity():
     rng = RngStream(0)
     assert choose_key_dims(7, rng, 10) == (0, 1, 2, 3, 4, 5, 6)

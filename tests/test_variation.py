@@ -14,6 +14,11 @@ Their old child-by-child loops (`ref_regular_ops`, `ref_sea_offspring` with a
 POW variance, `ref_cea_offspring`, `ref_dgea_offspring`) draw in another
 order, so they are kept as the "before" of a distributional check: over many
 seeds the final errors of whole runs must not tell the two apart.
+
+`Variation.children` is one masked pass over all rows; `ref_rows` builds
+each child alone from the same stored draws, and the edge cases (no child
+crosses, no child mutates, no gene fires, one-gene genomes, a crossed child
+one ulp past a bound) must match it bit for bit.
 """
 
 import numpy as np
@@ -21,7 +26,7 @@ import pytest
 
 from counterniche import EngineConfig, Population, RngStream, SearchSpace, default_config, engines, make
 from counterniche.informed import regular_ops
-from counterniche.operators import pow_sample, sea_variance
+from counterniche.operators import Variation, pow_sample, sea_variance
 
 DIM = 5
 SPACE = SearchSpace.cube(DIM, -1.0, 1.0)
@@ -260,6 +265,89 @@ def test_whole_array_generation_takes_the_same_words_whatever_it_draws(algo):
             _variation(algo, pop, cfg, rng)
             ends.add(rng.random())
     assert len(ends) == 1
+
+
+def ref_rows(draws, X, first, second, space, p_gene=1.0, variance=None):
+    """Each child alone from the draws stored in a `Variation`, as
+    `Variation.children` must make it: (children, fresh)."""
+    out, fresh = X[first].copy(), np.zeros(draws.n, bool)
+    for k in range(draws.n):
+        if draws.crossed[k]:
+            w = (draws.weight_draws[k] < 0.5).astype(float)
+            w[draws.position[k]] = draws.blend[k]
+            out[k] = w * X[first[k]] + (1.0 - w) * X[second[k]]
+            fresh[k] = True
+        fire = draws.gene_draws[k] < p_gene
+        if draws.mutated[k] and fire.any():
+            genome = out[k].copy()
+            genome[fire] += (draws.normals[k] * np.sqrt(draws.variance[k] if variance is None else variance))[fire]
+            out[k] = np.minimum(np.maximum(genome, space.lower), space.upper)
+            fresh[k] = True
+    return out, fresh
+
+
+def _edge_draws(dim, seed, p_r, p_m_genome=None, p_m=None):
+    """(draws, X, first, second, space) of one generation: whole-genome
+    mutation at rate p_m_genome, or per-gene mutation when p_m is given."""
+    space = SearchSpace.cube(dim, -1.0, 1.0)
+    rng = RngStream(seed)
+    X = rng.uniform(-1.0, 1.0, size=(16, dim))
+    draws = Variation(16, dim, rng)
+    draws.all_tournaments()
+    draws.all_crossovers(p_r)
+    if p_m is None:
+        draws.all_mutations(p_m_genome, lambda n: rng.random(n) * 8.0)
+    else:
+        draws.all_gene_mutations()
+    first, second = draws.parents(np.floor(np.sum(X * X, axis=1) * 2.0))
+    return draws, X, first, second, space
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("p_r, p_m_genome", [(0.0, 0.5), (0.9, 0.0), (0.0, 0.0), (1.0, 1.0)])
+def test_masked_children_match_rows_whole_genome(dim, p_r, p_m_genome):
+    for seed in range(5):
+        draws, X, first, second, space = _edge_draws(dim, seed, p_r, p_m_genome=p_m_genome)
+        out, fresh = draws.children(X, first, second, space)
+        want, want_fresh = ref_rows(draws, X, first, second, space)
+        assert np.array_equal(out, want) and np.array_equal(fresh, want_fresh)
+        if p_r == 0.0:
+            assert not draws.crossed.any()  # no child crosses over
+        if p_m_genome == 0.0:
+            assert not draws.mutated.any()  # no child mutates
+            assert np.array_equal(fresh, draws.crossed)
+        if p_r == 0.0 and p_m_genome == 0.0:
+            assert np.array_equal(out, X[first]) and not fresh.any()
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("p_m", [0.0, 0.3, 1.0])
+def test_masked_children_match_rows_per_gene(dim, p_m):
+    variance = np.full(dim, 4.0)
+    for seed in range(5):
+        draws, X, first, second, space = _edge_draws(dim, seed, 0.9, p_m=p_m)
+        out, fresh = draws.children(X, first, second, space, p_m, variance)
+        want, want_fresh = ref_rows(draws, X, first, second, space, p_m, variance)
+        assert np.array_equal(out, want) and np.array_equal(fresh, want_fresh)
+        if p_m == 0.0:  # no gene fires: only the crossed children changed
+            assert np.array_equal(fresh, draws.crossed)
+
+
+def test_crossed_child_past_a_bound_stays_unclamped_unless_a_gene_fired():
+    # both parents sit on the upper bound; this blend of them rounds one ulp above it
+    space = SearchSpace.cube(3, -5.12, 5.12)
+    X = np.full((2, 3), 5.12)
+    draws = Variation(2, 3, RngStream(0))
+    draws.crossed[:] = True
+    draws.weight_draws[:] = 0.9  # every weight 0 but the blended gene's
+    draws.blend[:] = 0.8902743520047923
+    draws.mutated[1] = True  # child 1 fires gene 2 with zero noise
+    draws.gene_draws[1] = [0.9, 0.9, 0.0]
+    out, fresh = draws.children(X, np.zeros(2, int), np.ones(2, int), space, p_gene=0.5)
+    assert out[0, 0] > 5.12 and out[1, 0] == 5.12
+    assert fresh.all()
+    want, _ = ref_rows(draws, X, np.zeros(2, int), np.ones(2, int), space, 0.5)
+    assert np.array_equal(out, want)
 
 
 # the old child-by-child loops, as the engines call their offspring functions
