@@ -8,7 +8,7 @@ experiment harness with rank summaries and paired t-tests.
 """
 
 from .benchmarks import FUNCTION_NAMES, BenchmarkFn, make, rotation_matrix
-from .core import Individual, Population, RngStream, SearchSpace, clamp
+from .core import Individual, Population, RngStream, SearchSpace
 from .diversity import degree_of_diversity, distance_to_average, maturity
 from .engines import (
     ALGORITHMS,

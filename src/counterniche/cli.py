@@ -22,13 +22,6 @@ from .engines import ALGORITHMS, algorithm_registry, default_config, engine_knob
 OUTPUT_DIR_ENV = "COUNTERNICHE_OUT"
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
-
-
 def _cell_ref(text: str) -> tuple[str, str, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -88,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_div = sub.add_parser("diversity-report", help="average diversity profiles per cell")
     p_div.add_argument("--in", dest="in_dir", required=True)
-    p_div.add_argument("--burn-in", type=_nonneg_int, default=None,
+    p_div.add_argument("--burn-in", type=int, default=None,
                        help="generations ignored at the start; defaults to 5%% of each run's budget")
     p_div.add_argument("--json", action="store_true")
 
@@ -284,7 +277,10 @@ def _cmd_diversity_report(args) -> int:
             burn = args.burn_in
             if burn is None:
                 burn = harness.default_burn_in(trace.generations)
-            profile = harness.diversity_profile(trace, burn)
+            try:
+                profile = harness.diversity_profile(trace, burn)
+            except ValueError as exc:
+                return _usage_error(exc)
             if profile.average_diversity is not None:
                 values.append(profile.average_diversity)
                 counted += profile.generations_counted

@@ -20,7 +20,6 @@ __all__ = [
     "Individual",
     "Population",
     "RngStream",
-    "clamp",
     "check_finite",
     "config_field",
     "check_value",
@@ -282,15 +281,6 @@ class RngStream:
         self._hand_back()
         picked = self._gen.choice(n, size=k, replace=False)
         return tuple(sorted(int(i) for i in picked))
-
-
-def clamp(genomes, space: SearchSpace) -> np.ndarray:
-    """Project a genome, or each row of a matrix of genomes, onto the box.
-    Length mismatches are errors, not repairs."""
-    g = np.asarray(genomes, dtype=float)
-    if g.ndim not in (1, 2) or g.shape[-1] != space.dim:
-        raise ValueError(f"genome has shape {g.shape}, expected ({space.dim},) or (n, {space.dim})")
-    return np.minimum(np.maximum(g, space.lower), space.upper)
 
 
 def check_finite(name: str, value) -> None:

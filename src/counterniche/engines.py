@@ -336,12 +336,10 @@ def _cnea(cfg: EngineConfig, fn, rng: RngStream, on_regions: Callable | None) ->
         if on_regions is not None:
             on_regions(t, regions)
         victims = detect_victims(regions, pop, cfg)
-        pop_informed, counters = informed_mutation(pop, victims, space, grid, fn, rng, cfg)
+        pop_informed, informed_fields = informed_mutation(pop, victims, grid, fn, rng, cfg)
         offspring = regular_ops(pop_informed, space, fn, rng, cfg)
         survivors = _elitist_union_survivors(pop_informed, offspring, cfg.elitism_count, rng, cfg.N)
-        return survivors, dict(
-            victims=counters.victims, replacements=counters.replaced, fallbacks=counters.fallbacks
-        )
+        return survivors, informed_fields
 
     return generation
 

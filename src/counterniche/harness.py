@@ -105,6 +105,8 @@ def default_burn_in(generations: int) -> int:
 def diversity_profile(trace: RunTrace, burn_in: int) -> DiversityProfile:
     """Average diversity over post-burn-in generations where mean fitness
     improved on the previous generation. None when no generation qualifies."""
+    if burn_in < 0:
+        raise ValueError(f"burn-in must be nonnegative, got {burn_in}")
     records = trace.records
     total = 0.0
     count = 0

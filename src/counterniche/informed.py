@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Victims",
-    "InformedCounters",
     "VirginSamples",
     "detect_victims",
     "sample_virgin",
@@ -48,13 +47,6 @@ class Victims:
         return len(self.row)
 
 
-@dataclass
-class InformedCounters:
-    victims: int = 0
-    replaced: int = 0
-    fallbacks: int = 0
-
-
 def detect_victims(regions: Regions, population: Population, cfg: EngineConfig) -> Victims:
     """Flag regions whose fitness spread is negligible relative to their mean.
 
@@ -67,14 +59,11 @@ def detect_victims(regions: Regions, population: Population, cfg: EngineConfig) 
         flat = regions.std <= cfg.eps_fit * (1.0 + np.abs(regions.mean))  # NaN never qualifies
     slots = np.floor(cfg.rho_replace * regions.density).astype(int)
     rows = np.flatnonzero(flat & (slots > 0))
-    replace = []
-    if rows.size:
-        grid = regions.grid
-        # members cell by cell, worst first; the sort is stable, so ties keep index order
-        order = np.lexsort((-population.f, grid.cell_of))
-        start = np.cumsum(grid.counts) - grid.counts
-        first = start[np.searchsorted(grid.cells, regions.code[rows])]
-        replace = [order[a : a + k].tolist() for a, k in zip(first.tolist(), slots[rows].tolist())]
+    grid, replace = regions.grid, []
+    first = grid.start[np.searchsorted(grid.cells, regions.code[rows])]
+    for a, n, k in zip(first.tolist(), regions.density[rows].tolist(), slots[rows].tolist()):
+        cell = grid.members[a : a + n]  # in index order, so the stable sort keeps ties that way
+        replace.append(cell[np.argsort(-population.f[cell], kind="stable")[:k]].tolist())
     return Victims(rows, regions.mean[rows], regions.centroid[rows], replace)
 
 
@@ -86,11 +75,9 @@ class VirginSamples(NamedTuple):
     pool: np.ndarray     # (m,) the pool each sample was drawn for
 
 
-def sample_virgin(
-    space: SearchSpace, grid: GridIndex, fn, rng: RngStream, budget: int, pools: int = 1
-) -> VirginSamples:
-    """Up to `budget` evaluated uniform samples whose cell key is unoccupied,
-    for each of `pools` pools of 10 * budget raw draws.
+def sample_virgin(grid: GridIndex, fn, rng: RngStream, budget: int, pools: int = 1) -> VirginSamples:
+    """Up to `budget` evaluated uniform samples in `grid.space` whose cell key
+    is unoccupied, for each of `pools` pools of 10 * budget raw draws.
 
     Heavily occupied grids can therefore leave a pool with fewer samples, or
     none. The pools take consecutive stretches of the stream, as one draw per
@@ -103,10 +90,10 @@ def sample_virgin(
     pool is looked up. Either way the stream ends where drawing every row of
     every pool would leave it.
     """
-    dim = space.dim
+    dim = grid.space.dim
     if budget <= 0 or pools <= 0:
         return VirginSamples(np.empty((0, dim)), np.empty(0), np.empty(0, dtype=int))
-    draws, (low, high) = 10 * budget, space.draw_bounds()
+    draws, (low, high) = 10 * budget, grid.space.draw_bounds()
     start = rng.position()
     head = rng.uniform_heads(low, high, pools, budget, draws, dim)
     genomes = head.reshape(-1, dim)
@@ -149,38 +136,36 @@ def select_replacement(genomes: np.ndarray, fitness: np.ndarray, mean, archive: 
 
 
 def informed_mutation(
-    population: Population,
-    victims: Victims,
-    space: SearchSpace,
-    grid: GridIndex,
-    fn,
-    rng: RngStream,
-    cfg: EngineConfig,
-) -> tuple[Population, InformedCounters]:
+    population: Population, victims: Victims, grid: GridIndex, fn, rng: RngStream, cfg: EngineConfig
+) -> tuple[Population, dict]:
     """Replace slated members of each victim region with qualifying virgin samples.
 
     Population size never changes. Slots whose sampling finds no qualifying
-    candidate keep their original member and bump the fallback counter.
+    candidate keep their original member and count as fallbacks.
     Replacements carry their own evaluated fitness; nothing is re-evaluated.
-    Each victim region samples one pool per slot, all in one call.
+    Every slot of every victim samples one pool, all in one call, in victim
+    order; a pool's candidates are judged against its own victim's mean and
+    the centroids handled up to that victim. Returns the new population and
+    the generation record's `victims`, `replacements` and `fallbacks`.
     """
     X, f = population.X.copy(), population.f.copy()
-    counters = InformedCounters(victims=len(victims))
-    for i, slots in enumerate(victims.replace):
+    slots = [member for replace in victims.replace for member in replace]
+    if not slots:
+        return Population(X, f), dict(victims=len(victims), replacements=0, fallbacks=0)
+    samples = sample_virgin(grid, fn, rng, cfg.sample_budget, len(slots))
+    victim = np.repeat(np.arange(len(victims)), [len(replace) for replace in victims.replace])
+    # only a pool with a sample below its victim's mean can replace its slot
+    hopeful = np.unique(samples.pool[samples.fitness < victims.mean[victim[samples.pool]]])
+    # samples come pool by pool: pool p holds rows bounds[p]:bounds[p + 1]
+    bounds = np.searchsorted(samples.pool, np.arange(len(slots) + 1)).tolist()
+    for pool, i in zip(hopeful.tolist(), victim[hopeful].tolist()):
+        lo, hi = bounds[pool], bounds[pool + 1]
         mean, archive = victims.mean[i], victims.centroid[: i + 1]
-        samples = sample_virgin(space, grid, fn, rng, cfg.sample_budget, len(slots))
-        # only a pool with a sample below the region mean can replace its slot
-        hopeful = np.unique(samples.pool[samples.fitness < mean])
-        counters.fallbacks += len(slots) - len(hopeful)
-        # samples come pool by pool: pool p holds rows bounds[p]:bounds[p + 1]
-        bounds = np.searchsorted(samples.pool, np.arange(len(slots) + 1)).tolist()
-        for pool in hopeful.tolist():
-            lo, hi = bounds[pool], bounds[pool + 1]
-            chosen = lo + select_replacement(samples.genomes[lo:hi], samples.fitness[lo:hi], mean, archive)
-            X[slots[pool]] = samples.genomes[chosen]
-            f[slots[pool]] = samples.fitness[chosen]
-            counters.replaced += 1
-    return Population(X, f), counters
+        chosen = lo + select_replacement(samples.genomes[lo:hi], samples.fitness[lo:hi], mean, archive)
+        X[slots[pool]] = samples.genomes[chosen]
+        f[slots[pool]] = samples.fitness[chosen]
+    fields = dict(victims=len(victims), replacements=len(hopeful), fallbacks=len(slots) - len(hopeful))
+    return Population(X, f), fields
 
 
 def regular_ops(

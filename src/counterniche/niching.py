@@ -2,8 +2,9 @@
 
 The population is dropped into a per-dimension grid; every occupied cell is a
 cluster, and cells holding enough members count as high-density regions.
-Each cell has one integer code, so the grid is a few arrays: the sorted codes
-of the occupied cells, each member's cell, and the member count per cell.
+Each cell has one integer code, so the grid is a few arrays from one stable
+sort of the codes: the sorted codes of the occupied cells, the member count
+per cell, and the members laid out cell by cell.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ class GridIndex:
     effective_dims: tuple[int, ...]
     space: SearchSpace
     cells: np.ndarray    # sorted codes of the occupied cells
-    cell_of: np.ndarray  # each member's position in `cells`
     counts: np.ndarray   # members per occupied cell
+    members: np.ndarray  # member indices cell by cell, in index order within a cell
+    start: np.ndarray    # each cell's first position in `members`
 
     def keys(self, codes) -> np.ndarray:
         """Bin-index rows of cell codes, the inverse of `cell_codes`."""
@@ -109,8 +111,14 @@ def build_grid(
         raise ValueError(f"need at least 2 bins per dimension, got {bins}")
     key_dims = tuple(range(space.dim)) if key_dims is None else tuple(key_dims)
     check_key_length(bins, len(key_dims))
-    cells, cell_of = np.unique(cell_codes(population.X, space, bins, key_dims), return_inverse=True)
-    return GridIndex(bins, key_dims, space, cells, cell_of, np.bincount(cell_of))
+    codes = cell_codes(population.X, space, bins, key_dims)
+    members = np.argsort(codes, kind="stable")
+    codes = codes[members]
+    edge = np.ones(len(codes) + 1, dtype=bool)  # where a cell starts, and the end of the last
+    np.not_equal(codes[1:], codes[:-1], out=edge[1:-1])
+    edges = np.flatnonzero(edge)
+    start = edges[:-1]
+    return GridIndex(bins, key_dims, space, codes[start], np.diff(edges), members, start)
 
 
 @dataclass(frozen=True)
@@ -138,27 +146,22 @@ class Regions:
 def high_density_regions(grid: GridIndex, population: Population, density_fraction: float) -> Regions:
     """Occupied cells holding at least max(2, ceil(fraction * N)) members.
 
-    One stable sort of `cell_of` lays the members out cell by cell, in index
-    order within each cell. Each region's statistics are then the operations
-    numpy's `mean` and `std` run on its members (`np.add.reduce`, divided by
-    the count), one region at a time, so they are the same to the bit.
+    Each region's statistics are the operations numpy's `mean` and `std` run
+    on its members in index order (`np.add.reduce`, divided by the count),
+    one region at a time, so they are the same to the bit.
     """
     threshold = max(2, math.ceil(density_fraction * population.size))
     dense = np.flatnonzero(grid.counts >= threshold)
     mean, std = np.empty(len(dense)), np.empty(len(dense))
     centroid = np.empty((len(dense), population.X.shape[1]))
-    if len(dense):
-        members = np.argsort(grid.cell_of, kind="stable")
-        f, X = population.f[members], population.X[members]
-        ends = np.cumsum(grid.counts)
-        with np.errstate(invalid="ignore"):  # a member at +inf makes the std NaN
-            for r, c in enumerate(dense.tolist()):
-                n = int(grid.counts[c])
-                cell = slice(int(ends[c]) - n, int(ends[c]))
-                mean[r] = np.add.reduce(f[cell]) / n
-                spread = f[cell] - mean[r]
-                std[r] = np.sqrt(np.add.reduce(spread * spread) / n)
-                centroid[r] = np.add.reduce(X[cell], axis=0) / n
+    with np.errstate(invalid="ignore"):  # a member at +inf makes the std NaN
+        for r, (a, n) in enumerate(zip(grid.start[dense].tolist(), grid.counts[dense].tolist())):
+            cell = grid.members[a : a + n]
+            f = population.f[cell]
+            mean[r] = np.add.reduce(f) / n
+            spread = f - mean[r]
+            std[r] = np.sqrt(np.add.reduce(spread * spread) / n)
+            centroid[r] = np.add.reduce(population.X[cell], axis=0) / n
     code, density = grid.cells[dense], grid.counts[dense]
     order = np.lexsort((code, mean, -density))
     return Regions(grid, code[order], density[order], mean[order], std[order], centroid[order])

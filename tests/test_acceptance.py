@@ -181,21 +181,21 @@ def test_criterion_08_informed_op_contract():
     grid = build_grid(pop, space, bins=4)
     regions = high_density_regions(grid, pop, 0.05)
     victims = detect_victims(regions, pop, cfg)
-    member_codes = grid.cells[grid.cell_of]
+    member_codes = np.repeat(grid.cells, grid.counts)[np.argsort(grid.members)]
     flagged_exactly = (
         len(victims) == 1
         and sorted(np.flatnonzero(member_codes == regions.code[victims.row[0]])) == list(range(20))
     )
 
-    out, counters = informed_mutation(pop, victims, space, grid, fn, rng, cfg)
+    out, fields = informed_mutation(pop, victims, grid, fn, rng, cfg)
     size_ok = out.size == pop.size
     mean = victims.mean[0] if victims else math.nan
     changed = [i for i in range(pop.size) if not np.array_equal(out.X[i], pop.X[i])]
     strict = all(out.f[i] < mean for i in changed)
-    ok = flagged_exactly and size_ok and strict and counters.replaced == len(changed)
+    ok = flagged_exactly and size_ok and strict and fields["replacements"] == len(changed)
     _report(8, "informed replacement contract", ok,
-            f"victims={len(victims)}, replaced={counters.replaced}, "
-            f"fallbacks={counters.fallbacks}, strict improvement={strict}")
+            f"victims={len(victims)}, replaced={fields['replacements']}, "
+            f"fallbacks={fields['fallbacks']}, strict improvement={strict}")
 
 
 def test_criterion_09_stagnation_detector():

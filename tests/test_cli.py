@@ -313,6 +313,8 @@ def test_diversity_report(tmp_path, capsys):
     assert len(rows) == 2
     for r in rows:
         assert r["runs_with_signal"] <= 3
+    assert main(["diversity-report", "--in", str(out_dir), "--burn-in", "-1"]) == 2
+    assert "burn-in must be nonnegative, got -1" in capsys.readouterr().err
 
 
 def test_main_catches_runtime_errors(tmp_path, capsys):

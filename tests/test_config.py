@@ -211,7 +211,8 @@ def test_key_length_bound_is_exact():
     X = np.zeros((3, 62))
     X[1, 0] = X[2, -1] = 1.0
     grid = build_grid(Population(X, np.zeros(3)), SearchSpace.cube(62, 0.0, 1.0), 2)
-    assert grid.cells.tolist() == [0, 1, 2**61] and grid.cell_of.tolist() == [0, 2, 1]
+    assert grid.cells.tolist() == [0, 1, 2**61]
+    assert grid.counts.tolist() == [1, 1, 1] and grid.members.tolist() == [0, 2, 1]
     cfg = default_config("cnea", dim=62, generations=3, N=20, grid_bins=2, key_dim_limit=62)
     assert len(run(cfg, make("ellipsoid", 62)).records) == 4
     # the check is the cnea grid's: other engines never key a grid

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from counterniche import Individual, Population, RngStream, SearchSpace, clamp
+from counterniche import Individual, Population, RngStream, SearchSpace
 
 
 def test_search_space_validation():
@@ -268,26 +268,3 @@ def test_rng_stream_replay_draws_from_a_saved_position():
     replay.bit_generator.advance(3)
     assert np.array_equal(replay.random(2), rng.random(2))
 
-
-def test_clamp_projects_and_validates():
-    s = SearchSpace.cube(2, 0.0, 1.0)
-    assert np.array_equal(clamp([-1.0, 2.0], s), [0.0, 1.0])
-    assert np.array_equal(clamp([0.3, 0.7], s), [0.3, 0.7])
-    assert np.array_equal(clamp([[-1.0, 2.0], [0.3, 0.7]], s), [[0.0, 1.0], [0.3, 0.7]])
-    with pytest.raises(ValueError):
-        clamp([0.5], s)
-    with pytest.raises(ValueError):
-        clamp(np.zeros((2, 3)), s)
-
-
-@settings(max_examples=200)
-@given(
-    st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
-    st.floats(-10.0, 0.0),
-    st.floats(0.5, 10.0),
-)
-def test_clamp_idempotent_and_in_box(values, lo, hi):
-    s = SearchSpace.cube(3, lo, hi)
-    once = clamp(values, s)
-    assert s.contains(once)
-    assert np.array_equal(clamp(once, s), once)

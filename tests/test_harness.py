@@ -149,6 +149,12 @@ def test_diversity_profile_burn_in_excludes_early():
     assert profile.generations_counted == 1  # only generation 3 counts
 
 
+def test_diversity_profile_refuses_negative_burn_in():
+    trace = _trace_from_series([0.0] * 4, diversity=[0.4] * 4, mean=[10.0, 9.0, 8.0, 7.0])
+    with pytest.raises(ValueError, match="burn-in must be nonnegative, got -3"):
+        diversity_profile(trace, -3)
+
+
 def test_diversity_profile_no_signal():
     trace = _trace_from_series([1.0, 1.0, 1.0], mean=[5.0, 5.0, 5.0])
     profile = diversity_profile(trace, burn_in=0)

@@ -32,7 +32,8 @@ def _regions(pop):
 
 def _members(grid, regions, row):
     """Member indices of one region, ascending."""
-    return np.flatnonzero(grid.cells[grid.cell_of] == regions.code[row]).tolist()
+    cell = np.searchsorted(grid.cells, regions.code[row])
+    return grid.members[grid.start[cell] : grid.start[cell] + grid.counts[cell]].tolist()
 
 
 def _occupied(space, bins, members):
@@ -117,7 +118,7 @@ def test_sample_virgin_avoids_occupied_cells():
     pop = _pop([[0.1, 0.1], [0.9, 0.9]], [0.0, 0.0])
     grid = build_grid(pop, space, bins=4)
     rng = RngStream(0)
-    samples = sample_virgin(space, grid, fn, rng, budget=10)
+    samples = sample_virgin(grid, fn, rng, budget=10)
     assert 0 < len(samples.fitness) <= 10
     assert samples.pool.tolist() == [0] * len(samples.fitness)
     occupied = _occupied(space, 4, pop.X)
@@ -142,7 +143,7 @@ def test_sample_virgin_pools_match_one_draw_per_pool():
     centres = [[(i + 0.5) / 4, (j + 0.5) / 4] for i in range(4) for j in range(4)][2:]
     grid = build_grid(_pop(centres, [0.0] * 14), space, bins=4)
     rng_once, rng_each = RngStream(3), RngStream(3)
-    together = sample_virgin(space, grid, fn, rng_once, budget=4, pools=12)
+    together = sample_virgin(grid, fn, rng_once, budget=4, pools=12)
     sizes = np.bincount(together.pool, minlength=12)
     assert sizes.max() == 4 and sizes.min() < 4
     for pool in range(12):
@@ -228,7 +229,7 @@ def test_sample_virgin_short_pools_match_full_mask(dim, key_dims, bins):
             if spare:
                 for r in (rng_short, rng_full, rng_raw):
                     r.integers(0, 5, size=1)
-            samples = sample_virgin(space, grid, fn, rng_short, budget, pools)
+            samples = sample_virgin(grid, fn, rng_short, budget, pools)
             genomes, fitness, pool = _virgin_full_mask(space, grid, fn, rng_full, budget, pools)
             assert np.array_equal(samples.genomes, genomes)
             assert np.array_equal(samples.fitness, fitness)
@@ -250,9 +251,9 @@ def test_sample_virgin_scalar_bounds_match_vector_bounds(monkeypatch):
     grid = build_grid(_pop(members, np.zeros(40)), space, bins=3)
     assert space.draw_bounds() == (-2.0, 3.0)
     scalar_rng, vector_rng = RngStream(8), RngStream(8)
-    scalar = sample_virgin(space, grid, fn, scalar_rng, budget=4, pools=9)
+    scalar = sample_virgin(grid, fn, scalar_rng, budget=4, pools=9)
     monkeypatch.setattr(SearchSpace, "draw_bounds", lambda self: (self.lower, self.upper))
-    vector = sample_virgin(space, grid, fn, vector_rng, budget=4, pools=9)
+    vector = sample_virgin(grid, fn, vector_rng, budget=4, pools=9)
     assert len(scalar.fitness) > 0
     assert np.array_equal(scalar.genomes, vector.genomes)
     assert np.array_equal(scalar.fitness, vector.fitness)
@@ -266,7 +267,7 @@ def test_sample_virgin_draws_inside_per_coordinate_bounds():
     low, high = space.draw_bounds()
     assert np.array_equal(low, lower) and np.array_equal(high, upper)
     grid = build_grid(_pop([[0.0, 0.25, 15.0]], [0.0]), space, bins=4)
-    samples = sample_virgin(space, grid, _Quadratic(space), RngStream(2), budget=50, pools=4)
+    samples = sample_virgin(grid, _Quadratic(space), RngStream(2), budget=50, pools=4)
     assert len(samples.fitness) == 200
     assert np.all(samples.genomes >= lower) and np.all(samples.genomes <= upper)
     # each coordinate spans most of its own interval
@@ -279,9 +280,9 @@ def test_sample_virgin_budget_and_saturation():
     # every cell occupied: nothing virgin to find
     pop = _pop([[0.1], [0.3], [0.6], [0.9]], [0.0] * 4)
     grid = build_grid(pop, space, bins=4)
-    assert len(sample_virgin(space, grid, fn, RngStream(0), budget=5).fitness) == 0
-    assert len(sample_virgin(space, grid, fn, RngStream(0), budget=0).fitness) == 0
-    assert len(sample_virgin(space, grid, fn, RngStream(0), budget=5, pools=3).fitness) == 0
+    assert len(sample_virgin(grid, fn, RngStream(0), budget=5).fitness) == 0
+    assert len(sample_virgin(grid, fn, RngStream(0), budget=0).fitness) == 0
+    assert len(sample_virgin(grid, fn, RngStream(0), budget=5, pools=3).fitness) == 0
 
 
 def _candidates(*pairs):
@@ -331,14 +332,14 @@ def test_informed_mutation_planted_cluster():
     assert _members(grid, regions, victims.row[0]) == list(range(20))
     assert len(victims.replace[0]) == 10
 
-    out, counters = informed_mutation(pop, victims, space, grid, fn, rng, cfg)
+    out, fields = informed_mutation(pop, victims, grid, fn, rng, cfg)
     assert out.size == pop.size
-    assert counters.victims == 1
-    assert counters.replaced + counters.fallbacks == 10
-    assert counters.replaced > 0
+    assert fields["victims"] == 1
+    assert fields["replacements"] + fields["fallbacks"] == 10
+    assert fields["replacements"] > 0
     region_mean = victims.mean[0]
     changed = [i for i in range(pop.size) if not np.array_equal(out.X[i], pop.X[i])]
-    assert len(changed) == counters.replaced
+    assert len(changed) == fields["replacements"]
     occupied = _occupied(space, 4, X)
     for i in changed:
         assert i in victims.replace[0]
@@ -370,10 +371,10 @@ def test_informed_mutation_skips_pools_without_a_sample_below_the_mean(monkeypat
     real = informed.select_replacement
     monkeypatch.setattr(informed, "select_replacement", lambda *a: calls.append(a) or real(*a))
 
-    out, counters = informed_mutation(pop, victims, space, grid, fn, RngStream(3), cfg)
+    out, fields = informed_mutation(pop, victims, grid, fn, RngStream(3), cfg)
     # one sample per pool: a pool is asked only when its sample beats the mean, and then replaces
-    assert len(calls) == counters.replaced > 0
-    assert counters.fallbacks == 10 - counters.replaced > 0
+    assert len(calls) == fields["replacements"] > 0
+    assert fields["fallbacks"] == 10 - fields["replacements"] > 0
     for genomes, fitness, _, _ in calls:
         assert fitness.min() < victims.mean[0]
 
@@ -390,7 +391,7 @@ def test_informed_mutation_archive_grows_per_victim(monkeypatch):
     archives = []
     real = informed.select_replacement
     monkeypatch.setattr(informed, "select_replacement", lambda *a: archives.append(a[3]) or real(*a))
-    informed_mutation(pop, victims, space, grid, fn, RngStream(0), cfg)
+    informed_mutation(pop, victims, grid, fn, RngStream(0), cfg)
     # the first victim's slots see its own centroid, the second's see both
     assert {len(a) for a in archives} == {1, 2}
     assert np.array_equal(archives[-1], regions.centroid)
@@ -403,9 +404,82 @@ def test_informed_mutation_no_victims_is_identity():
     grid = build_grid(pop, space, bins=4)
     victims = detect_victims(high_density_regions(grid, pop, 0.05), pop, EngineConfig("cnea"))
     assert len(victims) == 0
-    out, counters = informed_mutation(pop, victims, space, grid, fn, RngStream(0), EngineConfig("cnea"))
+    out, fields = informed_mutation(pop, victims, grid, fn, RngStream(0), EngineConfig("cnea"))
     assert np.array_equal(out.X, pop.X) and np.array_equal(out.f, pop.f)
-    assert (counters.victims, counters.replaced, counters.fallbacks) == (0, 0, 0)
+    assert (fields["victims"], fields["replacements"], fields["fallbacks"]) == (0, 0, 0)
+
+
+def _per_victim_loop(population, victims, grid, fn, rng, cfg):
+    """informed_mutation as one `sample_virgin` call per victim region, each
+    judged against that victim's mean and archive: the reference the one call
+    for every victim must equal."""
+    X, f = population.X.copy(), population.f.copy()
+    replaced = fallbacks = 0
+    for i, slots in enumerate(victims.replace):
+        mean, archive = victims.mean[i], victims.centroid[: i + 1]
+        samples = sample_virgin(grid, fn, rng, cfg.sample_budget, len(slots))
+        hopeful = np.unique(samples.pool[samples.fitness < mean])
+        fallbacks += len(slots) - len(hopeful)
+        bounds = np.searchsorted(samples.pool, np.arange(len(slots) + 1)).tolist()
+        for pool in hopeful.tolist():
+            lo, hi = bounds[pool], bounds[pool + 1]
+            chosen = lo + select_replacement(samples.genomes[lo:hi], samples.fitness[lo:hi], mean, archive)
+            X[slots[pool]] = samples.genomes[chosen]
+            f[slots[pool]] = samples.fitness[chosen]
+            replaced += 1
+    return Population(X, f), dict(victims=len(victims), replacements=replaced, fallbacks=fallbacks)
+
+
+def _crowded(victim_count, free, seed):
+    """A 2-d population on 4 bins per side: `victim_count` flat clusters of
+    falling density, then a singleton in every other cell but `free` of them,
+    the last at +inf. The second victim's mean is below every sample, so none of
+    its pools is hopeful; the first's is above every sample."""
+    rng = np.random.default_rng(seed)
+    cells = rng.permutation(16)
+    centre = lambda c: [(c // 4 + 0.5) / 4, (c % 4 + 0.5) / 4]
+    rows, fitness = [], []
+    for c, size, mean in zip(cells[:victim_count], [8, 6, 5, 4], [3.0, -1.0, 0.8, 0.5]):
+        rows += [centre(c)] * size
+        fitness += [mean] * size
+    for c in cells[victim_count:16 - free]:
+        rows.append(np.add(centre(c), rng.uniform(-0.1, 0.1, 2)).tolist())
+        fitness.append(float(rng.uniform(0.0, 2.0)))
+    fitness[-1] = np.inf
+    return Population(rows, fitness)
+
+
+@pytest.mark.parametrize("victim_count", [2, 3, 4])
+@pytest.mark.parametrize("free", [1, 6])  # one free cell leaves most pools short
+@pytest.mark.parametrize("seed", range(4))
+def test_one_sampling_call_equals_the_per_victim_loop(monkeypatch, victim_count, free, seed):
+    space = SearchSpace.cube(2, 0.0, 1.0)
+    fn = _Quadratic(space)
+    cfg = EngineConfig("cnea", sample_budget=4)
+    pop = _crowded(victim_count, free, seed)
+    grid = build_grid(pop, space, bins=4)
+    victims = detect_victims(high_density_regions(grid, pop, 0.05), pop, cfg)
+    assert len(victims) == victim_count and victims.mean[1] == -1.0
+    calls = []
+    real = informed.sample_virgin
+    monkeypatch.setattr(informed, "sample_virgin", lambda *a: calls.append(real(*a)) or calls[-1])
+
+    ours, theirs = RngStream(100 + seed), RngStream(100 + seed)
+    out, fields = informed_mutation(pop, victims, grid, fn, ours, cfg)
+    monkeypatch.setattr(informed, "sample_virgin", real)
+    want, want_fields = _per_victim_loop(pop, victims, grid, fn, theirs, cfg)
+    assert out.X.tobytes() == want.X.tobytes() and out.f.tobytes() == want.f.tobytes()
+    assert fields == want_fields
+    assert ours.integers(0, 1000) == theirs.integers(0, 1000)
+    assert ours.random() == theirs.random()
+
+    # one call for the generation, pools in victim order
+    assert len(calls) == 1
+    sizes = np.bincount(calls[0].pool, minlength=sum(map(len, victims.replace)))
+    ends = np.cumsum([len(r) for r in victims.replace])
+    if free == 1:
+        assert sizes[ends[0]:].min() < cfg.sample_budget  # a later victim's pool runs short
+    assert fields["replacements"] > 0 and fields["fallbacks"] >= len(victims.replace[1])
 
 
 def test_regular_ops_shape_and_bounds():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterniche import Population, RngStream, SearchSpace, build_grid, high_density_regions
-from counterniche.niching import bin_indices, choose_key_dims
+from counterniche.niching import bin_indices, cell_codes, choose_key_dims
 
 
 def _pop(rows, fitness=None):
@@ -16,7 +16,8 @@ def _pop(rows, fitness=None):
 def _cells(grid):
     """The grid as a dict from cell key (tuple of bin indices) to member indices."""
     cells = {}
-    for i, key in enumerate(grid.keys(grid.cells[grid.cell_of]).tolist()):
+    member_codes = np.repeat(grid.cells, grid.counts)[np.argsort(grid.members)]
+    for i, key in enumerate(grid.keys(member_codes).tolist()):
         cells.setdefault(tuple(key), []).append(i)
     return cells
 
@@ -184,3 +185,9 @@ def test_grid_cells_always_partition(bins, n, seed):
     assert seen == list(range(n))
     for key in cells:
         assert all(0 <= k < bins for k in key)
+    # the layout: members in one stable sort of the codes, each cell's slice holding its own
+    codes = cell_codes(genomes, space, bins, grid.effective_dims)
+    assert np.array_equal(grid.members, np.argsort(codes, kind="stable"))
+    assert grid.start.tolist() == (np.cumsum(grid.counts) - grid.counts).tolist()
+    for code, a, count in zip(grid.cells.tolist(), grid.start.tolist(), grid.counts.tolist()):
+        assert grid.members[a : a + count].tolist() == np.flatnonzero(codes == code).tolist()

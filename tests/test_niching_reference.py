@@ -124,7 +124,8 @@ def test_array_niching_matches_the_reference(
     keys = [tuple(k) for k in grid.keys(grid.cells).tolist()]
     assert keys == sorted(cells)
     assert grid.counts.tolist() == [len(cells[k]) for k in keys]
-    assert [keys[c] for c in grid.cell_of.tolist()] == [
+    cell_of = np.repeat(np.arange(len(keys)), grid.counts)[np.argsort(grid.members)]
+    assert [keys[c] for c in cell_of.tolist()] == [
         tuple(k) for k in bin_indices(X, space, bins, key_dims).tolist()
     ]
 
