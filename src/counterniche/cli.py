@@ -264,6 +264,11 @@ def _cmd_ttest(args) -> int:
 
 
 def _cmd_diversity_report(args) -> int:
+    if args.burn_in is not None:
+        try:
+            harness.check_burn_in(args.burn_in)
+        except ValueError as exc:
+            return _usage_error(exc)
     cells = harness.discover_cells(args.in_dir)
     if not cells:
         print(f"no cell outputs under {args.in_dir}", file=sys.stderr)
@@ -277,10 +282,7 @@ def _cmd_diversity_report(args) -> int:
             burn = args.burn_in
             if burn is None:
                 burn = harness.default_burn_in(trace.generations)
-            try:
-                profile = harness.diversity_profile(trace, burn)
-            except ValueError as exc:
-                return _usage_error(exc)
+            profile = harness.diversity_profile(trace, burn)
             if profile.average_diversity is not None:
                 values.append(profile.average_diversity)
                 counted += profile.generations_counted

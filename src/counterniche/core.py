@@ -152,14 +152,18 @@ class RngStream:
     half from numpy's `has_uint32`/`uinteger` buffer at the first such draw
     and hands it back before any numpy call that also draws 32-bit halves
     (`integers` with a size or another span, `permutation`, `index_subset`).
-    `random`, `uniform` and `normal` take whole 64-bit words and never touch
-    the spare half, so they need no hand-off.
+    `random`, `uniform` and `normal` are the generator's own methods: they
+    take whole 64-bit words and never touch the spare half, so they need no
+    hand-off. The scalar path serves `sea`'s per-child draws
+    (`Variation.child_by_child`) until `sea` draws whole arrays too; it
+    takes a spare half the stream holds inline.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._bits = np.random.PCG64(self.seed)
-        self._gen = np.random.Generator(self._bits)
+        self._gen = gen = np.random.Generator(self._bits)
+        self.random, self.uniform, self.normal = gen.random, gen.uniform, gen.normal
         self._raw = self._bits.random_raw
         self._spare = _NUMPY_HOLDS  # the spare half, None when no half is spare, or _NUMPY_HOLDS
 
@@ -236,15 +240,6 @@ class RngStream:
         bits.state = position
         return np.random.Generator(bits)
 
-    def random(self, size=None):
-        return self._gen.random(size)
-
-    def uniform(self, low, high, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
     def integers(self, low, high, size=None):
         """Integers from [low, high). A scalar draw with integer bounds and a
         span in [1, 2**32 - 1] returns a Python int; every other call is
@@ -259,8 +254,17 @@ class RngStream:
                 if 1 <= span <= _U32_MAX and _I64_MIN <= lo and hi <= _I64_END:
                     if span == 1:  # numpy draws nothing for a single value either
                         return lo
-                    # numpy's buffered_bounded_lemire_uint32 (Lemire, arXiv:1805.10941)
-                    m = self._next_u32() * span
+                    # numpy's buffered_bounded_lemire_uint32 (Lemire, arXiv:1805.10941), first half inline
+                    spare = self._spare
+                    if spare is None:
+                        word = self._raw()
+                        self._spare = word >> 32
+                        m = (word & _U32_MAX) * span
+                    elif spare == _NUMPY_HOLDS:
+                        m = self._next_u32() * span
+                    else:
+                        self._spare = None
+                        m = spare * span
                     if m & _U32_MAX < span:
                         threshold = (_U32_MAX + 1 - span) % span
                         while m & _U32_MAX < threshold:

@@ -213,11 +213,12 @@ def _elitist_union_survivors(
     return Population(X[keep], f[keep])
 
 
-def _breed(pop: Population, draws: Variation, first, second, fn) -> Population:
+def _breed(pop: Population, draws: Variation, first, second, fn, variance=None) -> Population:
     """The children `draws` makes from rows first[k] and second[k] of the
     population, with their fitness: the changed ones are evaluated, the
-    others keep their first parent's."""
-    children, fresh = draws.children(pop.X, first, second, fn.space)
+    others keep their first parent's. `variance`, when given, is every
+    mutated child's."""
+    children, fresh = draws.children(pop.X, first, second, fn.space, variance=variance)
     return Population(children, evaluate_children(fn, children, fresh, pop.f[first]))
 
 
@@ -230,12 +231,8 @@ def _sea_offspring(pop: Population, cfg: EngineConfig, fn, rng: RngStream, varia
     """Tournament parents, arithmetic crossover, and whole-genome Gaussian
     mutation of the given variance, drawn child by child."""
     draws = Variation(cfg.N, fn.space.dim, rng)
-    for k in range(cfg.N):
-        draws.tournaments(k)
-        draws.crossover(k, cfg.p_r)
-        if rng.random() < cfg.p_m_genome:
-            draws.mutation(k, variance)
-    return _breed(pop, draws, *draws.parents(pop.f), fn)
+    draws.child_by_child(cfg.p_r, cfg.p_m_genome)
+    return _breed(pop, draws, *draws.parents(pop.f), fn, variance)
 
 
 def _socea_offspring(pop: Population, cfg: EngineConfig, fn, rng: RngStream) -> Population:

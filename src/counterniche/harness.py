@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import Sequence, get_type_hints
@@ -38,6 +38,7 @@ __all__ = [
     "CellResult",
     "detect_stagnation",
     "diversity_profile",
+    "check_burn_in",
     "default_burn_in",
     "write_trace_csv",
     "read_trace_csv",
@@ -54,11 +55,12 @@ __all__ = [
     "load_matrix_config",
 ]
 
-# a trace file's columns are GenRecord's fields, each parsed with its type
+# a trace file's columns are GenRecord's fields in order, each parsed with its
+# type; a field with a default may be missing (traces written before
+# `fallbacks` was a column still load), and reads as that default
 TRACE_FIELDS = tuple(f.name for f in fields(GenRecord))
 _TRACE_TYPES = get_type_hints(GenRecord)
-# traces written before `fallbacks` was a column still load, with its default
-_TRACE_FIELDS_WITHOUT_FALLBACKS = tuple(f for f in TRACE_FIELDS if f != "fallbacks")
+_TRACE_REQUIRED = {f.name for f in fields(GenRecord) if f.default is MISSING}
 
 # the RunSummary statistics of a summary row, in column order
 _SUMMARY_STATS = ("best", "p23", "median", "p73", "worst", "mean", "std")
@@ -102,11 +104,16 @@ def default_burn_in(generations: int) -> int:
     return int(0.05 * generations)
 
 
+def check_burn_in(burn_in: int) -> None:
+    """Refuse a negative burn-in."""
+    if burn_in < 0:
+        raise ValueError(f"burn-in must be nonnegative, got {burn_in}")
+
+
 def diversity_profile(trace: RunTrace, burn_in: int) -> DiversityProfile:
     """Average diversity over post-burn-in generations where mean fitness
     improved on the previous generation. None when no generation qualifies."""
-    if burn_in < 0:
-        raise ValueError(f"burn-in must be nonnegative, got {burn_in}")
+    check_burn_in(burn_in)
     records = trace.records
     total = 0.0
     count = 0
@@ -140,7 +147,7 @@ def read_trace_csv(path) -> RunTrace:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = tuple(reader.fieldnames or ())
-        if header not in (TRACE_FIELDS, _TRACE_FIELDS_WITHOUT_FALLBACKS):
+        if header != tuple(f for f in TRACE_FIELDS if f in header) or not _TRACE_REQUIRED <= set(header):
             raise ValueError(f"{path} does not look like a trace file")
         parse = [(name, _TRACE_TYPES[name]) for name in header]
         records = [GenRecord(**{name: kind(row[name]) for name, kind in parse}) for row in reader]

@@ -9,10 +9,10 @@ the same IEEE operations per element as one child at a time.
 row gathers: crossover takes a mask of the crossed rows, and mutation a mask
 of the mutated rows, so each piece of arithmetic has one copy.
 
-The draws come in two layouts. The per-child methods (`tournaments`,
-`crossover`, `mutation`) are called child by child, in the order the child
-consumes the stream, and draw crossover and mutation only where a child's
-coin lands; `sea` alone uses them. The whole-array methods
+The draws come in two layouts. `child_by_child` takes each child's draws in
+turn, in the order the child consumes the stream, and draws crossover and
+mutation only where a child's coin lands; `sea` alone uses it. The
+whole-array methods
 (`all_tournaments`, `all_crossovers`, `all_mutations`,
 `all_gene_mutations`) draw one array per draw kind for all n children,
 every row whatever its coin says, so the words a generation takes do not
@@ -99,10 +99,10 @@ class Variation:
     """The draws of one generation's variation, for n children of genome
     length dim, and the arithmetic that turns them into children.
 
-    The per-child draw methods store their draws for child k, the
-    whole-array ones for all children at once; `children` applies them to
-    all rows at once. A child that draws no crossover copies its first
-    parent, and one that draws no mutation is not mutated.
+    The draw methods store every child's draws, child by child or one
+    array per draw kind; `children` applies them to all rows at once. A
+    child that draws no crossover copies its first parent, and one that
+    draws no mutation is not mutated.
     """
 
     def __init__(self, n: int, dim: int, rng: RngStream):
@@ -117,34 +117,31 @@ class Variation:
         self.gene_draws = np.zeros((n, dim))
         self.normals = np.zeros((n, dim))
 
-    def tournaments(self, k: int) -> None:
-        """Two binary tournaments over the n members: i and j of the first,
-        then of the second, drawn uniformly with replacement."""
-        integers, n, bout = self.rng.integers, self.n, self.bouts[k]
-        bout[0] = integers(0, n)
-        bout[1] = integers(0, n)
-        bout[2] = integers(0, n)
-        bout[3] = integers(0, n)
-
-    def crossover(self, k: int, p_r: float) -> None:
-        """The crossover coin, and when it lands below p_r, the weights: one
-        uniform per gene, then the blended position, then its weight."""
-        rng = self.rng
-        if rng.random() < p_r:
-            self.crossed[k] = True
-            self.weight_draws[k] = rng.random(self.dim)
-            self.position[k] = rng.integers(0, self.dim)
-            self.blend[k] = rng.random()
-
-    def mutation(self, k: int, variance: float) -> None:
-        """One uniform per gene (its mask draw), then one standard normal per
-        gene. `variance` is child k's, for `children` without a per-gene one.
-        The draws do not depend on which genes fire."""
-        rng = self.rng
-        self.mutated[k] = True
-        self.variance[k] = variance
-        self.gene_draws[k] = rng.random(self.dim)
-        self.normals[k] = rng.normal(0.0, 1.0, self.dim)
+    def child_by_child(self, p_r: float, p_m: float) -> None:
+        """Each child's draws in turn, in its order: the members i and j of
+        two binary tournaments; a crossover coin, and below p_r one weight
+        uniform per gene, the blended position and its weight; a mutation
+        coin, and below p_m one mask uniform per gene, skipped (`gene_draws`
+        stay 0: every gene fires under any p_gene above 0), and one standard
+        normal per gene. The variance is the one `children` gets."""
+        rng, n, dim = self.rng, self.n, self.dim
+        integers, random, normal, skip = rng.integers, rng.random, rng.normal, rng.skip
+        weights, normals = self.weight_draws, self.normals
+        bouts, crossed, position, blend, mutated = [], [False] * n, [0] * n, [0.0] * n, [False] * n
+        for k in range(n):
+            bouts += integers(0, n), integers(0, n), integers(0, n), integers(0, n)
+            if random() < p_r:
+                crossed[k] = True
+                random(out=weights[k])
+                position[k] = integers(0, dim)
+                blend[k] = random()
+            if random() < p_m:
+                mutated[k] = True
+                skip(dim)
+                normals[k] = normal(0.0, 1.0, dim)
+        self.bouts = np.array(bouts, dtype=np.intp).reshape(n, 4)
+        self.crossed, self.mutated = np.array(crossed), np.array(mutated)
+        self.position, self.blend = np.array(position, dtype=np.intp), np.array(blend)
 
     def all_tournaments(self) -> None:
         """Every child's two tournaments as one (n, 4) array of members drawn

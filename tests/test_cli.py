@@ -317,6 +317,13 @@ def test_diversity_report(tmp_path, capsys):
     assert "burn-in must be nonnegative, got -1" in capsys.readouterr().err
 
 
+def test_diversity_report_refuses_negative_burn_in_over_an_empty_dir(tmp_path, capsys):
+    # the flag is refused before any cell is looked for
+    assert main(["diversity-report", "--in", str(tmp_path), "--burn-in", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "burn-in must be nonnegative, got -1" in err and "no cell outputs" not in err
+
+
 def test_main_catches_runtime_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert "error" in capsys.readouterr().err

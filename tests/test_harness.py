@@ -222,6 +222,32 @@ def test_trace_csv_timing_flag(tmp_path):
     assert any(r.wall_ms > 0.0 for r in read_trace_csv(timed).records)
 
 
+def _trace_file(path, header):
+    """A two-generation trace with the given columns, each value its field's."""
+    values = {"generation": "{g}", "best_fitness": "4", "mean_fitness": "5.5", "diversity": "0.25",
+              "mode": "exploit", "victims": "3", "replacements": "1", "fallbacks": "2", "wall_ms": "0"}
+    rows = [",".join(values[name] for name in header).format(g=g) for g in range(2)]
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("missing", ["fallbacks", "mode"])
+def test_read_trace_csv_loads_a_header_without_a_defaulted_field(tmp_path, missing):
+    header = [name for name in TRACE_FIELDS if name != missing]
+    records = read_trace_csv(_trace_file(tmp_path / "old.csv", header)).records
+    full = GenRecord(1, 4.0, 5.5, 0.25, mode="exploit", victims=3, replacements=1, fallbacks=2)
+    default = getattr(GenRecord(1, 4.0, 5.5, 0.25), missing)
+    assert records[1] == dataclasses.replace(full, **{missing: default})
+
+
+def test_read_trace_csv_refuses_a_missing_required_field_or_another_order(tmp_path):
+    without_best = [name for name in TRACE_FIELDS if name != "best_fitness"]
+    reordered = ["best_fitness", "generation", *TRACE_FIELDS[2:]]
+    for header in (without_best, reordered):
+        with pytest.raises(ValueError, match="does not look like a trace file"):
+            read_trace_csv(_trace_file(tmp_path / "bad.csv", header))
+
+
 def test_read_trace_csv_rejects_foreign_files(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n1,2,3\n")

@@ -22,14 +22,14 @@ def _pop(fitness):
 def _cross(a, b, rng):
     """The child of rows a and b from one child's crossover draws."""
     draws = Variation(1, len(a), rng)
-    draws.crossover(0, 1.0)
+    draws.child_by_child(1.0, 0.0)
     return arithmetic_crossover([a], [b], draws.weight_draws, draws.position, draws.blend)[0]
 
 
 def _mutate(genome, variance, p_gene, space, rng):
     """One genome through one child's mutation draws: (child, fired)."""
     draws = Variation(1, space.dim, rng)
-    draws.mutation(0, 1.0)  # the stored variance is unused: `variance` goes to gaussian_mutate
+    draws.child_by_child(0.0, 1.0)  # the mask is skipped: gene_draws stay 0, below any p_gene above 0
     out, fired = gaussian_mutate([genome], draws.gene_draws, draws.normals, variance, p_gene, space)
     return out[0], bool(fired[0])
 
@@ -41,8 +41,7 @@ def test_binary_tournament_picks_the_fitter():
     rng = RngStream(0)
     for _ in range(50):
         draws = Variation(pop.size, 1, rng)
-        for k in range(pop.size):
-            draws.tournaments(k)
+        draws.child_by_child(0.0, 0.0)
         for winners in zip(*draws.parents(pop.f)):
             for w in winners:
                 i = int(shadow.integers(0, pop.size))
@@ -51,6 +50,7 @@ def test_binary_tournament_picks_the_fitter():
                     assert w == j
                 else:
                     assert w == i  # ties go to the first draw
+            shadow.random(2)  # the child's crossover and mutation coins
     assert binary_tournament(pop.f, np.array([2, 0]), np.array([3, 1])).tolist() == [2, 1]
 
 
@@ -100,7 +100,7 @@ def test_crossover_draws_weights_position_then_blend():
     # the weights, then the blended position, then its weight
     shadow = RngStream(3)
     draws = Variation(1, 5, RngStream(3))
-    draws.crossover(0, 1.0)
+    draws.child_by_child(1.0, 0.0)
     assert draws.crossed[0] and shadow.random() < 1.0
     assert np.array_equal(draws.weight_draws[0], shadow.random(5))
     assert draws.position[0] == shadow.integers(0, 5)

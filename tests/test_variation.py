@@ -4,7 +4,9 @@ Every engine draws its children first and then runs the crossover and
 mutation arithmetic once over all rows. `sea` alone draws child by child;
 the reference loop `ref_sea_offspring` is the loop body that made each child
 in turn, and both sides must give bit-identical children and fitness and
-leave the random stream at the same place.
+leave the random stream at the same place. Run on a plain numpy Generator,
+that loop is also the reference for where `sea`'s draws leave the stream's
+spare 32-bit half, which only a later scalar integer draw can see.
 
 cnea's regular operators, `socea`, `cea` and `dgea` draw each generation's
 variation as whole arrays, one call per draw kind, in the order
@@ -265,6 +267,70 @@ def test_whole_array_generation_takes_the_same_words_whatever_it_draws(algo):
             _variation(algo, pop, cfg, rng)
             ends.add(rng.random())
     assert len(ends) == 1
+
+
+# Start states of the spare 32-bit half: numpy's buffer holds it, the
+# stream holds it, or no half is spare.
+SPARE_STARTS = {
+    "numpy-spare": lambda r: r.integers(0, 5, size=1),
+    "stream-spare": lambda r: r.integers(0, 5),
+    "no-spare": lambda r: (r.integers(0, 5), r.integers(0, 5)),
+}
+
+
+class SphereOf:
+    def __init__(self, dim):
+        self.space = SearchSpace.cube(dim, -1.0, 1.0)
+
+    def evaluate_batch(self, X):
+        return np.sum(X * X, axis=1)
+
+
+@pytest.mark.parametrize("start", SPARE_STARTS)
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("p_r, p_m_genome", [(0.0, 0.0), (1.0, 1.0), (0.9, 0.75)])
+def test_sea_draws_match_a_plain_generator(start, dim, p_r, p_m_genome):
+    # N is odd, and at dim 1 the blended position is a draw of nothing
+    fn = SphereOf(dim)
+    cfg = EngineConfig("sea", N=23, p_r=p_r, p_m_genome=p_m_genome)
+    for seed in range(3):
+        X = RngStream(100 + seed).uniform(-1.0, 1.0, size=(cfg.N, dim))
+        pop = Population(X, np.floor(fn.evaluate_batch(X) * 2.0))
+        rng, plain = RngStream(seed), np.random.Generator(np.random.PCG64(seed))
+        SPARE_STARTS[start](rng)
+        SPARE_STARTS[start](plain)
+        out = engines._sea_offspring(pop, cfg, fn, rng, sea_variance(3))
+        X_ref, f_ref = ref_sea_offspring(pop, plain, cfg, lambda: sea_variance(3), fn)
+        assert out.X.tobytes() == X_ref.tobytes()  # bit for bit, the sign of zero too
+        assert out.f.tobytes() == f_ref.tobytes()
+        assert rng.integers(0, 1000) == plain.integers(0, 1000)
+        assert rng.random() == plain.random()
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 step: state * this + inc
+
+
+def test_sea_normals_keep_the_sign_of_zero_that_numpy_normal_gives():
+    # numpy's ziggurat turns the word 0x100 into a standard normal of -0.0, and
+    # normal(0.0, 1.0) into +0.0; a gene at -0.0 plus that noise shows which it was
+    plain = np.random.Generator(np.random.PCG64(0))
+    state = plain.bit_generator.state
+    inc = state["state"]["inc"]
+    # the step to state 0x100 outputs 0x100 (high half 0, so no rotation)
+    state["state"]["state"] = (0x100 - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    plain.bit_generator.state = state
+    assert np.signbit(RngStream.replay(state).standard_normal())
+    # back past child 0's four tournament halves, two coins and one mask uniform
+    plain.bit_generator.advance(2**128 - 5)
+    rng = RngStream(0)
+    rng._bits.state = plain.bit_generator.state
+    fn, cfg = SphereOf(1), EngineConfig("sea", N=2, p_r=0.0, p_m_genome=1.0)
+    pop = Population(np.array([[-0.0], [-0.0]]), np.zeros(2))
+    out = engines._sea_offspring(pop, cfg, fn, rng, 1.0)
+    X_ref, _ = ref_sea_offspring(pop, plain, cfg, lambda: 1.0, fn)
+    assert not np.signbit(X_ref[0, 0])
+    assert out.X.tobytes() == X_ref.tobytes()
+    assert rng.random() == plain.random()
 
 
 def ref_rows(draws, X, first, second, space, p_gene=1.0, variance=None):
