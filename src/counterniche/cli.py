@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="show registered functions and algorithms")
-    p_list.add_argument("--function", help="show a single function entry")
+    p_list.add_argument("--function", choices=benchmarks.FUNCTION_NAMES, help="show a single function entry")
     p_list.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_run = sub.add_parser("run", help="one engine run, trace written as CSV")
@@ -92,9 +92,6 @@ def _cmd_list(args) -> int:
     functions = benchmarks.registry()
     if args.function:
         functions = [f for f in functions if f["name"] == args.function]
-        if not functions:
-            print(f"unknown function {args.function!r}", file=sys.stderr)
-            return 1
     algorithms = algorithm_registry() if not args.function else []
     if args.json:
         payload = {"functions": functions}

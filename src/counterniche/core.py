@@ -20,6 +20,7 @@ __all__ = [
     "Individual",
     "Population",
     "RngStream",
+    "next_double",
     "check_finite",
     "config_field",
     "check_value",
@@ -130,9 +131,10 @@ class Population:
         return Individual(self.X[i].copy(), self.f[i])
 
 
-_U32_MAX = 0xFFFFFFFF
-_I64_MIN, _I64_END = -(2**63), 2**63
-_NUMPY_HOLDS = -1  # `RngStream._spare` when numpy's buffer holds the spare half
+def next_double(words):
+    """numpy's `next_double` for PCG64: each raw word's top 53 bits as a
+    double in [0, 1), for one word (a Python int) or an array of them."""
+    return (words >> 11) * 2.0**-53
 
 
 class RngStream:
@@ -142,95 +144,72 @@ class RngStream:
     same seed produce identical sequences of uniform, normal, and integer
     draws, which is what makes whole runs bit-reproducible.
 
-    A scalar `integers` draw with a span in [1, 2**32 - 1] skips numpy's
-    per-call argument handling and runs numpy's own algorithm on raw PCG64
-    words (a span of 1 draws nothing, as in numpy): 32-bit halves, low half
-    first, the high half kept as the spare for the next such draw, and
-    Lemire's bounded-integer method with numpy's rejection threshold. So
-    every value and the stream position equal those of
-    `np.random.Generator(np.random.PCG64(seed))`. The stream takes the spare
-    half from numpy's `has_uint32`/`uinteger` buffer at the first such draw
-    and hands it back before any numpy call that also draws 32-bit halves
-    (`integers` with a size or another span, `permutation`, `index_subset`).
-    `random`, `uniform` and `normal` are the generator's own methods: they
-    take whole 64-bit words and never touch the spare half, so they need no
-    hand-off. The scalar path serves `sea`'s per-child draws
-    (`Variation.child_by_child`) until `sea` draws whole arrays too; it
-    takes a spare half the stream holds inline.
+    `random`, `uniform`, `normal`, `integers` and `permutation` are the
+    generator's own methods, and `raw` and `advance` its bit generator's.
+    numpy draws a bounded integer below 2**32 from a 32-bit half of a word:
+    the low half of a new word, whose high half numpy's buffer
+    (`has_uint32`/`uinteger`) keeps as the spare for the next such draw. The
+    spare half lives only in that buffer. `raw` leaves it alone, and
+    `advance` empties it, so a caller of `advance` saves it (`spare`) and
+    puts it back (`keep_spare`), once around all its steps.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._bits = np.random.PCG64(self.seed)
-        self._gen = gen = np.random.Generator(self._bits)
+        self._bits = bits = np.random.PCG64(self.seed)
+        self._gen = gen = np.random.Generator(bits)
         self.random, self.uniform, self.normal = gen.random, gen.uniform, gen.normal
-        self._raw = self._bits.random_raw
-        self._spare = _NUMPY_HOLDS  # the spare half, None when no half is spare, or _NUMPY_HOLDS
+        self.integers, self.permutation = gen.integers, gen.permutation
+        self.raw, self.advance = bits.random_raw, bits.advance
 
-    def _next_u32(self) -> int:
-        """numpy's `next_uint32` for PCG64: the spare half, else the low half
-        of a new word, keeping its high half as the spare."""
-        spare = self._spare
-        if spare is None:
-            word = self._raw()
-            self._spare = word >> 32
-            return word & _U32_MAX
-        if spare == _NUMPY_HOLDS:
-            self._take_spare()
-            return self._next_u32()
-        self._spare = None
-        return spare
-
-    def _take_spare(self) -> None:
-        """Move the spare half, if numpy's buffer holds one, to the stream."""
+    def spare(self) -> int | None:
+        """The spare 32-bit half in numpy's buffer, None when none is spare."""
         state = self._bits.state
-        self._spare = state["uinteger"] if state["has_uint32"] else None
+        return state["uinteger"] if state["has_uint32"] else None
 
-    def _hand_back(self) -> None:
-        """Put the spare half back into numpy's buffer before numpy draws
-        32-bit halves itself."""
-        spare = self._spare
-        if spare == _NUMPY_HOLDS:
-            return
+    def keep_spare(self, half: int | None) -> None:
+        """Make `half` the spare half in numpy's buffer (None: no half is spare)."""
         state = self._bits.state
-        state["has_uint32"] = int(spare is not None)
-        if spare is not None:
-            state["uinteger"] = spare
+        state["has_uint32"], state["uinteger"] = (0, 0) if half is None else (1, half)
         self._bits.state = state
-        self._spare = _NUMPY_HOLDS
 
     def skip(self, words: int) -> None:
         """Move the stream past `words` 64-bit words without drawing them, to
         where `random(words)` would leave it: each uniform double takes one
-        word, so PCG64's `advance` is exact. `advance` drops numpy's buffered
-        spare half, so the stream takes that half first."""
-        if self._spare == _NUMPY_HOLDS:
-            self._take_spare()
-        self._bits.advance(words)
+        word, so PCG64's `advance` is exact, and the spare half is kept."""
+        spare = self.spare()
+        self.advance(words)
+        if spare is not None:
+            self.keep_spare(spare)
 
     def uniform_heads(self, low, high, pools: int, rows: int, stride: int, dim: int) -> np.ndarray:
         """The first `rows` rows of each of `pools` consecutive stretches of
         `stride` rows of `uniform(low, high, size=(pools * stride, dim))`,
         shape (pools, rows, dim), leaving the stream where that draw would.
 
-        Each pool's head is `rows * dim` raw words, and `skip` passes its
-        tail. All words then go through numpy's `next_double` and
-        `random_uniform` formula at once, `low + (high - low) * ((word >> 11)
-        * 2**-53)`, the same IEEE operations numpy makes per value, so the
-        values are numpy's to the bit.
+        Each pool's head is `rows * dim` raw words, and `advance` passes its
+        tail, with the spare half saved once around all pools. All words then
+        go through numpy's `random_uniform` formula at once, `low + (high -
+        low) * next_double(word)`, the same IEEE operations numpy makes per
+        value, so the values are numpy's to the bit.
         """
         head, tail = rows * dim, (stride - rows) * dim
         words = np.empty((pools, head), dtype=np.uint64)
+        spare = self.spare()
         for p in range(pools):
-            words[p] = self._raw(head)
-            self.skip(tail)
-        words >>= 11
-        unit = words.reshape(pools, rows, dim) * 2.0**-53
-        return low + (high - low) * unit
+            words[p] = self.raw(head)
+            self.advance(tail)
+        if spare is not None:
+            self.keep_spare(spare)
+        return low + (high - low) * next_double(words.reshape(pools, rows, dim))
 
     def position(self) -> dict:
-        """The stream's place, for `replay`."""
+        """The stream's place, for `replay` and `resume`."""
         return self._bits.state
+
+    def resume(self, position: dict) -> None:
+        """Move the stream back (or on) to a `position` it had."""
+        self._bits.state = position
 
     @staticmethod
     def replay(position: dict) -> np.random.Generator:
@@ -240,49 +219,10 @@ class RngStream:
         bits.state = position
         return np.random.Generator(bits)
 
-    def integers(self, low, high, size=None):
-        """Integers from [low, high). A scalar draw with integer bounds and a
-        span in [1, 2**32 - 1] returns a Python int; every other call is
-        numpy's, errors included."""
-        if size is None:
-            try:
-                lo, hi = operator.index(low), operator.index(high)
-            except TypeError:
-                pass
-            else:
-                span = hi - lo
-                if 1 <= span <= _U32_MAX and _I64_MIN <= lo and hi <= _I64_END:
-                    if span == 1:  # numpy draws nothing for a single value either
-                        return lo
-                    # numpy's buffered_bounded_lemire_uint32 (Lemire, arXiv:1805.10941), first half inline
-                    spare = self._spare
-                    if spare is None:
-                        word = self._raw()
-                        self._spare = word >> 32
-                        m = (word & _U32_MAX) * span
-                    elif spare == _NUMPY_HOLDS:
-                        m = self._next_u32() * span
-                    else:
-                        self._spare = None
-                        m = spare * span
-                    if m & _U32_MAX < span:
-                        threshold = (_U32_MAX + 1 - span) % span
-                        while m & _U32_MAX < threshold:
-                            m = self._next_u32() * span
-                    return lo + (m >> 32)
-        self._hand_back()
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        """A random ordering of range(n)."""
-        self._hand_back()
-        return self._gen.permutation(n)
-
     def index_subset(self, n: int, k: int) -> tuple[int, ...]:
         """k distinct indices out of range(n), returned sorted."""
         if not 0 < k <= n:
             raise ValueError(f"need 0 < k <= n, got k={k} n={n}")
-        self._hand_back()
         picked = self._gen.choice(n, size=k, replace=False)
         return tuple(sorted(int(i) for i in picked))
 

@@ -11,13 +11,13 @@ of the mutated rows, so each piece of arithmetic has one copy.
 
 The draws come in two layouts. `child_by_child` takes each child's draws in
 turn, in the order the child consumes the stream, and draws crossover and
-mutation only where a child's coin lands; `sea` alone uses it. The
-whole-array methods
-(`all_tournaments`, `all_crossovers`, `all_mutations`,
-`all_gene_mutations`) draw one array per draw kind for all n children,
-every row whatever its coin says, so the words a generation takes do not
-depend on the population or on the coins; `cnea`'s regular operators,
-`socea`, `cea` and `dgea` use them.
+mutation only where a child's coin lands; it reads them from one block of
+raw words per child, so it is the one place that splits words into 32-bit
+halves. `sea` alone uses it. The whole-array methods (`all_tournaments`,
+`all_crossovers`, `all_mutations`, `all_gene_mutations`) draw one array per
+draw kind for all n children, every row whatever its coin says, so the
+words a generation takes do not depend on the population or on the coins;
+`cnea`'s regular operators, `socea`, `cea` and `dgea` use them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RngStream, SearchSpace
+from .core import RngStream, SearchSpace, next_double
 
 __all__ = [
     "Variation",
@@ -119,29 +119,91 @@ class Variation:
 
     def child_by_child(self, p_r: float, p_m: float) -> None:
         """Each child's draws in turn, in its order: the members i and j of
-        two binary tournaments; a crossover coin, and below p_r one weight
-        uniform per gene, the blended position and its weight; a mutation
-        coin, and below p_m one mask uniform per gene, skipped (`gene_draws`
-        stay 0: every gene fires under any p_gene above 0), and one standard
-        normal per gene. The variance is the one `children` gets."""
+        two binary tournaments (`integers(0, n)` each); a crossover coin, and
+        below p_r one weight uniform per gene, the blended position
+        (`integers(0, dim)`) and its weight; a mutation coin, and below p_m
+        one mask uniform per gene, passed over (`gene_draws` stay 0: every
+        gene fires under any p_gene above 0), and `normal(0.0, 1.0, dim)`.
+        The variance is the one `children` gets.
+
+        The values and the stream's end are those of numpy's calls, but each
+        child takes one block of raw words, enough for all its draws before
+        the normals, read at fixed offsets. Its four tournament members and
+        its position are 32-bit halves of words: the spare half first, then
+        the low and high halves of a new word. So the tournaments take two
+        words, and the position takes one when no half is spare. Then a
+        mutated child takes one `advance` past its mask words and whatever
+        of the block it did not use, and a child that does not mutate
+        rewinds that overdraw. After the last child, all halves go through
+        Lemire's method with numpy's threshold (Lemire, arXiv:1805.10941) at
+        once; in a generation where that method redraws a half, numpy's own
+        calls draw every child again from the start.
+        """
         rng, n, dim = self.rng, self.n, self.dim
-        integers, random, normal, skip = rng.integers, rng.random, rng.normal, rng.skip
-        weights, normals = self.weight_draws, self.normals
-        bouts, crossed, position, blend, mutated = [], [False] * n, [0] * n, [0.0] * n, [False] * n
+        raw, advance, normal = rng.raw, rng.advance, rng.normal
+        start, spare = rng.position(), rng.spare()
+        bout_words = 2 if n > 1 else 0  # a span of 1 draws nothing
+        draws_position = dim > 1
+        width = bout_words + dim + 4  # the bouts, two coins, the weights, a position word and the blend
+        normals = np.zeros((n, dim))
+        blocks, crossed, position_word, mutated = [], [False] * n, [False] * n, [False] * n
+        spare_held = spare is not None
         for k in range(n):
-            bouts += integers(0, n), integers(0, n), integers(0, n), integers(0, n)
-            if random() < p_r:
+            block = raw(width)
+            blocks.append(block)
+            w = block.tolist()
+            coin = bout_words + 1  # the mutation coin's offset
+            if next_double(w[bout_words]) < p_r:
                 crossed[k] = True
-                random(out=weights[k])
-                position[k] = integers(0, dim)
-                blend[k] = random()
-            if random() < p_m:
+                position_word[k] = draws_position and not spare_held
+                spare_held ^= draws_position
+                coin += dim + position_word[k] + 1
+            if next_double(w[coin]) < p_m:
                 mutated[k] = True
-                skip(dim)
+                advance(coin + 1 + dim - width)
                 normals[k] = normal(0.0, 1.0, dim)
-        self.bouts = np.array(bouts, dtype=np.intp).reshape(n, 4)
-        self.crossed, self.mutated = np.array(crossed), np.array(mutated)
-        self.position, self.blend = np.array(position, dtype=np.intp), np.array(blend)
+            elif coin + 1 < width:
+                advance(coin + 1 - width)
+        words = np.array(blocks)
+        crossed, position_word = np.array(crossed), np.array(position_word)
+        # the halves in stream order: the spare, then each child's tournament words and any position word
+        split = np.column_stack((words[:, :bout_words], words[:, bout_words + 1 + dim]))
+        split = split[np.column_stack((np.ones((n, bout_words), dtype=bool), position_word))]
+        halves = np.column_stack((split & 0xFFFFFFFF, split >> 32)).ravel()
+        if spare is not None:
+            halves = np.concatenate((np.array([spare], dtype=np.uint64), halves))
+        drawn = np.zeros((n, 5), dtype=bool)  # the four members and the position, where drawn
+        drawn[:, :4] = n > 1
+        drawn[:, 4] = crossed & draws_position
+        spans = np.broadcast_to(np.array([n, n, n, n, dim], dtype=np.uint64), (n, 5))[drawn]
+        m = halves[: len(spans)] * spans
+        if np.any((m & 0xFFFFFFFF) < (2**32 - spans) % spans):
+            rng.resume(start)
+            return self._drawn_by_numpy(p_r, p_m)
+        picks = np.zeros((n, 5), dtype=np.intp)
+        picks[drawn] = m >> 32
+        rng.keep_spare(int(halves[-1]) if len(halves) > len(spans) else None)
+        self.bouts, self.position = picks[:, :4], picks[:, 4]
+        self.crossed, self.mutated, self.normals = crossed, np.array(mutated), normals
+        # words of children that do not cross are zeroed, so their stored draws stay 0
+        self.weight_draws = next_double(words[:, bout_words + 1 : bout_words + 1 + dim] * crossed[:, None])
+        self.blend = next_double(words[np.arange(n), bout_words + 1 + dim + position_word] * crossed)
+
+    def _drawn_by_numpy(self, p_r: float, p_m: float) -> None:
+        """`child_by_child` by numpy's own calls, child after child, for a
+        generation in which Lemire's method redraws a half."""
+        rng, n, dim = self.rng, self.n, self.dim
+        for k in range(n):
+            self.bouts[k] = rng.integers(0, n, size=4)
+            if rng.random() < p_r:
+                self.crossed[k] = True
+                self.weight_draws[k] = rng.random(dim)
+                self.position[k] = rng.integers(0, dim)
+                self.blend[k] = rng.random()
+            if rng.random() < p_m:
+                self.mutated[k] = True
+                rng.skip(dim)
+                self.normals[k] = rng.normal(0.0, 1.0, dim)
 
     def all_tournaments(self) -> None:
         """Every child's two tournaments as one (n, 4) array of members drawn

@@ -28,7 +28,7 @@ def test_list_single_function(capsys):
     out = capsys.readouterr().out
     assert "griewank" in out
     assert "algorithms:" not in out
-    assert main(["list", "--function", "nope"]) == 1
+    assert main(["list", "--function", "nope"]) == 2  # a usage error, as for `run --function nope`
 
 
 def test_usage_errors_exit_2(capsys):

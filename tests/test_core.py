@@ -222,7 +222,6 @@ def test_rng_stream_draws_equal_numpy(seed, ops):
             continue
         got = _apply(op, rng)
         assert np.array_equal(np.asarray(got), np.asarray(want)), op
-    rng._hand_back()
     ours, theirs = rng._bits.state, plain.bit_generator.state
     assert ours["state"] == theirs["state"]
     assert ours["has_uint32"] == theirs["has_uint32"]

@@ -23,6 +23,8 @@ crosses, no child mutates, no gene fires, one-gene genomes, a crossed child
 one ulp past a bound) must match it bit for bit.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,64 @@ def test_sea_normals_keep_the_sign_of_zero_that_numpy_normal_gives():
     assert not np.signbit(X_ref[0, 0])
     assert out.X.tobytes() == X_ref.tobytes()
     assert rng.random() == plain.random()
+
+
+def _state_drawing(word, at, spare=None):
+    """A PCG64 state whose word `at` (counting from 0) is `word`, with
+    `spare` as the spare 32-bit half in numpy's buffer."""
+    bits = np.random.PCG64(0)
+    state = bits.state
+    # the step to a state whose high 64 bits are 0 outputs its low 64 bits
+    state["state"]["state"] = (word - state["state"]["inc"]) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bits.state = state
+    bits.advance(2**128 - at)
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = (0, 0) if spare is None else (1, spare)
+    return state
+
+
+def _sea_matches_a_plain_generator(n, dim, state, p_r=0.9, p_m_genome=0.75):
+    """One `sea` generation from `state` against `ref_sea_offspring` on a
+    plain Generator: children and fitness bit for bit, then the next scalar
+    integer and the next double."""
+    fn = SphereOf(dim)
+    cfg = SimpleNamespace(N=n, p_r=p_r, p_m_genome=p_m_genome)  # EngineConfig refuses N=1
+    X = RngStream(100).uniform(-1.0, 1.0, size=(n, dim))
+    pop = Population(X, np.floor(fn.evaluate_batch(X) * 2.0))
+    rng, plain = RngStream(0), RngStream.replay(state)
+    rng.resume(state)
+    out = engines._sea_offspring(pop, cfg, fn, rng, sea_variance(3))
+    X_ref, f_ref = ref_sea_offspring(pop, plain, cfg, lambda: sea_variance(3), fn)
+    assert out.X.tobytes() == X_ref.tobytes()
+    assert out.f.tobytes() == f_ref.tobytes()
+    assert rng.integers(0, 1000) == plain.integers(0, 1000)
+    assert rng.random() == plain.random()
+
+
+LOW_HALF_ZERO = 0x9E3779B900000000  # Lemire's leftover is 0, below numpy's threshold 2**32 % span
+
+
+@pytest.mark.parametrize("spare", [None, 0x2545F491])
+def test_sea_redraws_a_tournament_member_as_numpy_does(spare):
+    # the first tournament word of child 0: its low half is the first member, or the second after a spare
+    assert 2**32 % 400 > 0
+    _sea_matches_a_plain_generator(400, 20, _state_drawing(LOW_HALF_ZERO, 0, spare))
+
+
+def test_sea_redraws_a_crossover_position_as_numpy_does():
+    # child 0 takes two tournament words, a coin and 20 weight words, then a new word for its position
+    assert 2**32 % 20 > 0
+    _sea_matches_a_plain_generator(400, 20, _state_drawing(LOW_HALF_ZERO, 2 + 1 + 20), p_r=1.0)
+
+
+@pytest.mark.parametrize("start", SPARE_STARTS)
+@pytest.mark.parametrize("n, dim", [(400, 20), (2, 1), (1, 3)])
+def test_sea_draws_match_a_plain_generator_at_every_span(start, n, dim):
+    # the benchmark's shape, and spans of 1: one gene draws no position, one member no tournament
+    for seed in range(3):
+        plain = np.random.Generator(np.random.PCG64(seed))
+        SPARE_STARTS[start](plain)
+        _sea_matches_a_plain_generator(n, dim, plain.bit_generator.state)
 
 
 def ref_rows(draws, X, first, second, space, p_gene=1.0, variance=None):
