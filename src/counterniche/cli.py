@@ -16,7 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import benchmarks, harness, stats
-from .core import RngStream
 from .engines import ALGORITHMS, algorithm_registry, default_config, engine_knobs, run
 
 OUTPUT_DIR_ENV = "COUNTERNICHE_OUT"
@@ -157,8 +156,7 @@ def _cmd_run(args) -> int:
                 )
 
     try:
-        rng = RngStream(args.seed)
-        trace = run(cfg, fn, rng, on_regions)
+        trace = run(cfg, fn, on_regions=on_regions)
     finally:
         if dump_handle is not None:
             dump_handle.close()

@@ -144,8 +144,8 @@ class RngStream:
     same seed produce identical sequences of uniform, normal, and integer
     draws, which is what makes whole runs bit-reproducible.
 
-    `random`, `uniform`, `normal`, `integers` and `permutation` are the
-    generator's own methods, and `raw` and `advance` its bit generator's.
+    `random`, `uniform`, `normal`, `integers`, `permutation` and `choice` are
+    the generator's own methods, and `raw` and `advance` its bit generator's.
     numpy draws a bounded integer below 2**32 from a 32-bit half of a word:
     the low half of a new word, whose high half numpy's buffer
     (`has_uint32`/`uinteger`) keeps as the spare for the next such draw. The
@@ -157,9 +157,9 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._bits = bits = np.random.PCG64(self.seed)
-        self._gen = gen = np.random.Generator(bits)
+        gen = np.random.Generator(bits)
         self.random, self.uniform, self.normal = gen.random, gen.uniform, gen.normal
-        self.integers, self.permutation = gen.integers, gen.permutation
+        self.integers, self.permutation, self.choice = gen.integers, gen.permutation, gen.choice
         self.raw, self.advance = bits.random_raw, bits.advance
 
     def spare(self) -> int | None:
@@ -172,15 +172,6 @@ class RngStream:
         state = self._bits.state
         state["has_uint32"], state["uinteger"] = (0, 0) if half is None else (1, half)
         self._bits.state = state
-
-    def skip(self, words: int) -> None:
-        """Move the stream past `words` 64-bit words without drawing them, to
-        where `random(words)` would leave it: each uniform double takes one
-        word, so PCG64's `advance` is exact, and the spare half is kept."""
-        spare = self.spare()
-        self.advance(words)
-        if spare is not None:
-            self.keep_spare(spare)
 
     def uniform_heads(self, low, high, pools: int, rows: int, stride: int, dim: int) -> np.ndarray:
         """The first `rows` rows of each of `pools` consecutive stretches of
@@ -218,13 +209,6 @@ class RngStream:
         bits = np.random.PCG64()
         bits.state = position
         return np.random.Generator(bits)
-
-    def index_subset(self, n: int, k: int) -> tuple[int, ...]:
-        """k distinct indices out of range(n), returned sorted."""
-        if not 0 < k <= n:
-            raise ValueError(f"need 0 < k <= n, got k={k} n={n}")
-        picked = self._gen.choice(n, size=k, replace=False)
-        return tuple(sorted(int(i) for i in picked))
 
 
 def check_finite(name: str, value) -> None:

@@ -156,7 +156,7 @@ class GenRecord:
 class RunTrace:
     records: list[GenRecord]
     best: Individual | None
-    stopped_by: str = "budget"  # or "stagnation", at generation `generations`
+    stopped_by: str | None = "budget"  # or "stagnation", at generation `generations`; None: read from CSV
 
     @property
     def generations(self) -> int:
@@ -193,9 +193,7 @@ def _elitist_merge(parents: Population, offspring: Population, count: int) -> Po
     return Population(X, f)
 
 
-def _elitist_union_survivors(
-    parents: Population, offspring: Population, count: int, rng: RngStream, n: int
-) -> Population:
+def _elitist_union_survivors(parents: Population, offspring: Population, count: int, rng: RngStream) -> Population:
     """Survivor selection over the union of parents and offspring: the best
     `count` members survive outright, the rest of the next generation is
     filled by binary tournament without replacement over the union minus
@@ -206,8 +204,8 @@ def _elitist_union_survivors(
     f = np.concatenate([parents.f, offspring.f])
     order = np.argsort(f, kind="stable")
     pool = order[count:]
-    # pool has 2n - count members; n - count pairings use 2(n - count) of them
-    pairing = rng.permutation(len(pool))[: 2 * (n - count)]
+    # of n parents, pool has 2n - count members; n - count pairings use 2(n - count) of them
+    pairing = rng.permutation(len(pool))[: 2 * (parents.size - count)]
     a, b = pool[pairing[0::2]], pool[pairing[1::2]]
     keep = np.concatenate([order[:count], np.where(f[b] < f[a], b, a)])
     return Population(X[keep], f[keep])
@@ -334,8 +332,8 @@ def _cnea(cfg: EngineConfig, fn, rng: RngStream, on_regions: Callable | None) ->
             on_regions(t, regions)
         victims = detect_victims(regions, pop, cfg)
         pop_informed, informed_fields = informed_mutation(pop, victims, grid, fn, rng, cfg)
-        offspring = regular_ops(pop_informed, space, fn, rng, cfg)
-        survivors = _elitist_union_survivors(pop_informed, offspring, cfg.elitism_count, rng, cfg.N)
+        offspring = regular_ops(pop_informed, fn, rng, cfg)
+        survivors = _elitist_union_survivors(pop_informed, offspring, cfg.elitism_count, rng)
         return survivors, informed_fields
 
     return generation

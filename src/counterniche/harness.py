@@ -13,12 +13,12 @@ import csv
 import math
 import time
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 from typing import Sequence, get_type_hints
 
 from . import benchmarks
-from .core import RngStream, check_fields, check_value, config_field
+from .core import check_fields, check_value, config_field
 from .engines import (
     EngineConfig,
     GenRecord,
@@ -144,6 +144,8 @@ def write_trace_csv(trace: RunTrace, path, include_timing: bool = False) -> None
 
 
 def read_trace_csv(path) -> RunTrace:
+    """A trace file's records. The file holds neither the best genome nor
+    how its run ended, so the trace's `best` and `stopped_by` are None."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = tuple(reader.fieldnames or ())
@@ -153,7 +155,7 @@ def read_trace_csv(path) -> RunTrace:
         records = [GenRecord(**{name: kind(row[name]) for name, kind in parse}) for row in reader]
     if not records:
         raise ValueError(f"{path} holds no generations")
-    return RunTrace(records, None)
+    return RunTrace(records, None, stopped_by=None)
 
 
 def summary_row(algo: str, function: str, dim: int, summary: RunSummary) -> dict:
@@ -243,13 +245,11 @@ class ExperimentMatrix:
     timing: bool = config_field(False, parse=_on_off)
     schwefel_lower: float | None = config_field(None, parse=float)
     engine_overrides: dict = field(default_factory=dict)
-    stagnation_rule: StagnationRule = field(init=False, repr=False)
 
     def __post_init__(self):
         check_fields(self)
         if not self.algos or not self.functions or not self.dims:
             raise ValueError("matrix needs at least one algo, function, and dim")
-        self.stagnation_rule = StagnationRule(self.stagnation_window)
         # a bad engine key, or a cnea key too long for a dim's cell codes, fails here, not in every cell
         for algo, dim in product(self.algos, self.dims):
             self.engine_config(algo, dim)
@@ -287,17 +287,16 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
         cfg = matrix.engine_config(algo, dim)
         out = cell_dir(matrix.output_dir, algo, function, dim)
         out.mkdir(parents=True, exist_ok=True)
-        rule = matrix.stagnation_rule
+        rule = StagnationRule(matrix.stagnation_window)
         stop = rule if matrix.budget == "stagnation" else None
 
         errors: list[float] = []
         walls: list[float] = []
         for r in range(matrix.runs_per_cell):
-            seed = matrix.seed_base + r
-            cfg_r = replace(cfg, seed=seed)
+            cfg_r = replace(cfg, seed=matrix.seed_base + r)
             # persistence stays outside the timed span
             t0 = time.perf_counter()
-            trace = run(cfg_r, fn, RngStream(seed), stop=stop)
+            trace = run(cfg_r, fn, stop=stop)
             elapsed = (time.perf_counter() - t0) * 1000.0
             path = out / f"run{r}.csv"
             write_trace_csv(trace, path, include_timing=matrix.timing)
@@ -326,21 +325,16 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
     return result
 
 
-def _cell_task(args) -> CellResult:
-    return _run_cell(*args)
-
-
 def run_matrix(matrix: ExperimentMatrix) -> list[CellResult]:
     """Execute every (algo, function, dim) cell: one trace file per run plus a
     per-cell summary. Failures surface per cell without stopping the rest."""
     cells = list(product(matrix.algos, matrix.functions, matrix.dims))
-    tasks = [(matrix, algo, function, dim) for algo, function, dim in cells]
     if matrix.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=matrix.workers) as pool:
-            return list(pool.map(_cell_task, tasks))
-    return [_cell_task(t) for t in tasks]
+            return list(pool.map(_run_cell, repeat(matrix), *zip(*cells)))
+    return [_run_cell(matrix, *cell) for cell in cells]
 
 
 def discover_cells(base) -> list[tuple[str, str, int, list[Path]]]:

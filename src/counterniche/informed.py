@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .benchmarks import evaluate_children, evaluate_rows
-from .core import Population, RngStream, SearchSpace
+from .core import Population, RngStream
 from .niching import GridIndex, Regions
 from .operators import Variation
 
@@ -168,9 +168,7 @@ def informed_mutation(
     return Population(X, f), fields
 
 
-def regular_ops(
-    population: Population, space: SearchSpace, fn, rng: RngStream, cfg: EngineConfig
-) -> Population:
+def regular_ops(population: Population, fn, rng: RngStream, cfg: EngineConfig) -> Population:
     """Standard variation pass: tournament parents, arithmetic crossover with
     probability p_r, per-gene Gaussian mutation with std sigma_reg * range.
     The draws come as whole arrays, in this order: tournaments (n, 4);
@@ -178,6 +176,7 @@ def regular_ops(
     gene-mask uniforms (n, dim), standard normals (n, dim).
     The changed children are evaluated in one batch at the end; a child that
     is an untouched copy of its first parent keeps the parent's fitness."""
+    space = fn.space
     low, high = space.draw_bounds()  # two floats on a cube, which numpy broadcasts fastest
     std = cfg.sigma_reg * (high - low)
     draws = Variation(population.size, space.dim, rng)

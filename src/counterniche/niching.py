@@ -71,7 +71,7 @@ def choose_key_dims(dim: int, rng: RngStream, limit: int) -> tuple[int, ...]:
     `limit` of them, drawn once per run."""
     if dim <= limit:
         return tuple(range(dim))
-    return rng.index_subset(dim, limit)
+    return tuple(sorted(rng.choice(dim, size=limit, replace=False).tolist()))
 
 
 @dataclass

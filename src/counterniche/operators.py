@@ -202,7 +202,7 @@ class Variation:
                 self.blend[k] = rng.random()
             if rng.random() < p_m:
                 self.mutated[k] = True
-                rng.skip(dim)
+                rng.random(dim)  # the mask uniforms, passed over
                 self.normals[k] = rng.normal(0.0, 1.0, dim)
 
     def all_tournaments(self) -> None:

@@ -91,7 +91,7 @@ def test_rng_stream_reproducibility():
     assert np.array_equal(a.normal(size=5), b.normal(size=5))
     assert np.array_equal(a.integers(0, 100, size=5), b.integers(0, 100, size=5))
     assert np.array_equal(a.permutation(20), b.permutation(20))
-    assert a.index_subset(50, 10) == b.index_subset(50, 10)
+    assert np.array_equal(a.choice(50, size=10, replace=False), b.choice(50, size=10, replace=False))
 
 
 def test_rng_stream_copies_continue_the_stream():
@@ -102,19 +102,6 @@ def test_rng_stream_copies_continue_the_stream():
             twin = duplicate(rng)
             assert [twin.integers(0, 100) for _ in range(5)] == [rng.integers(0, 100) for _ in range(5)]
             assert np.array_equal(twin.permutation(10), rng.permutation(10))
-
-
-def test_rng_stream_index_subset_contract():
-    rng = RngStream(0)
-    picked = rng.index_subset(10, 4)
-    assert len(picked) == 4
-    assert len(set(picked)) == 4
-    assert picked == tuple(sorted(picked))
-    assert all(0 <= i < 10 for i in picked)
-    with pytest.raises(ValueError):
-        rng.index_subset(3, 4)
-    with pytest.raises(ValueError):
-        rng.index_subset(3, 0)
 
 
 def test_rng_permutation_is_a_permutation():
@@ -136,7 +123,6 @@ _draw_ops = st.lists(
         st.tuples(st.just("integers"), _bounds, st.none()),
         st.tuples(st.just("integers"), _bounds, _size),
         st.tuples(st.just("permutation"), st.integers(0, 12)),
-        st.integers(1, 12).flatmap(lambda n: st.tuples(st.just("index_subset"), st.just(n), st.integers(1, n))),
         st.tuples(st.just("random"), _size),
         st.tuples(st.just("uniform"), st.booleans(), _size),
         st.tuples(st.just("normal"), _size),
@@ -159,11 +145,6 @@ def _apply(op, rng):
         return rng.integers(low, high, size=size)
     if name == "permutation":
         return rng.permutation(args[0])
-    if name == "index_subset":
-        n, k = args
-        if plain:
-            return tuple(sorted(int(i) for i in rng.choice(n, size=k, replace=False)))
-        return rng.index_subset(n, k)
     if name == "random":
         return rng.random(args[0])
     if name == "uniform":
@@ -229,41 +210,14 @@ def test_rng_stream_draws_equal_numpy(seed, ops):
         assert ours["uinteger"] == theirs["uinteger"]
 
 
-# Start states for `skip`: numpy's buffer holds the spare half, the stream
-# holds it, or no half is spare.
-SKIP_STARTS = {
-    "numpy-spare": lambda r: r.integers(0, 5, size=1),
-    "stream-spare": lambda r: r.integers(0, 5),
-    "no-spare": lambda r: (r.integers(0, 5), r.integers(0, 5)),
-}
-
-
-@pytest.mark.parametrize("start", SKIP_STARTS)
-@pytest.mark.parametrize("words", [0, 1, 7, 1800])
-def test_rng_stream_skip_equals_drawing_the_words(start, words):
-    """skip(k) leaves the stream where random(k) leaves a plain Generator,
-    spare half included, whatever holds that half."""
-    rng, plain = RngStream(11), np.random.Generator(np.random.PCG64(11))
-    assert np.array_equal(SKIP_STARTS[start](rng), SKIP_STARTS[start](plain))
-    if start == "numpy-spare":
-        assert rng._bits.state["has_uint32"] == 1
-    rng.skip(words)
-    plain.random(words)
-    for _ in range(3):
-        assert [rng.integers(0, 1000) for _ in range(3)] == [int(plain.integers(0, 1000)) for _ in range(3)]
-        assert np.array_equal(rng.random(4), plain.random(4))
-        assert np.array_equal(rng.normal(size=3), plain.normal(size=3))
-        assert np.array_equal(rng.permutation(9), plain.permutation(9))
-
-
 def test_rng_stream_replay_draws_from_a_saved_position():
     rng = RngStream(4)
     rng.integers(0, 5)
     start = rng.position()
     ahead = rng.random(6)
-    rng.skip(3)
+    rng.random(3)
     replay = RngStream.replay(start)
     assert np.array_equal(replay.random(6), ahead)
-    replay.bit_generator.advance(3)
+    replay.random(3)
     assert np.array_equal(replay.random(2), rng.random(2))
 

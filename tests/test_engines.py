@@ -113,7 +113,7 @@ def test_union_survivors_keeps_elites_and_distinct_rest():
     offspring = _members([5.0, 1.0, 7.0, 3.0])
     offspring.X += 4.0  # union member i sits at genome [i]
     rng = RngStream(0)
-    out = _elitist_union_survivors(parents, offspring, 1, rng, 4)
+    out = _elitist_union_survivors(parents, offspring, 1, rng)
     assert out.size == 4
     assert out.f[0] == 1.0
     # tournament without replacement: every survivor is a distinct union member
@@ -133,7 +133,7 @@ def test_union_survivors_ties_match_sorted_keys():
     for s in range(n - count):
         a, b = pool[pairing[2 * s]], pool[pairing[2 * s + 1]]
         want.append(b if f[b] < f[a] else a)
-    out = _elitist_union_survivors(parents, offspring, count, RngStream(7), n)
+    out = _elitist_union_survivors(parents, offspring, count, RngStream(7))
     assert out.X[:, 0].tolist() == [float(i) for i in want]
     assert out.f.tolist() == [f[i] for i in want]
 
@@ -143,7 +143,7 @@ def test_union_survivors_selection_pressure():
     # survivor per bad-vs-bad pairing, so the mean must drop
     parents = _members([10.0] * 10)
     offspring = _members([1.0] * 10)
-    out = _elitist_union_survivors(parents, offspring, 1, RngStream(2), 10)
+    out = _elitist_union_survivors(parents, offspring, 1, RngStream(2))
     mean = np.mean(out.f)
     assert mean < 10.0
     assert min(out.f) == 1.0

@@ -322,6 +322,16 @@ def test_summary_counts_stalled_runs_beside_all_runs(tmp_path, capsys):
     assert (summary["runs"], summary["stalled_runs"]) == (2, 1)
 
 
+def test_read_trace_csv_does_not_claim_a_stalled_run_ran_its_budget(tmp_path):
+    # seed 0 stalls at generation 11 of 20; its trace file does not say so
+    matrix = _tiny_matrix(tmp_path, runs_per_cell=1, budget="stagnation", stagnation_window=5, generations=20)
+    (cell,) = run_matrix(matrix)
+    assert cell.stagnation_gens == [11]
+    trace = read_trace_csv(cell.trace_paths[0])
+    assert trace.records[-1].generation == 11
+    assert trace.stopped_by is None
+
+
 def test_run_matrix_seed_pairing(tmp_path):
     # same seed_base: run r always uses seed seed_base + r, whatever the cell
     m1 = _tiny_matrix(tmp_path, output_dir=str(tmp_path / "a"))

@@ -167,12 +167,12 @@ def _virgin_full_mask(space, grid, fn, rng, budget, pools):
 
 def _heads_by_uniform_and_skip(rng, low, high, pools, budget, dim):
     """The pool heads as sample_virgin drew them before `uniform_heads`: per
-    pool, `uniform` for its first `budget` rows, then `skip` past the other
-    9 * budget rows."""
+    pool, `uniform` for its first `budget` rows, then `random` past the
+    words of the other 9 * budget rows."""
     head = np.empty((pools, budget, dim))
     for p in range(pools):
         head[p] = rng.uniform(low, high, size=(budget, dim))
-        rng.skip(9 * budget * dim)
+        rng.random(9 * budget * dim)
     return head
 
 
@@ -488,7 +488,7 @@ def test_regular_ops_shape_and_bounds():
     rng = RngStream(4)
     genomes = rng.uniform(space.lower, space.upper, size=(30, 3))
     pop = Population(genomes, [fn.evaluate(g) for g in genomes])
-    out = regular_ops(pop, space, fn, rng, EngineConfig("cnea"))
+    out = regular_ops(pop, fn, rng, EngineConfig("cnea"))
     assert out.size == 30
     for genome, fitness in zip(out.X, out.f):
         assert space.contains(genome)
@@ -504,7 +504,7 @@ def test_regular_ops_untouched_children_keep_parent_fitness():
     cfg = EngineConfig("cnea", p_r=0.0, p_m=0.0)
     calls = []
     fn.evaluate = lambda x: calls.append(x)
-    out = regular_ops(pop, space, fn, RngStream(0), cfg)
+    out = regular_ops(pop, fn, RngStream(0), cfg)
     assert calls == []
     for genome, fitness in zip(out.X, out.f):
         assert fitness == (0.5 if genome[0] == 0.5 else 0.7)

@@ -73,7 +73,8 @@ def ref_children(fn, children, fresh, inherited):
     return np.where(fresh, fn.evaluate_batch(children), inherited)
 
 
-def ref_regular_ops(pop, space, fn, rng, cfg):
+def ref_regular_ops(pop, fn, rng, cfg):
+    space = fn.space
     std = cfg.sigma_reg * space.widths()
     X, f = pop.X, pop.f
     children, fresh, parent = np.empty_like(X), np.zeros(len(f), bool), np.empty(len(f), int)
@@ -214,7 +215,7 @@ def _variation(algo, pop, cfg, rng):
     """(children, fitness) of one generation's variation by the engine's code."""
     fn = Sphere()
     if algo == "cnea":
-        out = regular_ops(pop, SPACE, fn, rng, cfg)
+        out = regular_ops(pop, fn, rng, cfg)
     elif algo == "sea":
         out = engines._sea_offspring(pop, cfg, fn, rng, sea_variance(3))
     elif algo == "socea":
