@@ -59,6 +59,7 @@ class SearchSpace:
         cube = lower.min() == lower.max() and upper.min() == upper.max()
         bounds = (float(lower[0]), float(upper[0])) if cube else (lower, upper)
         object.__setattr__(self, "_draw_bounds", bounds)
+        object.__setattr__(self, "_diagonal", float(np.sqrt(np.sum(self.widths() ** 2))))
 
     @classmethod
     def cube(cls, dim: int, lower: float, upper: float) -> "SearchSpace":
@@ -77,7 +78,7 @@ class SearchSpace:
 
     def diagonal(self) -> float:
         """Euclidean length of the box diagonal; normalizer for spread measures."""
-        return float(np.sqrt(np.sum(self.widths() ** 2)))
+        return self._diagonal
 
     def contains(self, genome) -> bool:
         g = np.asarray(genome, dtype=float)

@@ -33,9 +33,13 @@ def distance_to_average(population: Population, space: SearchSpace) -> float:
         # short-circuit keeps the fully converged case exact; the float mean
         # of n identical rows can be off by an ulp for non-power-of-two n
         return 0.0
-    centered = x - x.mean(axis=0)
-    dists = np.sqrt(np.sum(centered * centered, axis=1))
-    return float(np.sum(dists) / (space.diagonal() * x.shape[0]))
+    n = x.shape[0]
+    # x.mean(axis=0) to the bit: numpy's mean is this sum divided by n
+    centered = x - np.add.reduce(x, axis=0) / n
+    np.square(centered, out=centered)
+    dists = np.add.reduce(centered, axis=1)
+    np.sqrt(dists, out=dists)
+    return float(np.sum(dists) / (space.diagonal() * n))
 
 
 def _validated_rows(rows: Sequence[Sequence[Hashable]]) -> list[Sequence[Hashable]]:

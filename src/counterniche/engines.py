@@ -184,13 +184,15 @@ def _record(population: Population, space: SearchSpace, generation: int, **extra
 def _elitist_merge(parents: Population, offspring: Population, count: int) -> Population:
     """Generational replacement with elitism: the best `count` parents, ranked
     by (fitness, index), displace the worst `count` offspring, the higher
-    index first among equals (best elite into the worst slot)."""
-    X, f = offspring.X.copy(), offspring.f.copy()
+    index first among equals (best elite into the worst slot). The elites
+    are written into the offspring's own arrays, which each generation makes
+    afresh."""
+    X, f = offspring.X, offspring.f
     elites = np.argsort(parents.f, kind="stable")[:count]
     worst = np.argsort(f, kind="stable")[::-1][:count]
     X[worst] = parents.X[elites]
     f[worst] = parents.f[elites]
-    return Population(X, f)
+    return offspring
 
 
 def _elitist_union_survivors(parents: Population, offspring: Population, count: int, rng: RngStream) -> Population:

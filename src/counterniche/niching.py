@@ -67,10 +67,9 @@ def cell_codes(points, space: SearchSpace, bins: int, dims) -> np.ndarray:
 
 
 def choose_key_dims(dim: int, rng: RngStream, limit: int) -> tuple[int, ...]:
-    """Dimensions used for cell keys: all of them up to `limit`, above it
-    `limit` of them, drawn once per run."""
-    if dim <= limit:
-        return tuple(range(dim))
+    """Dimensions used for cell keys when `dim` is above `limit`: `limit` of
+    them, drawn once per run. Up to `limit`, a run keys on every dimension
+    and draws none."""
     return tuple(sorted(rng.choice(dim, size=limit, replace=False).tolist()))
 
 

@@ -12,12 +12,14 @@ of the mutated rows, so each piece of arithmetic has one copy.
 The draws come in two layouts. `child_by_child` takes each child's draws in
 turn, in the order the child consumes the stream, and draws crossover and
 mutation only where a child's coin lands; it reads them from one block of
-raw words per child, so it is the one place that splits words into 32-bit
-halves. `sea` alone uses it. The whole-array methods (`all_tournaments`,
-`all_crossovers`, `all_mutations`, `all_gene_mutations`) draw one array per
-draw kind for all n children, every row whatever its coin says, so the
-words a generation takes do not depend on the population or on the coins;
-`cnea`'s regular operators, `socea`, `cea` and `dgea` use them.
+raw words per child, as long as the draws of a child that crosses and
+mutates, and rewinds the stream once for a child that does less. So it is
+the one place that splits words into 32-bit halves. `sea` alone uses it.
+The whole-array methods (`all_tournaments`, `all_crossovers`,
+`all_mutations`, `all_gene_mutations`) draw one array per draw kind for all
+n children, every row whatever its coin says, so the words a generation
+takes do not depend on the population or on the coins; `cnea`'s regular
+operators, `socea`, `cea` and `dgea` use them.
 """
 
 from __future__ import annotations
@@ -127,47 +129,57 @@ class Variation:
         The variance is the one `children` gets.
 
         The values and the stream's end are those of numpy's calls, but each
-        child takes one block of raw words, enough for all its draws before
-        the normals, read at fixed offsets. Its four tournament members and
-        its position are 32-bit halves of words: the spare half first, then
-        the low and high halves of a new word. So the tournaments take two
-        words, and the position takes one when no half is spare. Then a
-        mutated child takes one `advance` past its mask words and whatever
-        of the block it did not use, and a child that does not mutate
-        rewinds that overdraw. After the last child, all halves go through
-        Lemire's method with numpy's threshold (Lemire, arXiv:1805.10941) at
-        once; in a generation where that method redraws a half, numpy's own
-        calls draw every child again from the start.
+        child takes one block of raw words, read at fixed offsets: the words
+        of a child that crosses and mutates, so the block ends at its last
+        mask word and such a child goes straight on to its normals. Its four
+        tournament members and its position are 32-bit halves of words: the
+        spare half first, then the low and high halves of a new word. So the
+        tournaments take two words, and the position takes one when no half
+        is spare. A child that does not cross, or does not mutate, rewinds
+        with one `advance` to where its last draw before any normals ends.
+        A coin is read as `(word >> 11) < p * 2**53`, which is numpy's
+        `next_double(word) < p`, since scaling by 2**53 is exact. After the
+        last child, all halves go through Lemire's method with numpy's
+        threshold (Lemire, arXiv:1805.10941) at once; in a generation where
+        that method redraws a half, numpy's own calls draw every child again
+        from the start.
         """
         rng, n, dim = self.rng, self.n, self.dim
         raw, advance, normal = rng.raw, rng.advance, rng.normal
         start, spare = rng.position(), rng.spare()
         bout_words = 2 if n > 1 else 0  # a span of 1 draws nothing
         draws_position = dim > 1
-        width = bout_words + dim + 4  # the bouts, two coins, the weights, a position word and the blend
+        # the bouts, two coins, the weights, the blend and the mask words; a position word when one is due
+        full = bout_words + 2 * dim + 3
+        r_cut, m_cut = p_r * 2.0**53, p_m * 2.0**53
         normals = np.zeros((n, dim))
-        blocks, crossed, position_word, mutated = [], [False] * n, [False] * n, [False] * n
+        blocks, widths, crossed, position_word, mutated = [], [0] * n, [False] * n, [False] * n, [False] * n
         spare_held = spare is not None
         for k in range(n):
+            word = draws_position and not spare_held
+            widths[k] = width = full + word
             block = raw(width)
             blocks.append(block)
-            w = block.tolist()
-            coin = bout_words + 1  # the mutation coin's offset
-            if next_double(w[bout_words]) < p_r:
-                crossed[k] = True
-                position_word[k] = draws_position and not spare_held
+            if block.item(bout_words) >> 11 < r_cut:
+                crossed[k], position_word[k] = True, word
                 spare_held ^= draws_position
-                coin += dim + position_word[k] + 1
-            if next_double(w[coin]) < p_m:
+                if block.item(width - dim - 1) >> 11 < m_cut:  # the coin before the mask words
+                    mutated[k] = True
+                    normals[k] = normal(0.0, 1.0, dim)
+                else:
+                    advance(-dim)  # back past the mask words
+            elif block.item(bout_words + 1) >> 11 < m_cut:
                 mutated[k] = True
-                advance(coin + 1 + dim - width)
+                advance(bout_words + 2 + dim - width)
                 normals[k] = normal(0.0, 1.0, dim)
-            elif coin + 1 < width:
-                advance(coin + 1 - width)
-        words = np.array(blocks)
+            else:
+                advance(bout_words + 2 - width)
+        words = np.concatenate(blocks)
+        first = np.cumsum(widths) - widths  # each child's first word in `words`
         crossed, position_word = np.array(crossed), np.array(position_word)
+        weights = first + bout_words + 1  # each child's first weight word
         # the halves in stream order: the spare, then each child's tournament words and any position word
-        split = np.column_stack((words[:, :bout_words], words[:, bout_words + 1 + dim]))
+        split = words[np.column_stack((first[:, None] + np.arange(bout_words), weights + dim))]
         split = split[np.column_stack((np.ones((n, bout_words), dtype=bool), position_word))]
         halves = np.column_stack((split & 0xFFFFFFFF, split >> 32)).ravel()
         if spare is not None:
@@ -186,8 +198,8 @@ class Variation:
         self.bouts, self.position = picks[:, :4], picks[:, 4]
         self.crossed, self.mutated, self.normals = crossed, np.array(mutated), normals
         # words of children that do not cross are zeroed, so their stored draws stay 0
-        self.weight_draws = next_double(words[:, bout_words + 1 : bout_words + 1 + dim] * crossed[:, None])
-        self.blend = next_double(words[np.arange(n), bout_words + 1 + dim + position_word] * crossed)
+        self.weight_draws = next_double(words[weights[:, None] + np.arange(dim)] * crossed[:, None])
+        self.blend = next_double(words[weights + dim + position_word] * crossed)
 
     def _drawn_by_numpy(self, p_r: float, p_m: float) -> None:
         """`child_by_child` by numpy's own calls, child after child, for a
@@ -260,15 +272,19 @@ class Variation:
         One masked pass over all n rows: `arithmetic_crossover` blends the
         crossed rows and copies the first parent elsewhere, then
         `gaussian_mutate` adds noise to the fired genes of mutated rows and
-        clamps the rows where a gene fired."""
-        out = arithmetic_crossover(
-            X[first], X[second], self.weight_draws, self.position, self.blend, self.crossed
-        )
-        out, fired = gaussian_mutate(
-            out, self.gene_draws, self.normals,
-            self.variance if variance is None else variance, p_gene, space, self.mutated,
-        )
-        return out, self.crossed | fired
+        clamps the rows where a gene fired. Either is skipped when no child
+        drew it, as in `dgea`'s generations, since it would leave every row
+        as it is."""
+        out, fresh = X[first], self.crossed
+        if fresh.any():
+            out = arithmetic_crossover(out, X[second], self.weight_draws, self.position, self.blend, fresh)
+        if self.mutated.any():
+            out, fired = gaussian_mutate(
+                out, self.gene_draws, self.normals,
+                self.variance if variance is None else variance, p_gene, space, self.mutated,
+            )
+            fresh = fresh | fired
+        return out, fresh
 
 
 def pow_sample(alpha: float, rng: RngStream, exponent: float = 2.0, upper: float = 1000.0, size=None):

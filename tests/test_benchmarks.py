@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,7 +142,7 @@ def _reference(name, x):
     if name == "ackley":
         quad = np.sqrt(np.sum(x * x) / n)
         trig = np.sum(np.cos(2.0 * np.pi * x)) / n
-        return float(20.0 + np.e - 20.0 * np.exp(-0.2 * quad) - np.exp(trig))
+        return float(20.0 + np.e - 20.0 * math.exp(-0.2 * quad) - math.exp(trig))
     if name == "griewank":
         z = x - 100.0
         return float(np.sum(z * z) / 4000.0 - np.prod(np.cos(z / np.sqrt(i))) + 1.0)
@@ -153,8 +155,27 @@ def _reference(name, x):
         partial = np.cumsum(x)
         return float(np.sum(partial * partial))
     if name == "rot_rastrigin":
-        x = rotation_matrix(n) @ x
+        x = _rotated(x)
     return float(np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0))
+
+
+def _rotated(x):
+    """`rotation_matrix(n) @ x` one 2x2 block at a time."""
+    y = np.empty_like(x)
+    for k in range(0, x.size, 2):
+        y[k] = 0.8 * x[k] + 0.6 * x[k + 1]
+        y[k + 1] = -0.6 * x[k] + 0.8 * x[k + 1]
+    return y
+
+
+@pytest.mark.parametrize("dim", range(2, 101, 2))
+def test_block_rotation_is_the_rotation_matrix_within_a_few_ulp(dim):
+    # rot_rastrigin scores `_rotated` rows bit for bit (the test below); each
+    # rotated coordinate is within 4 ulp of the row's largest coordinate of
+    # the matrix product, whose rounding depends on the BLAS kernel
+    rotation = rotation_matrix(dim)
+    for row in np.random.default_rng(dim).uniform(-5.12, 5.12, size=(200, dim)):
+        assert np.all(np.abs(_rotated(row) - rotation @ row) <= 4 * np.spacing(np.abs(row).max()))
 
 
 @pytest.mark.parametrize("name", FUNCTION_NAMES)

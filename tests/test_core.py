@@ -186,7 +186,7 @@ _REDRAWN = _span_at_threshold(below=True)
 @settings(max_examples=300, deadline=None)
 @example(seed=_KEPT[0], ops=[("integers", (0, _KEPT[1], False), None)] * 3)
 @example(seed=_REDRAWN[0], ops=[("integers", (0, _REDRAWN[1], False), None)] * 3)
-# uniform_heads with numpy's buffer holding the spare half, then with the stream holding it
+# uniform_heads after an array and after a scalar integer draw, each leaving its spare half in numpy's buffer
 @example(seed=3, ops=[("integers", (0, 100, False), 1), ("uniform_heads", True, 3, 2, 4), ("integers", (0, 100, False), None)])
 @example(seed=3, ops=[("integers", (0, 100, False), None), ("uniform_heads", False, 2, 1, 3), ("integers", (0, 100, False), None)])
 @given(st.integers(0, 2**32), _draw_ops)

@@ -190,7 +190,7 @@ _box = st.sampled_from(HEAD_BOXES) | st.tuples(
     dim=st.integers(1, 6),
     box=_box,
     vector=st.booleans(),
-    spare=st.sampled_from(["none", "numpy", "stream"]),
+    spare=st.sampled_from(["none", "numpy"]),
 )
 def test_uniform_heads_equal_the_uniform_and_skip_loop(seed, budget, pools, dim, box, vector, spare):
     """`RngStream.uniform_heads` converts raw words with numpy's uniform
@@ -203,8 +203,6 @@ def test_uniform_heads_equal_the_uniform_and_skip_loop(seed, budget, pools, dim,
     for r in (ours, theirs):
         if spare == "numpy":
             r.integers(0, 5, size=1)  # numpy's buffer holds a spare 32-bit half
-        elif spare == "stream":
-            r.integers(0, 5)  # the stream holds it
     got = ours.uniform_heads(low, high, pools, budget, 10 * budget, dim)
     want = _heads_by_uniform_and_skip(theirs, low, high, pools, budget, dim)
     assert np.array_equal(got, want)

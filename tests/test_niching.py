@@ -52,11 +52,6 @@ def test_bin_indices_per_coordinate_box_and_key_subsets(monkeypatch):
     assert all(np.array_equal(a, bin_indices(pts, cube, 5, dims)) for a, dims in zip(scalar, (None, (1, 3))))
 
 
-def test_choose_key_dims_low_dim_identity():
-    rng = RngStream(0)
-    assert choose_key_dims(7, rng, 10) == (0, 1, 2, 3, 4, 5, 6)
-
-
 def test_choose_key_dims_projection_above_limit():
     rng = RngStream(0)
     dims = choose_key_dims(30, rng, limit=10)

@@ -272,11 +272,9 @@ def test_whole_array_generation_takes_the_same_words_whatever_it_draws(algo):
     assert len(ends) == 1
 
 
-# Start states of the spare 32-bit half: numpy's buffer holds it, the
-# stream holds it, or no half is spare.
+# Start states of the spare 32-bit half: numpy's buffer holds it, or no half is spare.
 SPARE_STARTS = {
     "numpy-spare": lambda r: r.integers(0, 5, size=1),
-    "stream-spare": lambda r: r.integers(0, 5),
     "no-spare": lambda r: (r.integers(0, 5), r.integers(0, 5)),
 }
 
@@ -291,9 +289,10 @@ class SphereOf:
 
 @pytest.mark.parametrize("start", SPARE_STARTS)
 @pytest.mark.parametrize("dim", [1, 5])
-@pytest.mark.parametrize("p_r, p_m_genome", [(0.0, 0.0), (1.0, 1.0), (0.9, 0.75)])
+@pytest.mark.parametrize("p_r, p_m_genome", [(0.0, 0.0), (1.0, 1.0), (0.9, 0.75), (0.0, 1.0), (1.0, 0.0)])
 def test_sea_draws_match_a_plain_generator(start, dim, p_r, p_m_genome):
-    # N is odd, and at dim 1 the blended position is a draw of nothing
+    # N is odd, and at dim 1 the blended position is a draw of nothing; every
+    # child takes one branch of the loop at each (p_r, p_m_genome) but the mixed one
     fn = SphereOf(dim)
     cfg = EngineConfig("sea", N=23, p_r=p_r, p_m_genome=p_m_genome)
     for seed in range(3):
