@@ -128,7 +128,6 @@ class BenchmarkFn:
     space: SearchSpace
     optimum_point: np.ndarray
     optimum_value: float
-    rotation: np.ndarray | None = None
 
     def __post_init__(self):
         # the table lookup happens once here, not on every evaluate_batch call
@@ -181,32 +180,30 @@ def make(name: str, dim: int, schwefel_lower: float | None = None) -> BenchmarkF
     """Instantiate a named function at a given dimensionality.
 
     `schwefel_lower` overrides the lower bound of schwefel12 only; the default
-    box is the symmetric [-64, 64].
+    box is the symmetric [-64, 64]. Whatever the function, it must be at most
+    0, so that schwefel12's optimum stays in the box.
     """
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown function {name!r}; known: {', '.join(FUNCTION_NAMES)}")
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
 
+    if name == "rot_rastrigin" and dim % 2:
+        raise ValueError(f"rot_rastrigin needs an even dimension, got {dim}")
     if schwefel_lower is not None:
         check_finite("schwefel_lower", schwefel_lower)
+        if schwefel_lower > 0:
+            raise ValueError(f"schwefel_lower must be <= 0 to keep the optimum in the box, got {schwefel_lower}")
     half, coordinate, _ = _FUNCTIONS[name]
-    lower, upper = -half, half
+    lower = -half
     if name == "schwefel12" and schwefel_lower is not None:
         lower = float(schwefel_lower)
-        if lower >= upper:
-            raise ValueError(f"schwefel_lower {lower} must stay below the upper bound {upper}")
-    space = SearchSpace.cube(dim, lower, upper)
-
-    rotation = None
-    if name == "rot_rastrigin":
-        rotation = rotation_matrix(dim)  # raises for odd dim
-        rotation.setflags(write=False)
+    space = SearchSpace.cube(dim, lower, half)
 
     point = np.full(dim, coordinate)
     point.setflags(write=False)
 
-    return BenchmarkFn(name, dim, space, point, 0.0, rotation)
+    return BenchmarkFn(name, dim, space, point, 0.0)
 
 
 def registry() -> list[dict]:

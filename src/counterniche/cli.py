@@ -131,6 +131,8 @@ def _cmd_run(args) -> int:
         cfg = default_config(
             args.algo, dim=args.dim, generations=args.generations, seed=args.seed, **overrides
         )
+        if args.regions_dump and args.algo != "cnea":
+            raise ValueError(f"--regions-dump needs --algo cnea, which alone has dense regions, not {args.algo}")
     except ValueError as exc:
         return _usage_error(exc)
 

@@ -80,12 +80,6 @@ class SearchSpace:
         """Euclidean length of the box diagonal; normalizer for spread measures."""
         return self._diagonal
 
-    def contains(self, genome) -> bool:
-        g = np.asarray(genome, dtype=float)
-        if g.shape != (self.dim,):
-            return False
-        return bool(np.all(g >= self.lower) and np.all(g <= self.upper))
-
 
 @dataclass(frozen=True, eq=False)
 class Individual:
@@ -122,13 +116,10 @@ class Population:
     def size(self) -> int:
         return len(self.f)
 
-    def best_index(self) -> int:
-        # argmin keeps the first occurrence, so ties resolve to the lowest index
-        return int(np.argmin(self.f))
-
     def best(self) -> Individual:
-        """A copy of the fittest member, as a run reports it."""
-        i = self.best_index()
+        """A copy of the fittest member, as a run reports it; the lowest
+        index among equals, since argmin keeps the first."""
+        i = np.argmin(self.f)
         return Individual(self.X[i].copy(), self.f[i])
 
 

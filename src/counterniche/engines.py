@@ -41,7 +41,6 @@ __all__ = [
     "engine_steps",
     "run",
     "dgea_mode",
-    "torus_neighbors",
     "torus_shape",
     "algorithm_registry",
 ]
@@ -171,10 +170,13 @@ def _init_population(cfg: EngineConfig, fn, rng: RngStream) -> Population:
     return Population(X, evaluate_rows(fn, X))
 
 
-def _record(population: Population, space: SearchSpace, generation: int, **extra) -> GenRecord:
+def _record(population: Population, best: Individual, space: SearchSpace, generation: int, **extra) -> GenRecord:
+    """The record of `population`, generation `generation`. Its best fitness
+    is the run's best so far, `best`: elitism keeps that in the population,
+    but without elitism the population may have lost it."""
     return GenRecord(
         generation=generation,
-        best_fitness=float(population.f.min()),
+        best_fitness=best.fitness,
         mean_fitness=float(population.f.mean()),
         diversity=distance_to_average(population, space),
         **extra,
@@ -245,16 +247,6 @@ def _socea_offspring(pop: Population, cfg: EngineConfig, fn, rng: RngStream) -> 
     return _breed(pop, draws, *draws.parents(pop.f), fn)
 
 
-def torus_neighbors(row: int, col: int, rows: int, cols: int) -> list[tuple[int, int]]:
-    """Von Neumann neighborhood on a wrapped grid: up, down, left, right."""
-    return [
-        ((row - 1) % rows, col),
-        ((row + 1) % rows, col),
-        (row, (col - 1) % cols),
-        (row, (col + 1) % cols),
-    ]
-
-
 def torus_shape(n: int) -> tuple[int, int]:
     """(rows, cols) of the most nearly square torus holding n cells: rows is
     the largest divisor of n that is at most sqrt(n), so a prime n is a ring."""
@@ -263,13 +255,13 @@ def torus_shape(n: int) -> tuple[int, int]:
 
 
 def _cea_neighbors(n: int) -> np.ndarray:
-    """Row-major cell index of each cell's four `torus_neighbors` on the
-    `torus_shape(n)` torus, shape (n, 4)."""
-    rows, cols = torus_shape(n)
-    return np.array([
-        [r * cols + c for r, c in torus_neighbors(*divmod(idx, cols), rows, cols)]
-        for idx in range(n)
-    ])
+    """Row-major cell index of each cell's von Neumann neighbors on the
+    wrapped `torus_shape(n)` grid, shape (n, 4): up, down, left, right."""
+    grid = np.arange(n).reshape(torus_shape(n))
+    # np.roll(grid, 1, 0)[r, c] is grid[r - 1, c], the cell above, wrapped
+    up, down = np.roll(grid, 1, 0), np.roll(grid, -1, 0)
+    left, right = np.roll(grid, 1, 1), np.roll(grid, -1, 1)
+    return np.stack([up, down, left, right], axis=-1).reshape(n, 4)
 
 
 def _cea_offspring(
@@ -411,13 +403,13 @@ def engine_steps(
     generation = factory(cfg, fn, rng, on_regions)
     pop = _init_population(cfg, fn, rng)
     best = pop.best()
-    rec = _record(pop, fn.space, 0, **first)
+    rec = _record(pop, best, fn.space, 0, **first)
     yield rec, best
     for t in itertools.count(1):
         pop, extras = generation(pop, t, rec)
         if pop.f.min() < best.fitness:
             best = pop.best()
-        rec = _record(pop, fn.space, t, **extras)
+        rec = _record(pop, best, fn.space, t, **extras)
         yield rec, best
 
 
@@ -453,18 +445,16 @@ class StagnationRule:
 def run(
     cfg: EngineConfig,
     fn,
-    rng: RngStream | None = None,
     on_regions: Callable | None = None,
     stop: StagnationRule | None = None,
 ) -> RunTrace:
-    """Run an engine to generation `cfg.generations` or, given a stop rule,
-    until its best fitness stalls, if that comes first; the trace records
-    which fired. A configuration that fails `check_dim` for the objective's
-    dimension fails here, before any draw."""
+    """Run an engine on the stream `RngStream(cfg.seed)` to generation
+    `cfg.generations` or, given a stop rule, until its best fitness stalls,
+    if that comes first; the trace records which fired. A configuration that
+    fails `check_dim` for the objective's dimension fails here, before the
+    stream is built."""
     check_dim(cfg, fn.space.dim)
-    if rng is None:
-        rng = RngStream(cfg.seed)
-    steps = engine_steps(cfg, fn, rng, on_regions)
+    steps = engine_steps(cfg, fn, RngStream(cfg.seed), on_regions)
     stalled = None if stop is None else stop.stall_test()
     records: list[GenRecord] = []
     while True:

@@ -10,7 +10,6 @@ available in memory.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from itertools import product, repeat
@@ -79,7 +78,6 @@ def _fmt(x: float) -> str:
 class DiversityProfile:
     average_diversity: float | None
     generations_counted: int
-    burn_in: int
 
 
 def detect_stagnation(trace: RunTrace | Sequence[float], rule: StagnationRule) -> int | None:
@@ -125,8 +123,8 @@ def diversity_profile(trace: RunTrace, burn_in: int) -> DiversityProfile:
             total += rec.diversity
             count += 1
     if count == 0:
-        return DiversityProfile(None, 0, burn_in)
-    return DiversityProfile(total / count, count, burn_in)
+        return DiversityProfile(None, 0)
+    return DiversityProfile(total / count, count)
 
 
 def write_trace_csv(trace: RunTrace, path, include_timing: bool = False) -> None:

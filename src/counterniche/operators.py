@@ -287,29 +287,27 @@ class Variation:
         return out, fresh
 
 
-def pow_sample(alpha: float, rng: RngStream, exponent: float = 2.0, upper: float = 1000.0, size=None):
-    """Draws from alpha times a truncated power law on [1, upper]: one float,
-    or an array of `size` draws.
+def pow_sample(alpha: float, rng: RngStream, exponent: float = 2.0, upper: float = 1000.0, *, size: int) -> np.ndarray:
+    """An array of `size` draws from alpha times a truncated power law on
+    [1, upper].
 
     The base variable has density proportional to u**(-exponent) on
     [1, upper], sampled by inverting the CDF from one uniform draw each, so
-    `size=k` takes the k uniforms that k scalar calls would take, in order.
-    A scalar call is one row of an array call, so both give bit-equal
-    values (numpy's vectorized `power` and C's `pow` may differ in the last
-    bit). With the defaults the median lands near 2*alpha and the output
-    always stays inside [alpha, upper*alpha].
+    `size=k` takes the k uniforms that k calls with `size=1` would take, in
+    order, and gives the same values. With the defaults the median lands
+    near 2*alpha and the output always stays inside [alpha, upper*alpha].
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if upper <= 1.0:
         raise ValueError(f"upper truncation must exceed 1, got {upper}")
-    u = rng.random(1 if size is None else size)
+    u = rng.random(size)
     if exponent == 1.0:
         v = upper**u
     else:
         k = 1.0 - exponent
         v = (1.0 - u * (1.0 - upper**k)) ** (1.0 / k)
-    return alpha * float(v[0]) if size is None else alpha * v
+    return alpha * v
 
 
 def sea_variance(t: int, mode: str = "printed") -> float:

@@ -49,7 +49,6 @@ def rank_picks(n: int) -> tuple[int, int, int, int, int]:
 class RunSummary:
     n: int
     sorted_errors: tuple[float, ...]
-    ranks: tuple[int, int, int, int, int]
     best: float
     p23: float
     median: float
@@ -66,11 +65,10 @@ def summarize(errors: Sequence[float]) -> RunSummary:
         raise ValueError("need at least one error value")
     ordered = tuple(sorted(vals))
     n = len(ordered)
-    ranks = rank_picks(n)
-    picks = [ordered[k - 1] for k in ranks]
+    picks = [ordered[k - 1] for k in rank_picks(n)]
     mean = float(np.mean(ordered))
     std = float(np.std(ordered, ddof=1)) if n > 1 else 0.0
-    return RunSummary(n, ordered, ranks, picks[0], picks[1], picks[2], picks[3], picks[4], mean, std)
+    return RunSummary(n, ordered, *picks, mean, std)
 
 
 @dataclass

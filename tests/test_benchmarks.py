@@ -94,8 +94,10 @@ def test_schwefel12_lower_override():
     fn = make("schwefel12", 2, schwefel_lower=0.0)
     assert fn.space.lower[0] == 0.0
     assert fn.space.upper[0] == 64.0
-    with pytest.raises(ValueError):
-        make("schwefel12", 2, schwefel_lower=64.0)
+    # above 0 the optimum, every coordinate 0, would lie outside the box, for every function
+    for name, lower in [("schwefel12", 64.0), ("schwefel12", 10.0), ("schwefel12", 1e-300), ("ackley", 10.0)]:
+        with pytest.raises(ValueError, match=f"schwefel_lower must be <= 0 to keep the optimum in the box, got {lower}"):
+            make(name, 2, schwefel_lower=lower)
     # override only applies to schwefel12
     assert make("ackley", 2, schwefel_lower=0.0).space.lower[0] == -30.0
 
@@ -126,7 +128,7 @@ def test_rot_rastrigin_matches_rotated_plain():
     fn = make("rot_rastrigin", 4)
     plain = make("rastrigin", 4)
     x = np.array([0.3, -1.2, 2.0, 0.9])
-    assert fn.evaluate(x) == pytest.approx(plain.evaluate(fn.rotation @ x), rel=1e-12)
+    assert fn.evaluate(x) == pytest.approx(plain.evaluate(rotation_matrix(4) @ x), rel=1e-12)
 
 
 def test_evaluate_rejects_wrong_shape():

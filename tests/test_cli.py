@@ -117,6 +117,39 @@ def test_run_regions_dump(tmp_path, capsys):
     assert rec["density"] >= 2
 
 
+def test_run_regions_dump_needs_cnea(tmp_path, capsys):
+    # only cnea has dense regions: any other engine is a usage error before any file opens
+    dump, trace = tmp_path / "regions.jsonl", tmp_path / "t.csv"
+    code = main(
+        ["run", "--algo", "sea", "--function", "ellipsoid", "--dim", "2", "--generations", "2",
+         "--pop-size", "10", "--out", str(trace), "--regions-dump", str(dump)]
+    )
+    assert code == 2
+    assert "--regions-dump needs --algo cnea" in capsys.readouterr().err
+    assert not dump.exists() and not trace.exists()
+
+
+def test_schwefel_lower_above_zero_is_a_usage_error(tmp_path, capsys):
+    # the optimum, every coordinate 0, would lie outside [10, 64]
+    trace = tmp_path / "t.csv"
+    code = main(
+        ["run", "--algo", "sea", "--function", "schwefel12", "--dim", "4", "--generations", "2",
+         "--pop-size", "10", "--schwefel-lower", "10", "--out", str(trace)]
+    )
+    assert code == 2
+    assert "schwefel_lower must be <= 0" in capsys.readouterr().err
+    assert not trace.exists()
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "algos = sea\nfunctions = schwefel12\ndims = 4\nruns = 1\ngenerations = 2\n"
+        f"pop_size = 10\nschwefel_lower = 10\noutput_dir = {tmp_path / 'r'}\n"
+    )
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "schwefel_lower must be <= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_run_rejects_invalid_engine_combo(tmp_path, capsys):
     # more elites than members; the engine config raises, a usage error
     code = main(

@@ -13,14 +13,13 @@ from counterniche import (
     ALGORITHMS,
     EngineConfig,
     Population,
-    RngStream,
     SearchSpace,
     build_grid,
     default_config,
     make,
     run,
 )
-from counterniche import cli
+from counterniche import cli, engines
 from counterniche.core import value_range
 from counterniche.engines import engine_knobs
 from counterniche.harness import load_matrix_config, matrix_keys
@@ -163,12 +162,13 @@ def test_key_dim_limit_is_the_key_length():
         assert len(key) == length and len(set(key)) == length
 
 
-def test_key_length_beyond_int64_fails_in_run_before_any_draw():
+def test_key_length_beyond_int64_fails_in_run_before_any_draw(monkeypatch):
+    built = []
+    monkeypatch.setattr(engines, "RngStream", lambda seed: built.append(seed))
     cfg = EngineConfig("cnea", N=10, generations=1, grid_bins=2, key_dim_limit=63)
-    rng = RngStream(0)
     with pytest.raises(ValueError, match="too many cells"):
-        run(cfg, make("ellipsoid", 63), rng)
-    assert rng.random() == RngStream(0).random()
+        run(cfg, make("ellipsoid", 63))
+    assert built == []  # the run's stream was never built
 
 
 @pytest.mark.parametrize("dim,bins", [(60, 4), (40, 7)])

@@ -35,14 +35,6 @@ def test_search_space_cube_and_widths():
     assert s.diagonal() == pytest.approx(4.0 * np.sqrt(3.0))
 
 
-def test_search_space_contains():
-    s = SearchSpace.cube(2, 0.0, 1.0)
-    assert s.contains([0.0, 1.0])       # closed bounds
-    assert s.contains([0.5, 0.5])
-    assert not s.contains([1.0001, 0.5])
-    assert not s.contains([0.5])        # wrong shape
-
-
 def test_search_space_bounds_are_read_only():
     s = SearchSpace.cube(2, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -71,7 +63,8 @@ def test_population_basics():
 
 def test_population_best_tie_goes_to_lowest_index():
     pop = Population([[0.0], [1.0], [2.0]], [1.0, 0.5, 0.5])
-    assert pop.best_index() == 1
+    best = pop.best()
+    assert best.genome.tolist() == [1.0] and best.fitness == 0.5
 
 
 def test_population_rejects_empty_and_unevaluated():

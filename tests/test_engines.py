@@ -15,15 +15,17 @@ from counterniche import (
     make,
     run,
 )
+from counterniche import cli
 from counterniche.engines import (
+    _cea_neighbors,
     _elitist_merge,
     _elitist_union_survivors,
     algorithm_registry,
     dgea_mode,
     engine_steps,
-    torus_neighbors,
     torus_shape,
 )
+from test_variation import torus_neighbors
 
 
 def test_algorithm_list():
@@ -173,6 +175,21 @@ def test_best_fitness_monotone(algo):
     assert all(b <= a for a, b in zip(series, series[1:]))
 
 
+@pytest.mark.parametrize("algo", ["cnea", "sea", "socea", "dgea"])
+def test_best_fitness_is_the_best_so_far_without_elitism(algo, tmp_path, capsys):
+    # with no elites a population can lose its best member; the record keeps the run's best
+    fn = make("rastrigin", 10)
+    cfg = default_config(algo, dim=10, seed=0, N=40, generations=60, elitism_count=0)
+    trace = run(cfg, fn)
+    series = trace.best_fitness_series()
+    assert all(b <= a for a, b in zip(series, series[1:]))
+    assert series[-1] == trace.best.fitness == fn.evaluate(trace.best.genome)
+    argv = ["run", "--algo", algo, "--function", "rastrigin", "--dim", "10", "--seed", "0",
+            "--pop-size", "40", "--generations", "60", "--elitism", "0", "--out", str(tmp_path / "t.csv")]
+    assert cli.main(argv) == 0
+    assert f"final_error={trace.best.fitness:.17g}\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("algo", ALGORITHMS)
 def test_same_seed_same_trace(algo):
     fn = make("griewank", 2)
@@ -272,10 +289,15 @@ def test_torus_shape_is_the_most_nearly_square(n):
         assert (rows, cols) == (1, n)
 
 
-def test_torus_neighbors_wrap():
+def test_cea_neighbors_are_the_wrapped_torus_neighbors():
+    # the reference's loops, by hand, then the whole table against them
     assert torus_neighbors(0, 0, 20, 20) == [(19, 0), (1, 0), (0, 19), (0, 1)]
     assert torus_neighbors(19, 19, 20, 20) == [(18, 19), (0, 19), (19, 18), (19, 0)]
     assert torus_neighbors(2, 3, 5, 7) == [(1, 3), (3, 3), (2, 2), (2, 4)]
+    for n in (1, 2, 3, 4, 7, 12, 36, 100, 400, 401):
+        rows, cols = torus_shape(n)
+        want = [[r * cols + c for r, c in torus_neighbors(*divmod(idx, cols), rows, cols)] for idx in range(n)]
+        assert _cea_neighbors(n).tolist() == want, n
 
 
 def test_dgea_mode_switch_table():

@@ -139,7 +139,6 @@ def test_diversity_profile_counts_improving_generations():
     # improving generations are 1 and 3
     assert profile.generations_counted == 2
     assert profile.average_diversity == pytest.approx((0.8 + 0.6) / 2)
-    assert profile.burn_in == 0
 
 
 def test_diversity_profile_burn_in_excludes_early():

@@ -103,18 +103,28 @@ def ref_sea_offspring(pop, rng, cfg, variance, fn):
     return children, ref_children(fn, children, fresh, f[parent])
 
 
+def torus_neighbors(row: int, col: int, rows: int, cols: int) -> list[tuple[int, int]]:
+    """Von Neumann neighborhood on a wrapped grid: up, down, left, right."""
+    return [
+        ((row - 1) % rows, col),
+        ((row + 1) % rows, col),
+        (row, (col - 1) % cols),
+        (row, (col + 1) % cols),
+    ]
+
+
 def ref_cea_offspring(pop, rng, cfg, fn):
     X, f = pop.X, pop.f
     rows, cols = engines.torus_shape(cfg.N)
     children, fresh = np.empty_like(X), np.zeros(len(f), bool)
     for idx in range(len(f)):
         r, c = divmod(idx, cols)
-        nbr, nbc = engines.torus_neighbors(r, c, rows, cols)[int(rng.integers(0, 4))]
+        nbr, nbc = torus_neighbors(r, c, rows, cols)[int(rng.integers(0, 4))]
         crossed = rng.random() < cfg.p_r
         genome = ref_crossover(X[idx], X[nbr * cols + nbc], rng) if crossed else X[idx]
         fired = False
         if rng.random() < cfg.p_m_genome:
-            variance = pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper)
+            variance = pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper, size=1)[0]
             genome, fired = ref_mutate(genome, variance, 1.0, fn.space, rng)
         children[idx], fresh[idx] = genome, crossed or fired
     return children, ref_children(fn, children, fresh, f)
@@ -133,7 +143,7 @@ def ref_dgea_offspring(pop, mode, rng, cfg, fn):
     else:
         for k in range(len(f)):
             if rng.random() < cfg.p_m_genome:
-                variance = pow_sample(1.0, rng, cfg.pow_exponent, cfg.pow_upper)
+                variance = pow_sample(1.0, rng, cfg.pow_exponent, cfg.pow_upper, size=1)[0]
                 children[k], fresh[k] = ref_mutate(X[k], variance, 1.0, fn.space, rng)
     return children, ref_children(fn, children, fresh, f[parent])
 
@@ -191,7 +201,7 @@ def ref_whole_array_offspring(algo, pop, rng, cfg):
         pick = rng.integers(0, 4, size=n)
         d = ref_whole_array_draws(n, rng, cfg, crossover=True, alpha=10.0)
         rows, cols = engines.torus_shape(n)
-        r, c = np.array([engines.torus_neighbors(*divmod(idx, cols), rows, cols)[pick[idx]] for idx in range(n)]).T
+        r, c = np.array([torus_neighbors(*divmod(idx, cols), rows, cols)[pick[idx]] for idx in range(n)]).T
         return ref_whole_array_children(pop, d, np.arange(n), r * cols + c)
     if algo == "dgea-explore":
         d = ref_whole_array_draws(n, rng, cfg, alpha=1.0)
@@ -480,7 +490,7 @@ def test_crossed_child_past_a_bound_stays_unclamped_unless_a_gene_fired():
 BEFORE = {
     "cnea": ("regular_ops", lambda *args: Population(*ref_regular_ops(*args))),
     "socea": ("_socea_offspring", lambda pop, cfg, fn, rng: Population(*ref_sea_offspring(
-        pop, rng, cfg, lambda: pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper), fn))),
+        pop, rng, cfg, lambda: pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper, size=1)[0], fn))),
     "cea": ("_cea_offspring", lambda pop, cfg, fn, rng, _neighbors: Population(*ref_cea_offspring(
         pop, rng, cfg, fn))),
     "dgea": ("_dgea_offspring", lambda pop, mode, cfg, fn, rng: Population(*ref_dgea_offspring(
