@@ -136,21 +136,23 @@ class RngStream:
     same seed produce identical sequences of uniform, normal, and integer
     draws, which is what makes whole runs bit-reproducible.
 
-    `random`, `uniform`, `normal`, `integers`, `permutation` and `choice` are
-    the generator's own methods, and `raw` and `advance` its bit generator's.
-    numpy draws a bounded integer below 2**32 from a 32-bit half of a word:
-    the low half of a new word, whose high half numpy's buffer
-    (`has_uint32`/`uinteger`) keeps as the spare for the next such draw. The
-    spare half lives only in that buffer. `raw` leaves it alone, and
-    `advance` empties it, so a caller of `advance` saves it (`spare`) and
-    puts it back (`keep_spare`), once around all its steps.
+    `random`, `uniform`, `normal`, `standard_normal`, `integers`,
+    `permutation` and `choice` are the generator's own methods, and `raw`
+    and `advance` its bit generator's. numpy draws a bounded integer below
+    2**32 from a 32-bit half of a word: the low half of a new word, whose
+    high half numpy's buffer (`has_uint32`/`uinteger`) keeps as the spare
+    for the next such draw. The spare half lives only in that buffer. `raw`
+    leaves it alone, and `advance` empties it, so a caller of `advance`
+    saves it (`spare`) and puts it back (`keep_spare`), once around all its
+    steps.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._bits = bits = np.random.PCG64(self.seed)
         gen = np.random.Generator(bits)
-        self.random, self.uniform, self.normal = gen.random, gen.uniform, gen.normal
+        self.random, self.uniform = gen.random, gen.uniform
+        self.normal, self.standard_normal = gen.normal, gen.standard_normal
         self.integers, self.permutation, self.choice = gen.integers, gen.permutation, gen.choice
         self.raw, self.advance = bits.random_raw, bits.advance
 

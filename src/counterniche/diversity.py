@@ -29,9 +29,10 @@ def distance_to_average(population: Population, space: SearchSpace) -> float:
     x = population.X
     if x.shape[1] != space.dim:
         raise ValueError(f"genomes have dim {x.shape[1]}, space has dim {space.dim}")
-    if np.all(x == x[0]):
-        # short-circuit keeps the fully converged case exact; the float mean
-        # of n identical rows can be off by an ulp for non-power-of-two n
+    # short-circuit keeps the fully converged case exact; the float mean of n
+    # identical rows can be off by an ulp for non-power-of-two n. The last row
+    # alone turns away most unconverged populations before the full test.
+    if (x[-1] == x[0]).all() and np.all(x == x[0]):
         return 0.0
     n = x.shape[0]
     # x.mean(axis=0) to the bit: numpy's mean is this sum divided by n

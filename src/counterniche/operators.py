@@ -13,8 +13,11 @@ The draws come in two layouts. `child_by_child` takes each child's draws in
 turn, in the order the child consumes the stream, and draws crossover and
 mutation only where a child's coin lands; it reads them from one block of
 raw words per child, as long as the draws of a child that crosses and
-mutates, and rewinds the stream once for a child that does less. So it is
-the one place that splits words into 32-bit halves. `sea` alone uses it.
+mutates. A child that does less hands the words its block drew past its
+last draw to the next child's block; only one that mutates without
+crossing rewinds the stream, so that its normals start inside its own
+block. It is the one place that splits words into 32-bit halves, and
+`sea` alone uses it.
 The whole-array methods (`all_tournaments`, `all_crossovers`,
 `all_mutations`, `all_gene_mutations`) draw one array per draw kind for all
 n children, every row whatever its coin says, so the words a generation
@@ -126,7 +129,9 @@ class Variation:
         (`integers(0, dim)`) and its weight; a mutation coin, and below p_m
         one mask uniform per gene, passed over (`gene_draws` stay 0: every
         gene fires under any p_gene above 0), and `normal(0.0, 1.0, dim)`.
-        The variance is the one `children` gets.
+        The variance is the one `children` gets. The normals are drawn with
+        `standard_normal`, and one `normals += 0.0` per generation gives them
+        numpy's `0.0 + 1.0 * z`, which turns -0.0 into +0.0.
 
         The values and the stream's end are those of numpy's calls, but each
         child takes one block of raw words, read at fixed offsets: the words
@@ -135,9 +140,14 @@ class Variation:
         tournament members and its position are 32-bit halves of words: the
         spare half first, then the low and high halves of a new word. So the
         tournaments take two words, and the position takes one when no half
-        is spare. A child that does not cross, or does not mutate, rewinds
-        with one `advance` to where its last draw before any normals ends.
-        A coin is read as `(word >> 11) < p * 2**53`, which is numpy's
+        is spare. The stream runs forward: the words a block drew past its
+        child's last draw (the mask words of a child that crosses only, all
+        past the coins of one that does neither) start the next child's
+        block. Only a child that mutates without crossing rewinds, with one
+        `advance` to the end of its mask words, where its normals start, and
+        a generation that ends with words left over rewinds past them once;
+        a backward `advance` is the dear one, a jump of 2**128 - k. A coin is
+        read as `(word >> 11) < p * 2**53`, which is numpy's
         `next_double(word) < p`, since scaling by 2**53 is exact. After the
         last child, all halves go through Lemire's method with numpy's
         threshold (Lemire, arXiv:1805.10941) at once; in a generation where
@@ -145,7 +155,7 @@ class Variation:
         from the start.
         """
         rng, n, dim = self.rng, self.n, self.dim
-        raw, advance, normal = rng.raw, rng.advance, rng.normal
+        raw, advance, standard_normal = rng.raw, rng.advance, rng.standard_normal
         start, spare = rng.position(), rng.spare()
         bout_words = 2 if n > 1 else 0  # a span of 1 draws nothing
         draws_position = dim > 1
@@ -155,25 +165,30 @@ class Variation:
         normals = np.zeros((n, dim))
         blocks, widths, crossed, position_word, mutated = [], [0] * n, [False] * n, [False] * n, [False] * n
         spare_held = spare is not None
+        carry = 0  # the words the last block drew past its child's last draw: this child's first words
         for k in range(n):
             word = draws_position and not spare_held
             widths[k] = width = full + word
-            block = raw(width)
+            block = np.concatenate((block[-carry:], raw(width - carry))) if carry else raw(width)
             blocks.append(block)
+            carry = 0
             if block.item(bout_words) >> 11 < r_cut:
                 crossed[k], position_word[k] = True, word
                 spare_held ^= draws_position
                 if block.item(width - dim - 1) >> 11 < m_cut:  # the coin before the mask words
                     mutated[k] = True
-                    normals[k] = normal(0.0, 1.0, dim)
+                    standard_normal(out=normals[k])
                 else:
-                    advance(-dim)  # back past the mask words
+                    carry = dim  # the mask words
             elif block.item(bout_words + 1) >> 11 < m_cut:
                 mutated[k] = True
-                advance(bout_words + 2 + dim - width)
-                normals[k] = normal(0.0, 1.0, dim)
+                advance(bout_words + 2 + dim - width)  # back to the end of the mask words
+                standard_normal(out=normals[k])
             else:
-                advance(bout_words + 2 - width)
+                carry = width - bout_words - 2  # all past the coins
+        if carry:
+            advance(-carry)
+        normals += 0.0  # numpy's normal(0.0, 1.0) is 0.0 + 1.0 * z, which turns -0.0 into +0.0
         words = np.concatenate(blocks)
         first = np.cumsum(widths) - widths  # each child's first word in `words`
         crossed, position_word = np.array(crossed), np.array(position_word)

@@ -52,6 +52,28 @@ def test_identical_population_is_exactly_zero():
     assert distance_to_average(pop, space) == 0.0
 
 
+def full_test_spread(x, space) -> float:
+    """`distance_to_average` with only the full all-rows-equal test, in its
+    IEEE operations."""
+    if np.all(x == x[0]):
+        return 0.0
+    n = x.shape[0]
+    centered = x - np.add.reduce(x, axis=0) / n
+    dists = np.sqrt(np.add.reduce(centered * centered, axis=1))
+    return float(np.sum(dists) / (space.diagonal() * n))
+
+
+@pytest.mark.parametrize("middle", [1, 2])
+def test_first_and_last_rows_equal_with_a_middle_row_apart(middle):
+    # the last row matches row 0, so only the full test sees the population is not converged
+    space = SearchSpace.cube(2, 0.0, 1.0)
+    x = np.array([[0.1, 0.7]] * 4)
+    x[middle, 1] = 0.3
+    value = distance_to_average(_pop(x), space)
+    assert value > 0.0
+    assert value == full_test_spread(x, space)
+
+
 def test_matches_brute_force_on_random_populations():
     rng = RngStream(42)
     for _ in range(100):

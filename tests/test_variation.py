@@ -319,6 +319,30 @@ def test_sea_draws_match_a_plain_generator(start, dim, p_r, p_m_genome):
         assert rng.random() == plain.random()
 
 
+@pytest.mark.parametrize("dim", [1, 5])
+@pytest.mark.parametrize("p_r, p_m_genome", [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)])
+def test_sea_rewinds_the_stream_only_where_normals_must_start(dim, p_r, p_m_genome):
+    # a child that crosses only, or does neither, hands the words it overdrew to the
+    # next child; one that mutates without crossing rewinds so its normals start in its block
+    fn = SphereOf(dim)
+    cfg = EngineConfig("sea", N=23, p_r=p_r, p_m_genome=p_m_genome)
+    for seed in range(3):
+        X = RngStream(100 + seed).uniform(-1.0, 1.0, size=(cfg.N, dim))
+        pop = Population(X, np.floor(fn.evaluate_batch(X) * 2.0))
+        rng, plain = RngStream(seed), np.random.Generator(np.random.PCG64(seed))
+        steps, advance = [], rng.advance
+        rng.advance = lambda delta: (steps.append(delta), advance(delta))
+        out = engines._sea_offspring(pop, cfg, fn, rng, sea_variance(3))
+        X_ref, _ = ref_sea_offspring(pop, plain, cfg, lambda: sea_variance(3), fn)
+        assert out.X.tobytes() == X_ref.tobytes()
+        if p_m_genome:
+            assert len(steps) == cfg.N  # every child mutates without crossing
+        else:
+            assert len(steps) <= 1  # once at the end, past the words left over
+        assert rng.integers(0, 1000) == plain.integers(0, 1000)
+        assert rng.random() == plain.random()
+
+
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 step: state * this + inc
 
 
