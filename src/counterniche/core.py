@@ -189,20 +189,12 @@ class RngStream:
         return low + (high - low) * next_double(words.reshape(pools, rows, dim))
 
     def position(self) -> dict:
-        """The stream's place, for `replay` and `resume`."""
+        """The stream's place, for `resume`."""
         return self._bits.state
 
     def resume(self, position: dict) -> None:
         """Move the stream back (or on) to a `position` it had."""
         self._bits.state = position
-
-    @staticmethod
-    def replay(position: dict) -> np.random.Generator:
-        """A generator that starts at a `position` of some stream, to draw
-        again words that stream has passed, without moving it."""
-        bits = np.random.PCG64()
-        bits.state = position
-        return np.random.Generator(bits)
 
 
 def check_finite(name: str, value) -> None:

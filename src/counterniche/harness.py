@@ -215,8 +215,13 @@ def read_summary_csv(path) -> dict:
     return rows[0]
 
 
-def _names(value: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in value.split(",") if v.strip())
+def _names(value: str, element=str) -> tuple:
+    """A matrix key's comma-separated values, each read by `element`, refusing a repeat (its cells would run twice)."""
+    names = tuple(element(v.strip()) for v in value.split(",") if v.strip())
+    twice = [v for i, v in enumerate(names) if v in names[:i]]
+    if twice:
+        raise ValueError(f"{twice[0]!r} is listed more than once")
+    return names
 
 
 _BOOL_VALUES = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
@@ -232,7 +237,7 @@ def _on_off(value: str) -> bool:
 class ExperimentMatrix:
     algos: tuple[str, ...] = config_field(parse=_names)
     functions: tuple[str, ...] = config_field(parse=_names)
-    dims: tuple[int, ...] = config_field(parse=lambda value: tuple(int(v) for v in _names(value)), ge=1)
+    dims: tuple[int, ...] = config_field(parse=lambda value: _names(value, int), ge=1)
     runs_per_cell: int = config_field(30, parse=int, key="runs", ge=1)
     budget: str = config_field("fixed", parse=str, choices=("fixed", "stagnation"))
     generations: int | None = config_field(None, parse=int, ge=0)  # the last generation of every run; stock when unset

@@ -84,11 +84,11 @@ def sample_virgin(grid: GridIndex, fn, rng: RngStream, budget: int, pools: int =
     pool would, and all samples are evaluated in one batch. A pool keeps its
     first `budget` unoccupied rows, so only its first `budget` rows are drawn
     (as raw words, by `RngStream.uniform_heads`) and looked up; the stream
-    skips its other 9 * budget rows. If one of those
-    first rows is occupied, the pool is short: its skipped rows are drawn
-    again from the stream's position at the start of the call, and the whole
-    pool is looked up. Either way the stream ends where drawing every row of
-    every pool would leave it.
+    skips its other 9 * budget rows. If one of those first rows is occupied,
+    the pool is short, and the call rewinds as `Variation.child_by_child`
+    does: from the stream's position at the start of the call, one numpy
+    `uniform` call draws every row of every pool. The stream ends where that
+    call would leave it, short pool or not.
     """
     dim = grid.space.dim
     if budget <= 0 or pools <= 0:
@@ -101,14 +101,8 @@ def sample_virgin(grid: GridIndex, fn, rng: RngStream, budget: int, pools: int =
     short = np.flatnonzero(~head_free.all(axis=1))
     if not short.size:
         return VirginSamples(genomes, evaluate_rows(fn, genomes), np.repeat(np.arange(pools), budget))
-    raw = np.empty((pools, draws, dim))
-    raw[:, :budget] = head
-    replay, at = RngStream.replay(start), 0
-    for p in short.tolist():
-        tail = (p * draws + budget) * dim  # the first word of the pool's skipped rows
-        replay.bit_generator.advance(tail - at)
-        raw[p, budget:] = replay.uniform(low, high, size=(draws - budget, dim))
-        at = tail + (draws - budget) * dim
+    rng.resume(start)  # a short pool is rare: numpy draws every row of every pool again
+    raw = rng.uniform(low, high, size=(pools, draws, dim))
     free = np.zeros((pools, draws), dtype=bool)
     free[:, :budget] = head_free
     free[short, budget:] = grid.unoccupied(raw[short, budget:].reshape(-1, dim)).reshape(len(short), -1)

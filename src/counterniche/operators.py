@@ -112,15 +112,9 @@ class Variation:
 
     def __init__(self, n: int, dim: int, rng: RngStream):
         self.n, self.dim, self.rng = n, dim, rng
-        self.bouts = np.zeros((n, 4), dtype=np.intp)  # i, j of two tournaments
-        self.crossed = np.zeros(n, dtype=bool)
-        self.weight_draws = np.zeros((n, dim))
-        self.position = np.zeros(n, dtype=np.intp)
-        self.blend = np.zeros(n)
-        self.mutated = np.zeros(n, dtype=bool)
-        self.variance = np.zeros((n, 1))
+        # what `children` reads when no draw method sets it: no child crosses or mutates, no mask is drawn
+        self.crossed, self.mutated = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         self.gene_draws = np.zeros((n, dim))
-        self.normals = np.zeros((n, dim))
 
     def child_by_child(self, p_r: float, p_m: float) -> None:
         """Each child's draws in turn, in its order: the members i and j of
@@ -220,6 +214,8 @@ class Variation:
         """`child_by_child` by numpy's own calls, child after child, for a
         generation in which Lemire's method redraws a half."""
         rng, n, dim = self.rng, self.n, self.dim
+        self.bouts, self.position = np.zeros((n, 4), dtype=np.intp), np.zeros(n, dtype=np.intp)
+        self.weight_draws, self.blend, self.normals = np.zeros((n, dim)), np.zeros(n), np.zeros((n, dim))
         for k in range(n):
             self.bouts[k] = rng.integers(0, n, size=4)
             if rng.random() < p_r:

@@ -252,6 +252,20 @@ def test_sweep_rejects_bad_function_dim_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("algos = sea, sea", "algos: 'sea' is listed more than once"),
+    ("functions = ellipsoid, rastrigin, ellipsoid", "functions: 'ellipsoid' is listed more than once"),
+    ("dims = 4, 04", "dims: 4 is listed more than once"),
+])
+def test_sweep_refuses_a_value_listed_twice_before_any_output(line, message, tmp_path, capsys):
+    # a repeated value would run its cells twice, with two workers writing the same files
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"algos = sea\nfunctions = ellipsoid\ndims = 4\noutput_dir = {tmp_path / 'r'}\n{line}\n")
+    assert main(["sweep", "--config", str(cfg), "--workers", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:5: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--dim", "0", "dim must be positive, got 0"),
     ("--dim", "-3", "dim must be positive, got -3"),

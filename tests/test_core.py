@@ -203,14 +203,15 @@ def test_rng_stream_draws_equal_numpy(seed, ops):
         assert ours["uinteger"] == theirs["uinteger"]
 
 
-def test_rng_stream_replay_draws_from_a_saved_position():
+def test_rng_stream_resume_draws_again_from_a_saved_position():
     rng = RngStream(4)
     rng.integers(0, 5)
     start = rng.position()
     ahead = rng.random(6)
     rng.random(3)
-    replay = RngStream.replay(start)
-    assert np.array_equal(replay.random(6), ahead)
-    replay.random(3)
-    assert np.array_equal(replay.random(2), rng.random(2))
+    behind = rng.random(2)
+    rng.resume(start)
+    assert np.array_equal(rng.random(6), ahead)
+    rng.random(3)
+    assert np.array_equal(rng.random(2), behind)
 

@@ -346,6 +346,13 @@ def test_sea_rewinds_the_stream_only_where_normals_must_start(dim, p_r, p_m_geno
 PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 step: state * this + inc
 
 
+def _plain(state):
+    """A plain numpy `Generator` whose PCG64 starts at `state`."""
+    bits = np.random.PCG64()
+    bits.state = state
+    return np.random.Generator(bits)
+
+
 def test_sea_normals_keep_the_sign_of_zero_that_numpy_normal_gives():
     # numpy's ziggurat turns the word 0x100 into a standard normal of -0.0, and
     # normal(0.0, 1.0) into +0.0; a gene at -0.0 plus that noise shows which it was
@@ -355,7 +362,7 @@ def test_sea_normals_keep_the_sign_of_zero_that_numpy_normal_gives():
     # the step to state 0x100 outputs 0x100 (high half 0, so no rotation)
     state["state"]["state"] = (0x100 - inc) * pow(PCG64_MULTIPLIER, -1, 2**128) % 2**128
     plain.bit_generator.state = state
-    assert np.signbit(RngStream.replay(state).standard_normal())
+    assert np.signbit(_plain(state).standard_normal())
     # back past child 0's four tournament halves, two coins and one mask uniform
     plain.bit_generator.advance(2**128 - 5)
     rng = RngStream(0)
@@ -391,7 +398,7 @@ def _sea_matches_a_plain_generator(n, dim, state, p_r=0.9, p_m_genome=0.75):
     cfg = SimpleNamespace(N=n, p_r=p_r, p_m_genome=p_m_genome)  # EngineConfig refuses N=1
     X = RngStream(100).uniform(-1.0, 1.0, size=(n, dim))
     pop = Population(X, np.floor(fn.evaluate_batch(X) * 2.0))
-    rng, plain = RngStream(0), RngStream.replay(state)
+    rng, plain = RngStream(0), _plain(state)
     rng.resume(state)
     out = engines._sea_offspring(pop, cfg, fn, rng, sea_variance(3))
     X_ref, f_ref = ref_sea_offspring(pop, plain, cfg, lambda: sea_variance(3), fn)
@@ -499,9 +506,10 @@ def test_crossed_child_past_a_bound_stays_unclamped_unless_a_gene_fired():
     X = np.full((2, 3), 5.12)
     draws = Variation(2, 3, RngStream(0))
     draws.crossed[:] = True
-    draws.weight_draws[:] = 0.9  # every weight 0 but the blended gene's
-    draws.blend[:] = 0.8902743520047923
+    draws.weight_draws = np.full((2, 3), 0.9)  # every weight 0 but the blended gene's
+    draws.position, draws.blend = np.zeros(2, int), np.full(2, 0.8902743520047923)
     draws.mutated[1] = True  # child 1 fires gene 2 with zero noise
+    draws.normals, draws.variance = np.zeros((2, 3)), np.zeros((2, 1))
     draws.gene_draws[1] = [0.9, 0.9, 0.0]
     out, fresh = draws.children(X, np.zeros(2, int), np.ones(2, int), space, p_gene=0.5)
     assert out[0, 0] > 5.12 and out[1, 0] == 5.12
