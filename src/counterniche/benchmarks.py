@@ -169,7 +169,9 @@ def evaluate_rows(fn, x) -> np.ndarray:
 
 def evaluate_children(fn, children: np.ndarray, fresh: np.ndarray, inherited) -> np.ndarray:
     """Fitness of a generation's children: `fresh` rows are evaluated in one
-    `evaluate_rows` call, the others copy a parent and keep `inherited`."""
+    `evaluate_rows` call, the others are bit-identical to a parent and keep
+    its fitness, `inherited`. An objective is taken to be a function of the
+    genome's bits, so a copy needs no call."""
     fitness = np.array(inherited, dtype=float)
     if fresh.any():
         fitness[fresh] = evaluate_rows(fn, children[fresh])

@@ -211,8 +211,9 @@ _BOUNDS = {
 
 def config_field(default=MISSING, **rules) -> Field:
     """A field of a config dataclass. Its metadata holds `rules`: the bounds
-    `ge`, `gt`, `le` and `lt`, or the allowed `choices`, which `check_value`
-    holds a value to, and whatever else the config's tables read."""
+    `ge`, `gt`, `le` and `lt`, or the allowed `choices`, and for a tuple
+    `distinct`, which `check_value` holds a value to, and whatever else the
+    config's tables read."""
     return field(default=default, metadata=rules)
 
 
@@ -228,11 +229,15 @@ def value_range(field: Field) -> str:
 def check_value(field: Field, value) -> None:
     """Check one value against the rules its config field declares: a float
     is finite, a number keeps the field's bounds, and a field with `choices`
-    holds one of them. Each element of a tuple is checked so. None, the
-    unset value of an optional field, passes."""
+    holds one of them. Each element of a tuple is checked so, and a tuple
+    field with `distinct` holds no element twice. None, the unset value of
+    an optional field, passes."""
     if value is None:
         return
     if isinstance(value, tuple):
+        twice = [v for i, v in enumerate(value) if v in value[:i]] if field.metadata.get("distinct") else ()
+        if twice:
+            raise ValueError(f"{field.name}: {twice[0]!r} is listed more than once")
         for element in value:
             check_value(field, element)
         return

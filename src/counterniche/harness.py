@@ -216,12 +216,8 @@ def read_summary_csv(path) -> dict:
 
 
 def _names(value: str, element=str) -> tuple:
-    """A matrix key's comma-separated values, each read by `element`, refusing a repeat (its cells would run twice)."""
-    names = tuple(element(v.strip()) for v in value.split(",") if v.strip())
-    twice = [v for i, v in enumerate(names) if v in names[:i]]
-    if twice:
-        raise ValueError(f"{twice[0]!r} is listed more than once")
-    return names
+    """A matrix key's comma-separated values, each read by `element`."""
+    return tuple(element(v.strip()) for v in value.split(",") if v.strip())
 
 
 _BOOL_VALUES = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
@@ -235,9 +231,10 @@ def _on_off(value: str) -> bool:
 
 @dataclass
 class ExperimentMatrix:
-    algos: tuple[str, ...] = config_field(parse=_names)
-    functions: tuple[str, ...] = config_field(parse=_names)
-    dims: tuple[int, ...] = config_field(parse=lambda value: _names(value, int), ge=1)
+    # a repeated value would run its cells twice, with two workers writing the same files
+    algos: tuple[str, ...] = config_field(parse=_names, distinct=True)
+    functions: tuple[str, ...] = config_field(parse=_names, distinct=True)
+    dims: tuple[int, ...] = config_field(parse=lambda value: _names(value, int), ge=1, distinct=True)
     runs_per_cell: int = config_field(30, parse=int, key="runs", ge=1)
     budget: str = config_field("fixed", parse=str, choices=("fixed", "stagnation"))
     generations: int | None = config_field(None, parse=int, ge=0)  # the last generation of every run; stock when unset
@@ -381,16 +378,17 @@ def matrix_keys() -> dict[str, Field]:
 def load_matrix_config(path) -> ExperimentMatrix:
     """Parse a flat key-value config file ("key = value" lines, # comments).
 
-    Unknown keys are errors, and so are values that do not parse or break
-    their field's rules (`core.check_value`); each names the file, line and
-    key. Keys left out fall back to the stock experiment setup: 30 runs per
-    cell, fixed budgets, seeds 0..runs-1.
+    Unknown keys are errors, and so are a key given twice and values that
+    do not parse or break their field's rules (`core.check_value`); each
+    names the file, line and key. Keys left out fall back to the stock
+    experiment setup: 30 runs per cell, fixed budgets, seeds 0..runs-1.
     """
     path = Path(path)
     text = path.read_text()
     keys, knobs = matrix_keys(), engine_knobs()
     values: dict = {}
     overrides: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -398,6 +396,9 @@ def load_matrix_config(path) -> ExperimentMatrix:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: {key}: given twice (first on line {first_line[key]})")
+        first_line[key] = lineno
         if key in keys:
             target, f, parse = values, keys[key], keys[key].metadata["parse"]
         elif key in knobs:
@@ -407,8 +408,8 @@ def load_matrix_config(path) -> ExperimentMatrix:
         try:
             target[f.name] = parse(value)
             check_value(f, target[f.name])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+        except ValueError as exc:  # the key names the field here
+            raise ValueError(f"{path}:{lineno}: {key}: {str(exc).removeprefix(f'{f.name}: ')}") from None
     missing = [k for k in ("algos", "functions", "dims") if k not in values]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")

@@ -168,8 +168,8 @@ def regular_ops(population: Population, fn, rng: RngStream, cfg: EngineConfig) -
     The draws come as whole arrays, in this order: tournaments (n, 4);
     crossover coins (n,), weight draws (n, dim), positions (n,), blends (n,);
     gene-mask uniforms (n, dim), standard normals (n, dim).
-    The changed children are evaluated in one batch at the end; a child that
-    is an untouched copy of its first parent keeps the parent's fitness."""
+    The changed children are evaluated in one batch at the end; a child
+    bit-identical to its first parent keeps the parent's fitness."""
     space = fn.space
     low, high = space.draw_bounds()  # two floats on a cube, which numpy broadcasts fastest
     std = cfg.sigma_reg * (high - low)

@@ -277,24 +277,32 @@ class Variation:
         """Child k from rows first[k] and second[k] of X: crossed over if its
         coin landed, then mutated with per-gene rate p_gene if it drew a
         mutation, with the per-gene `variance` when given, else its own.
-        Returns the children and the mask of those that differ from their
-        first parent by construction (crossed over, or a gene fired).
+        Returns the children and the `fresh` mask of those to evaluate: the
+        children that differ from their first parent in some bit after
+        crossover, and those where a gene fired. A child outside the mask is
+        a copy of its first parent, bit for bit, and keeps its fitness.
 
         One masked pass over all n rows: `arithmetic_crossover` blends the
-        crossed rows and copies the first parent elsewhere, then
-        `gaussian_mutate` adds noise to the fired genes of mutated rows and
-        clamps the rows where a gene fired. Either is skipped when no child
-        drew it, as in `dgea`'s generations, since it would leave every row
-        as it is."""
-        out, fresh = X[first], self.crossed
-        if fresh.any():
-            out = arithmetic_crossover(out, X[second], self.weight_draws, self.position, self.blend, fresh)
+        crossed rows and copies the first parent elsewhere, and its result is
+        compared with the first parents as int64 words, since crossing two
+        copies of a member mostly returns it; then `gaussian_mutate` adds
+        noise to the fired genes of mutated rows and clamps the rows where a
+        gene fired. Either is skipped when no child drew it, as in `dgea`'s
+        generations, since it would leave every row as it is. The comparison
+        gathers no row, and the first parents are freed before mutation
+        allocates: each (n, dim) array held longer lets glibc trim the heap
+        and fault its pages back in."""
+        out, fresh = X[first], np.zeros(self.n, dtype=bool)
+        if self.crossed.any():
+            child = arithmetic_crossover(out, X[second], self.weight_draws, self.position, self.blend, self.crossed)
+            fresh = (child.view(np.int64) != out.view(np.int64)).any(axis=1)
+            out = child
         if self.mutated.any():
             out, fired = gaussian_mutate(
                 out, self.gene_draws, self.normals,
                 self.variance if variance is None else variance, p_gene, space, self.mutated,
             )
-            fresh = fresh | fired
+            fresh |= fired
         return out, fresh
 
 

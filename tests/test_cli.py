@@ -258,11 +258,28 @@ def test_sweep_rejects_bad_function_dim_before_any_output(tmp_path, capsys):
     ("dims = 4, 04", "dims: 4 is listed more than once"),
 ])
 def test_sweep_refuses_a_value_listed_twice_before_any_output(line, message, tmp_path, capsys):
-    # a repeated value would run its cells twice, with two workers writing the same files
+    # a repeated value would run its cells twice, with two workers writing the same files;
+    # each key is given once, the repeating one on line 5
+    stock = {"algos": "sea", "functions": "ellipsoid", "dims": "4", "runs": "1"}
+    lines = [f"{key} = {value}" for key, value in stock.items() if not line.startswith(key)]
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(f"algos = sea\nfunctions = ellipsoid\ndims = 4\noutput_dir = {tmp_path / 'r'}\n{line}\n")
+    cfg.write_text("\n".join([*lines, f"output_dir = {tmp_path / 'r'}", line]) + "\n")
     assert main(["sweep", "--config", str(cfg), "--workers", "2"]) == 2
     assert capsys.readouterr().err == f"error: {cfg}:5: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("algos = cnea", "algos: given twice (first on line 1)"),
+    ("pop_size = 20", "pop_size: given twice (first on line 3)"),
+])
+def test_sweep_refuses_a_key_given_twice_before_any_output(line, message, tmp_path, capsys):
+    # the later line would silently win over the first
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"algos = sea\nfunctions = ellipsoid\npop_size = 10\noutput_dir = {tmp_path / 'r'}\n"
+                   f"dims = 4\n# a comment, not a key\n{line}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:7: {message}\n"
     assert not (tmp_path / "r").exists()
 
 

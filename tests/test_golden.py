@@ -58,14 +58,14 @@ DIGESTS = {
 
 EVALUATIONS = {
     "cea-rosenbrock-8d": 1091,
-    "cnea-rastrigin-10d": 1950,
-    "cnea-rastrigin-20d-projected": 18533,
-    "cnea-rot_rastrigin-6d": 3017,
-    "cnea-schwefel12-10d-replacement": 16792,
-    "dgea-ellipsoid-8d": 1120,
-    "dgea-rastrigin-8d-switching": 1265,
-    "sea-ackley-8d": 1204,
-    "socea-griewank-8d": 1211,
+    "cnea-rastrigin-10d": 1827,
+    "cnea-rastrigin-20d-projected": 18113,
+    "cnea-rot_rastrigin-6d": 2777,
+    "cnea-schwefel12-10d-replacement": 15831,
+    "dgea-ellipsoid-8d": 993,
+    "dgea-rastrigin-8d-switching": 1260,
+    "sea-ackley-8d": 1199,
+    "socea-griewank-8d": 1207,
 }
 
 # name -> SHA-256 of the JSONL `counterniche run --regions-dump` writes for it

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -437,6 +438,19 @@ def test_experiment_matrix_validation():
         ExperimentMatrix(algos=("sea",), functions=("ackley",), dims=(2,), workers=0)
 
 
+@pytest.mark.parametrize("field,values", [
+    ("algos", {"algos": ("sea", "sea")}),
+    ("functions", {"functions": ("ackley", "rastrigin", "ackley")}),
+    ("dims", {"dims": (2, 3, 2)}),
+])
+def test_experiment_matrix_refuses_a_repeated_value(field, values):
+    # the same check as a sweep file's: the repeated cells would write the same files
+    matrix = {"algos": ("sea",), "functions": ("ackley",), "dims": (2,), **values}
+    repeated = values[field][0]
+    with pytest.raises(ValueError, match=re.escape(f"{field}: {repeated!r} is listed more than once")):
+        ExperimentMatrix(**matrix)
+
+
 def test_load_matrix_config(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -478,4 +492,7 @@ def test_load_matrix_config_errors(tmp_path):
         load_matrix_config(cfg)
     cfg.write_text("algos = sea\nfunctions = ackley\ndims = 2\ntiming = maybe\n")
     with pytest.raises(ValueError, match="timing"):
+        load_matrix_config(cfg)
+    cfg.write_text("algos = sea\nfunctions = ackley\ndims = 2\nalgos = cnea\n")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg}:4: algos: given twice (first on line 1)")):
         load_matrix_config(cfg)

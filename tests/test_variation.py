@@ -20,7 +20,10 @@ seeds the final errors of whole runs must not tell the two apart.
 `Variation.children` is one masked pass over all rows; `ref_rows` builds
 each child alone from the same stored draws, and the edge cases (no child
 crosses, no child mutates, no gene fires, one-gene genomes, a crossed child
-one ulp past a bound) must match it bit for bit.
+one ulp past a bound) must match it bit for bit. Every reference evaluates a
+child only where a gene fired or where it differs from its first parent in
+some bit: a crossed child that comes out a copy keeps the parent's fitness
+without an objective call.
 """
 
 from types import SimpleNamespace
@@ -29,6 +32,7 @@ import numpy as np
 import pytest
 
 from counterniche import EngineConfig, Population, RngStream, SearchSpace, default_config, engines, make
+from counterniche.benchmarks import evaluate_children
 from counterniche.informed import regular_ops
 from counterniche.operators import Variation, pow_sample, sea_variance
 
@@ -69,6 +73,16 @@ def ref_mutate(genome, variance, p_gene, space, rng):
     return np.minimum(np.maximum(out, space.lower), space.upper), True
 
 
+def changed(child, parent):
+    """Whether a crossed child differs from its first parent in any bit; one
+    that does not is a copy and keeps the parent's fitness."""
+    return child.tobytes() != parent.tobytes()
+
+
+def changed_rows(children, parents):
+    return np.array([changed(child, parent) for child, parent in zip(children, parents)], dtype=bool)
+
+
 def ref_children(fn, children, fresh, inherited):
     return np.where(fresh, fn.evaluate_batch(children), inherited)
 
@@ -99,7 +113,7 @@ def ref_sea_offspring(pop, rng, cfg, variance, fn):
         fired = False
         if rng.random() < cfg.p_m_genome:
             genome, fired = ref_mutate(genome, variance(), 1.0, fn.space, rng)
-        children[k], fresh[k], parent[k] = genome, crossed or fired, i
+        children[k], fresh[k], parent[k] = genome, fired or crossed and changed(genome, X[i]), i
     return children, ref_children(fn, children, fresh, f[parent])
 
 
@@ -186,7 +200,7 @@ def ref_whole_array_children(pop, d, first, second):
             w = (d["weights"][k] < 0.5).astype(float)
             w[d["position"][k]] = d["blend"][k]
             children[k] = w * X[first[k]] + (1.0 - w) * X[second[k]]
-            fresh[k] = True
+            fresh[k] = changed(children[k], X[first[k]])
         if "genes" in d and d["genes"][k].any():
             fire, genome = d["genes"][k], children[k].copy()
             genome[fire] += (d["normals"][k] * np.sqrt(d["variance"][k]))[fire]
@@ -443,7 +457,7 @@ def ref_rows(draws, X, first, second, space, p_gene=1.0, variance=None):
             w = (draws.weight_draws[k] < 0.5).astype(float)
             w[draws.position[k]] = draws.blend[k]
             out[k] = w * X[first[k]] + (1.0 - w) * X[second[k]]
-            fresh[k] = True
+            fresh[k] = changed(out[k], X[first[k]])
         fire = draws.gene_draws[k] < p_gene
         if draws.mutated[k] and fire.any():
             genome = out[k].copy()
@@ -482,7 +496,7 @@ def test_masked_children_match_rows_whole_genome(dim, p_r, p_m_genome):
             assert not draws.crossed.any()  # no child crosses over
         if p_m_genome == 0.0:
             assert not draws.mutated.any()  # no child mutates
-            assert np.array_equal(fresh, draws.crossed)
+            assert np.array_equal(fresh, draws.crossed & changed_rows(out, X[first]))
         if p_r == 0.0 and p_m_genome == 0.0:
             assert np.array_equal(out, X[first]) and not fresh.any()
 
@@ -496,8 +510,8 @@ def test_masked_children_match_rows_per_gene(dim, p_m):
         out, fresh = draws.children(X, first, second, space, p_m, variance)
         want, want_fresh = ref_rows(draws, X, first, second, space, p_m, variance)
         assert np.array_equal(out, want) and np.array_equal(fresh, want_fresh)
-        if p_m == 0.0:  # no gene fires: only the crossed children changed
-            assert np.array_equal(fresh, draws.crossed)
+        if p_m == 0.0:  # no gene fires: only the crossed children that are not copies changed
+            assert np.array_equal(fresh, draws.crossed & changed_rows(out, X[first]))
 
 
 def test_crossed_child_past_a_bound_stays_unclamped_unless_a_gene_fired():
@@ -516,6 +530,44 @@ def test_crossed_child_past_a_bound_stays_unclamped_unless_a_gene_fired():
     assert fresh.all()
     want, _ = ref_rows(draws, X, np.zeros(2, int), np.ones(2, int), space, 0.5)
     assert np.array_equal(out, want)
+
+
+class CountingSphere(Sphere):
+    def __init__(self):
+        self.seen = []
+
+    def evaluate_batch(self, X):
+        self.seen.append(X.copy())
+        return super().evaluate_batch(X)
+
+
+def test_crossed_copy_of_its_first_parent_keeps_its_fitness_without_a_call():
+    # child 0 crosses two all-zero rows, which returns the zeros bit for bit; child 1
+    # takes every gene from its second parent, one ulp above zero in gene 0
+    space = SearchSpace.cube(3, -1.0, 1.0)
+    X = np.zeros((3, 3))
+    X[2, 0] = np.nextafter(0.0, 1.0)
+    draws = Variation(2, 3, RngStream(0))
+    draws.crossed[:] = True
+    draws.weight_draws = np.full((2, 3), 0.9)  # every weight 0 but the blended gene's
+    draws.position, draws.blend = np.ones(2, int), np.full(2, 0.375)
+    first, second = np.zeros(2, int), np.array([1, 2])
+    out, fresh = draws.children(X, first, second, space)
+    assert out[0].tobytes() == X[0].tobytes() and out[1].tobytes() == X[2].tobytes()
+    assert fresh.tolist() == [False, True]
+    fn, inherited = CountingSphere(), np.array([7.0, 8.0])  # not f(X): which value is kept shows
+    fitness = evaluate_children(fn, out, fresh, inherited)
+    assert fitness.tolist() == [7.0, 0.0]
+    assert len(fn.seen) == 1 and fn.seen[0].tobytes() == X[2:].tobytes()
+
+
+def test_regular_ops_on_copies_of_one_member_call_no_objective():
+    # every child crosses two copies of one all-zero member and no gene fires
+    pop = Population(np.zeros((24, DIM)), np.full(24, 3.0))
+    fn = CountingSphere()
+    out = regular_ops(pop, fn, RngStream(0), _config("cnea", 1.0, 0.0))
+    assert not fn.seen
+    assert np.array_equal(out.X, pop.X) and out.f.tolist() == pop.f.tolist()
 
 
 # the old child-by-child loops, as the engines call their offspring functions
