@@ -147,9 +147,6 @@ class BenchmarkFn:
             raise ValueError(f"{self.name} expects shape (n, {self.dim}), got {rows.shape}")
         return self._score_rows(rows)
 
-    def __call__(self, x) -> float:
-        return self.evaluate(x)
-
 
 def evaluate_rows(fn, x) -> np.ndarray:
     """Fitness of every row of `x`: one `fn.evaluate_batch` call if the

@@ -9,6 +9,7 @@ runtime failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -19,6 +20,9 @@ from . import benchmarks, harness, stats
 from .engines import ALGORITHMS, algorithm_registry, default_config, engine_knobs, run
 
 OUTPUT_DIR_ENV = "COUNTERNICHE_OUT"
+
+# a --regions-dump line's JSON keys, after `generation`, and the `Regions` column each holds
+_DUMP_COLUMNS = {"cell_key": "key", "density": "density", "fitness_mean": "mean", "fitness_std": "std"}
 
 
 def _cell_ref(text: str) -> tuple[str, str, int]:
@@ -136,32 +140,14 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         return _usage_error(exc)
 
-    on_regions = None
-    dump_handle = None
-    if args.regions_dump:
-        dump_handle = open(args.regions_dump, "w")
+    with open(args.regions_dump, "w") if args.regions_dump else contextlib.nullcontext() as dump:
 
-        def on_regions(generation, regions, _fh=dump_handle):
-            rows = zip(*(a.tolist() for a in (regions.key, regions.density, regions.mean, regions.std)))
-            for key, density, mean, std in rows:
-                _fh.write(
-                    json.dumps(
-                        {
-                            "generation": generation,
-                            "cell_key": key,
-                            "density": density,
-                            "fitness_mean": mean,
-                            "fitness_std": std,
-                        }
-                    )
-                    + "\n"
-                )
+        def on_regions(generation, regions):
+            columns = (getattr(regions, name).tolist() for name in _DUMP_COLUMNS.values())
+            for row in zip(*columns):
+                dump.write(json.dumps({"generation": generation, **dict(zip(_DUMP_COLUMNS, row))}) + "\n")
 
-    try:
-        trace = run(cfg, fn, on_regions=on_regions)
-    finally:
-        if dump_handle is not None:
-            dump_handle.close()
+        trace = run(cfg, fn, on_regions=on_regions if dump else None)
 
     out = args.out
     if out is None:

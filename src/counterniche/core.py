@@ -148,8 +148,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._bits = bits = np.random.PCG64(self.seed)
+        self._bits = bits = np.random.PCG64(int(seed))
         gen = np.random.Generator(bits)
         self.random, self.uniform = gen.random, gen.uniform
         self.normal, self.standard_normal = gen.normal, gen.standard_normal

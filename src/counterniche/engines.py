@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import Field, dataclass, fields, replace
+from dataclasses import Field, dataclass, fields
 from typing import Callable, Iterator
 
 import numpy as np
@@ -26,7 +26,7 @@ from .core import Individual, Population, RngStream, SearchSpace, check_fields, 
 from .diversity import distance_to_average
 from .informed import detect_victims, informed_mutation, regular_ops
 from .niching import build_grid, check_key_length, choose_key_dims, high_density_regions
-from .operators import Variation, pow_sample, sea_variance
+from .operators import Variation, binary_tournament, pow_sample, sea_variance
 
 __all__ = [
     "ALGORITHMS",
@@ -61,35 +61,30 @@ def default_generations(algo: str, dim: int) -> int:
 BASELINES = ALGORITHMS[1:]
 
 
-def _knob(default, applies: tuple[str, ...], key: str | None = None, **rules):
-    """An engine knob: `applies` names the engines that read it, `key` is its
-    sweep key and `run` flag when that differs from the field name, and
-    `rules` are its bounds or choices (`core.config_field`)."""
-    return config_field(default, applies=applies, key=key, **rules)
-
-
 @dataclass
 class EngineConfig:
     algo: str
-    N: int = _knob(300, ALGORITHMS, key="pop_size", ge=2)
+    N: int = config_field(300, applies=ALGORITHMS, key="pop_size", ge=2)
     generations: int = config_field(500, ge=0)
     seed: int = config_field(0, ge=0)
-    elitism_count: int = _knob(1, ("cnea", "sea", "socea", "dgea"), key="elitism", ge=0)
-    p_r: float = _knob(0.9, ALGORITHMS, ge=0, le=1)
-    p_m: float = _knob(0.01, ("cnea",), ge=0, le=1)          # per-gene rate (counter-niching regular ops)
-    p_m_genome: float = _knob(0.75, BASELINES, ge=0, le=1)   # whole-genome rate (baselines)
-    sigma_reg: float = _knob(0.1, ("cnea",), ge=0)
-    grid_bins: int = _knob(4, ("cnea",), ge=2)
-    tau_dense: float = _knob(0.05, ("cnea",), gt=0, le=1)
-    eps_fit: float = _knob(0.01, ("cnea",), ge=0)
-    rho_replace: float = _knob(0.5, ("cnea",), gt=0, lt=1)
-    sample_budget: int = _knob(20, ("cnea",), ge=1)
-    key_dim_limit: int = _knob(10, ("cnea",), ge=1)
-    sea_variance_mode: str = _knob("printed", ("sea",), key="sea_variance", choices=("printed", "annealed"))
-    pow_exponent: float = _knob(2.0, ("socea", "cea", "dgea"))
-    pow_upper: float = _knob(1000.0, ("socea", "cea", "dgea"), gt=1)
-    d_low: float = _knob(5e-6, ("dgea",))
-    d_high: float = _knob(0.25, ("dgea",))
+    elitism_count: int = config_field(1, applies=("cnea", "sea", "socea", "dgea"), key="elitism", ge=0)
+    p_r: float = config_field(0.9, applies=ALGORITHMS, ge=0, le=1)
+    p_m: float = config_field(0.01, applies=("cnea",), ge=0, le=1)  # per-gene rate (counter-niching regular ops)
+    p_m_genome: float = config_field(0.75, applies=BASELINES, ge=0, le=1)  # whole-genome rate (baselines)
+    sigma_reg: float = config_field(0.1, applies=("cnea",), ge=0)
+    grid_bins: int = config_field(4, applies=("cnea",), ge=2)
+    tau_dense: float = config_field(0.05, applies=("cnea",), gt=0, le=1)
+    eps_fit: float = config_field(0.01, applies=("cnea",), ge=0)
+    rho_replace: float = config_field(0.5, applies=("cnea",), gt=0, lt=1)
+    sample_budget: int = config_field(20, applies=("cnea",), ge=1)
+    key_dim_limit: int = config_field(10, applies=("cnea",), ge=1)
+    sea_variance_mode: str = config_field(
+        "printed", applies=("sea",), key="sea_variance", choices=("printed", "annealed")
+    )
+    pow_exponent: float = config_field(2.0, applies=("socea", "cea", "dgea"))
+    pow_upper: float = config_field(1000.0, applies=("socea", "cea", "dgea"), gt=1)
+    d_low: float = config_field(5e-6, applies=("dgea",))
+    d_high: float = config_field(0.25, applies=("dgea",))
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
@@ -104,9 +99,10 @@ class EngineConfig:
 
 def engine_knobs() -> dict[str, Field]:
     """Every engine knob of `EngineConfig` by its sweep key, which is also its
-    `counterniche run` flag with `-` for `_`. Values parse with the type of
-    the field's default."""
-    return {f.metadata["key"] or f.name: f for f in fields(EngineConfig) if "applies" in f.metadata}
+    `counterniche run` flag with `-` for `_`. A knob is a field whose
+    `applies` names the engines that read it; its key is its `key`, where
+    given, else its name. Values parse with the type of its default."""
+    return {f.metadata.get("key", f.name): f for f in fields(EngineConfig) if "applies" in f.metadata}
 
 
 def default_config(
@@ -122,9 +118,8 @@ def default_config(
         if dim is None:
             raise ValueError("need either dim or generations to size the budget")
         generations = default_generations(algo, dim)
-    n = 300 if algo == "cnea" else 400
-    cfg = EngineConfig(algo=algo, N=n, generations=generations, seed=seed)
-    cfg = replace(cfg, **overrides) if overrides else cfg
+    stock = 300 if algo == "cnea" else 400
+    cfg = EngineConfig(algo=algo, generations=generations, seed=seed, **{"N": stock, **overrides})
     if dim is not None:
         check_dim(cfg, dim)
     return cfg
@@ -211,7 +206,7 @@ def _elitist_union_survivors(parents: Population, offspring: Population, count: 
     # of n parents, pool has 2n - count members; n - count pairings use 2(n - count) of them
     pairing = rng.permutation(len(pool))[: 2 * (parents.size - count)]
     a, b = pool[pairing[0::2]], pool[pairing[1::2]]
-    keep = np.concatenate([order[:count], np.where(f[b] < f[a], b, a)])
+    keep = np.concatenate([order[:count], binary_tournament(f, a, b)])
     return Population(X[keep], f[keep])
 
 

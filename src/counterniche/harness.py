@@ -31,7 +31,6 @@ from .stats import RunSummary, error_value, summarize
 
 __all__ = [
     "TRACE_FIELDS",
-    "SUMMARY_FIELDS",
     "DiversityProfile",
     "ExperimentMatrix",
     "CellResult",
@@ -63,15 +62,6 @@ _TRACE_REQUIRED = {f.name for f in fields(GenRecord) if f.default is MISSING}
 
 # the RunSummary statistics of a summary row, in column order
 _SUMMARY_STATS = ("best", "p23", "median", "p73", "worst", "mean", "std")
-SUMMARY_FIELDS = (
-    "algo", "function", "dim", "runs", *_SUMMARY_STATS, "mean_wall_ms", "stagnation_gen_mean",
-    "stalled_runs",
-)
-
-
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trip any double exactly
-    return f"{float(x):.17g}"
 
 
 @dataclass
@@ -128,17 +118,11 @@ def diversity_profile(trace: RunTrace, burn_in: int) -> DiversityProfile:
 
 
 def write_trace_csv(trace: RunTrace, path, include_timing: bool = False) -> None:
-    """One row per record, one column per `GenRecord` field: floats with
-    `_fmt`, and `wall_ms` as 0 unless `include_timing`."""
-    columns = [(name, _fmt if _TRACE_TYPES[name] is float else str) for name in TRACE_FIELDS]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRACE_FIELDS)
-        for r in trace.records:
-            r = r if include_timing else replace(r, wall_ms=0.0)
-            w.writerow([fmt(getattr(r, name)) for name, fmt in columns])
+    """A trace through `write_rows_csv`: one row per record, its
+    `GenRecord` fields in order as the columns, and `wall_ms` as 0 unless
+    `include_timing`."""
+    untimed = {} if include_timing else {"wall_ms": 0.0}
+    write_rows_csv(path, [{**vars(r), **untimed} for r in trace.records])
 
 
 def read_trace_csv(path) -> RunTrace:
@@ -157,23 +141,23 @@ def read_trace_csv(path) -> RunTrace:
 
 
 def summary_row(algo: str, function: str, dim: int, summary: RunSummary) -> dict:
-    """The SUMMARY_FIELDS values that a cell's run errors give, by name:
-    every column but `mean_wall_ms`, `stagnation_gen_mean` and
-    `stalled_runs`."""
+    """The summary-row values that a cell's run errors give, by name: every
+    column but `mean_wall_ms`, `stagnation_gen_mean` and `stalled_runs`."""
     stats = {name: getattr(summary, name) for name in _SUMMARY_STATS}
     return {"algo": algo, "function": function, "dim": dim, "runs": summary.n, **stats}
 
 
 def write_rows_csv(path, rows: Sequence[dict]) -> None:
     """A table of rows with the same keys: those keys as the header, one
-    line per row, floats with `_fmt`."""
+    line per row, floats with 17 significant digits, which round-trip any
+    double exactly."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(rows[0])
         for row in rows:
-            w.writerow(_fmt(v) if isinstance(v, float) else v for v in row.values())
+            w.writerow(f"{v:.17g}" if isinstance(v, float) else v for v in row.values())
 
 
 def write_summary_csv(
@@ -250,7 +234,12 @@ class ExperimentMatrix:
         check_fields(self)
         if not self.algos or not self.functions or not self.dims:
             raise ValueError("matrix needs at least one algo, function, and dim")
-        # a bad engine key, or a cnea key too long for a dim's cell codes, fails here, not in every cell
+        # overrides are knobs only: the matrix sets `algo`, `generations` and each run's `seed` itself
+        knobs = {f.name for f in engine_knobs().values()}
+        for key in self.engine_overrides:
+            if key not in knobs:
+                raise ValueError(f"engine_overrides: {key!r} is not an engine knob")
+        # a bad knob value, or a cnea key too long for a dim's cell codes, fails here, not in every cell
         for algo, dim in product(self.algos, self.dims):
             self.engine_config(algo, dim)
         for function in self.functions:  # so does a function that cannot take a dim

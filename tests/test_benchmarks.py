@@ -266,12 +266,6 @@ def test_make_rejects_unknown():
         make("ackley", 0)
 
 
-def test_callable_alias():
-    fn = make("ellipsoid", 2)
-    x = [0.5, 0.5]
-    assert fn(x) == fn.evaluate(x)
-
-
 def test_registry_covers_all_functions():
     entries = registry()
     assert [e["name"] for e in entries] == list(FUNCTION_NAMES)

@@ -18,7 +18,6 @@ from counterniche import (
 from counterniche import cli, harness
 from counterniche.engines import GenRecord, RunTrace, default_config
 from counterniche.harness import (
-    SUMMARY_FIELDS,
     TRACE_FIELDS,
     cell_dir,
     collect_final_errors,
@@ -222,6 +221,19 @@ def test_trace_csv_timing_flag(tmp_path):
     assert any(r.wall_ms > 0.0 for r in read_trace_csv(timed).records)
 
 
+@pytest.mark.parametrize("algo,function,dim,knobs,shown", [
+    ("cnea", "schwefel12", 10, {}, lambda records: sum(r.victims for r in records) > 0),
+    ("dgea", "rastrigin", 4, {"d_low": 0.05}, lambda records: {r.mode for r in records} == {"exploit", "explore"}),
+], ids=["cnea-victims", "dgea-mode"])
+def test_timed_trace_csv_reads_back_every_record(tmp_path, algo, function, dim, knobs, shown):
+    # every field round-trips, wall_ms included: floats are written with 17 significant digits
+    trace = run(default_config(algo, dim=dim, seed=0, N=30, generations=30, **knobs), make(function, dim))
+    assert shown(trace.records)
+    path = tmp_path / "timed.csv"
+    write_trace_csv(trace, path, include_timing=True)
+    assert read_trace_csv(path).records == trace.records
+
+
 def _trace_file(path, header):
     """A two-generation trace with the given columns, each value its field's."""
     values = {"generation": "{g}", "best_fitness": "4", "mean_fitness": "5.5", "diversity": "0.25",
@@ -264,7 +276,10 @@ def test_summary_csv_roundtrip(tmp_path):
     summary = summarize([0.5, 0.1, 0.9])
     write_summary_csv(path, "sea", "ackley", 5, summary, 12.5, [100, 200])
     row = read_summary_csv(path)
-    assert tuple(row.keys()) == SUMMARY_FIELDS
+    assert tuple(row.keys()) == (
+        "algo", "function", "dim", "runs", "best", "p23", "median", "p73", "worst", "mean", "std",
+        "mean_wall_ms", "stagnation_gen_mean", "stalled_runs",
+    )
     assert row["algo"] == "sea"
     assert int(row["dim"]) == 5
     assert float(row["best"]) == 0.1
@@ -436,6 +451,16 @@ def test_experiment_matrix_validation():
         ExperimentMatrix(algos=("sea",), functions=("ackley",), dims=(2,), budget="forever")
     with pytest.raises(ValueError):
         ExperimentMatrix(algos=("sea",), functions=("ackley",), dims=(2,), workers=0)
+
+
+@pytest.mark.parametrize("key", ["seed", "generations", "algo", "pop_size"])
+def test_experiment_matrix_refuses_an_override_that_is_no_engine_knob(key):
+    # `seed` would be dropped for seed_base + r, `generations` and `algo` clash with the matrix's,
+    # and `pop_size` is the sweep key of the knob field `N`
+    matrix = {"algos": ("sea",), "functions": ("ackley",), "dims": (2,)}
+    with pytest.raises(ValueError, match=re.escape(f"engine_overrides: {key!r} is not an engine knob")):
+        ExperimentMatrix(**matrix, engine_overrides={key: 7})
+    assert ExperimentMatrix(**matrix, engine_overrides={"N": 10}).engine_config("sea", 2).N == 10
 
 
 @pytest.mark.parametrize("field,values", [

@@ -22,35 +22,33 @@ def _pop(fitness):
 def _cross(a, b, rng):
     """The child of rows a and b from one child's crossover draws."""
     draws = Variation(1, len(a), rng)
-    draws.child_by_child(1.0, 0.0)
+    draws.all_crossovers(1.0)
     return arithmetic_crossover([a], [b], draws.weight_draws, draws.position, draws.blend)[0]
 
 
 def _mutate(genome, variance, p_gene, space, rng):
     """One genome through one child's mutation draws: (child, fired)."""
     draws = Variation(1, space.dim, rng)
-    draws.child_by_child(0.0, 1.0)  # the mask is skipped: gene_draws stay 0, below any p_gene above 0
+    draws.all_mutations(1.0, lambda n: np.ones(n))  # no mask is drawn: gene_draws stay 0, below any p_gene above 0
     out, fired = gaussian_mutate([genome], draws.gene_draws, draws.normals, variance, p_gene, space)
     return out[0], bool(fired[0])
 
 
 def test_binary_tournament_picks_the_fitter():
     pop = _pop([5.0, 1.0, 3.0, 3.0])
-    # shadow stream reveals which pairs the tournaments drew
+    # shadow stream reveals which pairs the tournaments drew: each child's (i, j) of two bouts, (n, 4)
     shadow = RngStream(0)
     rng = RngStream(0)
     for _ in range(50):
         draws = Variation(pop.size, 1, rng)
-        draws.child_by_child(0.0, 0.0)
-        for winners in zip(*draws.parents(pop.f)):
-            for w in winners:
-                i = int(shadow.integers(0, pop.size))
-                j = int(shadow.integers(0, pop.size))
+        draws.all_tournaments()
+        bouts = shadow.integers(0, pop.size, size=(pop.size, 4))
+        for winners, members in zip(zip(*draws.parents(pop.f)), bouts):
+            for w, (i, j) in zip(winners, members.reshape(2, 2)):
                 if pop.f[j] < pop.f[i]:
                     assert w == j
                 else:
                     assert w == i  # ties go to the first draw
-            shadow.random(2)  # the child's crossover and mutation coins
     assert binary_tournament(pop.f, np.array([2, 0]), np.array([3, 1])).tolist() == [2, 1]
 
 
