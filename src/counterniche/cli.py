@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import benchmarks, harness, stats
-from .engines import ALGORITHMS, algorithm_registry, default_config, engine_knobs, run
+from .engines import ALGORITHMS, algorithm_registry, check_max_evaluations, default_config, engine_knobs, run
 
 OUTPUT_DIR_ENV = "COUNTERNICHE_OUT"
 
@@ -54,6 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--generations", type=int, default=None,
                        help="budget; defaults to the stock schedule for the algo and dim")
     p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--max-evaluations", type=int, default=None,
+                       help="stop at the first generation whose evaluation count reaches this; "
+                       "--generations still caps the run")
     p_run.add_argument("--out", default=None, help="trace CSV path")
     p_run.add_argument("--timing", action="store_true",
                        help="write measured per-generation wall_ms instead of 0")
@@ -135,6 +138,7 @@ def _cmd_run(args) -> int:
         cfg = default_config(
             args.algo, dim=args.dim, generations=args.generations, seed=args.seed, **overrides
         )
+        check_max_evaluations(args.max_evaluations)
         if args.regions_dump and args.algo != "cnea":
             raise ValueError(f"--regions-dump needs --algo cnea, which alone has dense regions, not {args.algo}")
     except ValueError as exc:
@@ -147,7 +151,7 @@ def _cmd_run(args) -> int:
             for row in zip(*columns):
                 dump.write(json.dumps({"generation": generation, **dict(zip(_DUMP_COLUMNS, row))}) + "\n")
 
-        trace = run(cfg, fn, on_regions=on_regions if dump else None)
+        trace = run(cfg, fn, on_regions=on_regions if dump else None, max_evaluations=args.max_evaluations)
 
     out = args.out
     if out is None:

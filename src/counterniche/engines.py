@@ -4,7 +4,8 @@ Every engine is a generation function, which makes the next population from
 the current one. `engine_steps` is the one loop around it: it initializes
 the population and yields one trace record per generation (including
 generation 0, the initialized population), and `run` consumes that stream
-for a fixed budget or until a `StagnationRule` fires. All engines minimize,
+to its last generation, or to an early stop: a `StagnationRule`, or an
+evaluation budget. All engines minimize,
 all use one RngStream per run, and all keep the population size constant.
 Each generation evaluates its new children in one batch once it has drawn
 them all; no draw depends on a child's fitness, so the random stream is the
@@ -34,6 +35,7 @@ __all__ = [
     "GenRecord",
     "RunTrace",
     "StagnationRule",
+    "check_max_evaluations",
     "default_config",
     "check_dim",
     "default_generations",
@@ -143,6 +145,7 @@ class GenRecord:
     victims: int = 0
     replacements: int = 0
     fallbacks: int = 0
+    evaluations: int = 0  # objective evaluations of the run up to this generation, its own included
     wall_ms: float = 0.0
 
 
@@ -150,7 +153,8 @@ class GenRecord:
 class RunTrace:
     records: list[GenRecord]
     best: Individual | None
-    stopped_by: str | None = "budget"  # or "stagnation", at generation `generations`; None: read from CSV
+    # "budget" at generation `generations`, or an early stop, "stagnation" or "evaluations"; None: read from CSV
+    stopped_by: str | None = "budget"
 
     @property
     def generations(self) -> int:
@@ -212,11 +216,11 @@ def _elitist_union_survivors(parents: Population, offspring: Population, count: 
 
 def _breed(pop: Population, draws: Variation, first, second, fn, variance=None) -> Population:
     """The children `draws` makes from rows first[k] and second[k] of the
-    population, with their fitness: the changed ones are evaluated, the
-    others keep their first parent's. `variance`, when given, is every
-    mutated child's."""
-    children, fresh = draws.children(pop.X, first, second, fn.space, variance=variance)
-    return Population(children, evaluate_children(fn, children, fresh, pop.f[first]))
+    population, with their fitness: a copy of either parent keeps that
+    parent's, and the fresh ones are evaluated. `variance`, when given, is
+    every mutated child's."""
+    children, source = draws.children(pop.X, first, second, fn.space, variance=variance)
+    return Population(children, evaluate_children(fn, children, source, pop.f))
 
 
 def _pow_variances(alpha: float, cfg: EngineConfig, rng: RngStream) -> Callable[[int], np.ndarray]:
@@ -387,24 +391,41 @@ _ENGINES = {
 }
 
 
+class _Counted:
+    """A run's objective as its engine sees it: it counts the rows it
+    scores, the same whether the objective has `evaluate_batch` or only
+    `evaluate`. `evaluate_rows` checks what it returns."""
+
+    def __init__(self, fn):
+        self.space, self.evaluations = fn.space, 0
+        self._score = getattr(fn, "evaluate_batch", None) or (lambda x: evaluate_rows(fn, x))
+
+    def evaluate_batch(self, x):
+        self.evaluations += len(x)
+        return self._score(x)
+
+
 def engine_steps(
     cfg: EngineConfig, fn, rng: RngStream, on_regions: Callable | None = None
 ) -> Iterator[tuple[GenRecord, Individual]]:
     """The one generation loop, for any engine: yields (record, best so far)
     for generation 0, the initialized population, and then for every
-    generation the engine's generation function makes. `on_regions(t,
-    regions)` sees the dense regions of each cnea generation."""
+    generation the engine's generation function makes. Each record holds
+    the evaluations of `fn` so far, counted here, where the engine's every
+    call goes. `on_regions(t, regions)` sees the dense regions of each cnea
+    generation."""
     factory, first = _ENGINES[cfg.algo]
-    generation = factory(cfg, fn, rng, on_regions)
-    pop = _init_population(cfg, fn, rng)
+    objective = _Counted(fn)
+    generation = factory(cfg, objective, rng, on_regions)
+    pop = _init_population(cfg, objective, rng)
     best = pop.best()
-    rec = _record(pop, best, fn.space, 0, **first)
+    rec = _record(pop, best, fn.space, 0, evaluations=objective.evaluations, **first)
     yield rec, best
     for t in itertools.count(1):
         pop, extras = generation(pop, t, rec)
         if pop.f.min() < best.fitness:
             best = pop.best()
-        rec = _record(pop, best, fn.space, t, **extras)
+        rec = _record(pop, best, fn.space, t, evaluations=objective.evaluations, **extras)
         yield rec, best
 
 
@@ -437,20 +458,31 @@ class StagnationRule:
         return stalled
 
 
+def check_max_evaluations(max_evaluations: int | None) -> None:
+    """Refuse an evaluation budget below 1; None sets no budget."""
+    if max_evaluations is not None and max_evaluations < 1:
+        raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")
+
+
 def run(
     cfg: EngineConfig,
     fn,
     on_regions: Callable | None = None,
     stop: StagnationRule | None = None,
+    max_evaluations: int | None = None,
 ) -> RunTrace:
     """Run an engine on the stream `RngStream(cfg.seed)` to generation
-    `cfg.generations` or, given a stop rule, until its best fitness stalls,
-    if that comes first; the trace records which fired. A configuration that
-    fails `check_dim` for the objective's dimension fails here, before the
-    stream is built."""
+    `cfg.generations`, or to an early stop if one comes first: given a stop
+    rule, when its best fitness stalls; given `max_evaluations`, at the
+    first generation whose evaluation count reaches it. The trace records
+    which fired, the stop rule first when both fire at one generation. A
+    budget below 1, or a configuration that fails `check_dim` for the
+    objective's dimension, fails here, before the stream is built."""
+    check_max_evaluations(max_evaluations)
     check_dim(cfg, fn.space.dim)
     steps = engine_steps(cfg, fn, RngStream(cfg.seed), on_regions)
     stalled = None if stop is None else stop.stall_test()
+    budget = math.inf if max_evaluations is None else max_evaluations
     records: list[GenRecord] = []
     while True:
         t0 = time.perf_counter()
@@ -459,6 +491,8 @@ def run(
         records.append(rec)
         if stalled is not None and stalled(rec.best_fitness):
             return RunTrace(records, best, "stagnation")
+        if rec.evaluations >= budget:
+            return RunTrace(records, best, "evaluations")
         if rec.generation >= cfg.generations:
             return RunTrace(records, best)
 

@@ -220,11 +220,12 @@ class ExperimentMatrix:
     functions: tuple[str, ...] = config_field(parse=_names, distinct=True)
     dims: tuple[int, ...] = config_field(parse=lambda value: _names(value, int), ge=1, distinct=True)
     runs_per_cell: int = config_field(30, parse=int, key="runs", ge=1)
-    budget: str = config_field("fixed", parse=str, choices=("fixed", "stagnation"))
+    budget: str = config_field("fixed", parse=str, choices=("fixed", "stagnation", "evaluations"))
     generations: int | None = config_field(None, parse=int, ge=0)  # the last generation of every run; stock when unset
     seed_base: int = config_field(0, parse=int, ge=0)
     output_dir: str = config_field("results", parse=str)
     stagnation_window: int = config_field(StagnationRule.window, parse=int, ge=1)
+    max_evaluations: int | None = config_field(None, parse=int, ge=1)
     workers: int = config_field(1, parse=int, ge=1)
     timing: bool = config_field(False, parse=_on_off)
     schwefel_lower: float | None = config_field(None, parse=float)
@@ -234,6 +235,10 @@ class ExperimentMatrix:
         check_fields(self)
         if not self.algos or not self.functions or not self.dims:
             raise ValueError("matrix needs at least one algo, function, and dim")
+        if self.budget == "evaluations" and self.max_evaluations is None:
+            raise ValueError("budget = evaluations needs max_evaluations")
+        if self.budget != "evaluations" and self.max_evaluations is not None:
+            raise ValueError(f"max_evaluations is read under budget = evaluations only, not {self.budget}")
         # overrides are knobs only: the matrix sets `algo`, `generations` and each run's `seed` itself
         knobs = {f.name for f in engine_knobs().values()}
         for key in self.engine_overrides:
@@ -285,7 +290,7 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
             cfg_r = replace(cfg, seed=matrix.seed_base + r)
             # persistence stays outside the timed span
             t0 = time.perf_counter()
-            trace = run(cfg_r, fn, stop=stop)
+            trace = run(cfg_r, fn, stop=stop, max_evaluations=matrix.max_evaluations)
             elapsed = (time.perf_counter() - t0) * 1000.0
             path = out / f"run{r}.csv"
             write_trace_csv(trace, path, include_timing=matrix.timing)

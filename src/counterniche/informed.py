@@ -168,8 +168,8 @@ def regular_ops(population: Population, fn, rng: RngStream, cfg: EngineConfig) -
     The draws come as whole arrays, in this order: tournaments (n, 4);
     crossover coins (n,), weight draws (n, dim), positions (n,), blends (n,);
     gene-mask uniforms (n, dim), standard normals (n, dim).
-    The changed children are evaluated in one batch at the end; a child
-    bit-identical to its first parent keeps the parent's fitness."""
+    The fresh children are evaluated in one batch at the end; a child
+    bit-identical to either parent keeps that parent's fitness."""
     space = fn.space
     low, high = space.draw_bounds()  # two floats on a cube, which numpy broadcasts fastest
     std = cfg.sigma_reg * (high - low)
@@ -178,5 +178,5 @@ def regular_ops(population: Population, fn, rng: RngStream, cfg: EngineConfig) -
     draws.all_crossovers(cfg.p_r)
     draws.all_gene_mutations()
     first, second = draws.parents(population.f)
-    children, fresh = draws.children(population.X, first, second, space, cfg.p_m, std * std)
-    return Population(children, evaluate_children(fn, children, fresh, population.f[first]))
+    children, source = draws.children(population.X, first, second, space, cfg.p_m, std * std)
+    return Population(children, evaluate_children(fn, children, source, population.f))

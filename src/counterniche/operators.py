@@ -277,33 +277,39 @@ class Variation:
         """Child k from rows first[k] and second[k] of X: crossed over if its
         coin landed, then mutated with per-gene rate p_gene if it drew a
         mutation, with the per-gene `variance` when given, else its own.
-        Returns the children and the `fresh` mask of those to evaluate: the
-        children that differ from their first parent in some bit after
-        crossover, and those where a gene fired. A child outside the mask is
-        a copy of its first parent, bit for bit, and keeps its fitness.
+        Returns the children and the `source` of each: the row of X it
+        copies bit for bit, first[k], else second[k], or -1 for a fresh
+        child, one where crossover changed a bit of both parents or a gene
+        fired. A fresh child is evaluated; a copy keeps its row's fitness.
 
         One masked pass over all n rows: `arithmetic_crossover` blends the
         crossed rows and copies the first parent elsewhere, and its result is
-        compared with the first parents as int64 words, since crossing two
-        copies of a member mostly returns it; then `gaussian_mutate` adds
-        noise to the fired genes of mutated rows and clamps the rows where a
-        gene fired. Either is skipped when no child drew it, as in `dgea`'s
-        generations, since it would leave every row as it is. The comparison
-        gathers no row, and the first parents are freed before mutation
+        compared with the first and the second parents as int64 words, since
+        crossing two copies of a member mostly returns it, and a blend often
+        takes every gene of one parent; then `gaussian_mutate` adds noise to
+        the fired genes of mutated rows and clamps the rows where a gene
+        fired. Either is skipped when no child drew it, as in `dgea`'s
+        generations, since it would leave every row as it is. The
+        comparisons gather no row, and the parents are freed before mutation
         allocates: each (n, dim) array held longer lets glibc trim the heap
         and fault its pages back in."""
-        out, fresh = X[first], np.zeros(self.n, dtype=bool)
+        out, source = X[first], np.array(first)
         if self.crossed.any():
-            child = arithmetic_crossover(out, X[second], self.weight_draws, self.position, self.blend, self.crossed)
-            fresh = (child.view(np.int64) != out.view(np.int64)).any(axis=1)
+            b = X[second]
+            child = arithmetic_crossover(out, b, self.weight_draws, self.position, self.blend, self.crossed)
+            words = child.view(np.int64)
+            new = (words != out.view(np.int64)).any(axis=1)  # not a copy of the first parent
+            np.copyto(source, second, where=new)
+            source[new & (words != b.view(np.int64)).any(axis=1)] = -1
             out = child
+            del b
         if self.mutated.any():
             out, fired = gaussian_mutate(
                 out, self.gene_draws, self.normals,
                 self.variance if variance is None else variance, p_gene, space, self.mutated,
             )
-            fresh |= fired
-        return out, fresh
+            source[fired] = -1
+        return out, source
 
 
 def pow_sample(alpha: float, rng: RngStream, exponent: float = 2.0, upper: float = 1000.0, *, size: int) -> np.ndarray:

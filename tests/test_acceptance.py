@@ -7,6 +7,7 @@ conftest, past pytest's output capture; a failing criterion also carries its
 line in the assertion message.
 """
 
+import dataclasses
 import math
 import statistics
 import time
@@ -274,3 +275,34 @@ def test_criterion_12_cli_determinism(tmp_path):
     ok = all(identical)
     _report(12, "CLI reruns byte-identical for every engine", ok,
             f"{sum(identical)}/{len(ALGORITHMS)} engines identical")
+
+
+def test_criterion_13_equal_evaluation_budget():
+    # cnea against sea and dgea at one evaluation budget, whatever the errors say
+    fn, budget, seeds = make("rastrigin", 10), 30_000, range(5)
+    t0 = time.perf_counter()
+    errors, within, identical = {}, [], []
+    for algo in ("cnea", "sea", "dgea"):
+        errors[algo] = []
+        for seed in seeds:
+            cfg = default_config(algo, dim=10, seed=seed, N=100, generations=100_000)
+            trace, again = (run(cfg, fn, max_evaluations=budget) for _ in range(2))
+            counts = [r.evaluations for r in trace.records]
+            within.append(trace.stopped_by == "evaluations" and counts[-2] < budget <= counts[-1])
+            identical.append(
+                [dataclasses.replace(r, wall_ms=0.0) for r in trace.records]
+                == [dataclasses.replace(r, wall_ms=0.0) for r in again.records]
+                and trace.best.genome.tobytes() == again.best.genome.tobytes()
+            )
+            errors[algo].append(trace.best.fitness - fn.optimum_value)
+    elapsed = time.perf_counter() - t0
+    medians = ", ".join(f"{algo} {statistics.median(e):.3g}" for algo, e in errors.items())
+    paired = ", ".join(
+        f"vs {other} t={res.t_statistic:.2f} p={res.p_value:.2g}"
+        for other in ("sea", "dgea")
+        for res in [paired_ttest(errors["cnea"], errors[other])]
+    )
+    ok = all(within) and all(identical)
+    _report(13, f"equal budget of {budget} evaluations (rastrigin 10d, {len(seeds)} seeds)", ok,
+            f"medians {medians}; cnea {paired}; {sum(within)}/{len(within)} runs within one generation, "
+            f"{sum(identical)}/{len(identical)} reruns identical, {elapsed:.1f} s")

@@ -194,6 +194,67 @@ def test_evaluate_batch_is_bit_identical_to_evaluate(name):
             assert np.array_equal(got, [_reference(name, row) for row in x]), (dim, rows)
 
 
+def _exp(v):
+    return np.array([math.exp(e) for e in v.tolist()])
+
+
+def _rot_rows(x):
+    a, b = x[:, 0::2], x[:, 1::2]
+    y = np.empty_like(x)
+    y[:, 0::2] = 0.8 * a + 0.6 * b
+    y[:, 1::2] = -0.6 * a + 0.8 * b
+    return y
+
+
+def _rastrigin_rows(x):
+    return np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=1)
+
+
+def _rows_index(x):
+    return np.arange(1, x.shape[1] + 1, dtype=float)
+
+
+# the batch kernels as plain out-of-place expressions, one temporary per operation
+OUT_OF_PLACE = {
+    "ackley": lambda x: (
+        20.0 + np.e
+        - 20.0 * _exp(-0.2 * np.sqrt(np.sum(x * x, axis=1) / x.shape[1]))
+        - _exp(np.sum(np.cos(2.0 * np.pi * x), axis=1) / x.shape[1])
+    ),
+    "griewank": lambda x: (
+        np.sum((x - 100.0) * (x - 100.0), axis=1) / 4000.0
+        - np.prod(np.cos((x - 100.0) / np.sqrt(_rows_index(x))), axis=1)
+        + 1.0
+    ),
+    "rastrigin": _rastrigin_rows,
+    "rosenbrock": lambda x: np.sum(
+        100.0 * (x[:, 1:] - x[:, :-1] * x[:, :-1]) ** 2 + (x[:, :-1] - 1.0) ** 2, axis=1
+    ),
+    "ellipsoid": lambda x: np.sum(_rows_index(x) * x * x, axis=1),
+    "schwefel12": lambda x: np.sum(np.cumsum(x, axis=1) * np.cumsum(x, axis=1), axis=1),
+    "rot_rastrigin": lambda x: _rastrigin_rows(_rot_rows(x)),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 10, 20, 31])
+@pytest.mark.parametrize("name", FUNCTION_NAMES)
+def test_in_place_kernels_match_the_out_of_place_expressions_bit_for_bit(name, dim):
+    if name == "rot_rastrigin" and dim % 2:
+        dim += 1
+    fn = make(name, dim)
+    rng = np.random.default_rng(dim)
+    low, high = fn.space.lower, fn.space.upper
+    random = rng.uniform(low, high, size=(300, dim))
+    bounds = np.where(rng.random((64, dim)) < 0.5, low, high)  # every gene at a bound
+    zeros = np.where(rng.random((64, dim)) < 0.5, -0.0, 0.0)  # every gene at -0.0 or +0.0
+    mixed = np.where(rng.random((64, dim)) < 0.3, zeros, np.where(rng.random((64, dim)) < 0.5, bounds, random[:64]))
+    for x in (random, bounds, zeros, mixed):
+        before = x.copy()
+        got = fn.evaluate_batch(x)
+        assert got.view(np.int64).tolist() == OUT_OF_PLACE[name](x).view(np.int64).tolist()
+        assert x.tobytes() == before.tobytes()  # the input is not written
+
+
 def test_evaluate_batch_rejects_wrong_shape():
     fn = make("rastrigin", 3)
     for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((2, 4, 3))):
@@ -240,7 +301,7 @@ def test_evaluate_rows_allows_inf():
 def test_evaluate_children_evaluates_fresh_rows_only():
     fn = make("ellipsoid", 3)
     children = np.arange(12.0).reshape(4, 3) / 10.0
-    fresh = np.array([False, True, False, True])
+    source = np.array([2, -1, 0, -1])  # child 0 copies row 2, child 2 row 0; 1 and 3 are fresh
     seen = []
 
     class Spy:
@@ -248,14 +309,14 @@ def test_evaluate_children_evaluates_fresh_rows_only():
             seen.append(x.copy())
             return fn.evaluate_batch(x)
 
-    inherited = np.array([7.0, 8.0, 9.0, 10.0])
-    got = evaluate_children(Spy(), children, fresh, inherited)
-    assert got.tolist() == [7.0, *fn.evaluate_batch(children[[1]]).tolist(), 9.0,
+    f = np.array([7.0, 8.0, 9.0, 10.0])  # not f(children): which value is kept shows
+    got = evaluate_children(Spy(), children, source, f)
+    assert got.tolist() == [9.0, *fn.evaluate_batch(children[[1]]).tolist(), 7.0,
                             *fn.evaluate_batch(children[[3]]).tolist()]
-    assert len(seen) == 1 and np.array_equal(seen[0], children[fresh])
-    assert inherited.tolist() == [7.0, 8.0, 9.0, 10.0]  # left as it was
+    assert len(seen) == 1 and np.array_equal(seen[0], children[[1, 3]])
+    assert f.tolist() == [7.0, 8.0, 9.0, 10.0]  # left as it was
     # nothing fresh: no call at all
-    evaluate_children(Spy(), children, np.zeros(4, dtype=bool), inherited)
+    evaluate_children(Spy(), children, np.array([3, 2, 1, 0]), f)
     assert len(seen) == 1
 
 

@@ -391,3 +391,17 @@ def test_diversity_report_refuses_negative_burn_in_over_an_empty_dir(tmp_path, c
 def test_main_catches_runtime_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_run_max_evaluations_stops_the_run_and_refuses_a_bad_value(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    argv = ["run", "--algo", "cnea", "--function", "ellipsoid", "--dim", "2", "--pop-size", "10",
+            "--generations", "500", "--out", str(out)]
+    for bad in ("0", "-1"):
+        assert main(argv + ["--max-evaluations", bad]) == 2
+        assert f"max_evaluations must be >= 1, got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(argv + ["--max-evaluations", "300"]) == 0
+    capsys.readouterr()
+    counts = [r.evaluations for r in read_trace_csv(out).records]
+    assert counts[-2] < 300 <= counts[-1]

@@ -7,8 +7,9 @@ and every fitness value; those of `socea`, `cea` and `dgea` were recorded
 again when those engines began to draw their variation as whole arrays, and
 those of `cnea` when its regular operators did. A change that moves a draw
 on purpose must say so in CHANGES.md and record them again with
-`python tests/test_golden.py`. The objective evaluations of each run are pinned beside them, and for two cnea
-runs so is the `--regions-dump` output, which holds every dense region's key,
+`python tests/test_golden.py`. The objective evaluations of each run are pinned beside them, and
+are the final `evaluations` of its trace; for two cnea runs so is the
+`--regions-dump` output, which holds every dense region's key,
 density and fitness statistics. Those two were first recorded while the grid
 was still a dict of member lists, before it became arrays of integer cell
 codes, and recorded again with the `cnea` digests. `cnea-rot_rastrigin-6d`
@@ -58,13 +59,13 @@ DIGESTS = {
 
 EVALUATIONS = {
     "cea-rosenbrock-8d": 1091,
-    "cnea-rastrigin-10d": 1827,
-    "cnea-rastrigin-20d-projected": 18113,
-    "cnea-rot_rastrigin-6d": 2777,
-    "cnea-schwefel12-10d-replacement": 15831,
-    "dgea-ellipsoid-8d": 993,
-    "dgea-rastrigin-8d-switching": 1260,
-    "sea-ackley-8d": 1199,
+    "cnea-rastrigin-10d": 1765,
+    "cnea-rastrigin-20d-projected": 17855,
+    "cnea-rot_rastrigin-6d": 2677,
+    "cnea-schwefel12-10d-replacement": 15221,
+    "dgea-ellipsoid-8d": 924,
+    "dgea-rastrigin-8d-switching": 1258,
+    "sea-ackley-8d": 1198,
     "socea-griewank-8d": 1207,
 }
 
@@ -125,6 +126,16 @@ def test_trace_matches_recorded_digest(name):
     trace, evaluations = run_case(name, Counting)
     assert trace_digest(trace) == DIGESTS[name]
     assert evaluations == EVALUATIONS[name]
+    assert trace.records[-1].evaluations == EVALUATIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_evaluations_column_counts_rows_without_evaluate_batch(name):
+    # the run counts its objective's rows itself, the same with or without evaluate_batch
+    trace, evaluations = run_case(name, EvaluateOnly)
+    assert trace.records[-1].evaluations == evaluations == EVALUATIONS[name]
+    counts = [r.evaluations for r in trace.records]
+    assert counts[0] == CASES[name][3]["N"] and counts == sorted(counts)
 
 
 @pytest.mark.parametrize("name", ["cnea-schwefel12-10d-replacement", "cea-rosenbrock-8d"])

@@ -126,6 +126,65 @@ def test_run_stop_rule_stops_at_generations():
         assert dataclasses.replace(a, wall_ms=0.0) == dataclasses.replace(b, wall_ms=0.0)
 
 
+def _same_records(a, b):
+    """Whether two traces hold the same records, wall_ms aside."""
+    return [dataclasses.replace(r, wall_ms=0.0) for r in a.records] == [
+        dataclasses.replace(r, wall_ms=0.0) for r in b.records
+    ]
+
+
+@pytest.mark.parametrize("algo", ["cnea", "sea", "socea", "cea", "dgea"])
+def test_run_stops_at_the_first_generation_whose_evaluations_reach_the_budget(algo):
+    fn = make("rastrigin", 4)
+    cfg = default_config(algo, dim=4, seed=3, N=16, generations=60)
+    plain = run(cfg, fn)
+    budget = plain.records[24].evaluations + 1
+    stop = next(r.generation for r in plain.records if r.evaluations >= budget)
+    trace = run(cfg, fn, max_evaluations=budget)
+    assert trace.stopped_by == "evaluations" and trace.generations == stop
+    counts = [r.evaluations for r in trace.records]
+    assert counts[-2] < budget <= counts[-1]
+    # the budget moves no draw: the run is the plain run, cut at its stop
+    assert _same_records(trace, dataclasses.replace(plain, records=plain.records[: stop + 1]))
+
+
+def test_run_evaluation_budget_edges():
+    fn = make("ellipsoid", 2)
+    cfg = default_config("sea", dim=2, seed=0, N=10, generations=30)
+    plain = run(cfg, fn)
+    # a budget the run never reaches: it ends at generations, as the plain run
+    never = run(cfg, fn, max_evaluations=plain.records[-1].evaluations + 1)
+    assert never.stopped_by == "budget" and _same_records(never, plain)
+    # a budget reached at the last generation names the budget
+    last = run(cfg, fn, max_evaluations=plain.records[-1].evaluations)
+    assert last.stopped_by == "evaluations" and last.generations == 30
+    # the initial population alone reaches a budget of N or less
+    first = run(cfg, fn, max_evaluations=1)
+    assert first.stopped_by == "evaluations" and first.generations == 0
+    # a stall and the budget at one generation: the stop rule is named
+    stalled = run(cfg, fn, stop=StagnationRule(3))
+    stall = stalled.generations
+    assert stalled.stopped_by == "stagnation" and plain.records[stall - 1].evaluations < plain.records[stall].evaluations
+    both = run(cfg, fn, stop=StagnationRule(3), max_evaluations=plain.records[stall].evaluations)
+    assert both.stopped_by == "stagnation" and both.generations == stall
+
+
+class Untouchable:
+    """An objective that fails a run that calls it."""
+
+    space = make("ellipsoid", 2).space
+
+    def evaluate_batch(self, x):
+        raise AssertionError("evaluated")
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_run_refuses_an_evaluation_budget_below_one_before_any_evaluation(budget):
+    cfg = default_config("cnea", dim=2, seed=0, N=10, generations=3)
+    with pytest.raises(ValueError, match=re.escape(f"max_evaluations must be >= 1, got {budget}")):
+        run(cfg, Untouchable(), max_evaluations=budget)
+
+
 def test_default_burn_in():
     assert default_burn_in(500) == 25
     assert default_burn_in(19) == 0
@@ -190,23 +249,23 @@ def test_trace_csv_roundtrip(tmp_path):
 def test_trace_csv_roundtrips_fallbacks_and_reads_the_old_header(tmp_path):
     records = [
         GenRecord(0, 5.0, 6.0, 0.5),
-        GenRecord(1, 4.0, 5.5, 0.25, victims=3, replacements=1, fallbacks=2),
+        GenRecord(1, 4.0, 5.5, 0.25, victims=3, replacements=1, fallbacks=2, evaluations=40),
     ]
     path = tmp_path / "trace.csv"
     write_trace_csv(RunTrace(records, None), path)
-    assert path.read_text().splitlines()[0].endswith("victims,replacements,fallbacks,wall_ms")
+    assert path.read_text().splitlines()[0].endswith("victims,replacements,fallbacks,evaluations,wall_ms")
     again = read_trace_csv(path).records
-    assert [(r.victims, r.replacements, r.fallbacks) for r in again] == [(0, 0, 0), (3, 1, 2)]
+    assert [(r.victims, r.replacements, r.fallbacks, r.evaluations) for r in again] == [(0, 0, 0, 0), (3, 1, 2, 40)]
 
-    # a trace written before the fallbacks column: 8 columns, read as 0
+    # a trace written before the fallbacks and evaluations columns: 8 columns, both read as 0
     old = tmp_path / "old.csv"
     old.write_text(
         "generation,best_fitness,mean_fitness,diversity,mode,victims,replacements,wall_ms\n"
         "0,5,6,0.5,,0,0,0\n1,4,5.5,0.25,,3,1,0\n"
     )
     again = read_trace_csv(old).records
-    assert [(r.generation, r.best_fitness, r.victims, r.replacements, r.fallbacks) for r in again] == [
-        (0, 5.0, 0, 0, 0), (1, 4.0, 3, 1, 0)
+    assert [(r.generation, r.best_fitness, r.victims, r.replacements, r.fallbacks, r.evaluations) for r in again] == [
+        (0, 5.0, 0, 0, 0, 0), (1, 4.0, 3, 1, 0, 0)
     ]
 
 
@@ -237,17 +296,18 @@ def test_timed_trace_csv_reads_back_every_record(tmp_path, algo, function, dim, 
 def _trace_file(path, header):
     """A two-generation trace with the given columns, each value its field's."""
     values = {"generation": "{g}", "best_fitness": "4", "mean_fitness": "5.5", "diversity": "0.25",
-              "mode": "exploit", "victims": "3", "replacements": "1", "fallbacks": "2", "wall_ms": "0"}
+              "mode": "exploit", "victims": "3", "replacements": "1", "fallbacks": "2", "evaluations": "40",
+              "wall_ms": "0"}
     rows = [",".join(values[name] for name in header).format(g=g) for g in range(2)]
     path.write_text("\n".join([",".join(header), *rows]) + "\n")
     return path
 
 
-@pytest.mark.parametrize("missing", ["fallbacks", "mode"])
+@pytest.mark.parametrize("missing", ["fallbacks", "mode", "evaluations"])
 def test_read_trace_csv_loads_a_header_without_a_defaulted_field(tmp_path, missing):
     header = [name for name in TRACE_FIELDS if name != missing]
     records = read_trace_csv(_trace_file(tmp_path / "old.csv", header)).records
-    full = GenRecord(1, 4.0, 5.5, 0.25, mode="exploit", victims=3, replacements=1, fallbacks=2)
+    full = GenRecord(1, 4.0, 5.5, 0.25, mode="exploit", victims=3, replacements=1, fallbacks=2, evaluations=40)
     default = getattr(GenRecord(1, 4.0, 5.5, 0.25), missing)
     assert records[1] == dataclasses.replace(full, **{missing: default})
 
@@ -397,6 +457,28 @@ def test_run_matrix_stagnation_budget(tmp_path):
     results = run_matrix(matrix)
     assert results[0].error is None
     assert len(results[0].stagnation_gens) == 2
+
+
+def test_evaluation_budget_sweep_stops_every_run_within_one_generation(tmp_path):
+    matrix = _tiny_matrix(
+        tmp_path, algos=("cnea", "sea"), budget="evaluations", max_evaluations=300, generations=1000
+    )
+    for cell in run_matrix(matrix):
+        assert cell.error is None
+        for path in cell.trace_paths:
+            counts = [r.evaluations for r in read_trace_csv(path).records]
+            assert counts[-2] < 300 <= counts[-1]
+
+
+@pytest.mark.parametrize("budget,max_evaluations,message", [
+    ("evaluations", None, "budget = evaluations needs max_evaluations"),
+    ("fixed", 100, "max_evaluations is read under budget = evaluations only, not fixed"),
+    ("stagnation", 100, "max_evaluations is read under budget = evaluations only, not stagnation"),
+    ("evaluations", 0, "max_evaluations must be >= 1, got 0"),
+])
+def test_experiment_matrix_refuses_an_evaluation_budget_it_cannot_use(budget, max_evaluations, message, tmp_path):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _tiny_matrix(tmp_path, budget=budget, max_evaluations=max_evaluations)
 
 
 def test_stagnation_sweep_caps_its_runs_at_generations(tmp_path):

@@ -28,8 +28,8 @@ DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
 # golden case -> SHA-256 of its `write_trace_csv` file, timing off
 TRACE_CSV_DIGESTS = {
-    "cnea-schwefel12-10d-replacement": "b2cc20519ebf390739245dffb20092c12dea418759717096d2cd66fff9af5012",
-    "dgea-rastrigin-8d-switching": "b9cd51eef16f684745cb3efd343994a642b389ddf49641d6e6bc15cb3a41ca8b",
+    "cnea-schwefel12-10d-replacement": "26b33edd90df49fa8aa2cf209c68ff5e4d1214dba7b3fe3a84833abe319513f9",
+    "dgea-rastrigin-8d-switching": "13008aeed6539eaaaf8e3cf727e643163ffffa70446e98d801d41000c2dc462b",
 }
 
 SWEEP_CFG = (

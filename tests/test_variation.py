@@ -21,9 +21,9 @@ seeds the final errors of whole runs must not tell the two apart.
 each child alone from the same stored draws, and the edge cases (no child
 crosses, no child mutates, no gene fires, one-gene genomes, a crossed child
 one ulp past a bound) must match it bit for bit. Every reference evaluates a
-child only where a gene fired or where it differs from its first parent in
-some bit: a crossed child that comes out a copy keeps the parent's fitness
-without an objective call.
+child only where a gene fired or where it differs from both parents in some
+bit: a crossed child that comes out a copy of either parent keeps that
+parent's fitness without an objective call.
 """
 
 from types import SimpleNamespace
@@ -74,8 +74,8 @@ def ref_mutate(genome, variance, p_gene, space, rng):
 
 
 def changed(child, parent):
-    """Whether a crossed child differs from its first parent in any bit; one
-    that does not is a copy and keeps the parent's fitness."""
+    """Whether a child differs from a parent in any bit; one that does not
+    is a copy and keeps the parent's fitness."""
     return child.tobytes() != parent.tobytes()
 
 
@@ -83,28 +83,42 @@ def changed_rows(children, parents):
     return np.array([changed(child, parent) for child, parent in zip(children, parents)], dtype=bool)
 
 
-def ref_children(fn, children, fresh, inherited):
-    return np.where(fresh, fn.evaluate_batch(children), inherited)
+def ref_source(genome, X, i, j, fired):
+    """The row of X a child copies bit for bit, its first parent i, else its
+    second j; -1 for a fresh child, one where a gene fired or that differs
+    from both parents."""
+    if fired:
+        return -1
+    for parent in (i, j):
+        if not changed(genome, X[parent]):
+            return parent
+    return -1
+
+
+def ref_children(fn, children, source, f):
+    """The fitness of each child: its source row's, or evaluated at -1."""
+    source = np.asarray(source)
+    return np.where(source < 0, fn.evaluate_batch(children), f[source])
 
 
 def ref_regular_ops(pop, fn, rng, cfg):
     space = fn.space
     std = cfg.sigma_reg * space.widths()
     X, f = pop.X, pop.f
-    children, fresh, parent = np.empty_like(X), np.zeros(len(f), bool), np.empty(len(f), int)
+    children, source = np.empty_like(X), np.empty(len(f), int)
     for k in range(len(f)):
         i = ref_tournament(f, rng)
         j = ref_tournament(f, rng)
         crossed = rng.random() < cfg.p_r
         genome = ref_crossover(X[i], X[j], rng) if crossed else X[i]
         children[k], fired = ref_mutate(genome, std * std, cfg.p_m, space, rng)
-        fresh[k], parent[k] = crossed or fired, i
-    return children, ref_children(fn, children, fresh, f[parent])
+        source[k] = ref_source(children[k], X, i, j, fired)
+    return children, ref_children(fn, children, source, f)
 
 
 def ref_sea_offspring(pop, rng, cfg, variance, fn):
     X, f = pop.X, pop.f
-    children, fresh, parent = np.empty_like(X), np.zeros(len(f), bool), np.empty(len(f), int)
+    children, source = np.empty_like(X), np.empty(len(f), int)
     for k in range(len(f)):
         i = ref_tournament(f, rng)
         j = ref_tournament(f, rng)
@@ -113,8 +127,8 @@ def ref_sea_offspring(pop, rng, cfg, variance, fn):
         fired = False
         if rng.random() < cfg.p_m_genome:
             genome, fired = ref_mutate(genome, variance(), 1.0, fn.space, rng)
-        children[k], fresh[k], parent[k] = genome, fired or crossed and changed(genome, X[i]), i
-    return children, ref_children(fn, children, fresh, f[parent])
+        children[k], source[k] = genome, ref_source(genome, X, i, j, fired)
+    return children, ref_children(fn, children, source, f)
 
 
 def torus_neighbors(row: int, col: int, rows: int, cols: int) -> list[tuple[int, int]]:
@@ -130,7 +144,7 @@ def torus_neighbors(row: int, col: int, rows: int, cols: int) -> list[tuple[int,
 def ref_cea_offspring(pop, rng, cfg, fn):
     X, f = pop.X, pop.f
     rows, cols = engines.torus_shape(cfg.N)
-    children, fresh = np.empty_like(X), np.zeros(len(f), bool)
+    children, source = np.empty_like(X), np.empty(len(f), int)
     for idx in range(len(f)):
         r, c = divmod(idx, cols)
         nbr, nbc = torus_neighbors(r, c, rows, cols)[int(rng.integers(0, 4))]
@@ -140,26 +154,26 @@ def ref_cea_offspring(pop, rng, cfg, fn):
         if rng.random() < cfg.p_m_genome:
             variance = pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper, size=1)[0]
             genome, fired = ref_mutate(genome, variance, 1.0, fn.space, rng)
-        children[idx], fresh[idx] = genome, crossed or fired
-    return children, ref_children(fn, children, fresh, f)
+        children[idx], source[idx] = genome, ref_source(genome, X, idx, nbr * cols + nbc, fired)
+    return children, ref_children(fn, children, source, f)
 
 
 def ref_dgea_offspring(pop, mode, rng, cfg, fn):
     X, f = pop.X, pop.f
-    children, fresh, parent = X.copy(), np.zeros(len(f), bool), np.arange(len(f))
+    children, source = X.copy(), np.arange(len(f))
     if mode == "exploit":
         for k in range(len(f)):
             i = ref_tournament(f, rng)
             j = ref_tournament(f, rng)
-            parent[k] = i
-            fresh[k] = rng.random() < cfg.p_r
-            children[k] = ref_crossover(X[i], X[j], rng) if fresh[k] else X[i]
+            children[k] = ref_crossover(X[i], X[j], rng) if rng.random() < cfg.p_r else X[i]
+            source[k] = ref_source(children[k], X, i, j, False)
     else:
         for k in range(len(f)):
             if rng.random() < cfg.p_m_genome:
                 variance = pow_sample(1.0, rng, cfg.pow_exponent, cfg.pow_upper, size=1)[0]
-                children[k], fresh[k] = ref_mutate(X[k], variance, 1.0, fn.space, rng)
-    return children, ref_children(fn, children, fresh, f[parent])
+                children[k], fired = ref_mutate(X[k], variance, 1.0, fn.space, rng)
+                source[k] = ref_source(children[k], X, k, k, fired)
+    return children, ref_children(fn, children, source, f)
 
 
 def ref_winner(f, i, j):
@@ -194,19 +208,19 @@ def ref_whole_array_draws(n, rng, cfg, tournaments=False, crossover=False, alpha
 def ref_whole_array_children(pop, d, first, second):
     """Each child in turn from whole-array draws `d` and its parents."""
     X, f = pop.X, pop.f
-    children, fresh = X[first].copy(), np.zeros(len(f), bool)
+    children, source = X[first].copy(), np.empty(len(f), int)
     for k in range(len(f)):
         if "crossed" in d and d["crossed"][k]:
             w = (d["weights"][k] < 0.5).astype(float)
             w[d["position"][k]] = d["blend"][k]
             children[k] = w * X[first[k]] + (1.0 - w) * X[second[k]]
-            fresh[k] = changed(children[k], X[first[k]])
-        if "genes" in d and d["genes"][k].any():
+        fired = "genes" in d and d["genes"][k].any()
+        source[k] = ref_source(children[k], X, first[k], second[k], fired)
+        if fired:
             fire, genome = d["genes"][k], children[k].copy()
             genome[fire] += (d["normals"][k] * np.sqrt(d["variance"][k]))[fire]
             children[k] = np.minimum(np.maximum(genome, SPACE.lower), SPACE.upper)
-            fresh[k] = True
-    return children, ref_children(Sphere(), children, fresh, f[first])
+    return children, ref_children(Sphere(), children, source, f)
 
 
 def ref_whole_array_offspring(algo, pop, rng, cfg):
@@ -450,21 +464,21 @@ def test_sea_draws_match_a_plain_generator_at_every_span(start, n, dim):
 
 def ref_rows(draws, X, first, second, space, p_gene=1.0, variance=None):
     """Each child alone from the draws stored in a `Variation`, as
-    `Variation.children` must make it: (children, fresh)."""
-    out, fresh = X[first].copy(), np.zeros(draws.n, bool)
+    `Variation.children` must make it: (children, source)."""
+    out, source = X[first].copy(), np.empty(draws.n, int)
     for k in range(draws.n):
         if draws.crossed[k]:
             w = (draws.weight_draws[k] < 0.5).astype(float)
             w[draws.position[k]] = draws.blend[k]
             out[k] = w * X[first[k]] + (1.0 - w) * X[second[k]]
-            fresh[k] = changed(out[k], X[first[k]])
         fire = draws.gene_draws[k] < p_gene
-        if draws.mutated[k] and fire.any():
+        fired = draws.mutated[k] and fire.any()
+        source[k] = ref_source(out[k], X, first[k], second[k], fired)
+        if fired:
             genome = out[k].copy()
             genome[fire] += (draws.normals[k] * np.sqrt(draws.variance[k] if variance is None else variance))[fire]
             out[k] = np.minimum(np.maximum(genome, space.lower), space.upper)
-            fresh[k] = True
-    return out, fresh
+    return out, source
 
 
 def _edge_draws(dim, seed, p_r, p_m_genome=None, p_m=None):
@@ -489,16 +503,17 @@ def _edge_draws(dim, seed, p_r, p_m_genome=None, p_m=None):
 def test_masked_children_match_rows_whole_genome(dim, p_r, p_m_genome):
     for seed in range(5):
         draws, X, first, second, space = _edge_draws(dim, seed, p_r, p_m_genome=p_m_genome)
-        out, fresh = draws.children(X, first, second, space)
-        want, want_fresh = ref_rows(draws, X, first, second, space)
-        assert np.array_equal(out, want) and np.array_equal(fresh, want_fresh)
+        out, source = draws.children(X, first, second, space)
+        want, want_source = ref_rows(draws, X, first, second, space)
+        assert np.array_equal(out, want) and np.array_equal(source, want_source)
         if p_r == 0.0:
             assert not draws.crossed.any()  # no child crosses over
         if p_m_genome == 0.0:
             assert not draws.mutated.any()  # no child mutates
-            assert np.array_equal(fresh, draws.crossed & changed_rows(out, X[first]))
+            both = changed_rows(out, X[first]) & changed_rows(out, X[second])
+            assert np.array_equal(source < 0, draws.crossed & both)
         if p_r == 0.0 and p_m_genome == 0.0:
-            assert np.array_equal(out, X[first]) and not fresh.any()
+            assert np.array_equal(out, X[first]) and np.array_equal(source, first)
 
 
 @pytest.mark.parametrize("dim", [1, 5])
@@ -507,11 +522,12 @@ def test_masked_children_match_rows_per_gene(dim, p_m):
     variance = np.full(dim, 4.0)
     for seed in range(5):
         draws, X, first, second, space = _edge_draws(dim, seed, 0.9, p_m=p_m)
-        out, fresh = draws.children(X, first, second, space, p_m, variance)
-        want, want_fresh = ref_rows(draws, X, first, second, space, p_m, variance)
-        assert np.array_equal(out, want) and np.array_equal(fresh, want_fresh)
-        if p_m == 0.0:  # no gene fires: only the crossed children that are not copies changed
-            assert np.array_equal(fresh, draws.crossed & changed_rows(out, X[first]))
+        out, source = draws.children(X, first, second, space, p_m, variance)
+        want, want_source = ref_rows(draws, X, first, second, space, p_m, variance)
+        assert np.array_equal(out, want) and np.array_equal(source, want_source)
+        if p_m == 0.0:  # no gene fires: only the crossed children that copy neither parent are fresh
+            both = changed_rows(out, X[first]) & changed_rows(out, X[second])
+            assert np.array_equal(source < 0, draws.crossed & both)
 
 
 def test_crossed_child_past_a_bound_stays_unclamped_unless_a_gene_fired():
@@ -525,9 +541,9 @@ def test_crossed_child_past_a_bound_stays_unclamped_unless_a_gene_fired():
     draws.mutated[1] = True  # child 1 fires gene 2 with zero noise
     draws.normals, draws.variance = np.zeros((2, 3)), np.zeros((2, 1))
     draws.gene_draws[1] = [0.9, 0.9, 0.0]
-    out, fresh = draws.children(X, np.zeros(2, int), np.ones(2, int), space, p_gene=0.5)
+    out, source = draws.children(X, np.zeros(2, int), np.ones(2, int), space, p_gene=0.5)
     assert out[0, 0] > 5.12 and out[1, 0] == 5.12
-    assert fresh.all()
+    assert source.tolist() == [-1, -1]
     want, _ = ref_rows(draws, X, np.zeros(2, int), np.ones(2, int), space, 0.5)
     assert np.array_equal(out, want)
 
@@ -541,24 +557,102 @@ class CountingSphere(Sphere):
         return super().evaluate_batch(X)
 
 
+def _crossing(n, dim, position, blend, weight=0.9):
+    """Draws that cross all n children, blending gene `position` by `blend`:
+    weight 0.9 takes every other gene from the second parent, 0.1 from the first."""
+    draws = Variation(n, dim, RngStream(0))
+    draws.crossed[:] = True
+    draws.weight_draws = np.full((n, dim), weight)
+    draws.position, draws.blend = np.full(n, position), np.full(n, blend)
+    return draws
+
+
 def test_crossed_copy_of_its_first_parent_keeps_its_fitness_without_a_call():
     # child 0 crosses two all-zero rows, which returns the zeros bit for bit; child 1
-    # takes every gene from its second parent, one ulp above zero in gene 0
+    # blends gene 0 of the zeros and of a row at 0.5, which gives 0.3125, neither parent's
+    space = SearchSpace.cube(3, -1.0, 1.0)
+    X = np.zeros((3, 3))
+    X[2, 0] = 0.5
+    draws = _crossing(2, 3, position=0, blend=0.375)
+    first, second = np.zeros(2, int), np.array([1, 2])
+    out, source = draws.children(X, first, second, space)
+    assert out[0].tobytes() == X[0].tobytes() and out[1].tolist() == [0.3125, 0.0, 0.0]
+    assert source.tolist() == [0, -1]
+    fn, f = CountingSphere(), np.array([7.0, 8.0, 9.0])  # not f(X): which value is kept shows
+    fitness = evaluate_children(fn, out, source, f)
+    assert fitness.tolist() == [7.0, 0.3125**2]
+    assert len(fn.seen) == 1 and fn.seen[0].tobytes() == out[1:].tobytes()
+
+
+def test_crossed_copy_of_its_second_parent_keeps_its_fitness_without_a_call():
+    # child 1 takes every gene from its second parent, one ulp above zero in gene 0,
+    # and blends gene 1, where both parents are 0; child 0 copies its first parent
     space = SearchSpace.cube(3, -1.0, 1.0)
     X = np.zeros((3, 3))
     X[2, 0] = np.nextafter(0.0, 1.0)
-    draws = Variation(2, 3, RngStream(0))
-    draws.crossed[:] = True
-    draws.weight_draws = np.full((2, 3), 0.9)  # every weight 0 but the blended gene's
-    draws.position, draws.blend = np.ones(2, int), np.full(2, 0.375)
+    draws = _crossing(2, 3, position=1, blend=0.375)
     first, second = np.zeros(2, int), np.array([1, 2])
-    out, fresh = draws.children(X, first, second, space)
+    out, source = draws.children(X, first, second, space)
     assert out[0].tobytes() == X[0].tobytes() and out[1].tobytes() == X[2].tobytes()
-    assert fresh.tolist() == [False, True]
-    fn, inherited = CountingSphere(), np.array([7.0, 8.0])  # not f(X): which value is kept shows
-    fitness = evaluate_children(fn, out, fresh, inherited)
-    assert fitness.tolist() == [7.0, 0.0]
-    assert len(fn.seen) == 1 and fn.seen[0].tobytes() == X[2:].tobytes()
+    assert source.tolist() == [0, 2]
+    fn, f = CountingSphere(), np.array([7.0, 8.0, 9.0])  # not f(X): which value is kept shows
+    assert evaluate_children(fn, out, source, f).tolist() == [7.0, 9.0]
+    assert not fn.seen
+
+
+def test_crossed_child_one_ulp_from_both_parents_is_evaluated():
+    # gene 0 blends 1 and 1 + 2 ulp half and half, which is 1 + 1 ulp exactly
+    space = SearchSpace.cube(2, -2.0, 2.0)
+    X = np.array([[1.0, 0.5], [1.0 + 2 * np.finfo(float).eps, 0.5]])
+    out, source = _crossing(1, 2, position=0, blend=0.5).children(X, np.array([0]), np.array([1]), space)
+    assert out[0].tolist() == [1.0 + np.finfo(float).eps, 0.5]
+    assert source.tolist() == [-1]
+    fn = CountingSphere()
+    assert evaluate_children(fn, out, source, np.array([7.0, 8.0])).tolist() == [np.sum(out[0] ** 2)]
+    assert len(fn.seen) == 1 and fn.seen[0].tobytes() == out.tobytes()
+
+
+def test_a_gene_at_minus_zero_against_plus_zero_counts_as_changed():
+    # gene 0 takes the first parent's -0.0 as 1 * -0.0 + 0 * +0.0, which is +0.0; gene 1 is the
+    # first parent's. The child equals the first parent as numbers, not as bits, and differs
+    # from the second in gene 1
+    space = SearchSpace.cube(2, -2.0, 2.0)
+    X = np.array([[-0.0, 1.0], [0.0, 2.0]])
+    out, source = _crossing(1, 2, position=1, blend=1.0, weight=0.1).children(
+        X, np.array([0]), np.array([1]), space
+    )
+    assert out[0].tolist() == X[0].tolist() and not np.signbit(out[0, 0])
+    assert source.tolist() == [-1]
+    fn = CountingSphere()
+    assert evaluate_children(fn, out, source, np.array([7.0, 8.0])).tolist() == [1.0]
+    assert len(fn.seen) == 1
+
+
+class CountingSphereOf(SphereOf):
+    def __init__(self, dim):
+        super().__init__(dim)
+        self.seen = 0
+
+    def evaluate_batch(self, X):
+        self.seen += len(X)
+        return super().evaluate_batch(X)
+
+
+def test_cea_child_that_copies_its_neighbour_keeps_the_neighbours_fitness():
+    # every row is (0, v) with its own v: a child blending gene 0 takes gene 1 whole from
+    # one parent, so it copies its cell or its neighbour bit for bit
+    n = 36
+    X = np.column_stack((np.zeros(n), np.arange(1, n + 1) / 64.0))
+    f = 100.0 + np.arange(n)  # not f(X): which value is kept shows
+    fn, cfg = CountingSphereOf(2), EngineConfig("cea", N=n, p_r=1.0, p_m_genome=0.0)
+    out = engines._cea_offspring(Population(X, f), cfg, fn, RngStream(0), engines._cea_neighbors(n))
+    rows = {row.tobytes(): r for r, row in enumerate(X)}
+    copied = [rows.get(child.tobytes()) for child in out.X]
+    neighbours = [k for k, r in enumerate(copied) if r is not None and r != k]
+    assert neighbours  # some child copies its neighbour
+    assert fn.seen == copied.count(None)  # the fresh children only
+    for k, r in enumerate(copied):
+        assert out.f[k] == (SphereOf(2).evaluate_batch(out.X[k:k + 1])[0] if r is None else f[r])
 
 
 def test_regular_ops_on_copies_of_one_member_call_no_objective():
