@@ -51,9 +51,7 @@ def rotation_matrix(dim: int) -> np.ndarray:
 # Each function takes an (n, dim) matrix and reduces along axis 1. A row
 # reduction of a C-contiguous matrix runs the same summation (and product)
 # order as the 1-D reduction of that row, so rows score bit for bit as
-# single genomes do. Each computes in place, in temporaries of its own (`out=`
-# and augmented operators), with the IEEE operations, operands and order of
-# the plain expression in its comment; `x` is never written.
+# single genomes do.
 
 
 def _exp(v: np.ndarray) -> np.ndarray:
@@ -64,89 +62,47 @@ def _exp(v: np.ndarray) -> np.ndarray:
 
 
 def _ackley(x: np.ndarray) -> np.ndarray:
-    # 20 + e - 20 * exp(-0.2 * sqrt(sum(x * x) / n)) - exp(sum(cos(2 pi x)) / n)
     n = x.shape[1]
-    t = x * x
-    quad = t.sum(axis=1)
-    quad /= n
-    np.sqrt(quad, out=quad)
-    quad *= -0.2
-    np.multiply(x, _TWO_PI, out=t)
-    np.cos(t, out=t)
-    trig = t.sum(axis=1)
-    trig /= n
-    out = _exp(quad)
-    out *= 20.0
-    np.subtract(20.0 + np.e, out, out=out)
-    out -= _exp(trig)
-    return out
+    quad = np.sqrt(np.sum(x * x, axis=1) / n)
+    trig = np.sum(np.cos(_TWO_PI * x), axis=1) / n
+    return 20.0 + np.e - 20.0 * _exp(-0.2 * quad) - _exp(trig)
 
 
 def _griewank(x: np.ndarray) -> np.ndarray:
-    # shifted variant, the minimum at every coordinate equal to 100: with z = x - 100,
-    # sum(z * z) / 4000 - prod(cos(z / sqrt(i))) + 1
+    # shifted variant: the minimum sits at every coordinate equal to 100
     z = x - 100.0
-    out = np.square(z).sum(axis=1)
-    out /= 4000.0
-    z /= np.sqrt(np.arange(1, x.shape[1] + 1, dtype=float))
-    np.cos(z, out=z)
-    out -= z.prod(axis=1)
-    out += 1.0
-    return out
+    i = np.arange(1, x.shape[1] + 1, dtype=float)
+    return np.sum(z * z, axis=1) / 4000.0 - np.prod(np.cos(z / np.sqrt(i)), axis=1) + 1.0
 
 
 def _rastrigin(x: np.ndarray) -> np.ndarray:
-    # sum(x * x - 10 * cos(2 pi x) + 10)
-    c = x * _TWO_PI
-    np.cos(c, out=c)
-    c *= 10.0
-    t = x * x
-    t -= c
-    t += 10.0
-    return t.sum(axis=1)
+    return np.sum(x * x - 10.0 * np.cos(_TWO_PI * x) + 10.0, axis=1)
 
 
 def _rot_rastrigin(x: np.ndarray) -> np.ndarray:
-    # rastrigin of `rotation_matrix(dim) @ row`, block by block, elementwise: no
-    # BLAS kernel, whose choice (and rounding) varies with the CPU. With a, b the
-    # even and odd genes, y = (0.8 a + 0.6 b, -0.6 a + 0.8 b), interleaved
+    # `rotation_matrix(dim) @ row` block by block, elementwise: no BLAS
+    # kernel, whose choice (and rounding) varies with the CPU
     a, b = x[:, 0::2], x[:, 1::2]
     y = np.empty_like(x)
-    even, odd = y[:, 0::2], y[:, 1::2]
-    t = b * 0.6
-    np.multiply(a, 0.8, out=even)
-    even += t
-    np.multiply(b, 0.8, out=t)
-    np.multiply(a, -0.6, out=odd)
-    odd += t
+    y[:, 0::2] = 0.8 * a + 0.6 * b
+    y[:, 1::2] = -0.6 * a + 0.8 * b
     return _rastrigin(y)
 
 
 def _rosenbrock(x: np.ndarray) -> np.ndarray:
-    # with a = x[:-1], b = x[1:]: sum(100 * (b - a * a) ** 2 + (a - 1) ** 2)
-    a, b = x[:, :-1], x[:, 1:]
-    t = a * a
-    np.subtract(b, t, out=t)
-    np.square(t, out=t)
-    t *= 100.0
-    u = a - 1.0
-    np.square(u, out=u)
-    t += u
-    return t.sum(axis=1)
+    a = x[:, :-1]
+    b = x[:, 1:]
+    return np.sum(100.0 * (b - a * a) ** 2 + (a - 1.0) ** 2, axis=1)
 
 
 def _ellipsoid(x: np.ndarray) -> np.ndarray:
-    # sum(i * x * x), i = 1..dim
-    t = x * np.arange(1, x.shape[1] + 1, dtype=float)
-    t *= x
-    return t.sum(axis=1)
+    i = np.arange(1, x.shape[1] + 1, dtype=float)
+    return np.sum(i * x * x, axis=1)
 
 
 def _schwefel12(x: np.ndarray) -> np.ndarray:
-    # sum(p * p), p the running sums of the genes
-    p = np.cumsum(x, axis=1)
-    p *= p
-    return p.sum(axis=1)
+    partial = np.cumsum(x, axis=1)
+    return np.sum(partial * partial, axis=1)
 
 
 # name -> (half width of the symmetric default box, the value of every

@@ -292,6 +292,12 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
             t0 = time.perf_counter()
             trace = run(cfg_r, fn, stop=stop, max_evaluations=matrix.max_evaluations)
             elapsed = (time.perf_counter() - t0) * 1000.0
+            if matrix.max_evaluations is not None and trace.stopped_by != "evaluations":
+                # cut by `generations`, the run did less work than the budget the sweep compares at
+                raise ValueError(
+                    f"run {r} ended at generation {trace.generations} after {trace.records[-1].evaluations}"
+                    f" of max_evaluations = {matrix.max_evaluations} evaluations; raise generations"
+                )
             path = out / f"run{r}.csv"
             write_trace_csv(trace, path, include_timing=matrix.timing)
             result.trace_paths.append(str(path))

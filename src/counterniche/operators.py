@@ -299,8 +299,8 @@ class Variation:
             child = arithmetic_crossover(out, b, self.weight_draws, self.position, self.blend, self.crossed)
             words = child.view(np.int64)
             new = (words != out.view(np.int64)).any(axis=1)  # not a copy of the first parent
-            np.copyto(source, second, where=new)
-            source[new & (words != b.view(np.int64)).any(axis=1)] = -1
+            other = (words != b.view(np.int64)).any(axis=1)  # not a copy of the second
+            source = np.where(new, np.where(other, -1, second), first)
             out = child
             del b
         if self.mutated.any():

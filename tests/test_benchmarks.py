@@ -194,67 +194,6 @@ def test_evaluate_batch_is_bit_identical_to_evaluate(name):
             assert np.array_equal(got, [_reference(name, row) for row in x]), (dim, rows)
 
 
-def _exp(v):
-    return np.array([math.exp(e) for e in v.tolist()])
-
-
-def _rot_rows(x):
-    a, b = x[:, 0::2], x[:, 1::2]
-    y = np.empty_like(x)
-    y[:, 0::2] = 0.8 * a + 0.6 * b
-    y[:, 1::2] = -0.6 * a + 0.8 * b
-    return y
-
-
-def _rastrigin_rows(x):
-    return np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=1)
-
-
-def _rows_index(x):
-    return np.arange(1, x.shape[1] + 1, dtype=float)
-
-
-# the batch kernels as plain out-of-place expressions, one temporary per operation
-OUT_OF_PLACE = {
-    "ackley": lambda x: (
-        20.0 + np.e
-        - 20.0 * _exp(-0.2 * np.sqrt(np.sum(x * x, axis=1) / x.shape[1]))
-        - _exp(np.sum(np.cos(2.0 * np.pi * x), axis=1) / x.shape[1])
-    ),
-    "griewank": lambda x: (
-        np.sum((x - 100.0) * (x - 100.0), axis=1) / 4000.0
-        - np.prod(np.cos((x - 100.0) / np.sqrt(_rows_index(x))), axis=1)
-        + 1.0
-    ),
-    "rastrigin": _rastrigin_rows,
-    "rosenbrock": lambda x: np.sum(
-        100.0 * (x[:, 1:] - x[:, :-1] * x[:, :-1]) ** 2 + (x[:, :-1] - 1.0) ** 2, axis=1
-    ),
-    "ellipsoid": lambda x: np.sum(_rows_index(x) * x * x, axis=1),
-    "schwefel12": lambda x: np.sum(np.cumsum(x, axis=1) * np.cumsum(x, axis=1), axis=1),
-    "rot_rastrigin": lambda x: _rastrigin_rows(_rot_rows(x)),
-}
-
-
-@pytest.mark.parametrize("dim", [2, 10, 20, 31])
-@pytest.mark.parametrize("name", FUNCTION_NAMES)
-def test_in_place_kernels_match_the_out_of_place_expressions_bit_for_bit(name, dim):
-    if name == "rot_rastrigin" and dim % 2:
-        dim += 1
-    fn = make(name, dim)
-    rng = np.random.default_rng(dim)
-    low, high = fn.space.lower, fn.space.upper
-    random = rng.uniform(low, high, size=(300, dim))
-    bounds = np.where(rng.random((64, dim)) < 0.5, low, high)  # every gene at a bound
-    zeros = np.where(rng.random((64, dim)) < 0.5, -0.0, 0.0)  # every gene at -0.0 or +0.0
-    mixed = np.where(rng.random((64, dim)) < 0.3, zeros, np.where(rng.random((64, dim)) < 0.5, bounds, random[:64]))
-    for x in (random, bounds, zeros, mixed):
-        before = x.copy()
-        got = fn.evaluate_batch(x)
-        assert got.view(np.int64).tolist() == OUT_OF_PLACE[name](x).view(np.int64).tolist()
-        assert x.tobytes() == before.tobytes()  # the input is not written
-
-
 def test_evaluate_batch_rejects_wrong_shape():
     fn = make("rastrigin", 3)
     for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((2, 4, 3))):

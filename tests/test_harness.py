@@ -470,6 +470,16 @@ def test_evaluation_budget_sweep_stops_every_run_within_one_generation(tmp_path)
             assert counts[-2] < 300 <= counts[-1]
 
 
+def test_evaluation_budget_sweep_refuses_a_cell_whose_runs_end_before_the_budget(tmp_path):
+    # N=10 for 5 generations scores at most 60 rows: no run reaches 1000
+    (cell,) = run_matrix(_tiny_matrix(tmp_path, budget="evaluations", max_evaluations=1000))
+    assert cell.summary is None and cell.trace_paths == []
+    assert re.fullmatch(
+        r"ValueError: run 0 ended at generation 5 after \d+ of max_evaluations = 1000 evaluations; raise generations",
+        cell.error,
+    )
+
+
 @pytest.mark.parametrize("budget,max_evaluations,message", [
     ("evaluations", None, "budget = evaluations needs max_evaluations"),
     ("fixed", 100, "max_evaluations is read under budget = evaluations only, not fixed"),
