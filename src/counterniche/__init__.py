@@ -15,7 +15,6 @@ from .engines import (
     EngineConfig,
     GenRecord,
     RunTrace,
-    StagnationRule,
     default_config,
     default_generations,
     run,

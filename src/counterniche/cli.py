@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import benchmarks, harness, stats
-from .engines import ALGORITHMS, algorithm_registry, check_max_evaluations, default_config, engine_knobs, run
+from .engines import ALGORITHMS, algorithm_registry, default_config, engine_knobs, run
 
 OUTPUT_DIR_ENV = "COUNTERNICHE_OUT"
 
@@ -136,9 +136,9 @@ def _cmd_run(args) -> int:
     try:
         fn = benchmarks.make(args.function, args.dim, schwefel_lower=args.schwefel_lower)
         cfg = default_config(
-            args.algo, dim=args.dim, generations=args.generations, seed=args.seed, **overrides
+            args.algo, dim=args.dim, generations=args.generations, seed=args.seed,
+            max_evaluations=args.max_evaluations, **overrides,
         )
-        check_max_evaluations(args.max_evaluations)
         if args.regions_dump and args.algo != "cnea":
             raise ValueError(f"--regions-dump needs --algo cnea, which alone has dense regions, not {args.algo}")
     except ValueError as exc:
@@ -151,7 +151,7 @@ def _cmd_run(args) -> int:
             for row in zip(*columns):
                 dump.write(json.dumps({"generation": generation, **dict(zip(_DUMP_COLUMNS, row))}) + "\n")
 
-        trace = run(cfg, fn, on_regions=on_regions if dump else None, max_evaluations=args.max_evaluations)
+        trace = run(cfg, fn, on_regions=on_regions if dump else None)
 
     out = args.out
     if out is None:
@@ -162,6 +162,7 @@ def _cmd_run(args) -> int:
     harness.write_trace_csv(trace, out, include_timing=args.timing)
     err = stats.error_value(trace.records[-1].best_fitness, fn.optimum_value)
     print(f"final_error={err:.17g}")
+    print(f"stopped_by={trace.stopped_by}")
     print(f"trace={out}")
     return 0
 

@@ -4,9 +4,9 @@ Every engine is a generation function, which makes the next population from
 the current one. `engine_steps` is the one loop around it: it initializes
 the population and yields one trace record per generation (including
 generation 0, the initialized population), and `run` consumes that stream
-to its last generation, or to an early stop: a `StagnationRule`, or an
-evaluation budget. All engines minimize,
-all use one RngStream per run, and all keep the population size constant.
+to its last generation, or to an early stop its config sets: a stall of the
+best fitness, or an evaluation budget. All engines minimize, all use one
+RngStream per run, and all keep the population size constant.
 Each generation evaluates its new children in one batch once it has drawn
 them all; no draw depends on a child's fitness, so the random stream is the
 same as with evaluation child by child.
@@ -34,14 +34,13 @@ __all__ = [
     "EngineConfig",
     "GenRecord",
     "RunTrace",
-    "StagnationRule",
-    "check_max_evaluations",
     "default_config",
     "check_dim",
     "default_generations",
     "engine_knobs",
     "engine_steps",
     "run",
+    "stall_test",
     "dgea_mode",
     "torus_shape",
     "algorithm_registry",
@@ -68,6 +67,9 @@ class EngineConfig:
     algo: str
     N: int = config_field(300, applies=ALGORITHMS, key="pop_size", ge=2)
     generations: int = config_field(500, ge=0)
+    # the early stops `run` reads; unset, neither stops a run before `generations`
+    stagnation_window: int | None = config_field(None, ge=1)
+    max_evaluations: int | None = config_field(None, ge=1)
     seed: int = config_field(0, ge=0)
     elitism_count: int = config_field(1, applies=("cnea", "sea", "socea", "dgea"), key="elitism", ge=0)
     p_r: float = config_field(0.9, applies=ALGORITHMS, ge=0, le=1)
@@ -153,7 +155,8 @@ class GenRecord:
 class RunTrace:
     records: list[GenRecord]
     best: Individual | None
-    # "budget" at generation `generations`, or an early stop, "stagnation" or "evaluations"; None: read from CSV
+    # "budget" at generation `generations`, or the early stop of the config's
+    # `stagnation_window` or `max_evaluations` ("stagnation", "evaluations"); None: read from CSV
     stopped_by: str | None = "budget"
 
     @property
@@ -429,60 +432,41 @@ def engine_steps(
         yield rec, best
 
 
-@dataclass
-class StagnationRule:
-    """Stop a run once its best fitness has not strictly improved for
-    `window` generations; its `generations` still caps it."""
+def stall_test(window: int) -> Callable[[float], bool]:
+    """A fresh stall test to feed every generation's best fitness in order,
+    starting at generation 0. It answers True at the first generation g
+    with g - (last strict improvement) >= window, and at each after it. A
+    window below 1 is refused."""
+    if window < 1:
+        raise ValueError(f"stagnation_window must be >= 1, got {window}")
+    generation = -1
+    last_improvement = 0
+    previous = math.inf
 
-    window: int = config_field(500, ge=1)
+    def stalled(best: float) -> bool:
+        nonlocal generation, last_improvement, previous
+        generation += 1
+        if best < previous:
+            last_improvement = generation
+        previous = best
+        return generation - last_improvement >= window
 
-    def __post_init__(self):
-        check_fields(self)
-
-    def stall_test(self) -> Callable[[float], bool]:
-        """A fresh test to feed every generation's best fitness in order,
-        starting at generation 0. It answers True at the first generation g
-        with g - (last strict improvement) >= window, and at each after it."""
-        generation = -1
-        last_improvement = 0
-        previous = math.inf
-
-        def stalled(best: float) -> bool:
-            nonlocal generation, last_improvement, previous
-            generation += 1
-            if best < previous:
-                last_improvement = generation
-            previous = best
-            return generation - last_improvement >= self.window
-
-        return stalled
+    return stalled
 
 
-def check_max_evaluations(max_evaluations: int | None) -> None:
-    """Refuse an evaluation budget below 1; None sets no budget."""
-    if max_evaluations is not None and max_evaluations < 1:
-        raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")
-
-
-def run(
-    cfg: EngineConfig,
-    fn,
-    on_regions: Callable | None = None,
-    stop: StagnationRule | None = None,
-    max_evaluations: int | None = None,
-) -> RunTrace:
+def run(cfg: EngineConfig, fn, on_regions: Callable | None = None) -> RunTrace:
     """Run an engine on the stream `RngStream(cfg.seed)` to generation
-    `cfg.generations`, or to an early stop if one comes first: given a stop
-    rule, when its best fitness stalls; given `max_evaluations`, at the
-    first generation whose evaluation count reaches it. The trace records
-    which fired, the stop rule first when both fire at one generation. A
-    budget below 1, or a configuration that fails `check_dim` for the
-    objective's dimension, fails here, before the stream is built."""
-    check_max_evaluations(max_evaluations)
+    `cfg.generations`, or to an early stop of the config if one comes
+    first: given `cfg.stagnation_window`, when its best fitness stalls that
+    long (`stall_test`); given `cfg.max_evaluations`, at the first
+    generation whose evaluation count reaches it. The trace records which
+    fired, the stall first when both fire at one generation. Neither moves
+    a draw. A configuration that fails `check_dim` for the objective's
+    dimension fails here, before the stream is built."""
     check_dim(cfg, fn.space.dim)
     steps = engine_steps(cfg, fn, RngStream(cfg.seed), on_regions)
-    stalled = None if stop is None else stop.stall_test()
-    budget = math.inf if max_evaluations is None else max_evaluations
+    stalled = None if cfg.stagnation_window is None else stall_test(cfg.stagnation_window)
+    budget = math.inf if cfg.max_evaluations is None else cfg.max_evaluations
     records: list[GenRecord] = []
     while True:
         t0 = time.perf_counter()

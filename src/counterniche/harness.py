@@ -18,15 +18,7 @@ from typing import Sequence, get_type_hints
 
 from . import benchmarks
 from .core import check_fields, check_value, config_field
-from .engines import (
-    EngineConfig,
-    GenRecord,
-    RunTrace,
-    StagnationRule,
-    default_config,
-    engine_knobs,
-    run,
-)
+from .engines import EngineConfig, GenRecord, RunTrace, default_config, engine_knobs, run, stall_test
 from .stats import RunSummary, error_value, summarize
 
 __all__ = [
@@ -70,17 +62,18 @@ class DiversityProfile:
     generations_counted: int
 
 
-def detect_stagnation(trace: RunTrace | Sequence[float], rule: StagnationRule) -> int | None:
+def detect_stagnation(trace: RunTrace | Sequence[float], window: int) -> int | None:
     """Smallest generation g with no strict best-fitness improvement anywhere
-    in the window of generations ending at g. None if the trace never stalls
-    that long."""
+    in the `window` generations ending at g, by the test `run` stops on
+    (`engines.stall_test`, which refuses a window below 1). None if the
+    trace never stalls that long."""
     if isinstance(trace, RunTrace):
         series = trace.best_fitness_series()
     else:
         series = [float(v) for v in trace]
     if not series:
         raise ValueError("empty trace")
-    stalled = rule.stall_test()
+    stalled = stall_test(window)
     for g, best in enumerate(series):
         if stalled(best):
             return g
@@ -220,12 +213,13 @@ class ExperimentMatrix:
     functions: tuple[str, ...] = config_field(parse=_names, distinct=True)
     dims: tuple[int, ...] = config_field(parse=lambda value: _names(value, int), ge=1, distinct=True)
     runs_per_cell: int = config_field(30, parse=int, key="runs", ge=1)
-    budget: str = config_field("fixed", parse=str, choices=("fixed", "stagnation", "evaluations"))
+    budget: str = config_field("fixed", parse=str, choices=("fixed", "stagnation"))
     generations: int | None = config_field(None, parse=int, ge=0)  # the last generation of every run; stock when unset
     seed_base: int = config_field(0, parse=int, ge=0)
     output_dir: str = config_field("results", parse=str)
-    stagnation_window: int = config_field(StagnationRule.window, parse=int, ge=1)
-    max_evaluations: int | None = config_field(None, parse=int, ge=1)
+    # every run's stall window: its stop under budget = stagnation, and the test of stalled_runs
+    stagnation_window: int = config_field(500, parse=int, ge=1)
+    max_evaluations: int | None = config_field(None, parse=int, ge=1)  # every run's evaluation budget; unset: none
     workers: int = config_field(1, parse=int, ge=1)
     timing: bool = config_field(False, parse=_on_off)
     schwefel_lower: float | None = config_field(None, parse=float)
@@ -235,11 +229,7 @@ class ExperimentMatrix:
         check_fields(self)
         if not self.algos or not self.functions or not self.dims:
             raise ValueError("matrix needs at least one algo, function, and dim")
-        if self.budget == "evaluations" and self.max_evaluations is None:
-            raise ValueError("budget = evaluations needs max_evaluations")
-        if self.budget != "evaluations" and self.max_evaluations is not None:
-            raise ValueError(f"max_evaluations is read under budget = evaluations only, not {self.budget}")
-        # overrides are knobs only: the matrix sets `algo`, `generations` and each run's `seed` itself
+        # overrides are knobs only: the matrix sets `algo`, `generations`, the early stops and each run's `seed` itself
         knobs = {f.name for f in engine_knobs().values()}
         for key in self.engine_overrides:
             if key not in knobs:
@@ -252,8 +242,14 @@ class ExperimentMatrix:
                 benchmarks.make(function, dim, schwefel_lower=self.schwefel_lower)
 
     def engine_config(self, algo: str, dim: int) -> EngineConfig:
-        """The engine configuration every run of an (algo, dim) cell starts from."""
-        return default_config(algo, dim=dim, generations=self.generations, **self.engine_overrides)
+        """The engine configuration every run of an (algo, dim) cell starts
+        from, with the matrix's early stops: the stall window under `budget =
+        stagnation`, and the evaluation budget when set."""
+        window = self.stagnation_window if self.budget == "stagnation" else None
+        return default_config(
+            algo, dim=dim, generations=self.generations, stagnation_window=window,
+            max_evaluations=self.max_evaluations, **self.engine_overrides,
+        )
 
 
 @dataclass
@@ -281,8 +277,6 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
         cfg = matrix.engine_config(algo, dim)
         out = cell_dir(matrix.output_dir, algo, function, dim)
         out.mkdir(parents=True, exist_ok=True)
-        rule = StagnationRule(matrix.stagnation_window)
-        stop = rule if matrix.budget == "stagnation" else None
 
         errors: list[float] = []
         walls: list[float] = []
@@ -290,20 +284,20 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
             cfg_r = replace(cfg, seed=matrix.seed_base + r)
             # persistence stays outside the timed span
             t0 = time.perf_counter()
-            trace = run(cfg_r, fn, stop=stop, max_evaluations=matrix.max_evaluations)
+            trace = run(cfg_r, fn)
             elapsed = (time.perf_counter() - t0) * 1000.0
-            if matrix.max_evaluations is not None and trace.stopped_by != "evaluations":
+            if cfg.max_evaluations is not None and trace.stopped_by == "budget":
                 # cut by `generations`, the run did less work than the budget the sweep compares at
                 raise ValueError(
                     f"run {r} ended at generation {trace.generations} after {trace.records[-1].evaluations}"
-                    f" of max_evaluations = {matrix.max_evaluations} evaluations; raise generations"
+                    f" of max_evaluations = {cfg.max_evaluations} evaluations; raise generations"
                 )
             path = out / f"run{r}.csv"
             write_trace_csv(trace, path, include_timing=matrix.timing)
             result.trace_paths.append(str(path))
             errors.append(error_value(trace.records[-1].best_fitness, fn.optimum_value))
             walls.append(elapsed)
-            stag = detect_stagnation(trace, rule)
+            stag = detect_stagnation(trace, matrix.stagnation_window)
             if stag is not None:
                 result.stagnation_gens.append(stag)
 

@@ -20,7 +20,6 @@ from counterniche import (
     Population,
     RngStream,
     SearchSpace,
-    StagnationRule,
     build_grid,
     default_config,
     detect_victims,
@@ -201,7 +200,7 @@ def test_criterion_08_informed_op_contract():
 
 def test_criterion_09_stagnation_detector():
     series = [10.0] * 100 + [5.0] * 900
-    at = detect_stagnation(series, StagnationRule(500))
+    at = detect_stagnation(series, 500)
     reference_ok = at == 600
 
     rng = np.random.Generator(np.random.PCG64(31))
@@ -215,8 +214,7 @@ def test_criterion_09_stagnation_detector():
                 value -= float(rng.random())
             series.append(value)
         window = int(rng.integers(1, 25))
-        rule = StagnationRule(window)
-        if detect_stagnation(series, rule) != brute_force_stagnation(series, window):
+        if detect_stagnation(series, window) != brute_force_stagnation(series, window):
             mismatches += 1
     ok = reference_ok and mismatches == 0
     _report(9, "stagnation detector", ok,
@@ -285,8 +283,8 @@ def test_criterion_13_equal_evaluation_budget():
     for algo in ("cnea", "sea", "dgea"):
         errors[algo] = []
         for seed in seeds:
-            cfg = default_config(algo, dim=10, seed=seed, N=100, generations=100_000)
-            trace, again = (run(cfg, fn, max_evaluations=budget) for _ in range(2))
+            cfg = default_config(algo, dim=10, seed=seed, N=100, generations=100_000, max_evaluations=budget)
+            trace, again = (run(cfg, fn) for _ in range(2))
             counts = [r.evaluations for r in trace.records]
             within.append(trace.stopped_by == "evaluations" and counts[-2] < budget <= counts[-1])
             identical.append(

@@ -405,3 +405,14 @@ def test_run_max_evaluations_stops_the_run_and_refuses_a_bad_value(tmp_path, cap
     capsys.readouterr()
     counts = [r.evaluations for r in read_trace_csv(out).records]
     assert counts[-2] < 300 <= counts[-1]
+
+
+def test_run_says_how_its_run_ended(tmp_path, capsys):
+    argv = ["run", "--algo", "cnea", "--function", "ellipsoid", "--dim", "2", "--pop-size", "10",
+            "--out", str(tmp_path / "t.csv")]
+    # 5 generations of N=10 score far fewer than 100,000 rows: `generations` cut the run short of its budget
+    assert main(argv + ["--generations", "5", "--max-evaluations", "100000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("final_error=") and lines[1] == "stopped_by=budget"
+    assert main(argv + ["--generations", "500", "--max-evaluations", "300"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "stopped_by=evaluations"

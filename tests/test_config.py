@@ -220,7 +220,8 @@ def test_key_length_bound_is_exact():
 
 
 def test_every_knob_is_a_run_flag_and_a_sweep_key(tmp_path, monkeypatch, capsys):
-    knob_fields = [f.name for f in fields(EngineConfig) if f.name not in ("algo", "generations", "seed")]
+    not_knobs = ("algo", "generations", "stagnation_window", "max_evaluations", "seed")
+    knob_fields = [f.name for f in fields(EngineConfig) if f.name not in not_knobs]
     assert sorted(KNOB_VALUES) == sorted(knob_fields)
 
     sweep = tmp_path / "sweep.cfg"

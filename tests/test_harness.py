@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from counterniche import (
     ExperimentMatrix,
-    StagnationRule,
     detect_stagnation,
     make,
     run,
@@ -59,27 +58,27 @@ def brute_force_stagnation(series, window):
 def test_detect_stagnation_reference_case():
     # strict improvement at generation 100, flat afterwards, window 500
     series = [10.0] * 100 + [5.0] * 900
-    assert detect_stagnation(series, StagnationRule(500)) == 600
+    assert detect_stagnation(series, 500) == 600
 
 
 def test_detect_stagnation_no_stall():
     series = list(range(100, 0, -1))
-    assert detect_stagnation(series, StagnationRule(50)) is None
+    assert detect_stagnation(series, 50) is None
 
 
 def test_detect_stagnation_flat_from_start():
     series = [3.0] * 20
     # no improvement ever: the window is measured from generation 0
-    assert detect_stagnation(series, StagnationRule(5)) == 5
+    assert detect_stagnation(series, 5) == 5
 
 
 def test_detect_stagnation_accepts_traces():
     trace = _trace_from_series([4.0, 3.0, 3.0, 3.0, 3.0])
-    assert detect_stagnation(trace, StagnationRule(3)) == 4
+    assert detect_stagnation(trace, 3) == 4
     with pytest.raises(ValueError):
-        detect_stagnation([], StagnationRule(3))
+        detect_stagnation([], 3)
     with pytest.raises(ValueError):
-        StagnationRule(0)
+        detect_stagnation(trace, 0)
 
 
 @settings(max_examples=200)
@@ -97,30 +96,34 @@ def test_detect_stagnation_matches_brute_force(steps, window, seed):
         if s == 0 and rng.random() < 0.8:
             value -= float(rng.random())
         series.append(value)
-    rule = StagnationRule(window)
-    assert detect_stagnation(series, rule) == brute_force_stagnation(series, window)
+    assert detect_stagnation(series, window) == brute_force_stagnation(series, window)
 
 
-def test_run_stop_rule_stops_and_labels():
+@pytest.mark.parametrize("algo", ["cnea", "sea", "socea", "cea", "dgea"])
+def test_run_stop_rule_stops_and_labels(algo):
     fn = make("ellipsoid", 2)
-    cfg = default_config("sea", dim=2, seed=0, N=10, generations=5000)
-    rule = StagnationRule(20)
-    trace = run(cfg, fn, stop=rule)
+    cfg = default_config(algo, dim=2, seed=0, N=10, generations=5000)
+    plain = run(dataclasses.replace(cfg, generations=600), fn)
+    stall = detect_stagnation(plain, 20)
+    assert stall is not None
+    trace = run(dataclasses.replace(cfg, stagnation_window=20), fn)
     assert trace.stopped_by == "stagnation"
-    assert detect_stagnation(trace, rule) == trace.generations < 5000
+    assert detect_stagnation(trace, 20) == trace.generations == stall < 5000
+    # the stall stop moves no draw: the run is the plain run, cut at its stall
+    assert _same_records(trace, dataclasses.replace(plain, records=plain.records[: stall + 1]))
     series = trace.best_fitness_series()
     # the full 20-step window ending at the stagnation point is improvement-free
     assert all(series[k] >= series[k - 1] for k in range(len(series) - 20, len(series)))
 
 
 def test_run_stop_rule_stops_at_generations():
-    # a stall rule with a window the run never reaches stops at cfg.generations
+    # a stall window the run never reaches stops it at cfg.generations
     fn = make("rastrigin", 2)
     cfg = default_config("sea", dim=2, seed=0, N=10, generations=30)
-    trace = run(cfg, fn, stop=StagnationRule(10_000))
+    trace = run(dataclasses.replace(cfg, stagnation_window=10_000), fn)
     assert trace.stopped_by == "budget"
     assert trace.records[-1].generation == 30
-    # the stop rule moves no draw: the plain budget run is the same run
+    # the stall window moves no draw: the plain budget run is the same run
     budget = run(cfg, fn)
     for a, b in zip(trace.records, budget.records, strict=True):
         assert dataclasses.replace(a, wall_ms=0.0) == dataclasses.replace(b, wall_ms=0.0)
@@ -140,7 +143,7 @@ def test_run_stops_at_the_first_generation_whose_evaluations_reach_the_budget(al
     plain = run(cfg, fn)
     budget = plain.records[24].evaluations + 1
     stop = next(r.generation for r in plain.records if r.evaluations >= budget)
-    trace = run(cfg, fn, max_evaluations=budget)
+    trace = run(dataclasses.replace(cfg, max_evaluations=budget), fn)
     assert trace.stopped_by == "evaluations" and trace.generations == stop
     counts = [r.evaluations for r in trace.records]
     assert counts[-2] < budget <= counts[-1]
@@ -153,19 +156,19 @@ def test_run_evaluation_budget_edges():
     cfg = default_config("sea", dim=2, seed=0, N=10, generations=30)
     plain = run(cfg, fn)
     # a budget the run never reaches: it ends at generations, as the plain run
-    never = run(cfg, fn, max_evaluations=plain.records[-1].evaluations + 1)
+    never = run(dataclasses.replace(cfg, max_evaluations=plain.records[-1].evaluations + 1), fn)
     assert never.stopped_by == "budget" and _same_records(never, plain)
     # a budget reached at the last generation names the budget
-    last = run(cfg, fn, max_evaluations=plain.records[-1].evaluations)
+    last = run(dataclasses.replace(cfg, max_evaluations=plain.records[-1].evaluations), fn)
     assert last.stopped_by == "evaluations" and last.generations == 30
     # the initial population alone reaches a budget of N or less
-    first = run(cfg, fn, max_evaluations=1)
+    first = run(dataclasses.replace(cfg, max_evaluations=1), fn)
     assert first.stopped_by == "evaluations" and first.generations == 0
-    # a stall and the budget at one generation: the stop rule is named
-    stalled = run(cfg, fn, stop=StagnationRule(3))
+    # a stall and the budget at one generation: the stall is named
+    stalled = run(dataclasses.replace(cfg, stagnation_window=3), fn)
     stall = stalled.generations
     assert stalled.stopped_by == "stagnation" and plain.records[stall - 1].evaluations < plain.records[stall].evaluations
-    both = run(cfg, fn, stop=StagnationRule(3), max_evaluations=plain.records[stall].evaluations)
+    both = run(dataclasses.replace(cfg, stagnation_window=3, max_evaluations=plain.records[stall].evaluations), fn)
     assert both.stopped_by == "stagnation" and both.generations == stall
 
 
@@ -181,8 +184,9 @@ class Untouchable:
 @pytest.mark.parametrize("budget", [0, -5])
 def test_run_refuses_an_evaluation_budget_below_one_before_any_evaluation(budget):
     cfg = default_config("cnea", dim=2, seed=0, N=10, generations=3)
+    # the config refuses it when built, so the run never starts
     with pytest.raises(ValueError, match=re.escape(f"max_evaluations must be >= 1, got {budget}")):
-        run(cfg, Untouchable(), max_evaluations=budget)
+        run(dataclasses.replace(cfg, max_evaluations=budget), Untouchable())
 
 
 def test_default_burn_in():
@@ -461,7 +465,7 @@ def test_run_matrix_stagnation_budget(tmp_path):
 
 def test_evaluation_budget_sweep_stops_every_run_within_one_generation(tmp_path):
     matrix = _tiny_matrix(
-        tmp_path, algos=("cnea", "sea"), budget="evaluations", max_evaluations=300, generations=1000
+        tmp_path, algos=("cnea", "sea"), max_evaluations=300, generations=1000
     )
     for cell in run_matrix(matrix):
         assert cell.error is None
@@ -472,7 +476,7 @@ def test_evaluation_budget_sweep_stops_every_run_within_one_generation(tmp_path)
 
 def test_evaluation_budget_sweep_refuses_a_cell_whose_runs_end_before_the_budget(tmp_path):
     # N=10 for 5 generations scores at most 60 rows: no run reaches 1000
-    (cell,) = run_matrix(_tiny_matrix(tmp_path, budget="evaluations", max_evaluations=1000))
+    (cell,) = run_matrix(_tiny_matrix(tmp_path, max_evaluations=1000))
     assert cell.summary is None and cell.trace_paths == []
     assert re.fullmatch(
         r"ValueError: run 0 ended at generation 5 after \d+ of max_evaluations = 1000 evaluations; raise generations",
@@ -480,11 +484,23 @@ def test_evaluation_budget_sweep_refuses_a_cell_whose_runs_end_before_the_budget
     )
 
 
+def test_stagnation_sweep_with_an_evaluation_budget_fails_only_a_run_cut_by_generations(tmp_path):
+    # seed 0 stalls at generation 11 of 20, seed 1 runs to the cap of 20; neither reaches 10**6 evaluations
+    stops = dict(budget="stagnation", stagnation_window=5, generations=20, max_evaluations=10**6)
+    (stalled,) = run_matrix(_tiny_matrix(tmp_path, runs_per_cell=1, output_dir=str(tmp_path / "a"), **stops))
+    assert stalled.error is None and stalled.stagnation_gens == [11]
+    assert read_trace_csv(stalled.trace_paths[0]).records[-1].generation == 11
+    (capped,) = run_matrix(_tiny_matrix(tmp_path, output_dir=str(tmp_path / "b"), **stops))
+    assert capped.summary is None
+    assert re.fullmatch(
+        r"ValueError: run 1 ended at generation 20 after \d+ of max_evaluations = 1000000 evaluations; raise generations",
+        capped.error,
+    )
+
+
 @pytest.mark.parametrize("budget,max_evaluations,message", [
-    ("evaluations", None, "budget = evaluations needs max_evaluations"),
-    ("fixed", 100, "max_evaluations is read under budget = evaluations only, not fixed"),
-    ("stagnation", 100, "max_evaluations is read under budget = evaluations only, not stagnation"),
-    ("evaluations", 0, "max_evaluations must be >= 1, got 0"),
+    ("evaluations", None, "budget must be fixed or stagnation, got 'evaluations'"),
+    ("fixed", 0, "max_evaluations must be >= 1, got 0"),
 ])
 def test_experiment_matrix_refuses_an_evaluation_budget_it_cannot_use(budget, max_evaluations, message, tmp_path):
     with pytest.raises(ValueError, match=re.escape(message)):

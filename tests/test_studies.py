@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from counterniche import StagnationRule, cli, default_config, make, paired_ttest, run
+from counterniche import cli, default_config, make, paired_ttest, run
 from counterniche.core import value_range
 from counterniche.harness import (
     default_burn_in,
@@ -60,11 +60,12 @@ def desk_reference(function: str) -> dict:
 def stagnation_reference(algo: str) -> list[tuple]:
     """(stop generation, final error, average diversity) of each run."""
     fn = make(STAG_FUNCTION, STAG_DIM)
-    rule = StagnationRule(STAG_WINDOW)
     out = []
     for seed in range(STAG_RUNS):
-        cfg = default_config(algo, dim=STAG_DIM, generations=STAG_GENERATIONS, seed=seed, N=STAG_POP)
-        trace = run(cfg, fn, stop=rule)
+        cfg = default_config(
+            algo, dim=STAG_DIM, generations=STAG_GENERATIONS, seed=seed, N=STAG_POP, stagnation_window=STAG_WINDOW
+        )
+        trace = run(cfg, fn)
         profile = diversity_profile(trace, default_burn_in(trace.generations))
         out.append((trace.records[-1].generation, trace.best.fitness - fn.optimum_value,
                     profile.average_diversity))
