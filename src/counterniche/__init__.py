@@ -17,13 +17,13 @@ from .engines import (
     RunTrace,
     default_config,
     default_generations,
+    regular_ops,
     run,
 )
 from .harness import ExperimentMatrix, detect_stagnation, diversity_profile, run_matrix
 from .informed import (
     detect_victims,
     informed_mutation,
-    regular_ops,
     sample_virgin,
     select_replacement,
 )

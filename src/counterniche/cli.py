@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_div = sub.add_parser("diversity-report", help="average diversity profiles per cell")
     p_div.add_argument("--in", dest="in_dir", required=True)
     p_div.add_argument("--burn-in", type=int, default=None,
-                       help="generations ignored at the start; defaults to 5%% of each run's budget")
+                       help="generations ignored at the start; defaults to 5%% of each trace's last "
+                       "generation, which is short of the budget for a run that stopped early")
     p_div.add_argument("--json", action="store_true")
 
     return parser
@@ -245,7 +246,7 @@ def _cmd_ttest(args) -> int:
                 "p": result.p_value,
             }
         )
-    print(stats.render_ttest_text(rows))
+    print(stats.render_rows_text(rows))
     if args.csv:
         harness.write_rows_csv(args.csv, rows)
     return 0
@@ -267,9 +268,7 @@ def _cmd_diversity_report(args) -> int:
         counted = 0
         for path in traces:
             trace = harness.read_trace_csv(path)
-            burn = args.burn_in
-            if burn is None:
-                burn = harness.default_burn_in(trace.generations)
+            burn = harness.default_burn_in(trace.generations) if args.burn_in is None else args.burn_in
             profile = harness.diversity_profile(trace, burn)
             if profile.average_diversity is not None:
                 values.append(profile.average_diversity)
@@ -285,15 +284,7 @@ def _cmd_diversity_report(args) -> int:
                 "average_diversity": avg,
             }
         )
-    if args.json:
-        print(json.dumps(rows, indent=2, sort_keys=True))
-        return 0
-    print(f"{'algo':<6} {'function':<14} {'dim':>4}  {'avg_diversity':>14}  {'runs':>4}")
-    for r in rows:
-        avg = "n/a" if r["average_diversity"] is None else f"{r['average_diversity']:.6g}"
-        print(
-            f"{r['algo']:<6} {r['function']:<14} {r['dim']:>4}  {avg:>14}  {r['runs_with_signal']:>4}"
-        )
+    print(json.dumps(rows, indent=2, sort_keys=True) if args.json else stats.render_rows_text(rows))
     return 0
 
 

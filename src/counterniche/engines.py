@@ -25,7 +25,7 @@ import numpy as np
 from .benchmarks import evaluate_children, evaluate_rows
 from .core import Individual, Population, RngStream, SearchSpace, check_fields, config_field
 from .diversity import distance_to_average
-from .informed import detect_victims, informed_mutation, regular_ops
+from .informed import detect_victims, informed_mutation
 from .niching import build_grid, check_key_length, choose_key_dims, high_density_regions
 from .operators import Variation, binary_tournament, pow_sample, sea_variance
 
@@ -44,6 +44,7 @@ __all__ = [
     "dgea_mode",
     "torus_shape",
     "algorithm_registry",
+    "regular_ops",
 ]
 
 ALGORITHMS = ("cnea", "sea", "socea", "cea", "dgea")
@@ -85,8 +86,6 @@ class EngineConfig:
     sea_variance_mode: str = config_field(
         "printed", applies=("sea",), key="sea_variance", choices=("printed", "annealed")
     )
-    pow_exponent: float = config_field(2.0, applies=("socea", "cea", "dgea"))
-    pow_upper: float = config_field(1000.0, applies=("socea", "cea", "dgea"), gt=1)
     d_low: float = config_field(5e-6, applies=("dgea",))
     d_high: float = config_field(0.25, applies=("dgea",))
 
@@ -217,26 +216,41 @@ def _elitist_union_survivors(parents: Population, offspring: Population, count: 
     return Population(X[keep], f[keep])
 
 
-def _breed(pop: Population, draws: Variation, first, second, fn, variance=None) -> Population:
+def _breed(pop: Population, draws: Variation, first, second, fn) -> Population:
     """The children `draws` makes from rows first[k] and second[k] of the
     population, with their fitness: a copy of either parent keeps that
-    parent's, and the fresh ones are evaluated. `variance`, when given, is
-    every mutated child's."""
-    children, source = draws.children(pop.X, first, second, fn.space, variance=variance)
+    parent's, and the fresh ones are evaluated in one batch."""
+    children, source = draws.children(pop.X, first, second, fn.space)
     return Population(children, evaluate_children(fn, children, source, pop.f))
 
 
-def _pow_variances(alpha: float, cfg: EngineConfig, rng: RngStream) -> Callable[[int], np.ndarray]:
+def regular_ops(pop: Population, fn, rng: RngStream, cfg: EngineConfig) -> Population:
+    """`cnea`'s regular operators: tournament parents, arithmetic crossover
+    with probability p_r, per-gene Gaussian mutation at rate p_m with std
+    sigma_reg * range. The draws come as whole arrays, in this order:
+    tournaments (n, 4); crossover coins (n,), weight draws (n, dim),
+    positions (n,), blends (n,); gene-mask uniforms (n, dim), standard
+    normals (n, dim)."""
+    low, high = fn.space.draw_bounds()  # two floats on a cube, which numpy broadcasts fastest
+    std = cfg.sigma_reg * (high - low)
+    draws = Variation(pop.size, fn.space.dim, rng)
+    draws.all_tournaments()
+    draws.all_crossovers(cfg.p_r)
+    draws.all_gene_mutations(cfg.p_m, std * std)
+    return _breed(pop, draws, *draws.parents(pop.f), fn)
+
+
+def _pow_variances(alpha: float, rng: RngStream) -> Callable[[int], np.ndarray]:
     """POW(alpha) mutation variances, `size` per call."""
-    return lambda size: pow_sample(alpha, rng, cfg.pow_exponent, cfg.pow_upper, size=size)
+    return lambda size: pow_sample(alpha, rng, size=size)
 
 
 def _sea_offspring(pop: Population, cfg: EngineConfig, fn, rng: RngStream, variance: float) -> Population:
     """Tournament parents, arithmetic crossover, and whole-genome Gaussian
     mutation of the given variance, drawn child by child."""
     draws = Variation(cfg.N, fn.space.dim, rng)
-    draws.child_by_child(cfg.p_r, cfg.p_m_genome)
-    return _breed(pop, draws, *draws.parents(pop.f), fn, variance)
+    draws.child_by_child(cfg.p_r, cfg.p_m_genome, variance)
+    return _breed(pop, draws, *draws.parents(pop.f), fn)
 
 
 def _socea_offspring(pop: Population, cfg: EngineConfig, fn, rng: RngStream) -> Population:
@@ -245,7 +259,7 @@ def _socea_offspring(pop: Population, cfg: EngineConfig, fn, rng: RngStream) -> 
     draws = Variation(cfg.N, fn.space.dim, rng)
     draws.all_tournaments()
     draws.all_crossovers(cfg.p_r)
-    draws.all_mutations(cfg.p_m_genome, _pow_variances(10.0, cfg, rng))
+    draws.all_mutations(cfg.p_m_genome, _pow_variances(10.0, rng))
     return _breed(pop, draws, *draws.parents(pop.f), fn)
 
 
@@ -276,7 +290,7 @@ def _cea_offspring(
     pick = rng.integers(0, 4, size=n)
     draws = Variation(n, fn.space.dim, rng)
     draws.all_crossovers(cfg.p_r)
-    draws.all_mutations(cfg.p_m_genome, _pow_variances(10.0, cfg, rng))
+    draws.all_mutations(cfg.p_m_genome, _pow_variances(10.0, rng))
     cells = np.arange(n)
     return _breed(pop, draws, cells, neighbors[cells, pick], fn)
 
@@ -300,7 +314,7 @@ def _dgea_offspring(pop: Population, mode: str, cfg: EngineConfig, fn, rng: RngS
         draws.all_tournaments()
         draws.all_crossovers(cfg.p_r)
         return _breed(pop, draws, *draws.parents(pop.f), fn)
-    draws.all_mutations(cfg.p_m_genome, _pow_variances(1.0, cfg, rng))
+    draws.all_mutations(cfg.p_m_genome, _pow_variances(1.0, rng))
     members = np.arange(cfg.N)
     return _breed(pop, draws, members, members, fn)
 

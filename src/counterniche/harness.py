@@ -10,8 +10,7 @@ available in memory.
 from __future__ import annotations
 
 import csv
-import time
-from dataclasses import MISSING, Field, dataclass, field, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from itertools import product, repeat
 from pathlib import Path
 from typing import Sequence, get_type_hints
@@ -45,12 +44,9 @@ __all__ = [
     "load_matrix_config",
 ]
 
-# a trace file's columns are GenRecord's fields in order, each parsed with its
-# type; a field with a default may be missing (traces written before
-# `fallbacks` was a column still load), and reads as that default
+# a trace file's columns are GenRecord's fields in order, each parsed with its type
 TRACE_FIELDS = tuple(f.name for f in fields(GenRecord))
 _TRACE_TYPES = get_type_hints(GenRecord)
-_TRACE_REQUIRED = {f.name for f in fields(GenRecord) if f.default is MISSING}
 
 # the RunSummary statistics of a summary row, in column order
 _SUMMARY_STATS = ("best", "p23", "median", "p73", "worst", "mean", "std")
@@ -119,15 +115,14 @@ def write_trace_csv(trace: RunTrace, path, include_timing: bool = False) -> None
 
 
 def read_trace_csv(path) -> RunTrace:
-    """A trace file's records. The file holds neither the best genome nor
-    how its run ended, so the trace's `best` and `stopped_by` are None."""
+    """A trace file's records; its header must be `TRACE_FIELDS`, in order.
+    The file holds neither the best genome nor how its run ended, so the
+    trace's `best` and `stopped_by` are None."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        header = tuple(reader.fieldnames or ())
-        if header != tuple(f for f in TRACE_FIELDS if f in header) or not _TRACE_REQUIRED <= set(header):
-            raise ValueError(f"{path} does not look like a trace file")
-        parse = [(name, _TRACE_TYPES[name]) for name in header]
-        records = [GenRecord(**{name: kind(row[name]) for name, kind in parse}) for row in reader]
+        if tuple(reader.fieldnames or ()) != TRACE_FIELDS:
+            raise ValueError(f"{path} does not look like a trace file: its header is not {','.join(TRACE_FIELDS)}")
+        records = [GenRecord(**{name: _TRACE_TYPES[name](row[name]) for name in TRACE_FIELDS}) for row in reader]
     if not records:
         raise ValueError(f"{path} holds no generations")
     return RunTrace(records, None, stopped_by=None)
@@ -281,11 +276,7 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
         errors: list[float] = []
         walls: list[float] = []
         for r in range(matrix.runs_per_cell):
-            cfg_r = replace(cfg, seed=matrix.seed_base + r)
-            # persistence stays outside the timed span
-            t0 = time.perf_counter()
-            trace = run(cfg_r, fn)
-            elapsed = (time.perf_counter() - t0) * 1000.0
+            trace = run(replace(cfg, seed=matrix.seed_base + r), fn)
             if cfg.max_evaluations is not None and trace.stopped_by == "budget":
                 # cut by `generations`, the run did less work than the budget the sweep compares at
                 raise ValueError(
@@ -296,7 +287,7 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
             write_trace_csv(trace, path, include_timing=matrix.timing)
             result.trace_paths.append(str(path))
             errors.append(error_value(trace.records[-1].best_fitness, fn.optimum_value))
-            walls.append(elapsed)
+            walls.append(sum(rec.wall_ms for rec in trace.records))
             stag = detect_stagnation(trace, matrix.stagnation_window)
             if stag is not None:
                 result.stagnation_gens.append(stag)

@@ -3,8 +3,8 @@
 Dense grid regions whose members have collapsed to near-identical fitness are
 treated as redundant: their worst members get replaced by evaluated samples
 drawn from unoccupied cells, preferring samples far from every region centroid
-already handled this generation. The regular variation pipeline then runs on
-the whole population.
+already handled this generation. `cnea`'s regular operators
+(`engines.regular_ops`) then run on the whole population.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .benchmarks import evaluate_children, evaluate_rows
+from .benchmarks import evaluate_rows
 from .core import Population, RngStream
 from .niching import GridIndex, Regions
-from .operators import Variation
 
 if TYPE_CHECKING:
     from .engines import EngineConfig
@@ -29,7 +28,6 @@ __all__ = [
     "sample_virgin",
     "select_replacement",
     "informed_mutation",
-    "regular_ops",
 ]
 
 
@@ -160,23 +158,3 @@ def informed_mutation(
         f[slots[pool]] = samples.fitness[chosen]
     fields = dict(victims=len(victims), replacements=len(hopeful), fallbacks=len(slots) - len(hopeful))
     return Population(X, f), fields
-
-
-def regular_ops(population: Population, fn, rng: RngStream, cfg: EngineConfig) -> Population:
-    """Standard variation pass: tournament parents, arithmetic crossover with
-    probability p_r, per-gene Gaussian mutation with std sigma_reg * range.
-    The draws come as whole arrays, in this order: tournaments (n, 4);
-    crossover coins (n,), weight draws (n, dim), positions (n,), blends (n,);
-    gene-mask uniforms (n, dim), standard normals (n, dim).
-    The fresh children are evaluated in one batch at the end; a child
-    bit-identical to either parent keeps that parent's fitness."""
-    space = fn.space
-    low, high = space.draw_bounds()  # two floats on a cube, which numpy broadcasts fastest
-    std = cfg.sigma_reg * (high - low)
-    draws = Variation(population.size, space.dim, rng)
-    draws.all_tournaments()
-    draws.all_crossovers(cfg.p_r)
-    draws.all_gene_mutations()
-    first, second = draws.parents(population.f)
-    children, source = draws.children(population.X, first, second, space, cfg.p_m, std * std)
-    return Population(children, evaluate_children(fn, children, source, population.f))

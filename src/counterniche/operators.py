@@ -50,10 +50,9 @@ def binary_tournament(f: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray
     return np.where(f[j] < f[i], j, i)
 
 
-def arithmetic_crossover(a, b, weight_draws, position, blend, crossed=None) -> np.ndarray:
+def arithmetic_crossover(a, b, weight_draws, position, blend, crossed) -> np.ndarray:
     """Per-variable weighted blends of the parent rows a[k] and b[k], for
-    the rows where `crossed` is True (every row by default); the other rows
-    copy a.
+    the rows where `crossed` is True; the other rows copy a.
 
     Gene g of child k has weight 1 when weight_draws[k, g] < 0.5 and 0
     otherwise, except gene position[k], whose weight is blend[k]. The child
@@ -72,26 +71,23 @@ def arithmetic_crossover(a, b, weight_draws, position, blend, crossed=None) -> n
     np.subtract(1.0, w, out=w)
     w *= gb
     child += w
-    if crossed is not None:
-        np.copyto(child, ga, where=~np.asarray(crossed)[:, None])
+    np.copyto(child, ga, where=~np.asarray(crossed)[:, None])
     return child
 
 
 def gaussian_mutate(
-    genomes, gene_draws, normals, variance, p_gene: float, space: SearchSpace, mutated=None
+    genomes, gene_draws, normals, variance, p_gene: float, space: SearchSpace, mutated
 ) -> tuple[np.ndarray, np.ndarray]:
     """Add zero-mean Gaussian noise of the given variance to each gene whose
-    draw falls below p_gene, in the rows where `mutated` is True (every row
-    by default), then clamp the rows where a gene fired.
+    draw falls below p_gene, in the rows where `mutated` is True, then clamp
+    the rows where a gene fired.
 
     `variance` is a scalar, a per-gene vector, or an (m, 1) column of
     per-row values. Returns the children and the mask of rows where any gene
     fired; the other rows are the input rows unchanged.
     """
     out = np.array(genomes, dtype=float)
-    fire = np.asarray(gene_draws) < p_gene
-    if mutated is not None:
-        fire &= np.asarray(mutated)[:, None]
+    fire = (np.asarray(gene_draws) < p_gene) & np.asarray(mutated)[:, None]
     noise = np.asarray(normals) * np.sqrt(variance)
     np.add(out, noise, out=out, where=fire)
     fired = fire.any(axis=1)
@@ -105,25 +101,27 @@ class Variation:
     length dim, and the arithmetic that turns them into children.
 
     The draw methods store every child's draws, child by child or one
-    array per draw kind; `children` applies them to all rows at once. A
-    child that draws no crossover copies its first parent, and one that
-    draws no mutation is not mutated.
+    array per draw kind, and a mutation's draw method stores its
+    parameters too: the variance and the per-gene rate `p_gene`. `children`
+    applies them to all rows at once. A child that draws no crossover
+    copies its first parent, and one that draws no mutation is not mutated.
     """
 
     def __init__(self, n: int, dim: int, rng: RngStream):
         self.n, self.dim, self.rng = n, dim, rng
-        # what `children` reads when no draw method sets it: no child crosses or mutates, no mask is drawn
+        # what `children` reads when no draw method sets it: no child crosses or mutates, no mask is
+        # drawn, and every gene of a mutated child fires
         self.crossed, self.mutated = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        self.gene_draws = np.zeros((n, dim))
+        self.gene_draws, self.p_gene = np.zeros((n, dim)), 1.0
 
-    def child_by_child(self, p_r: float, p_m: float) -> None:
+    def child_by_child(self, p_r: float, p_m: float, variance: float) -> None:
         """Each child's draws in turn, in its order: the members i and j of
         two binary tournaments (`integers(0, n)` each); a crossover coin, and
         below p_r one weight uniform per gene, the blended position
         (`integers(0, dim)`) and its weight; a mutation coin, and below p_m
         one mask uniform per gene, passed over (`gene_draws` stay 0: every
-        gene fires under any p_gene above 0), and `normal(0.0, 1.0, dim)`.
-        The variance is the one `children` gets. The normals are drawn with
+        gene fires under `p_gene` 1), and `normal(0.0, 1.0, dim)`. Every
+        mutated child has the variance `variance`. The normals are drawn with
         `standard_normal`, and one `normals += 0.0` per generation gives them
         numpy's `0.0 + 1.0 * z`, which turns -0.0 into +0.0.
 
@@ -148,7 +146,7 @@ class Variation:
         that method redraws a half, numpy's own calls draw every child again
         from the start.
         """
-        rng, n, dim = self.rng, self.n, self.dim
+        rng, n, dim, self.variance = self.rng, self.n, self.dim, variance
         raw, advance, standard_normal = rng.raw, rng.advance, rng.standard_normal
         start, spare = rng.position(), rng.spare()
         bout_words = 2 if n > 1 else 0  # a span of 1 draws nothing
@@ -250,19 +248,19 @@ class Variation:
         one variance per child from `variances(n)`, then the standard
         normals (n, dim), drawn for every child whatever its coin says. No
         mask is drawn: `gene_draws` stay 0, so every gene of a mutated child
-        fires under any p_gene above 0."""
+        fires under `p_gene` 1."""
         rng, n = self.rng, self.n
         self.mutated = rng.random(n) < p_m
         self.variance = variances(n)[:, None]
         self.normals = rng.normal(0.0, 1.0, (n, self.dim))
 
-    def all_gene_mutations(self) -> None:
+    def all_gene_mutations(self, p_gene: float, variance) -> None:
         """Every child's per-gene mutation draws, one array per kind: the
         mask uniforms (n, dim), then the standard normals (n, dim). Every
-        child counts as mutated; which of its genes fire is left to the
-        per-gene rate `children` gets, with the per-gene variance it gets."""
+        child counts as mutated; a gene fires where its mask uniform lands
+        below `p_gene`, with the `variance` given, a scalar or one per gene."""
         rng, shape = self.rng, (self.n, self.dim)
-        self.mutated = np.ones(self.n, dtype=bool)
+        self.mutated, self.p_gene, self.variance = np.ones(self.n, dtype=bool), p_gene, variance
         self.gene_draws = rng.random(shape)
         self.normals = rng.normal(0.0, 1.0, shape)
 
@@ -271,16 +269,13 @@ class Variation:
         b = self.bouts
         return binary_tournament(f, b[:, 0], b[:, 1]), binary_tournament(f, b[:, 2], b[:, 3])
 
-    def children(
-        self, X, first, second, space: SearchSpace, p_gene: float = 1.0, variance=None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def children(self, X, first, second, space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
         """Child k from rows first[k] and second[k] of X: crossed over if its
-        coin landed, then mutated with per-gene rate p_gene if it drew a
-        mutation, with the per-gene `variance` when given, else its own.
-        Returns the children and the `source` of each: the row of X it
-        copies bit for bit, first[k], else second[k], or -1 for a fresh
-        child, one where crossover changed a bit of both parents or a gene
-        fired. A fresh child is evaluated; a copy keeps its row's fitness.
+        coin landed, then mutated with the stored per-gene rate and variance
+        if it drew a mutation. Returns the children and the `source` of each:
+        the row of X it copies bit for bit, first[k], else second[k], or -1
+        for a fresh child, one where crossover changed a bit of both parents
+        or a gene fired. A fresh child is evaluated; a copy keeps its row's fitness.
 
         One masked pass over all n rows: `arithmetic_crossover` blends the
         crossed rows and copies the first parent elsewhere, and its result is
@@ -305,8 +300,7 @@ class Variation:
             del b
         if self.mutated.any():
             out, fired = gaussian_mutate(
-                out, self.gene_draws, self.normals,
-                self.variance if variance is None else variance, p_gene, space, self.mutated,
+                out, self.gene_draws, self.normals, self.variance, self.p_gene, space, self.mutated
             )
             source[fired] = -1
         return out, source

@@ -25,7 +25,7 @@ __all__ = [
     "ordinal",
     "summary_labels",
     "render_summary_text",
-    "render_ttest_text",
+    "render_rows_text",
 ]
 
 
@@ -155,11 +155,14 @@ def render_summary_text(title: str, summary: RunSummary) -> str:
     return "\n".join(lines)
 
 
-def render_ttest_text(rows: list[dict]) -> str:
+def render_rows_text(rows: list[dict]) -> str:
     """Rows with the same keys as an aligned text table: those keys as the
-    header, floats with 4 significant digits."""
+    header, floats with 4 significant digits, None as n/a."""
     table = [list(rows[0])]
-    table += [[f"{v:.4g}" if isinstance(v, float) else str(v) for v in row.values()] for row in rows]
+    table += [
+        ["n/a" if v is None else f"{v:.4g}" if isinstance(v, float) else str(v) for v in row.values()]
+        for row in rows
+    ]
     widths = [max(len(r[c]) for r in table) for c in range(len(table[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in table]
     return "\n".join(lines)

@@ -370,8 +370,16 @@ def test_ttest_missing_cell(tmp_path, capsys):
 def test_diversity_report(tmp_path, capsys):
     out_dir = _seed_results(tmp_path, capsys)
     assert main(["diversity-report", "--in", str(out_dir)]) == 0
-    text = capsys.readouterr().out
-    assert "avg_diversity" in text
+    lines = capsys.readouterr().out.splitlines()
+    # the table `ttest` prints too: the rows' keys as its header, one line per cell
+    header = ["algo", "function", "dim", "runs_with_signal", "generations_counted", "average_diversity"]
+    assert lines[0].split() == header and len(lines) == 3
+    # the runs end at generation 4, so after a burn-in of 4 no generation improves: n/a
+    assert main(["diversity-report", "--in", str(out_dir), "--burn-in", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines[1:]] == [
+        [algo, "ellipsoid", "2", "0", "0", "n/a"] for algo in ("sea", "socea")
+    ]
     assert main(["diversity-report", "--in", str(out_dir), "--json", "--burn-in", "0"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 2

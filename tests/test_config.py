@@ -44,8 +44,6 @@ KNOB_VALUES = {
     "sample_budget": 5,
     "key_dim_limit": 7,
     "sea_variance_mode": "annealed",
-    "pow_exponent": 1.5,
-    "pow_upper": 100.0,
     "d_low": 1e-5,
     "d_high": 0.3,
 }
@@ -67,9 +65,6 @@ BAD_KNOBS = [
     ("grid_bins", 1),
     ("key_dim_limit", 0),
     ("sea_variance_mode", "bogus"),
-    ("pow_upper", 1.0),
-    ("pow_upper", math.inf),
-    ("pow_exponent", math.nan),
     ("d_low", math.nan),
     ("d_high", math.inf),
 ]
@@ -110,9 +105,6 @@ def test_bad_knob_rejected_when_built(name, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name,value", [
-    ("pow_exponent", math.nan),
-    ("pow_exponent", -math.inf),
-    ("pow_upper", math.inf),
     ("d_low", math.nan),
     ("d_low", -math.inf),
     ("d_high", math.nan),

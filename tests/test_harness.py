@@ -231,6 +231,15 @@ def test_cell_result_mean_wall_ms(tmp_path):
     assert cell.mean_wall_ms > 0.0
 
 
+def test_timed_mean_wall_ms_is_the_mean_of_each_runs_summed_wall_ms(tmp_path):
+    # one timer: a run's time is what its trace's wall_ms column adds up to
+    (cell,) = run_matrix(_tiny_matrix(tmp_path, timing=True))
+    walls = [sum(r.wall_ms for r in read_trace_csv(path).records) for path in cell.trace_paths]
+    assert all(wall > 0.0 for wall in walls)
+    mean = sum(walls) / len(walls)
+    assert cell.mean_wall_ms == mean and float(read_summary_csv(cell.summary_path)["mean_wall_ms"]) == mean
+
+
 def test_trace_csv_roundtrip(tmp_path):
     fn = make("ellipsoid", 2)
     cfg = default_config("cnea", dim=2, seed=1, N=30, generations=8)
@@ -250,7 +259,7 @@ def test_trace_csv_roundtrip(tmp_path):
         assert b.wall_ms == 0.0  # timing off by default
 
 
-def test_trace_csv_roundtrips_fallbacks_and_reads_the_old_header(tmp_path):
+def test_trace_csv_roundtrips_fallbacks(tmp_path):
     records = [
         GenRecord(0, 5.0, 6.0, 0.5),
         GenRecord(1, 4.0, 5.5, 0.25, victims=3, replacements=1, fallbacks=2, evaluations=40),
@@ -260,17 +269,6 @@ def test_trace_csv_roundtrips_fallbacks_and_reads_the_old_header(tmp_path):
     assert path.read_text().splitlines()[0].endswith("victims,replacements,fallbacks,evaluations,wall_ms")
     again = read_trace_csv(path).records
     assert [(r.victims, r.replacements, r.fallbacks, r.evaluations) for r in again] == [(0, 0, 0, 0), (3, 1, 2, 40)]
-
-    # a trace written before the fallbacks and evaluations columns: 8 columns, both read as 0
-    old = tmp_path / "old.csv"
-    old.write_text(
-        "generation,best_fitness,mean_fitness,diversity,mode,victims,replacements,wall_ms\n"
-        "0,5,6,0.5,,0,0,0\n1,4,5.5,0.25,,3,1,0\n"
-    )
-    again = read_trace_csv(old).records
-    assert [(r.generation, r.best_fitness, r.victims, r.replacements, r.fallbacks, r.evaluations) for r in again] == [
-        (0, 5.0, 0, 0, 0, 0), (1, 4.0, 3, 1, 0, 0)
-    ]
 
 
 def test_trace_csv_timing_flag(tmp_path):
@@ -307,21 +305,19 @@ def _trace_file(path, header):
     return path
 
 
-@pytest.mark.parametrize("missing", ["fallbacks", "mode", "evaluations"])
-def test_read_trace_csv_loads_a_header_without_a_defaulted_field(tmp_path, missing):
-    header = [name for name in TRACE_FIELDS if name != missing]
-    records = read_trace_csv(_trace_file(tmp_path / "old.csv", header)).records
-    full = GenRecord(1, 4.0, 5.5, 0.25, mode="exploit", victims=3, replacements=1, fallbacks=2, evaluations=40)
-    default = getattr(GenRecord(1, 4.0, 5.5, 0.25), missing)
-    assert records[1] == dataclasses.replace(full, **{missing: default})
-
-
 def test_read_trace_csv_refuses_a_missing_required_field_or_another_order(tmp_path):
-    without_best = [name for name in TRACE_FIELDS if name != "best_fitness"]
+    # a header without a field that has a default is refused too: a trace without `evaluations`
+    # would read back as 0 evaluations at every generation
+    without = [[name for name in TRACE_FIELDS if name != missing]
+               for missing in ("best_fitness", "fallbacks", "mode", "evaluations")]
     reordered = ["best_fitness", "generation", *TRACE_FIELDS[2:]]
-    for header in (without_best, reordered):
-        with pytest.raises(ValueError, match="does not look like a trace file"):
+    refused = f"does not look like a trace file: its header is not {','.join(TRACE_FIELDS)}"
+    for header in (*without, reordered):
+        with pytest.raises(ValueError, match=refused):
             read_trace_csv(_trace_file(tmp_path / "bad.csv", header))
+    assert read_trace_csv(_trace_file(tmp_path / "good.csv", TRACE_FIELDS)).records[1] == GenRecord(
+        1, 4.0, 5.5, 0.25, mode="exploit", victims=3, replacements=1, fallbacks=2, evaluations=40
+    )
 
 
 def test_read_trace_csv_rejects_foreign_files(tmp_path):

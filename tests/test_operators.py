@@ -23,14 +23,14 @@ def _cross(a, b, rng):
     """The child of rows a and b from one child's crossover draws."""
     draws = Variation(1, len(a), rng)
     draws.all_crossovers(1.0)
-    return arithmetic_crossover([a], [b], draws.weight_draws, draws.position, draws.blend)[0]
+    return arithmetic_crossover([a], [b], draws.weight_draws, draws.position, draws.blend, draws.crossed)[0]
 
 
 def _mutate(genome, variance, p_gene, space, rng):
     """One genome through one child's mutation draws: (child, fired)."""
     draws = Variation(1, space.dim, rng)
     draws.all_mutations(1.0, lambda n: np.ones(n))  # no mask is drawn: gene_draws stay 0, below any p_gene above 0
-    out, fired = gaussian_mutate([genome], draws.gene_draws, draws.normals, variance, p_gene, space)
+    out, fired = gaussian_mutate([genome], draws.gene_draws, draws.normals, variance, p_gene, space, draws.mutated)
     return out[0], bool(fired[0])
 
 
@@ -72,7 +72,7 @@ def test_crossover_accepts_population_rows():
 
 def test_crossover_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        arithmetic_crossover(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 2)), [0], [0.5])
+        arithmetic_crossover(np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 2)), [0], [0.5], [True])
 
 
 def test_crossover_identical_parents_yield_same_point():
@@ -98,7 +98,7 @@ def test_crossover_draws_weights_position_then_blend():
     # the weights, then the blended position, then its weight
     shadow = RngStream(3)
     draws = Variation(1, 5, RngStream(3))
-    draws.child_by_child(1.0, 0.0)
+    draws.child_by_child(1.0, 0.0, 1.0)
     assert draws.crossed[0] and shadow.random() < 1.0
     assert np.array_equal(draws.weight_draws[0], shadow.random(5))
     assert draws.position[0] == shadow.integers(0, 5)
@@ -132,8 +132,8 @@ def test_gene_mutation_draws_come_masks_then_normals():
     n, dim = 6, 3
     shadow = RngStream(5)
     draws = Variation(n, dim, RngStream(5))
-    draws.all_gene_mutations()
-    assert draws.mutated.all()
+    draws.all_gene_mutations(0.5, 1.0)
+    assert draws.mutated.all() and (draws.p_gene, draws.variance) == (0.5, 1.0)  # kept for `children`
     assert np.array_equal(draws.gene_draws, shadow.random((n, dim)))
     assert np.array_equal(draws.normals, shadow.normal(0.0, 1.0, (n, dim)))
     assert draws.rng.random() == shadow.random()
@@ -179,7 +179,7 @@ def test_gaussian_mutate_clamps_only_rows_that_fired():
     # an out-of-box row is left as it is unless one of its genes fired
     space = SearchSpace.cube(2, -1.0, 1.0)
     rows = np.array([[5.0, 5.0], [5.0, 5.0]])
-    out, fired = gaussian_mutate(rows, [[0.9, 0.9], [0.0, 0.9]], np.zeros((2, 2)), 1.0, 0.5, space)
+    out, fired = gaussian_mutate(rows, [[0.9, 0.9], [0.0, 0.9]], np.zeros((2, 2)), 1.0, 0.5, space, [True, True])
     assert fired.tolist() == [False, True]
     assert out.tolist() == [[5.0, 5.0], [1.0, 1.0]]
 

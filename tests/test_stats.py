@@ -10,7 +10,7 @@ from counterniche.stats import (
     ordinal,
     rank_picks,
     render_summary_text,
-    render_ttest_text,
+    render_rows_text,
     summary_labels,
     two_tailed_p,
 )
@@ -187,14 +187,19 @@ def test_render_ttest_text_alignment():
         {"function": "rastrigin", "dim": 10, "algo_a": "cnea", "algo_b": "sea",
          "t": -16.7, "df": 9, "p": 4.4e-8},
     ]
-    text = render_ttest_text(rows)
+    text = render_rows_text(rows)
     lines = text.splitlines()
     assert lines[0].startswith("function")
     assert "cnea" in lines[1] and "sea" in lines[1]
     # the header is the rows' keys, so a new column shows without other edits
     rows.append({**rows[0], "algo_b": "dgea", "t": 0.25, "p": 0.8})
     rows = [{**row, "note": "x"} for row in rows]
-    lines = render_ttest_text(rows).splitlines()
+    lines = render_rows_text(rows).splitlines()
     assert lines[0].split() == ["function", "dim", "algo_a", "algo_b", "t", "df", "p", "note"]
     assert lines[2].split() == ["rastrigin", "10", "cnea", "dgea", "0.25", "9", "0.8", "x"]
     assert lines[1].index("-16.7") == lines[0].index("t ") == lines[2].index("0.25")
+
+
+def test_render_rows_text_prints_none_as_na():
+    lines = render_rows_text([{"algo": "sea", "average_diversity": None}]).splitlines()
+    assert lines[1].split() == ["sea", "n/a"]

@@ -33,7 +33,7 @@ import pytest
 
 from counterniche import EngineConfig, Population, RngStream, SearchSpace, default_config, engines, make
 from counterniche.benchmarks import evaluate_children
-from counterniche.informed import regular_ops
+from counterniche.engines import regular_ops
 from counterniche.operators import Variation, pow_sample, sea_variance
 
 DIM = 5
@@ -152,7 +152,7 @@ def ref_cea_offspring(pop, rng, cfg, fn):
         genome = ref_crossover(X[idx], X[nbr * cols + nbc], rng) if crossed else X[idx]
         fired = False
         if rng.random() < cfg.p_m_genome:
-            variance = pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper, size=1)[0]
+            variance = pow_sample(10.0, rng, size=1)[0]
             genome, fired = ref_mutate(genome, variance, 1.0, fn.space, rng)
         children[idx], source[idx] = genome, ref_source(genome, X, idx, nbr * cols + nbc, fired)
     return children, ref_children(fn, children, source, f)
@@ -170,7 +170,7 @@ def ref_dgea_offspring(pop, mode, rng, cfg, fn):
     else:
         for k in range(len(f)):
             if rng.random() < cfg.p_m_genome:
-                variance = pow_sample(1.0, rng, cfg.pow_exponent, cfg.pow_upper, size=1)[0]
+                variance = pow_sample(1.0, rng, size=1)[0]
                 children[k], fired = ref_mutate(X[k], variance, 1.0, fn.space, rng)
                 source[k] = ref_source(children[k], X, k, k, fired)
     return children, ref_children(fn, children, source, f)
@@ -194,7 +194,7 @@ def ref_whole_array_draws(n, rng, cfg, tournaments=False, crossover=False, alpha
         d["blend"] = rng.random(n)
     if alpha is not None:
         mutated = rng.random(n) < cfg.p_m_genome
-        d["variance"] = pow_sample(alpha, rng, cfg.pow_exponent, cfg.pow_upper, size=n)[:, None]
+        d["variance"] = pow_sample(alpha, rng, size=n)[:, None]
         d["normals"] = rng.normal(0.0, 1.0, (n, DIM))
         d["genes"] = np.repeat(mutated[:, None], DIM, axis=1)
     if genes:
@@ -493,7 +493,7 @@ def _edge_draws(dim, seed, p_r, p_m_genome=None, p_m=None):
     if p_m is None:
         draws.all_mutations(p_m_genome, lambda n: rng.random(n) * 8.0)
     else:
-        draws.all_gene_mutations()
+        draws.all_gene_mutations(p_m, np.full(dim, 4.0))
     first, second = draws.parents(np.floor(np.sum(X * X, axis=1) * 2.0))
     return draws, X, first, second, space
 
@@ -519,11 +519,10 @@ def test_masked_children_match_rows_whole_genome(dim, p_r, p_m_genome):
 @pytest.mark.parametrize("dim", [1, 5])
 @pytest.mark.parametrize("p_m", [0.0, 0.3, 1.0])
 def test_masked_children_match_rows_per_gene(dim, p_m):
-    variance = np.full(dim, 4.0)
     for seed in range(5):
         draws, X, first, second, space = _edge_draws(dim, seed, 0.9, p_m=p_m)
-        out, source = draws.children(X, first, second, space, p_m, variance)
-        want, want_source = ref_rows(draws, X, first, second, space, p_m, variance)
+        out, source = draws.children(X, first, second, space)
+        want, want_source = ref_rows(draws, X, first, second, space, p_m, np.full(dim, 4.0))
         assert np.array_equal(out, want) and np.array_equal(source, want_source)
         if p_m == 0.0:  # no gene fires: only the crossed children that copy neither parent are fresh
             both = changed_rows(out, X[first]) & changed_rows(out, X[second])
@@ -540,8 +539,8 @@ def test_crossed_child_past_a_bound_stays_unclamped_unless_a_gene_fired():
     draws.position, draws.blend = np.zeros(2, int), np.full(2, 0.8902743520047923)
     draws.mutated[1] = True  # child 1 fires gene 2 with zero noise
     draws.normals, draws.variance = np.zeros((2, 3)), np.zeros((2, 1))
-    draws.gene_draws[1] = [0.9, 0.9, 0.0]
-    out, source = draws.children(X, np.zeros(2, int), np.ones(2, int), space, p_gene=0.5)
+    draws.gene_draws[1], draws.p_gene = [0.9, 0.9, 0.0], 0.5
+    out, source = draws.children(X, np.zeros(2, int), np.ones(2, int), space)
     assert out[0, 0] > 5.12 and out[1, 0] == 5.12
     assert source.tolist() == [-1, -1]
     want, _ = ref_rows(draws, X, np.zeros(2, int), np.ones(2, int), space, 0.5)
@@ -668,7 +667,7 @@ def test_regular_ops_on_copies_of_one_member_call_no_objective():
 BEFORE = {
     "cnea": ("regular_ops", lambda *args: Population(*ref_regular_ops(*args))),
     "socea": ("_socea_offspring", lambda pop, cfg, fn, rng: Population(*ref_sea_offspring(
-        pop, rng, cfg, lambda: pow_sample(10.0, rng, cfg.pow_exponent, cfg.pow_upper, size=1)[0], fn))),
+        pop, rng, cfg, lambda: pow_sample(10.0, rng, size=1)[0], fn))),
     "cea": ("_cea_offspring", lambda pop, cfg, fn, rng, _neighbors: Population(*ref_cea_offspring(
         pop, rng, cfg, fn))),
     "dgea": ("_dgea_offspring", lambda pop, mode, cfg, fn, rng: Population(*ref_dgea_offspring(
