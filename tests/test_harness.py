@@ -305,11 +305,19 @@ def _trace_file(path, header):
     return path
 
 
+@pytest.mark.parametrize("missing", ["fallbacks", "mode", "evaluations"])
+def test_read_trace_csv_refuses_a_header_without_a_defaulted_field(tmp_path, missing):
+    # a field with a default in GenRecord is still a required column: filling it in would
+    # report a false value (0 evaluations, 0 fallbacks, an empty mode) at every generation
+    header = [name for name in TRACE_FIELDS if name != missing]
+    with pytest.raises(ValueError, match="does not look like a trace file"):
+        read_trace_csv(_trace_file(tmp_path / "old.csv", header))
+
+
 def test_read_trace_csv_refuses_a_missing_required_field_or_another_order(tmp_path):
     # a header without a field that has a default is refused too: a trace without `evaluations`
     # would read back as 0 evaluations at every generation
-    without = [[name for name in TRACE_FIELDS if name != missing]
-               for missing in ("best_fitness", "fallbacks", "mode", "evaluations")]
+    without = [[name for name in TRACE_FIELDS if name != missing] for missing in ("best_fitness", "evaluations")]
     reordered = ["best_fitness", "generation", *TRACE_FIELDS[2:]]
     refused = f"does not look like a trace file: its header is not {','.join(TRACE_FIELDS)}"
     for header in (*without, reordered):
