@@ -5,9 +5,10 @@ Variation runs in two halves, both kept here. The draw methods of a
 arithmetic then runs once over all rows: `binary_tournament`,
 `arithmetic_crossover` and `gaussian_mutate` take whole matrices and make
 the same IEEE operations per element as one child at a time.
-`Variation.children` is one masked pass over all n rows, with no per-kind
+`Variation.children` runs each over all n rows at once, with no per-kind
 row gathers: crossover takes a mask of the crossed rows, and mutation a mask
-of the mutated rows, so each piece of arithmetic has one copy.
+of the mutated rows, so each piece of arithmetic has one copy. Only the
+check for children that copy a parent gathers rows, when few can be copies.
 
 The draws come in two layouts. `child_by_child` takes each child's draws in
 turn, in the order the child consumes the stream, and draws crossover and
@@ -31,6 +32,7 @@ import math
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import RngStream, SearchSpace, next_double
 
@@ -80,20 +82,35 @@ def gaussian_mutate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Add zero-mean Gaussian noise of the given variance to each gene whose
     draw falls below p_gene, in the rows where `mutated` is True, then clamp
-    the rows where a gene fired.
+    the rows where a gene fired. With `gene_draws` None no mask was drawn,
+    and every gene of a mutated row fires, none when p_gene is 0.
 
     `variance` is a scalar, a per-gene vector, or an (m, 1) column of
     per-row values. Returns the children and the mask of rows where any gene
     fired; the other rows are the input rows unchanged.
     """
     out = np.array(genomes, dtype=float)
-    fire = (np.asarray(gene_draws) < p_gene) & np.asarray(mutated)[:, None]
+    mutated = np.asarray(mutated)
+    if gene_draws is None:
+        fired = mutated & (p_gene > 0)
+        fire = fired[:, None]
+    else:
+        fire = (np.asarray(gene_draws) < p_gene) & mutated[:, None]
+        fired = fire.any(axis=1)
     noise = np.asarray(normals) * np.sqrt(variance)
     np.add(out, noise, out=out, where=fire)
-    fired = fire.any(axis=1)
     lower, upper = space.draw_bounds()
     np.clip(out, lower, upper, out=out, where=fired[:, None])
     return out, fired
+
+
+def _copied(child, a, b, first, second) -> np.ndarray:
+    """The row each child row copies bit for bit, compared as int64 words:
+    first[k] if it is parent row a[k], else second[k] if it is b[k], else -1."""
+    words = child.view(np.int64)
+    new = (words != a.view(np.int64)).any(axis=1)  # not a copy of the first parent
+    other = (words != b.view(np.int64)).any(axis=1)  # not a copy of the second
+    return np.where(new, np.where(other, -1, second), first)
 
 
 class Variation:
@@ -102,25 +119,27 @@ class Variation:
 
     The draw methods store every child's draws, child by child or one
     array per draw kind, and a mutation's draw method stores its
-    parameters too: the variance and the per-gene rate `p_gene`. `children`
-    applies them to all rows at once. A child that draws no crossover
-    copies its first parent, and one that draws no mutation is not mutated.
+    parameters too: the variance and the per-gene rate `p_gene`. A
+    whole-genome mutation draws no mask and stores none (`gene_draws` is
+    None): every gene of a mutated child fires. `children` applies them to
+    all rows at once. A child that draws no crossover copies its first
+    parent, and one that draws no mutation is not mutated.
     """
 
     def __init__(self, n: int, dim: int, rng: RngStream):
         self.n, self.dim, self.rng = n, dim, rng
-        # what `children` reads when no draw method sets it: no child crosses or mutates, no mask is
-        # drawn, and every gene of a mutated child fires
+        # what `children` reads when no draw method sets it: no child crosses or mutates, and no mask is
+        # drawn, so every gene of a mutated child fires
         self.crossed, self.mutated = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        self.gene_draws, self.p_gene = np.zeros((n, dim)), 1.0
+        self.gene_draws, self.p_gene = None, 1.0
 
     def child_by_child(self, p_r: float, p_m: float, variance: float) -> None:
         """Each child's draws in turn, in its order: the members i and j of
         two binary tournaments (`integers(0, n)` each); a crossover coin, and
         below p_r one weight uniform per gene, the blended position
         (`integers(0, dim)`) and its weight; a mutation coin, and below p_m
-        one mask uniform per gene, passed over (`gene_draws` stay 0: every
-        gene fires under `p_gene` 1), and `normal(0.0, 1.0, dim)`. Every
+        one mask uniform per gene, passed over (no mask is stored: every
+        gene of a mutated child fires), and `normal(0.0, 1.0, dim)`. Every
         mutated child has the variance `variance`. The normals are drawn with
         `standard_normal`, and one `normals += 0.0` per generation gives them
         numpy's `0.0 + 1.0 * z`, which turns -0.0 into +0.0.
@@ -138,9 +157,17 @@ class Variation:
         block. Only a child that mutates without crossing rewinds, with one
         `advance` to the end of its mask words, where its normals start, and
         a generation that ends with words left over rewinds past them once;
-        a backward `advance` is the dear one, a jump of 2**128 - k. A coin is
-        read as `(word >> 11) < p * 2**53`, which is numpy's
-        `next_double(word) < p`, since scaling by 2**53 is exact. After the
+        a backward `advance` is the dear one, a jump of 2**128 - k.
+
+        Each `random_raw` result is kept as drawn, and a child's coins are
+        read from its carried words or from the new ones; only carried words
+        that span two draws are joined, so that they can be carried again. Since a block's carried words end the block before it, each
+        block is one stretch of all the words joined once after the last
+        child, and its first word is recorded as it is drawn. A coin lands
+        where `word < ceil(p * 2**53) * 2**11`, a comparison of Python ints:
+        that is numpy's `next_double(word) < p`, since `next_double` is
+        `(word >> 11) * 2**-53`, scaling by 2**53 is exact, and an integer
+        is below p * 2**53 exactly when it is below its ceiling. After the
         last child, all halves go through Lemire's method with numpy's
         threshold (Lemire, arXiv:1805.10941) at once; in a generation where
         that method redraws a half, numpy's own calls draw every child again
@@ -153,60 +180,82 @@ class Variation:
         draws_position = dim > 1
         # the bouts, two coins, the weights, the blend and the mask words; a position word when one is due
         full = bout_words + 2 * dim + 3
-        r_cut, m_cut = p_r * 2.0**53, p_m * 2.0**53
+        r_cut, m_cut = math.ceil(p_r * 2.0**53) << 11, math.ceil(p_m * 2.0**53) << 11  # see the docstring
         normals = np.zeros((n, dim))
-        blocks, widths, crossed, position_word, mutated = [], [0] * n, [False] * n, [False] * n, [False] * n
+        chunks, firsts = [], []
+        crossed, position_word, mutated = bytearray(n), bytearray(n), bytearray(n)
         spare_held = spare is not None
-        carry = 0  # the words the last block drew past its child's last draw: this child's first words
+        stored = carry = 0  # the words in `chunks`; the last block's words past its child's last draw
+        held = None  # those `carry` words, this child's first: word i of its block is held[i] below carry
         for k in range(n):
             word = draws_position and not spare_held
-            widths[k] = width = full + word
-            block = np.concatenate((block[-carry:], raw(width - carry))) if carry else raw(width)
-            blocks.append(block)
-            carry = 0
-            if block.item(bout_words) >> 11 < r_cut:
-                crossed[k], position_word[k] = True, word
+            width = full + word
+            new = raw(width - carry)  # the rest of the block: word i is new[i - carry]
+            chunks.append(new)
+            firsts.append(stored - carry)  # the block's first word in `chunks` joined
+            stored += width - carry
+            coin = held.item(bout_words) if bout_words < carry else new.item(bout_words - carry)
+            if coin < r_cut:
+                crossed[k], position_word[k] = 1, word
                 spare_held ^= draws_position
-                if block.item(width - dim - 1) >> 11 < m_cut:  # the coin before the mask words
-                    mutated[k] = True
+                at = width - dim - 1  # the coin before the mask words
+                coin = held.item(at) if at < carry else new.item(at - carry)
+                if coin < m_cut:
+                    mutated[k] = 1
                     standard_normal(out=normals[k])
-                else:
-                    carry = dim  # the mask words
-            elif block.item(bout_words + 1) >> 11 < m_cut:
-                mutated[k] = True
-                advance(bout_words + 2 + dim - width)  # back to the end of the mask words
-                standard_normal(out=normals[k])
+                    carry = 0
+                else:  # the mask words, joined only where they span the two
+                    held = new[-dim:] if len(new) >= dim else np.concatenate((held[len(new) - dim:], new))
+                    carry = dim
             else:
-                carry = width - bout_words - 2  # all past the coins
+                at = bout_words + 1
+                coin = held.item(at) if at < carry else new.item(at - carry)
+                if coin < m_cut:
+                    mutated[k] = 1
+                    advance(at + 1 + dim - width)  # back to the end of the mask words
+                    standard_normal(out=normals[k])
+                    carry = 0
+                else:  # all past the coins
+                    at += 1
+                    held = new[at - carry:] if at >= carry else np.concatenate((held[at:], new))
+                    carry = width - at
         if carry:
             advance(-carry)
         normals += 0.0  # numpy's normal(0.0, 1.0) is 0.0 + 1.0 * z, which turns -0.0 into +0.0
-        words = np.concatenate(blocks)
-        first = np.cumsum(widths) - widths  # each child's first word in `words`
-        crossed, position_word = np.array(crossed), np.array(position_word)
-        weights = first + bout_words + 1  # each child's first weight word
-        # the halves in stream order: the spare, then each child's tournament words and any position word
-        split = words[np.column_stack((first[:, None] + np.arange(bout_words), weights + dim))]
-        split = split[np.column_stack((np.ones((n, bout_words), dtype=bool), position_word))]
-        halves = np.column_stack((split & 0xFFFFFFFF, split >> 32)).ravel()
+        # a block's carried words end the block before it in `words`, so each block is one stretch of it;
+        # the zeros after the last are the weights and blend of the children that do not cross
+        chunks.append(np.zeros(dim + 1, dtype=np.uint64))
+        # joined as bytes: np.concatenate takes about 0.1 us an array, three times as long
+        words, first = np.frombuffer(b"".join(chunks), dtype=np.uint64), np.array(firsts)
+        crossed, position_word = np.frombuffer(crossed, dtype=bool), np.frombuffer(position_word, dtype=bool)
+        # the halves in stream order: the spare, then each child's tournament words and any position word,
+        # each word's low half first
+        take = np.empty((n, 3), dtype=bool)
+        take[:, :2], take[:, 2] = bout_words > 0, position_word
+        split = words[(first[:, None] + [0, 1, bout_words + 1 + dim])[take]]
+        halves = split.astype("<u8", copy=False).view("<u4")
         if spare is not None:
-            halves = np.concatenate((np.array([spare], dtype=np.uint64), halves))
-        drawn = np.zeros((n, 5), dtype=bool)  # the four members and the position, where drawn
-        drawn[:, :4] = n > 1
-        drawn[:, 4] = crossed & draws_position
-        spans = np.broadcast_to(np.array([n, n, n, n, dim], dtype=np.uint64), (n, 5))[drawn]
-        m = halves[: len(spans)] * spans
-        if np.any((m & 0xFFFFFFFF) < (2**32 - spans) % spans):
+            halves = np.concatenate((np.array([spare], dtype=np.uint32), halves))
+        drawn = np.empty((n, 5), dtype=bool)  # the four members and the position, where drawn
+        drawn[:, :4], drawn[:, 4] = n > 1, crossed & draws_position
+        count = np.count_nonzero(drawn)
+        m = np.zeros((n, 5), dtype=np.uint64)
+        m[drawn] = halves[:count]
+        spans = np.array([n, n, n, n, dim], dtype=np.uint64)
+        m *= spans
+        if np.any(((m & 0xFFFFFFFF) < (2**32 - spans) % spans) & drawn):
             rng.resume(start)
             return self._drawn_by_numpy(p_r, p_m)
-        picks = np.zeros((n, 5), dtype=np.intp)
-        picks[drawn] = m >> 32
-        rng.keep_spare(int(halves[-1]) if len(halves) > len(spans) else None)
+        rng.keep_spare(int(halves[-1]) if len(halves) > count else None)
+        picks = (m >> 32).astype(np.intp)
         self.bouts, self.position = picks[:, :4], picks[:, 4]
-        self.crossed, self.mutated, self.normals = crossed, np.array(mutated), normals
-        # words of children that do not cross are zeroed, so their stored draws stay 0
-        self.weight_draws = next_double(words[weights[:, None] + np.arange(dim)] * crossed[:, None])
-        self.blend = next_double(words[weights + dim + position_word] * crossed)
+        self.crossed, self.mutated, self.normals = crossed, np.frombuffer(mutated, dtype=bool), normals
+        weights = np.where(crossed, first + bout_words + 1, len(words) - dim - 1)  # each child's first weight word
+        # next_double with its shift in place: two (n, dim) temporaries freed together let glibc trim the heap
+        w = as_strided(words, (len(words) - dim + 1, dim), words.strides * 2)[weights]
+        w >>= 11
+        self.weight_draws = w * 2.0**-53
+        self.blend = next_double(words[weights + dim + position_word])
 
     def _drawn_by_numpy(self, p_r: float, p_m: float) -> None:
         """`child_by_child` by numpy's own calls, child after child, for a
@@ -246,23 +295,27 @@ class Variation:
         """Every child's whole-genome mutation draws, one array per kind: the
         coins (n,), which land below p_m for the children that mutate, then
         one variance per child from `variances(n)`, then the standard
-        normals (n, dim), drawn for every child whatever its coin says. No
-        mask is drawn: `gene_draws` stay 0, so every gene of a mutated child
-        fires under `p_gene` 1."""
+        normals (n, dim), drawn for every child whatever its coin says, as
+        `standard_normal` plus 0.0, which is numpy's `normal(0.0, 1.0)` to the
+        bit. No mask is drawn or stored (`gene_draws` stays None), so every
+        gene of a mutated child fires."""
         rng, n = self.rng, self.n
         self.mutated = rng.random(n) < p_m
         self.variance = variances(n)[:, None]
-        self.normals = rng.normal(0.0, 1.0, (n, self.dim))
+        self.normals = rng.standard_normal((n, self.dim))
+        self.normals += 0.0  # numpy's normal(0.0, 1.0), as in `child_by_child`
 
     def all_gene_mutations(self, p_gene: float, variance) -> None:
         """Every child's per-gene mutation draws, one array per kind: the
-        mask uniforms (n, dim), then the standard normals (n, dim). Every
+        mask uniforms (n, dim), then the standard normals (n, dim), as in
+        `all_mutations`. Every
         child counts as mutated; a gene fires where its mask uniform lands
         below `p_gene`, with the `variance` given, a scalar or one per gene."""
         rng, shape = self.rng, (self.n, self.dim)
         self.mutated, self.p_gene, self.variance = np.ones(self.n, dtype=bool), p_gene, variance
         self.gene_draws = rng.random(shape)
-        self.normals = rng.normal(0.0, 1.0, shape)
+        self.normals = rng.standard_normal(shape)
+        self.normals += 0.0  # numpy's normal(0.0, 1.0), as in `child_by_child`
 
     def parents(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The winners of each child's two tournaments under fitness f."""
@@ -277,25 +330,34 @@ class Variation:
         for a fresh child, one where crossover changed a bit of both parents
         or a gene fired. A fresh child is evaluated; a copy keeps its row's fitness.
 
-        One masked pass over all n rows: `arithmetic_crossover` blends the
-        crossed rows and copies the first parent elsewhere, and its result is
-        compared with the first and the second parents as int64 words, since
-        crossing two copies of a member mostly returns it, and a blend often
-        takes every gene of one parent; then `gaussian_mutate` adds noise to
-        the fired genes of mutated rows and clamps the rows where a gene
+        `arithmetic_crossover` blends the crossed rows of all n at once and
+        copies the first parent elsewhere; then `gaussian_mutate` adds noise
+        to the fired genes of mutated rows and clamps the rows where a gene
         fired. Either is skipped when no child drew it, as in `dgea`'s
-        generations, since it would leave every row as it is. The
-        comparisons gather no row, and the parents are freed before mutation
+        generations, since it would leave every row as it is. Between them,
+        the crossed rows where no gene fires are compared with the first and
+        the second parents as int64 words, since crossing two copies of a
+        member mostly returns it, and a blend often takes every gene of one
+        parent. Without a mask, every mutated row fires, so those rows are
+        known before mutation: when fewer than half the rows can be copies
+        (a fifth at the baselines' stock rates), they are gathered; otherwise
+        (with a mask, which rows fire is known only after mutation) the whole
+        matrices are compared, gathering no row, and a row where a gene fires
+        is marked fresh afterwards. The parents are freed before mutation
         allocates: each (n, dim) array held longer lets glibc trim the heap
         and fault its pages back in."""
         out, source = X[first], np.array(first)
         if self.crossed.any():
             b = X[second]
             child = arithmetic_crossover(out, b, self.weight_draws, self.position, self.blend, self.crossed)
-            words = child.view(np.int64)
-            new = (words != out.view(np.int64)).any(axis=1)  # not a copy of the first parent
-            other = (words != b.view(np.int64)).any(axis=1)  # not a copy of the second
-            source = np.where(new, np.where(other, -1, second), first)
+            can_copy = self.crossed  # a copy is a crossed row where no gene fires
+            if self.gene_draws is None and self.p_gene > 0:  # no mask: each gene of a mutated row fires
+                can_copy = can_copy & ~self.mutated
+            if 2 * np.count_nonzero(can_copy) < self.n:  # few rows: gather them
+                rows = np.flatnonzero(can_copy)
+                source[rows] = _copied(child[rows], out[rows], b[rows], first[rows], second[rows])
+            else:
+                source = _copied(child, out, b, first, second)
             out = child
             del b
         if self.mutated.any():

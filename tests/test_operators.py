@@ -29,7 +29,7 @@ def _cross(a, b, rng):
 def _mutate(genome, variance, p_gene, space, rng):
     """One genome through one child's mutation draws: (child, fired)."""
     draws = Variation(1, space.dim, rng)
-    draws.all_mutations(1.0, lambda n: np.ones(n))  # no mask is drawn: gene_draws stay 0, below any p_gene above 0
+    draws.all_mutations(1.0, lambda n: np.ones(n))  # no mask is drawn: every gene fires at any p_gene above 0
     out, fired = gaussian_mutate([genome], draws.gene_draws, draws.normals, variance, p_gene, space, draws.mutated)
     return out[0], bool(fired[0])
 
@@ -124,7 +124,7 @@ def test_whole_array_draws_come_in_their_documented_order():
     assert asked == [n] and np.array_equal(draws.variance[:, 0], shadow.random(n) + 1.0)
     assert np.array_equal(draws.normals, shadow.normal(0.0, 1.0, (n, dim)))
     assert draws.rng.random() == shadow.random()
-    assert not draws.gene_draws.any()  # no mask draws: every gene of a mutated child fires
+    assert draws.gene_draws is None  # no mask draws: every gene of a mutated child fires
 
 
 def test_gene_mutation_draws_come_masks_then_normals():

@@ -17,7 +17,7 @@ POW variance, `ref_cea_offspring`, `ref_dgea_offspring`) draw in another
 order, so they are kept as the "before" of a distributional check: over many
 seeds the final errors of whole runs must not tell the two apart.
 
-`Variation.children` is one masked pass over all rows; `ref_rows` builds
+`Variation.children` crosses and mutates all rows at once; `ref_rows` builds
 each child alone from the same stored draws, and the edge cases (no child
 crosses, no child mutates, no gene fires, one-gene genomes, a crossed child
 one ulp past a bound) must match it bit for bit. Every reference evaluates a
@@ -26,6 +26,7 @@ bit: a crossed child that comes out a copy of either parent keeps that
 parent's fitness without an objective call.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -327,10 +328,14 @@ class SphereOf:
 
 @pytest.mark.parametrize("start", SPARE_STARTS)
 @pytest.mark.parametrize("dim", [1, 5])
-@pytest.mark.parametrize("p_r, p_m_genome", [(0.0, 0.0), (1.0, 1.0), (0.9, 0.75), (0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize(
+    "p_r, p_m_genome", [(0.0, 0.0), (1.0, 1.0), (0.9, 0.75), (0.0, 1.0), (1.0, 0.0), (0.3, 0.1), (0.1, 0.9)]
+)
 def test_sea_draws_match_a_plain_generator(start, dim, p_r, p_m_genome):
     # N is odd, and at dim 1 the blended position is a draw of nothing; every
-    # child takes one branch of the loop at each (p_r, p_m_genome) but the mixed one
+    # child takes one branch of the loop at each (p_r, p_m_genome) but the mixed
+    # ones, and at the low mixed rates a stretch carried past the coins of several
+    # children in a row outlasts the words drawn after it and runs into every branch
     fn = SphereOf(dim)
     cfg = EngineConfig("sea", N=23, p_r=p_r, p_m_genome=p_m_genome)
     for seed in range(3):
@@ -471,7 +476,7 @@ def ref_rows(draws, X, first, second, space, p_gene=1.0, variance=None):
             w = (draws.weight_draws[k] < 0.5).astype(float)
             w[draws.position[k]] = draws.blend[k]
             out[k] = w * X[first[k]] + (1.0 - w) * X[second[k]]
-        fire = draws.gene_draws[k] < p_gene
+        fire = np.full(draws.dim, p_gene > 0) if draws.gene_draws is None else draws.gene_draws[k] < p_gene
         fired = draws.mutated[k] and fire.any()
         source[k] = ref_source(out[k], X, first[k], second[k], fired)
         if fired:
@@ -499,7 +504,11 @@ def _edge_draws(dim, seed, p_r, p_m_genome=None, p_m=None):
 
 
 @pytest.mark.parametrize("dim", [1, 5])
-@pytest.mark.parametrize("p_r, p_m_genome", [(0.0, 0.5), (0.9, 0.0), (0.0, 0.0), (1.0, 1.0)])
+# at (0.9, 0.75) and (0.5, 0.5) fewer than half the rows can be copies, and the copy check gathers them;
+# at (1.0, 1.0) every row fires, so it gathers none
+@pytest.mark.parametrize(
+    "p_r, p_m_genome", [(0.0, 0.5), (0.9, 0.0), (0.0, 0.0), (1.0, 1.0), (0.9, 0.75), (0.5, 0.5)]
+)
 def test_masked_children_match_rows_whole_genome(dim, p_r, p_m_genome):
     for seed in range(5):
         draws, X, first, second, space = _edge_draws(dim, seed, p_r, p_m_genome=p_m_genome)
@@ -517,10 +526,11 @@ def test_masked_children_match_rows_whole_genome(dim, p_r, p_m_genome):
 
 
 @pytest.mark.parametrize("dim", [1, 5])
-@pytest.mark.parametrize("p_m", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("p_m", [0.0, 0.3, 0.6, 1.0])
 def test_masked_children_match_rows_per_gene(dim, p_m):
-    for seed in range(5):
-        draws, X, first, second, space = _edge_draws(dim, seed, 0.9, p_m=p_m)
+    # at p_m 0.6 and dim 5 most crossed rows fire; at p_r 0.3 fewer than half the rows can be copies
+    for p_r, seed in itertools.product((0.9, 0.3), range(5)):
+        draws, X, first, second, space = _edge_draws(dim, seed, p_r, p_m=p_m)
         out, source = draws.children(X, first, second, space)
         want, want_source = ref_rows(draws, X, first, second, space, p_m, np.full(dim, 4.0))
         assert np.array_equal(out, want) and np.array_equal(source, want_source)
@@ -537,13 +547,12 @@ def test_crossed_child_past_a_bound_stays_unclamped_unless_a_gene_fired():
     draws.crossed[:] = True
     draws.weight_draws = np.full((2, 3), 0.9)  # every weight 0 but the blended gene's
     draws.position, draws.blend = np.zeros(2, int), np.full(2, 0.8902743520047923)
-    draws.mutated[1] = True  # child 1 fires gene 2 with zero noise
+    draws.mutated[1] = True  # no mask: child 1 fires every gene, with zero noise
     draws.normals, draws.variance = np.zeros((2, 3)), np.zeros((2, 1))
-    draws.gene_draws[1], draws.p_gene = [0.9, 0.9, 0.0], 0.5
     out, source = draws.children(X, np.zeros(2, int), np.ones(2, int), space)
     assert out[0, 0] > 5.12 and out[1, 0] == 5.12
     assert source.tolist() == [-1, -1]
-    want, _ = ref_rows(draws, X, np.zeros(2, int), np.ones(2, int), space, 0.5)
+    want, _ = ref_rows(draws, X, np.zeros(2, int), np.ones(2, int), space)
     assert np.array_equal(out, want)
 
 
