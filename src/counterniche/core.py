@@ -174,8 +174,12 @@ class RngStream:
         Each pool's head is `rows * dim` raw words, and `advance` passes its
         tail, with the spare half saved once around all pools. All words then
         go through numpy's `random_uniform` formula at once, `low + (high -
-        low) * next_double(word)`, the same IEEE operations numpy makes per
-        value, so the values are numpy's to the bit.
+        low) * next_double(word)`, in place: the words are shifted, scaled by
+        2**-53 into the one float array, then multiplied by `high - low` and
+        offset by `low`. Those are the IEEE operations numpy makes per value,
+        in its order, so the values are numpy's to the bit. 2**-53 is not
+        folded into the width: that is exact only while `width * 2**-53`
+        stays a normal float.
         """
         head, tail = rows * dim, (stride - rows) * dim
         words = np.empty((pools, head), dtype=np.uint64)
@@ -185,7 +189,11 @@ class RngStream:
             self.advance(tail)
         if spare is not None:
             self.keep_spare(spare)
-        return low + (high - low) * next_double(words.reshape(pools, rows, dim))
+        words >>= 11
+        values = words.reshape(pools, rows, dim) * 2.0**-53  # next_double
+        values *= high - low
+        values += low
+        return values
 
     def position(self) -> dict:
         """The stream's place, for `resume`."""

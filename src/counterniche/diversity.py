@@ -40,7 +40,7 @@ def distance_to_average(population: Population, space: SearchSpace) -> float:
     np.square(centered, out=centered)
     dists = np.add.reduce(centered, axis=1)
     np.sqrt(dists, out=dists)
-    return float(np.sum(dists) / (space.diagonal() * n))
+    return float(np.add.reduce(dists) / (space.diagonal() * n))
 
 
 def _validated_rows(rows: Sequence[Sequence[Hashable]]) -> list[Sequence[Hashable]]:

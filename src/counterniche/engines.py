@@ -178,7 +178,7 @@ def _record(population: Population, best: Individual, space: SearchSpace, genera
     return GenRecord(
         generation=generation,
         best_fitness=best.fitness,
-        mean_fitness=float(population.f.mean()),
+        mean_fitness=float(np.add.reduce(population.f) / population.size),  # f.mean() to the bit
         diversity=distance_to_average(population, space),
         **extra,
     )
@@ -440,7 +440,7 @@ def engine_steps(
     yield rec, best
     for t in itertools.count(1):
         pop, extras = generation(pop, t, rec)
-        if pop.f.min() < best.fitness:
+        if np.minimum.reduce(pop.f) < best.fitness:
             best = pop.best()
         rec = _record(pop, best, fn.space, t, evaluations=objective.evaluations, **extras)
         yield rec, best

@@ -138,16 +138,21 @@ def informed_mutation(
     Every slot of every victim samples one pool, all in one call, in victim
     order; a pool's candidates are judged against its own victim's mean and
     the centroids handled up to that victim. Returns the new population and
-    the generation record's `victims`, `replacements` and `fallbacks`.
+    the generation record's `victims`, `replacements` and `fallbacks`. The
+    input is never written: once a pool replaces a slot the population is
+    copied, and when none does the input population itself is returned.
     """
-    X, f = population.X.copy(), population.f.copy()
     slots = [member for replace in victims.replace for member in replace]
     if not slots:
-        return Population(X, f), dict(victims=len(victims), replacements=0, fallbacks=0)
+        return population, dict(victims=len(victims), replacements=0, fallbacks=0)
     samples = sample_virgin(grid, fn, rng, cfg.sample_budget, len(slots))
     victim = np.repeat(np.arange(len(victims)), [len(replace) for replace in victims.replace])
     # only a pool with a sample below its victim's mean can replace its slot
     hopeful = np.unique(samples.pool[samples.fitness < victims.mean[victim[samples.pool]]])
+    fields = dict(victims=len(victims), replacements=len(hopeful), fallbacks=len(slots) - len(hopeful))
+    if not hopeful.size:
+        return population, fields
+    X, f = population.X.copy(), population.f.copy()
     # samples come pool by pool: pool p holds rows bounds[p]:bounds[p + 1]
     bounds = np.searchsorted(samples.pool, np.arange(len(slots) + 1)).tolist()
     for pool, i in zip(hopeful.tolist(), victim[hopeful].tolist()):
@@ -156,5 +161,4 @@ def informed_mutation(
         chosen = lo + select_replacement(samples.genomes[lo:hi], samples.fitness[lo:hi], mean, archive)
         X[slots[pool]] = samples.genomes[chosen]
         f[slots[pool]] = samples.fitness[chosen]
-    fields = dict(victims=len(victims), replacements=len(hopeful), fallbacks=len(slots) - len(hopeful))
     return Population(X, f), fields

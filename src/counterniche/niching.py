@@ -9,6 +9,7 @@ per cell, and the members laid out cell by cell.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,12 @@ __all__ = [
 
 def bin_indices(points, space: SearchSpace, bins: int, dims=None) -> np.ndarray:
     """Per-coordinate bin index of each point, over the coordinates `dims`
-    (all of them by default); the upper bound folds into the last bin."""
+    (all of them by default); the upper bound folds into the last bin.
+
+    The scaled coordinates are clamped to [0, bins - 1] and then truncated
+    to int: on clamped values, none negative, truncation is floor, so this
+    is floor-then-clamp without the floor pass, for every input (a point
+    outside the box and +-inf clamp to an end bin)."""
     pts = np.asarray(points, dtype=float)
     lower, upper = space.draw_bounds()  # two floats on a cube, which numpy broadcasts fastest
     if dims is not None and tuple(dims) != tuple(range(space.dim)):  # a key of every dim needs no copy
@@ -41,7 +47,6 @@ def bin_indices(points, space: SearchSpace, bins: int, dims=None) -> np.ndarray:
     scaled = pts - lower
     scaled *= bins
     scaled /= upper - lower
-    np.floor(scaled, out=scaled)
     np.maximum(scaled, 0, out=scaled)
     return np.minimum(scaled, bins - 1, out=scaled).astype(int)
 
@@ -55,8 +60,13 @@ def check_key_length(bins: int, length: int) -> None:
         )
 
 
+@functools.cache
 def _radix(bins: int, length: int) -> np.ndarray:
-    return bins ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    """The place value of each key position, most significant first; one
+    read-only array per (bins, length), shared by every caller."""
+    radix = bins ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    radix.setflags(write=False)
+    return radix
 
 
 def cell_codes(points, space: SearchSpace, bins: int, dims) -> np.ndarray:
@@ -117,7 +127,7 @@ def build_grid(
     np.not_equal(codes[1:], codes[:-1], out=edge[1:-1])
     edges = np.flatnonzero(edge)
     start = edges[:-1]
-    return GridIndex(bins, key_dims, space, codes[start], np.diff(edges), members, start)
+    return GridIndex(bins, key_dims, space, codes[start], edges[1:] - start, members, start)
 
 
 @dataclass(frozen=True)
@@ -146,21 +156,26 @@ def high_density_regions(grid: GridIndex, population: Population, density_fracti
     """Occupied cells holding at least max(2, ceil(fraction * N)) members.
 
     Each region's statistics are the operations numpy's `mean` and `std` run
-    on its members in index order (`np.add.reduce`, divided by the count),
-    one region at a time, so they are the same to the bit.
+    on its members in index order (`np.add.reduce`, divided by the count,
+    and the square root of the mean squared spread), one region at a time,
+    so they are the same to the bit. The fitness and genomes are gathered
+    once, cell by cell, and each region reads its slice of them; its scalar
+    mean and std are Python floats (`/` and `math.sqrt` are the same IEEE
+    operations).
     """
     threshold = max(2, math.ceil(density_fraction * population.size))
     dense = np.flatnonzero(grid.counts >= threshold)
     mean, std = np.empty(len(dense)), np.empty(len(dense))
     centroid = np.empty((len(dense), population.X.shape[1]))
+    fitness, genomes = population.f[grid.members], population.X[grid.members]
     with np.errstate(invalid="ignore"):  # a member at +inf makes the std NaN
         for r, (a, n) in enumerate(zip(grid.start[dense].tolist(), grid.counts[dense].tolist())):
-            cell = grid.members[a : a + n]
-            f = population.f[cell]
-            mean[r] = np.add.reduce(f) / n
-            spread = f - mean[r]
-            std[r] = np.sqrt(np.add.reduce(spread * spread) / n)
-            centroid[r] = np.add.reduce(population.X[cell], axis=0) / n
+            f = fitness[a : a + n]
+            mean[r] = m = float(np.add.reduce(f)) / n
+            spread = f - m
+            spread *= spread
+            std[r] = math.sqrt(float(np.add.reduce(spread)) / n)
+            centroid[r] = np.add.reduce(genomes[a : a + n], axis=0) / n
     code, density = grid.cells[dense], grid.counts[dense]
     order = np.lexsort((code, mean, -density))
     return Regions(grid, code[order], density[order], mean[order], std[order], centroid[order])

@@ -86,10 +86,12 @@ def gaussian_mutate(
     and every gene of a mutated row fires, none when p_gene is 0.
 
     `variance` is a scalar, a per-gene vector, or an (m, 1) column of
-    per-row values. Returns the children and the mask of rows where any gene
-    fired; the other rows are the input rows unchanged.
+    per-row values. Writes the children into `genomes` when it is a float
+    array (any other input is converted to a new one first), and returns
+    them with the mask of rows where any gene fired; the other rows are left
+    as they were.
     """
-    out = np.array(genomes, dtype=float)
+    out = np.asarray(genomes, dtype=float)
     mutated = np.asarray(mutated)
     if gene_draws is None:
         fired = mutated & (p_gene > 0)
@@ -333,12 +335,13 @@ class Variation:
         `arithmetic_crossover` blends the crossed rows of all n at once and
         copies the first parent elsewhere; then `gaussian_mutate` adds noise
         to the fired genes of mutated rows and clamps the rows where a gene
-        fired. Either is skipped when no child drew it, as in `dgea`'s
-        generations, since it would leave every row as it is. Between them,
-        the crossed rows where no gene fires are compared with the first and
-        the second parents as int64 words, since crossing two copies of a
-        member mostly returns it, and a blend often takes every gene of one
-        parent. Without a mask, every mutated row fires, so those rows are
+        fired, writing into the children's own array (the crossover's, or
+        the gathered first parents), never into X. Either is skipped when no
+        child drew it, as in `dgea`'s generations, since it would leave every
+        row as it is. Between them, the crossed rows where no gene fires are
+        compared with the first and the second parents as int64 words, since
+        crossing two copies of a member mostly returns it, and a blend often
+        takes every gene of one parent. Without a mask, every mutated row fires, so those rows are
         known before mutation: when fewer than half the rows can be copies
         (a fifth at the baselines' stock rates), they are gathered; otherwise
         (with a mask, which rows fire is known only after mutation) the whole

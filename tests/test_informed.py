@@ -480,6 +480,40 @@ def test_one_sampling_call_equals_the_per_victim_loop(monkeypatch, victim_count,
     assert fields["replacements"] > 0 and fields["fallbacks"] >= len(victims.replace[1])
 
 
+def _read_only(pop):
+    """The population with its arrays write-protected, and their bytes."""
+    pop.X.setflags(write=False)
+    pop.f.setflags(write=False)
+    return pop, pop.X.tobytes(), pop.f.tobytes()
+
+
+def test_informed_mutation_without_a_replacement_returns_its_input():
+    # a flat cluster at fitness -1, below every sample of the quadratic: every pool falls back
+    space = SearchSpace.cube(2, 0.0, 1.0)
+    fn = _Quadratic(space)
+    pop, X, f = _read_only(_pop([[0.1, 0.1]] * 4 + [[0.9, 0.9]], [-1.0] * 4 + [1.62]))
+    cfg = EngineConfig("cnea", sample_budget=4)
+    grid = build_grid(pop, space, bins=4)
+    victims = detect_victims(high_density_regions(grid, pop, 0.05), pop, cfg)
+    assert len(victims) == 1
+    out, fields = informed_mutation(pop, victims, grid, fn, RngStream(0), cfg)
+    assert out is pop and (fields["replacements"], fields["fallbacks"]) == (0, 2)
+    assert pop.X.tobytes() == X and pop.f.tobytes() == f
+
+
+def test_informed_mutation_leaves_its_input_unwritten_when_it_replaces():
+    space = SearchSpace.cube(2, 0.0, 1.0)
+    fn = _Quadratic(space)
+    pop, X, f = _read_only(_crowded(2, 6, 0))
+    cfg = EngineConfig("cnea", sample_budget=4)
+    grid = build_grid(pop, space, bins=4)
+    victims = detect_victims(high_density_regions(grid, pop, 0.05), pop, cfg)
+    out, fields = informed_mutation(pop, victims, grid, fn, RngStream(0), cfg)
+    assert fields["replacements"] > 0 and out is not pop
+    assert out.X.tobytes() != X and out.f.tobytes() != f
+    assert pop.X.tobytes() == X and pop.f.tobytes() == f
+
+
 def test_regular_ops_shape_and_bounds():
     space = SearchSpace.cube(3, -2.0, 2.0)
     fn = _Quadratic(space)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterniche import Population, RngStream, SearchSpace, build_grid, high_density_regions
-from counterniche.niching import bin_indices, cell_codes, choose_key_dims
+from counterniche.niching import _radix, bin_indices, cell_codes, choose_key_dims
 
 
 def _pop(rows, fitness=None):
@@ -50,6 +50,48 @@ def test_bin_indices_per_coordinate_box_and_key_subsets(monkeypatch):
     scalar = [bin_indices(pts, cube, 5, dims) for dims in (None, (1, 3))]
     monkeypatch.setattr(SearchSpace, "draw_bounds", lambda self: (self.lower, self.upper))
     assert all(np.array_equal(a, bin_indices(pts, cube, 5, dims)) for a, dims in zip(scalar, (None, (1, 3))))
+
+
+def _floor_then_clamp(points, lower, upper, bins):
+    """Bin indices by the formula `bin_indices` used to run: the scaled
+    coordinates floored, then clamped to [0, bins - 1]."""
+    scaled = np.floor((points - lower) * bins / (upper - lower))
+    return np.minimum(np.maximum(scaled, 0), bins - 1).astype(int)
+
+
+BIN_SPACES = {
+    "cube": SearchSpace.cube(3, -5.12, 5.12),
+    "unit-cube": SearchSpace.cube(2, 0.0, 1.0),  # -0.0 sits on its lower bound
+    "box": SearchSpace(4, np.array([-1.0, 0.0, 10.0, -5.0]), np.array([1.0, 0.5, 20.0, 5.0])),
+}
+
+
+@pytest.mark.parametrize("bins", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("name", list(BIN_SPACES))
+def test_bin_indices_equal_floor_then_clamp(name, bins):
+    # truncating after the clamp must give the floor's bin everywhere: on every bin edge and one ulp
+    # either side of it, on both bounds, outside the box, at +-inf and at -0.0
+    space = BIN_SPACES[name]
+    lower, upper = space.lower, space.upper
+    edges = lower + (upper - lower) * np.arange(bins + 1)[:, None] / bins
+    values = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [lower - 1.0, upper + 1.0, lower - 1e300, upper + 1e300],
+        np.full((1, space.dim), np.inf), np.full((1, space.dim), -np.inf),
+        np.full((1, space.dim), -0.0), np.zeros((1, space.dim)),
+    ])
+    want = _floor_then_clamp(values, lower, upper, bins)
+    assert np.array_equal(bin_indices(values, space, bins), want)
+    assert want.min() == 0 and want.max() == bins - 1
+    dims = (space.dim - 1, 0)
+    assert np.array_equal(bin_indices(values, space, bins, dims), want[:, list(dims)])
+
+
+def test_radix_is_shared_and_read_only():
+    radix = _radix(4, 3)
+    assert radix.tolist() == [16, 4, 1] and _radix(4, 3) is radix
+    with pytest.raises(ValueError, match="read-only"):
+        radix[0] = 0
 
 
 def test_choose_key_dims_projection_above_limit():

@@ -182,6 +182,45 @@ def test_gaussian_mutate_clamps_only_rows_that_fired():
     out, fired = gaussian_mutate(rows, [[0.9, 0.9], [0.0, 0.9]], np.zeros((2, 2)), 1.0, 0.5, space, [True, True])
     assert fired.tolist() == [False, True]
     assert out.tolist() == [[5.0, 5.0], [1.0, 1.0]]
+    assert out is rows  # written into the array it is given
+
+
+# each engine's draw layout, as its generation draws it (see `engines`)
+def _powers(rng):
+    return lambda n: pow_sample(10.0, rng, size=n)
+
+
+DRAW_LAYOUTS = {
+    "cnea": lambda d, p_r: (d.all_tournaments(), d.all_crossovers(p_r), d.all_gene_mutations(0.3, 0.25)),
+    "sea": lambda d, p_r: d.child_by_child(p_r, 0.75, 2.0),
+    "socea": lambda d, p_r: (d.all_tournaments(), d.all_crossovers(p_r), d.all_mutations(0.75, _powers(d.rng))),
+    "cea": lambda d, p_r: (d.all_crossovers(p_r), d.all_mutations(0.75, _powers(d.rng))),
+    "dgea-exploit": lambda d, p_r: (d.all_tournaments(), d.all_crossovers(p_r)),
+    "dgea-explore": lambda d, p_r: d.all_mutations(0.75, _powers(d.rng)),
+}
+
+
+@pytest.mark.parametrize("p_r", [0.0, 0.9])
+@pytest.mark.parametrize("layout", list(DRAW_LAYOUTS))
+def test_children_leave_X_unwritten(layout, p_r):
+    # `gaussian_mutate` writes into the rows `children` hands it, which must never be X's own
+    n, space = 40, SearchSpace.cube(4, -1.0, 1.0)
+    rng = RngStream(12)
+    X = rng.uniform(-1.0, 1.0, size=(n, 4))
+    X[1::2] = X[::2]  # copies of a member, so that some crossed children copy a parent
+    X.setflags(write=False)
+    before = X.tobytes()
+    draws = Variation(n, 4, rng)
+    DRAW_LAYOUTS[layout](draws, p_r)
+    if hasattr(draws, "bouts"):
+        first, second = draws.parents(np.arange(n, dtype=float))
+    else:  # cea's neighbors or dgea's members: any rows do
+        first, second = np.arange(n), rng.permutation(n)
+    children, _ = draws.children(X, first, second, space)
+    assert X.tobytes() == before
+    assert not np.shares_memory(children, X)
+    # the variation changed rows, unless it drew nothing to apply
+    assert np.array_equal(children, X[first]) == (layout == "dgea-exploit" and p_r == 0.0)
 
 
 def test_pow_sample_bounds_and_scale():
