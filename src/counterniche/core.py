@@ -143,8 +143,8 @@ class RngStream:
     high half numpy's buffer (`has_uint32`/`uinteger`) keeps as the spare
     for the next such draw. The spare half lives only in that buffer. `raw`
     leaves it alone, and `advance` empties it, so a caller of `advance`
-    saves it (`spare`) and puts it back (`keep_spare`), once around all its
-    steps.
+    saves it (`spare`, from the `position` it reads anyway) and puts it back
+    (`keep_spare`), once around all its steps.
     """
 
     def __init__(self, seed: int):
@@ -155,10 +155,11 @@ class RngStream:
         self.integers, self.permutation, self.choice = gen.integers, gen.permutation, gen.choice
         self.raw, self.advance = bits.random_raw, bits.advance
 
-    def spare(self) -> int | None:
-        """The spare 32-bit half in numpy's buffer, None when none is spare."""
-        state = self._bits.state
-        return state["uinteger"] if state["has_uint32"] else None
+    @staticmethod
+    def spare(position: dict) -> int | None:
+        """The spare 32-bit half in numpy's buffer at `position`, None when
+        none is spare."""
+        return position["uinteger"] if position["has_uint32"] else None
 
     def keep_spare(self, half: int | None) -> None:
         """Make `half` the spare half in numpy's buffer (None: no half is spare)."""
@@ -166,24 +167,28 @@ class RngStream:
         state["has_uint32"], state["uinteger"] = (0, 0) if half is None else (1, half)
         self._bits.state = state
 
-    def uniform_heads(self, low, high, pools: int, rows: int, stride: int, dim: int) -> np.ndarray:
+    def uniform_heads(
+        self, low, high, pools: int, rows: int, stride: int, dim: int, spare: int | None
+    ) -> np.ndarray:
         """The first `rows` rows of each of `pools` consecutive stretches of
         `stride` rows of `uniform(low, high, size=(pools * stride, dim))`,
         shape (pools, rows, dim), leaving the stream where that draw would.
 
-        Each pool's head is `rows * dim` raw words, and `advance` passes its
-        tail, with the spare half saved once around all pools. All words then
-        go through numpy's `random_uniform` formula at once, `low + (high -
-        low) * next_double(word)`, in place: the words are shifted, scaled by
-        2**-53 into the one float array, then multiplied by `high - low` and
-        offset by `low`. Those are the IEEE operations numpy makes per value,
+        `spare` is the stream's spare half as it stands, `spare(position())`:
+        the caller reads it from the position it holds, so the bit
+        generator's state is read once. Each pool's head is `rows * dim` raw
+        words, and `advance` passes its tail; `keep_spare` puts `spare` back
+        once after all pools. All words then go through numpy's
+        `random_uniform` formula at once, `low + (high - low) *
+        next_double(word)`, in place: the words are shifted, scaled by 2**-53
+        into the one float array, then multiplied by `high - low` and offset
+        by `low`. Those are the IEEE operations numpy makes per value,
         in its order, so the values are numpy's to the bit. 2**-53 is not
         folded into the width: that is exact only while `width * 2**-53`
         stays a normal float.
         """
         head, tail = rows * dim, (stride - rows) * dim
         words = np.empty((pools, head), dtype=np.uint64)
-        spare = self.spare()
         for p in range(pools):
             words[p] = self.raw(head)
             self.advance(tail)

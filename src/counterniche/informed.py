@@ -9,6 +9,7 @@ already handled this generation. `cnea`'s regular operators
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -52,16 +53,25 @@ def detect_victims(regions: Regions, population: Population, cfg: EngineConfig) 
     floor(rho_replace * density) members are slated for replacement (fitness
     ties broken by lower index); regions where that count floors to zero are
     skipped entirely.
+
+    The table is read once, row by row, as Python values (`tolist`): the
+    count is `math.floor` of one float product and the test one Python
+    comparison, the IEEE operations numpy makes on the whole columns. A NaN
+    std never qualifies, and `eps_fit` 0 times a mean at +-inf is NaN, with
+    no warning. A victim's members are its slice of `grid.members` from
+    `regions.start`, in index order, so the stable sort keeps ties that way.
     """
-    with np.errstate(invalid="ignore"):  # eps_fit 0 times a mean at +inf
-        flat = regions.std <= cfg.eps_fit * (1.0 + np.abs(regions.mean))  # NaN never qualifies
-    slots = np.floor(cfg.rho_replace * regions.density).astype(int)
-    rows = np.flatnonzero(flat & (slots > 0))
-    grid, replace = regions.grid, []
-    first = grid.start[np.searchsorted(grid.cells, regions.code[rows])]
-    for a, n, k in zip(first.tolist(), regions.density[rows].tolist(), slots[rows].tolist()):
-        cell = grid.members[a : a + n]  # in index order, so the stable sort keeps ties that way
-        replace.append(cell[np.argsort(-population.f[cell], kind="stable")[:k]].tolist())
+    eps_fit, rho_replace = cfg.eps_fit, cfg.rho_replace
+    members, f = regions.grid.members, population.f
+    table = zip(regions.start.tolist(), regions.density.tolist(), regions.mean.tolist(), regions.std.tolist())
+    rows, replace = [], []
+    for r, (a, n, mean, std) in enumerate(table):
+        k = math.floor(rho_replace * n)
+        if k > 0 and std <= eps_fit * (1.0 + abs(mean)):
+            cell = members[a : a + n]
+            rows.append(r)
+            replace.append(cell[np.argsort(-f[cell], kind="stable")[:k]].tolist())
+    rows = np.array(rows, dtype=np.intp)
     return Victims(rows, regions.mean[rows], regions.centroid[rows], replace)
 
 
@@ -81,8 +91,9 @@ def sample_virgin(grid: GridIndex, fn, rng: RngStream, budget: int, pools: int =
     none. The pools take consecutive stretches of the stream, as one draw per
     pool would, and all samples are evaluated in one batch. A pool keeps its
     first `budget` unoccupied rows, so only its first `budget` rows are drawn
-    (as raw words, by `RngStream.uniform_heads`) and looked up; the stream
-    skips its other 9 * budget rows. If one of those first rows is occupied,
+    (as raw words, by `RngStream.uniform_heads`, handed the spare half from
+    the one stream position the call reads) and looked up; the stream skips
+    its other 9 * budget rows. If one of those first rows is occupied,
     the pool is short, and the call rewinds as `Variation.child_by_child`
     does: from the stream's position at the start of the call, one numpy
     `uniform` call draws every row of every pool. The stream ends where that
@@ -93,10 +104,10 @@ def sample_virgin(grid: GridIndex, fn, rng: RngStream, budget: int, pools: int =
         return VirginSamples(np.empty((0, dim)), np.empty(0), np.empty(0, dtype=int))
     draws, (low, high) = 10 * budget, grid.space.draw_bounds()
     start = rng.position()
-    head = rng.uniform_heads(low, high, pools, budget, draws, dim)
+    head = rng.uniform_heads(low, high, pools, budget, draws, dim, rng.spare(start))
     genomes = head.reshape(-1, dim)
     head_free = grid.unoccupied(genomes).reshape(pools, budget)
-    short = np.flatnonzero(~head_free.all(axis=1))
+    short = (~head_free.all(axis=1)).nonzero()[0]
     if not short.size:
         return VirginSamples(genomes, evaluate_rows(fn, genomes), np.repeat(np.arange(pools), budget))
     rng.resume(start)  # a short pool is rare: numpy draws every row of every pool again
@@ -118,7 +129,7 @@ def select_replacement(genomes: np.ndarray, fitness: np.ndarray, mean, archive: 
     Distance ties fall back to better fitness, then to the lower index.
     Returns None when no candidate qualifies.
     """
-    hopeful = np.flatnonzero(fitness < mean)
+    hopeful = (fitness < mean).nonzero()[0]
     if not hopeful.size:
         return None
     diffs = genomes[hopeful, None, :] - archive
@@ -140,7 +151,8 @@ def informed_mutation(
     the centroids handled up to that victim. Returns the new population and
     the generation record's `victims`, `replacements` and `fallbacks`. The
     input is never written: once a pool replaces a slot the population is
-    copied, and when none does the input population itself is returned.
+    copied, and when no sample beats its victim's mean the input population
+    itself is returned, with no pool lookup.
     """
     slots = [member for replace in victims.replace for member in replace]
     if not slots:
@@ -148,10 +160,11 @@ def informed_mutation(
     samples = sample_virgin(grid, fn, rng, cfg.sample_budget, len(slots))
     victim = np.repeat(np.arange(len(victims)), [len(replace) for replace in victims.replace])
     # only a pool with a sample below its victim's mean can replace its slot
-    hopeful = np.unique(samples.pool[samples.fitness < victims.mean[victim[samples.pool]]])
+    beats = samples.fitness < victims.mean[victim[samples.pool]]
+    if not beats.any():
+        return population, dict(victims=len(victims), replacements=0, fallbacks=len(slots))
+    hopeful = np.unique(samples.pool[beats])
     fields = dict(victims=len(victims), replacements=len(hopeful), fallbacks=len(slots) - len(hopeful))
-    if not hopeful.size:
-        return population, fields
     X, f = population.X.copy(), population.f.copy()
     # samples come pool by pool: pool p holds rows bounds[p]:bounds[p + 1]
     bounds = np.searchsorted(samples.pool, np.arange(len(slots) + 1)).tolist()

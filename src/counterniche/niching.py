@@ -125,7 +125,7 @@ def build_grid(
     codes = codes[members]
     edge = np.ones(len(codes) + 1, dtype=bool)  # where a cell starts, and the end of the last
     np.not_equal(codes[1:], codes[:-1], out=edge[1:-1])
-    edges = np.flatnonzero(edge)
+    edges = edge.nonzero()[0]
     start = edges[:-1]
     return GridIndex(bins, key_dims, space, codes[start], edges[1:] - start, members, start)
 
@@ -134,11 +134,13 @@ def build_grid(
 class Regions:
     """The high-density cells of `grid`, one row each: densest first, then
     lower fitness mean, then lower cell code (the order of the bin-index
-    tuples)."""
+    tuples). Region i's members are `grid.members[start[i] : start[i] +
+    density[i]]`, in index order."""
 
     grid: GridIndex
     code: np.ndarray      # (r,) cell code
     density: np.ndarray   # (r,) members in the cell
+    start: np.ndarray     # (r,) the cell's first position in `grid.members`
     mean: np.ndarray      # (r,) fitness mean of the members
     std: np.ndarray       # (r,) fitness std of the members; NaN when one is at +inf
     centroid: np.ndarray  # (r, dim) mean genome of the members
@@ -161,21 +163,22 @@ def high_density_regions(grid: GridIndex, population: Population, density_fracti
     so they are the same to the bit. The fitness and genomes are gathered
     once, cell by cell, and each region reads its slice of them; its scalar
     mean and std are Python floats (`/` and `math.sqrt` are the same IEEE
-    operations).
+    operations). The table keeps each region's cell start, which this loop
+    reads, so `detect_victims` slices its members without a lookup.
     """
     threshold = max(2, math.ceil(density_fraction * population.size))
-    dense = np.flatnonzero(grid.counts >= threshold)
+    dense = (grid.counts >= threshold).nonzero()[0]
     mean, std = np.empty(len(dense)), np.empty(len(dense))
     centroid = np.empty((len(dense), population.X.shape[1]))
     fitness, genomes = population.f[grid.members], population.X[grid.members]
+    code, density, start = grid.cells[dense], grid.counts[dense], grid.start[dense]
     with np.errstate(invalid="ignore"):  # a member at +inf makes the std NaN
-        for r, (a, n) in enumerate(zip(grid.start[dense].tolist(), grid.counts[dense].tolist())):
+        for r, (a, n) in enumerate(zip(start.tolist(), density.tolist())):
             f = fitness[a : a + n]
             mean[r] = m = float(np.add.reduce(f)) / n
             spread = f - m
             spread *= spread
             std[r] = math.sqrt(float(np.add.reduce(spread)) / n)
             centroid[r] = np.add.reduce(genomes[a : a + n], axis=0) / n
-    code, density = grid.cells[dense], grid.counts[dense]
     order = np.lexsort((code, mean, -density))
-    return Regions(grid, code[order], density[order], mean[order], std[order], centroid[order])
+    return Regions(grid, code[order], density[order], start[order], mean[order], std[order], centroid[order])

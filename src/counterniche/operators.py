@@ -177,7 +177,8 @@ class Variation:
         """
         rng, n, dim, self.variance = self.rng, self.n, self.dim, variance
         raw, advance, standard_normal = rng.raw, rng.advance, rng.standard_normal
-        start, spare = rng.position(), rng.spare()
+        start = rng.position()
+        spare = rng.spare(start)
         bout_words = 2 if n > 1 else 0  # a span of 1 draws nothing
         draws_position = dim > 1
         # the bouts, two coins, the weights, the blend and the mask words; a position word when one is due
@@ -357,7 +358,7 @@ class Variation:
             if self.gene_draws is None and self.p_gene > 0:  # no mask: each gene of a mutated row fires
                 can_copy = can_copy & ~self.mutated
             if 2 * np.count_nonzero(can_copy) < self.n:  # few rows: gather them
-                rows = np.flatnonzero(can_copy)
+                rows = can_copy.nonzero()[0]
                 source[rows] = _copied(child[rows], out[rows], b[rows], first[rows], second[rows])
             else:
                 source = _copied(child, out, b, first, second)

@@ -151,7 +151,7 @@ def _apply(op, rng):
         low, high, dim = (np.array([-1.0, 0.0, 2.0]), np.array([1.0, 5.0, 3.0]), 3) if vector else (-3.0, 64.0, 2)
         if plain:
             return rng.uniform(low, high, size=(pools, rows + extra, dim))[:, :rows]
-        return rng.uniform_heads(low, high, pools, rows, rows + extra, dim)
+        return rng.uniform_heads(low, high, pools, rows, rows + extra, dim, rng.spare(rng.position()))
     return rng.normal(0.0, 1.0, args[0])
 
 

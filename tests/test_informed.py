@@ -16,7 +16,7 @@ from counterniche import (
     sample_virgin,
     select_replacement,
 )
-from counterniche.niching import bin_indices
+from counterniche.niching import Regions, bin_indices
 from counterniche import informed
 
 
@@ -99,6 +99,73 @@ def test_detect_victims_skips_floor_zero():
     grid, regions = _regions(pop)
     # floor(0.4 * 2) = 0: nothing to replace, the region is skipped
     assert len(detect_victims(regions, pop, cfg)) == 0
+
+
+def _victims_by_whole_table(regions, population, cfg):
+    """`detect_victims` on whole columns, as it ran before it read the table
+    row by row: a victim's cell found by a binary search of its code."""
+    with np.errstate(invalid="ignore"):  # eps_fit 0 times a mean at +inf
+        flat = regions.std <= cfg.eps_fit * (1.0 + np.abs(regions.mean))
+    slots = np.floor(cfg.rho_replace * regions.density).astype(int)
+    rows = np.flatnonzero(flat & (slots > 0))
+    grid, replace = regions.grid, []
+    first = grid.start[np.searchsorted(grid.cells, regions.code[rows])]
+    for a, n, k in zip(first.tolist(), regions.density[rows].tolist(), slots[rows].tolist()):
+        cell = grid.members[a : a + n]
+        replace.append(cell[np.argsort(-population.f[cell], kind="stable")[:k]].tolist())
+    return informed.Victims(rows, regions.mean[rows], regions.centroid[rows], replace)
+
+
+# every k / d whose product with the density d (2 to 7) is exactly k, and the float one ulp below each
+_EXACT_RHOS = sorted({k / d for d in range(2, 8) for k in range(1, d) if k / d * d == k})
+_RHOS = _EXACT_RHOS + [float(np.nextafter(rho, 0.0)) for rho in _EXACT_RHOS] + [0.1, 0.95]
+_MEANS = [0.0, -0.0, 1.0, -2.5, 1e300, np.inf, -np.inf, np.nan]
+_STDS = [0.0, 1e-300, 0.01, 1.0, np.inf, np.nan]
+
+
+def _edge_table(grid, rng, eps_fit):
+    """A regions table over every occupied cell of `grid`, densities 1 and
+    up, in a random order. Means and stds are edge values (a NaN std, a mean
+    at +-inf); some stds sit exactly on the victim threshold, and some one
+    ulp above it."""
+    r = len(grid.cells)
+    order = rng.permutation(r)
+    mean, std = rng.choice(_MEANS, r), rng.choice(_STDS, r)
+    with np.errstate(invalid="ignore"):
+        bound = eps_fit * (1.0 + np.abs(mean))
+    on, past = rng.random(r) < 0.3, rng.random(r) < 0.15
+    std[on] = bound[on]
+    std[past] = np.nextafter(bound[past], np.inf)
+    centroid = rng.normal(size=(r, grid.space.dim))
+    return Regions(grid, grid.cells[order], grid.counts[order], grid.start[order], mean, std, centroid)
+
+
+@pytest.mark.parametrize("eps_fit", [0.0, 1e-3, 1.0])
+@pytest.mark.parametrize("rho", _RHOS)
+def test_detect_victims_equal_the_whole_table_formula(rho, eps_fit):
+    """Reading the table as Python scalars flags the victims, and slates the
+    members, that numpy's whole-column formula does."""
+    space = SearchSpace.cube(2, 0.0, 1.0)
+    cfg = EngineConfig("cnea", eps_fit=eps_fit, rho_replace=rho)
+    centres = (np.stack(np.meshgrid(np.arange(3), np.arange(3)), axis=-1).reshape(-1, 2) + 0.5) / 3
+    flagged = skipped = 0
+    for seed in range(8):
+        rng = RngStream(seed)
+        # every density from 1 to 7, and 10, in the 9 cells of a 3-bin grid, each member jittered inside its cell
+        sizes = rng.permutation([1, 2, 3, 4, 5, 6, 7, 2, 10])
+        X = np.repeat(centres, sizes, axis=0) + rng.uniform(-0.1, 0.1, size=(int(sizes.sum()), 2))
+        pop = _pop(X, rng.choice([1.0, 2.0, 2.0, 3.0, np.inf], len(X)))  # fitness ties
+        grid = build_grid(pop, space, bins=3)
+        assert sorted(grid.counts.tolist()) == sorted(sizes.tolist())
+        regions = _edge_table(grid, rng, eps_fit)
+        got, want = detect_victims(regions, pop, cfg), _victims_by_whole_table(regions, pop, cfg)
+        assert got.row.dtype == want.row.dtype
+        assert got.row.tolist() == want.row.tolist()
+        assert got.mean.shape == want.mean.shape and got.mean.tobytes() == want.mean.tobytes()
+        assert got.centroid.shape == want.centroid.shape and got.centroid.tobytes() == want.centroid.tobytes()
+        assert got.replace == want.replace
+        flagged, skipped = flagged + len(got), skipped + len(regions) - len(got)
+    assert flagged and skipped
 
 
 class _Quadratic:
@@ -203,7 +270,7 @@ def test_uniform_heads_equal_the_uniform_and_skip_loop(seed, budget, pools, dim,
     for r in (ours, theirs):
         if spare == "numpy":
             r.integers(0, 5, size=1)  # numpy's buffer holds a spare 32-bit half
-    got = ours.uniform_heads(low, high, pools, budget, 10 * budget, dim)
+    got = ours.uniform_heads(low, high, pools, budget, 10 * budget, dim, ours.spare(ours.position()))
     want = _heads_by_uniform_and_skip(theirs, low, high, pools, budget, dim)
     assert np.array_equal(got, want)
     assert ours.integers(0, 1000) == theirs.integers(0, 1000)

@@ -210,6 +210,31 @@ def test_high_density_sorted_densest_first():
     assert regions.density.tolist() == [4, 2]
 
 
+@pytest.mark.parametrize("dim, key_dims", [(1, None), (2, None), (4, None), (6, (0, 2, 5)), (12, (1, 3, 4, 7, 8, 11))])
+@pytest.mark.parametrize("bins", [2, 3, 4])
+def test_regions_start_is_the_cells_first_position(dim, key_dims, bins):
+    """`Regions.start[i]` is where region i's cell starts in `grid.members`,
+    as a binary search of its code in the grid's cells finds it."""
+    space = SearchSpace.cube(dim, -5.0, 5.0)
+    regions_seen = 0
+    for seed in range(12):
+        rng = RngStream(seed)
+        n = int(rng.integers(2, 120))
+        X = rng.uniform(space.lower, space.upper, size=(n, dim))
+        X[rng.integers(0, n, n // 2)] = X[rng.integers(0, n, n // 2)]  # repeated rows crowd some cells
+        pop = _pop(X, rng.choice([0.0, 1.0, 2.0, np.inf], n))
+        grid = build_grid(pop, space, bins, key_dims)
+        regions = high_density_regions(grid, pop, float(rng.choice([0.0, 0.02, 0.1])))
+        want = grid.start[np.searchsorted(grid.cells, regions.code)]
+        assert regions.start.dtype == want.dtype
+        assert regions.start.tolist() == want.tolist()
+        for a, n_members, code in zip(regions.start.tolist(), regions.density.tolist(), regions.code.tolist()):
+            cell = grid.members[a : a + n_members]
+            assert cell_codes(pop.X[cell], space, bins, grid.effective_dims).tolist() == [code] * n_members
+        regions_seen += len(regions)
+    assert regions_seen > 0
+
+
 @settings(max_examples=100)
 @given(st.integers(2, 8), st.integers(1, 30), st.integers(0, 2**32 - 1))
 def test_grid_cells_always_partition(bins, n, seed):
