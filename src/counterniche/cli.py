@@ -177,6 +177,9 @@ def _cmd_sweep(args) -> int:
         updates["workers"] = args.workers
     try:
         matrix = replace(harness.load_matrix_config(args.config), **updates)
+        if Path(args.config).resolve() == (Path(matrix.output_dir) / harness.SWEEP_FILE).resolve():
+            raise ValueError(f"{args.config} is the {harness.SWEEP_FILE} the sweep writes into its output_dir; "
+                             "copy it elsewhere or set another output_dir")
     except ValueError as exc:
         return _usage_error(exc)
     results = harness.run_matrix(matrix)
@@ -200,19 +203,16 @@ def _cmd_summarize(args) -> int:
     if not cells:
         print(f"no cell outputs under {args.in_dir}", file=sys.stderr)
         return 1
-    payload = []
-    blocks = []
-    for algo, function, dim, traces in cells:
-        errors = harness.collect_final_errors(traces, function, dim)
-        summary = stats.summarize(errors)
-        title = f"{algo}  {function}  dim={dim}  runs={summary.n}"
-        blocks.append(stats.render_summary_text(title, summary))
-        row = harness.summary_row(algo, function, dim, summary)
-        payload.append({**row, "stalled_runs": harness.read_stalled_runs(traces[0].parent)})
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n\n".join(blocks))
+    # stalled runs are counted over the sweep's own stall window, which only its sweep file records
+    sweep = Path(args.in_dir) / harness.SWEEP_FILE
+    window = harness.load_matrix_config(sweep).stagnation_window if sweep.exists() else None
+    rows = []
+    for algo, function, dim, paths in cells:
+        traces = [harness.read_trace_csv(path) for path in paths]
+        summary = stats.summarize(harness.collect_final_errors(traces, function, dim))
+        stalled = None if window is None else sum(harness.detect_stagnation(t, window) is not None for t in traces)
+        rows.append({**harness.summary_row(algo, function, dim, summary), "stalled_runs": stalled})
+    print(json.dumps(rows, indent=2, sort_keys=True) if args.json else stats.render_rows_text(rows))
     return 0
 
 
@@ -222,7 +222,7 @@ def _cmd_ttest(args) -> int:
     def errors(ref):
         if ref not in cells:
             raise FileNotFoundError(f"no run traces under {harness.cell_dir(args.in_dir, *ref)}")
-        return harness.collect_final_errors(cells[ref], ref[1], ref[2])
+        return harness.collect_final_errors(map(harness.read_trace_csv, cells[ref]), ref[1], ref[2])
 
     algo_a, function_a, dim_a = args.cell_a
     errors_a = errors(args.cell_a)

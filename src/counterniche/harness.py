@@ -13,7 +13,7 @@ import csv
 from dataclasses import Field, dataclass, field, fields, replace
 from itertools import product, repeat
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 from . import benchmarks
 from .core import check_fields, check_value, config_field
@@ -22,6 +22,7 @@ from .stats import RunSummary, error_value, summarize
 
 __all__ = [
     "TRACE_FIELDS",
+    "SWEEP_FILE",
     "DiversityProfile",
     "ExperimentMatrix",
     "CellResult",
@@ -34,19 +35,21 @@ __all__ = [
     "summary_row",
     "write_rows_csv",
     "write_summary_csv",
-    "read_stalled_runs",
-    "read_summary_csv",
     "cell_dir",
     "discover_cells",
     "collect_final_errors",
     "run_matrix",
     "matrix_keys",
     "load_matrix_config",
+    "write_matrix_config",
 ]
 
 # a trace file's columns are GenRecord's fields in order, each parsed with its type
 TRACE_FIELDS = tuple(f.name for f in fields(GenRecord))
 _TRACE_TYPES = get_type_hints(GenRecord)
+
+# the resolved matrix a sweep writes into its output_dir, for the commands that read the directory
+SWEEP_FILE = "sweep.cfg"
 
 # the RunSummary statistics of a summary row, in column order
 _SUMMARY_STATS = ("best", "p23", "median", "p73", "worst", "mean", "std")
@@ -115,14 +118,23 @@ def write_trace_csv(trace: RunTrace, path, include_timing: bool = False) -> None
 
 
 def read_trace_csv(path) -> RunTrace:
-    """A trace file's records; its header must be `TRACE_FIELDS`, in order.
-    The file holds neither the best genome nor how its run ended, so the
+    """A trace file's records; its header must be `TRACE_FIELDS`, in order,
+    and a value that does not parse names its file, line and column. The
+    file holds neither the best genome nor how its run ended, so the
     trace's `best` and `stopped_by` are None."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != TRACE_FIELDS:
             raise ValueError(f"{path} does not look like a trace file: its header is not {','.join(TRACE_FIELDS)}")
-        records = [GenRecord(**{name: _TRACE_TYPES[name](row[name]) for name in TRACE_FIELDS}) for row in reader]
+        records = []
+        for row in reader:
+            values = {}
+            for name in TRACE_FIELDS:
+                try:
+                    values[name] = _TRACE_TYPES[name](row[name])
+                except (TypeError, ValueError) as exc:  # a short row's missing values read as None
+                    raise ValueError(f"{path}:{reader.line_num}: {name}: {exc}") from None
+            records.append(GenRecord(**values))
     if not records:
         raise ValueError(f"{path} holds no generations")
     return RunTrace(records, None, stopped_by=None)
@@ -166,25 +178,6 @@ def write_summary_csv(
         **row, "mean_wall_ms": float(mean_wall_ms), "stagnation_gen_mean": stag,
         "stalled_runs": len(stagnation_gens),
     }])
-
-
-def read_stalled_runs(cell) -> int | None:
-    """The `stalled_runs` of the summary.csv in a cell directory; None when
-    the cell has no summary.csv or one written before that column."""
-    path = Path(cell) / "summary.csv"
-    if not path.exists():
-        return None
-    stalled = read_summary_csv(path).get("stalled_runs")
-    return None if stalled is None else int(stalled)
-
-
-def read_summary_csv(path) -> dict:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    if len(rows) != 1:
-        raise ValueError(f"{path} should hold exactly one summary row")
-    return rows[0]
 
 
 def _names(value: str, element=str) -> tuple:
@@ -312,7 +305,9 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
 
 def run_matrix(matrix: ExperimentMatrix) -> list[CellResult]:
     """Execute every (algo, function, dim) cell: one trace file per run plus a
-    per-cell summary. Failures surface per cell without stopping the rest."""
+    per-cell summary, after the matrix itself as `output_dir/SWEEP_FILE`.
+    Failures surface per cell without stopping the rest."""
+    write_matrix_config(matrix, Path(matrix.output_dir) / SWEEP_FILE)
     cells = list(product(matrix.algos, matrix.functions, matrix.dims))
     if matrix.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -343,14 +338,10 @@ def discover_cells(base) -> list[tuple[str, str, int, list[Path]]]:
     return out
 
 
-def collect_final_errors(trace_paths: Sequence[Path], function: str, dim: int) -> list[float]:
-    """Final best-fitness error of each run, in run-index order."""
+def collect_final_errors(traces: Iterable[RunTrace], function: str, dim: int) -> list[float]:
+    """Final best-fitness error of each run, in the traces' order."""
     fn = benchmarks.make(function, dim)
-    errors = []
-    for path in trace_paths:
-        trace = read_trace_csv(path)
-        errors.append(error_value(trace.records[-1].best_fitness, fn.optimum_value))
-    return errors
+    return [error_value(trace.records[-1].best_fitness, fn.optimum_value) for trace in traces]
 
 
 def matrix_keys() -> dict[str, Field]:
@@ -399,3 +390,24 @@ def load_matrix_config(path) -> ExperimentMatrix:
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
     return ExperimentMatrix(engine_overrides=overrides, **values)
+
+
+def _config_text(value) -> str:
+    """A value as its key's `parse` reads it back."""
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return str(value)
+
+
+def write_matrix_config(matrix: ExperimentMatrix, path) -> None:
+    """The matrix in `load_matrix_config`'s format: each set key but
+    `output_dir`, the directory the file describes, then each engine
+    override under its sweep key. It loads back equal to the matrix, but
+    for `output_dir`."""
+    values = {key: getattr(matrix, f.name) for key, f in matrix_keys().items() if key != "output_dir"}
+    values |= {key: matrix.engine_overrides.get(knob.name) for key, knob in engine_knobs().items()}
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("".join(f"{key} = {_config_text(v)}\n" for key, v in values.items() if v is not None))

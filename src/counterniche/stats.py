@@ -22,9 +22,6 @@ __all__ = [
     "paired_ttest",
     "two_tailed_p",
     "error_value",
-    "ordinal",
-    "summary_labels",
-    "render_summary_text",
     "render_rows_text",
 ]
 
@@ -123,36 +120,6 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 def error_value(f_best: float, f_star: float) -> float:
     """Distance of a run's best objective value from the known optimum."""
     return float(f_best) - float(f_star)
-
-
-def ordinal(k: int) -> str:
-    if 10 <= k % 100 <= 13:
-        suffix = "th"
-    else:
-        suffix = {1: "st", 2: "nd", 3: "rd"}.get(k % 10, "th")
-    return f"{k}{suffix}"
-
-
-def summary_labels(n: int) -> tuple[str, str, str, str, str]:
-    r = rank_picks(n)
-    return (
-        f"{ordinal(r[0])} (Best)",
-        ordinal(r[1]),
-        f"{ordinal(r[2])} (Median)",
-        ordinal(r[3]),
-        f"{ordinal(r[4])} (Worst)",
-    )
-
-
-def render_summary_text(title: str, summary: RunSummary) -> str:
-    labels = summary_labels(summary.n)
-    values = [summary.best, summary.p23, summary.median, summary.p73, summary.worst]
-    rows = list(zip(labels, values)) + [("Mean", summary.mean), ("Std.", summary.std)]
-    width = max(len(label) for label, _ in rows)
-    lines = [title]
-    for label, value in rows:
-        lines.append(f"  {label:<{width}}  {value:.6g}")
-    return "\n".join(lines)
 
 
 def render_rows_text(rows: list[dict]) -> str:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -218,6 +219,30 @@ def test_sweep_env_overrides_output_dir(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_sweep_refuses_a_config_that_is_the_sweep_file_it_would_write(tmp_path, monkeypatch, capsys):
+    # a sweep writes its matrix to output_dir/sweep.cfg, which here is the config itself
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    cfg = tmp_path / "sweep.cfg"
+    text = "# kept beside its results\nalgos = sea\nfunctions = ellipsoid\ndims = 2\nruns = 1\ngenerations = 2\n"
+    cfg.write_text(text + "output_dir = .\n")
+    assert main(["sweep", "--config", "sweep.cfg"]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep.cfg is the sweep.cfg the sweep writes")
+    assert cfg.read_text() == text + "output_dir = .\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.cfg"]
+    # so is an output_dir that COUNTERNICHE_OUT sets
+    cfg.write_text(text + "output_dir = results\n")
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.cfg"]
+    # elsewhere, the config is read and a copy of the matrix written
+    monkeypatch.delenv(OUTPUT_DIR_ENV)
+    assert main(["sweep", "--config", "sweep.cfg"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "results" / "sweep.cfg").read_text() != cfg.read_text()
+
+
 def test_sweep_reports_cell_failures(tmp_path, capsys, monkeypatch):
     # a run that raises in the dim-12 cell, as a failure load cannot see would
     real_run = harness.run
@@ -325,14 +350,66 @@ def _seed_results(tmp_path, capsys):
 def test_summarize_text_and_json(tmp_path, capsys):
     out_dir = _seed_results(tmp_path, capsys)
     assert main(["summarize", "--in", str(out_dir)]) == 0
-    text = capsys.readouterr().out
-    assert "sea  ellipsoid  dim=2  runs=3" in text
-    assert "Median" in text
+    lines = capsys.readouterr().out.splitlines()
     assert main(["summarize", "--in", str(out_dir), "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 2
     assert {r["algo"] for r in rows} == {"sea", "socea"}
     assert all(r["best"] <= r["worst"] for r in rows)
+    # the text is the same rows: its header is their keys in row order (--json sorts them)
+    header = lines[0].split()
+    assert header == ["algo", "function", "dim", "runs", "best", "p23", "median", "p73", "worst", "mean", "std",
+                      "stalled_runs"]
+    assert sorted(header) == list(rows[0])
+    assert [line.split()[:4] for line in lines[1:]] == [[r["algo"], r["function"], "2", "3"] for r in rows]
+    assert [line.split()[-1] for line in lines[1:]] == [str(r["stalled_runs"]) for r in rows]
+
+
+# every engine, four runs each, several of which stall for 9 generations within 50
+STALL_SWEEP = (
+    "algos = cnea, sea, socea, cea, dgea\nfunctions = ellipsoid\ndims = 2\nruns = 4\ngenerations = 50\n"
+    "pop_size = 10\nstagnation_window = 9\n"
+)
+
+
+@pytest.mark.parametrize("max_evaluations", [None, 240])
+@pytest.mark.parametrize("budget", ["fixed", "stagnation"])
+def test_summarize_counts_the_stalled_runs_summary_csv_counts(budget, max_evaluations, tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    cfg = tmp_path / "stall.cfg"
+    budget_line = "" if max_evaluations is None else f"max_evaluations = {max_evaluations}\n"
+    cfg.write_text(STALL_SWEEP + f"budget = {budget}\n{budget_line}output_dir = {out_dir}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["summarize", "--in", str(out_dir), "--json"]) == 0
+    printed = capsys.readouterr().out
+    summaries = sorted(out_dir.glob("*/*/*d/summary.csv"))
+    stored = {}
+    for path in summaries:
+        with open(path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        stored[row["algo"]] = int(row["stalled_runs"])
+    assert len(stored) == 5
+    assert {row["algo"]: row["stalled_runs"] for row in json.loads(printed)} == stored
+    # the count comes from the traces and sweep.cfg, not from summary.csv
+    for path in summaries:
+        path.unlink()
+    assert main(["summarize", "--in", str(out_dir), "--json"]) == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_summarize_without_a_sweep_file_prints_null_stalled_runs(tmp_path, capsys):
+    # a cell of traces alone, as `run --out` writes it: no stall window to count with
+    trace = tmp_path / "sea" / "ellipsoid" / "2d" / "run0.csv"
+    argv = ["run", "--algo", "sea", "--function", "ellipsoid", "--dim", "2", "--generations", "3",
+            "--pop-size", "10", "--out", str(trace)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["summarize", "--in", str(tmp_path), "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["runs"], row["stalled_runs"]) == (1, None)
+    assert main(["summarize", "--in", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[-1] == "n/a"
 
 
 def test_summarize_empty_dir(tmp_path, capsys):

@@ -3,7 +3,8 @@ sweep keys, the validation rules and the table in docs/config.md."""
 
 import math
 import re
-from dataclasses import fields
+import typing
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from counterniche import (
     ALGORITHMS,
     EngineConfig,
+    ExperimentMatrix,
     Population,
     SearchSpace,
     build_grid,
@@ -22,7 +24,7 @@ from counterniche import (
 from counterniche import cli, engines
 from counterniche.core import value_range
 from counterniche.engines import engine_knobs
-from counterniche.harness import load_matrix_config, matrix_keys
+from counterniche.harness import load_matrix_config, matrix_keys, write_matrix_config
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
@@ -349,3 +351,51 @@ def test_unparsable_value_error_names_file_line_and_key(line, key, tmp_path, cap
         load_matrix_config(sweep)
     assert cli.main(["sweep", "--config", str(sweep)]) == 2
     assert f"{sweep}:5: {key}: " in capsys.readouterr().err
+
+
+# the matrix keys without a default
+REQUIRED_VALUES = {"algos": ALGORITHMS, "functions": ("ellipsoid", "rastrigin"), "dims": (2, 3)}
+
+
+def _set_value(field, hint):
+    """A valid value of a config field other than its default, from its type and rules alone."""
+    rules = field.metadata
+    if "choices" in rules:
+        return next(c for c in rules["choices"] if c != field.default)
+    kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    if kind is bool:
+        return not field.default
+    if kind is int:
+        return (rules.get("ge", 0) if field.default is None else field.default) + 1
+    if kind is float:
+        if field.default is None:
+            return -1 / 3  # schwefel_lower must be <= 0; 17 digits are needed to read it back
+        top = rules.get("le", rules.get("lt"))
+        return field.default * 2 if top is None else (field.default + top) / 2
+    assert kind is str, (field.name, hint)
+    return "elsewhere"
+
+
+@pytest.mark.parametrize("every", [True, False], ids=["every-key-set", "optional-keys-unset"])
+def test_written_matrix_loads_back_equal_but_for_output_dir(every, tmp_path):
+    hints = {**typing.get_type_hints(ExperimentMatrix), **typing.get_type_hints(EngineConfig)}
+    values = {
+        f.name: REQUIRED_VALUES[key] if f.default is MISSING else _set_value(f, hints[f.name])
+        for key, f in matrix_keys().items()
+        if every or f.default is MISSING
+    }
+    overrides = {f.name: _set_value(f, hints[f.name]) for f in engine_knobs().values()} if every else {}
+    matrix = ExperimentMatrix(**values, engine_overrides=overrides)
+    path = tmp_path / "sweep.cfg"
+    write_matrix_config(matrix, path)
+    loaded = load_matrix_config(path)
+    assert replace(loaded, output_dir=matrix.output_dir) == matrix
+    # each set key once, under its sweep key (pop_size, not N); output_dir and unset keys not at all
+    written = [line.split(" = ")[0] for line in path.read_text().splitlines()]
+    expected = [key for key, f in matrix_keys().items() if key != "output_dir" and getattr(matrix, f.name) is not None]
+    assert written == expected + (list(engine_knobs()) if every else [])
+    if every:
+        assert all(getattr(matrix, f.name) != f.default for f in matrix_keys().values() if f.default is not MISSING)
+        assert {"pop_size", "elitism", "sea_variance"} <= set(written)
+    else:
+        assert loaded.generations is loaded.max_evaluations is loaded.schwefel_lower is None

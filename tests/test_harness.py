@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import re
@@ -24,12 +25,18 @@ from counterniche.harness import (
     discover_cells,
     diversity_profile,
     load_matrix_config,
-    read_summary_csv,
     read_trace_csv,
     write_summary_csv,
     write_trace_csv,
 )
 from counterniche.stats import summarize
+
+
+def read_summary_row(path) -> dict:
+    """The one row of a cell's summary.csv, by column."""
+    with open(path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    return row
 
 
 def _trace_from_series(series, diversity=None, mean=None):
@@ -237,7 +244,7 @@ def test_timed_mean_wall_ms_is_the_mean_of_each_runs_summed_wall_ms(tmp_path):
     walls = [sum(r.wall_ms for r in read_trace_csv(path).records) for path in cell.trace_paths]
     assert all(wall > 0.0 for wall in walls)
     mean = sum(walls) / len(walls)
-    assert cell.mean_wall_ms == mean and float(read_summary_csv(cell.summary_path)["mean_wall_ms"]) == mean
+    assert cell.mean_wall_ms == mean and float(read_summary_row(cell.summary_path)["mean_wall_ms"]) == mean
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -314,6 +321,27 @@ def test_read_trace_csv_refuses_a_header_without_a_defaulted_field(tmp_path, mis
         read_trace_csv(_trace_file(tmp_path / "old.csv", header))
 
 
+@pytest.mark.parametrize("row,column,reason", [
+    ("1,abc,5.5,0.25,exploit,3,1,2,40,0", "best_fitness", "could not convert string to float: 'abc'"),
+    ("1,4,5.5,0.25,exploit,three,1,2,40,0", "victims", "invalid literal for int() with base 10: 'three'"),
+    ("1,4,5.5", "diversity", "float() argument must be a string or a real number, not 'NoneType'"),
+], ids=["float", "int", "short-row"])
+def test_read_trace_csv_names_the_file_line_and_column_of_a_value_that_does_not_parse(
+    row, column, reason, tmp_path, capsys
+):
+    cell = tmp_path / "sea" / "ellipsoid" / "2d"
+    cell.mkdir(parents=True)
+    path = _trace_file(cell / "run0.csv", TRACE_FIELDS)
+    path.write_text(path.read_text().splitlines()[0] + "\n0,4,5.5,0.25,exploit,3,1,2,40,0\n" + row + "\n")
+    message = f"{path}:3: {column}: {reason}"
+    with pytest.raises(ValueError) as raised:
+        read_trace_csv(path)
+    assert str(raised.value) == message
+    for command in ("summarize", "diversity-report"):
+        assert cli.main([command, "--in", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_read_trace_csv_refuses_a_missing_required_field_or_another_order(tmp_path):
     # a header without a field that has a default is refused too: a trace without `evaluations`
     # would read back as 0 evaluations at every generation
@@ -343,7 +371,7 @@ def test_summary_csv_roundtrip(tmp_path):
     path = tmp_path / "summary.csv"
     summary = summarize([0.5, 0.1, 0.9])
     write_summary_csv(path, "sea", "ackley", 5, summary, 12.5, [100, 200])
-    row = read_summary_csv(path)
+    row = read_summary_row(path)
     assert tuple(row.keys()) == (
         "algo", "function", "dim", "runs", "best", "p23", "median", "p73", "worst", "mean", "std",
         "mean_wall_ms", "stagnation_gen_mean", "stalled_runs",
@@ -354,7 +382,7 @@ def test_summary_csv_roundtrip(tmp_path):
     assert float(row["stagnation_gen_mean"]) == 150.0
     # no stagnation values leaves the column empty
     write_summary_csv(path, "sea", "ackley", 5, summary, 12.5, [])
-    assert read_summary_csv(path)["stagnation_gen_mean"] == ""
+    assert read_summary_row(path)["stagnation_gen_mean"] == ""
 
 
 def test_cell_dir_layout():
@@ -386,7 +414,7 @@ def test_run_matrix_writes_expected_layout(tmp_path):
     assert (base / "run0.csv").exists()
     assert (base / "run1.csv").exists()
     assert (base / "summary.csv").exists()
-    row = read_summary_csv(base / "summary.csv")
+    row = read_summary_row(base / "summary.csv")
     assert row["runs"] == "2"
     assert float(row["mean_wall_ms"]) == 0.0  # timing off
 
@@ -397,7 +425,7 @@ def test_summary_counts_stalled_runs_beside_all_runs(tmp_path, capsys):
     run_matrix(matrix)
     cell = tmp_path / "results" / "sea" / "ellipsoid" / "2d"
     assert [read_trace_csv(cell / f"run{r}.csv").records[-1].generation for r in range(2)] == [11, 20]
-    row = read_summary_csv(cell / "summary.csv")
+    row = read_summary_row(cell / "summary.csv")
     assert (row["runs"], row["stalled_runs"]) == ("2", "1")
     assert float(row["stagnation_gen_mean"]) == 11.0  # the stalled run's generation alone
     assert cli.main(["summarize", "--in", matrix.output_dir, "--json"]) == 0
@@ -542,7 +570,7 @@ def test_discover_cells_and_collect_errors(tmp_path):
     algo, function, dim, traces = cells[0]
     assert (algo, function, dim) == ("sea", "ellipsoid", 2)
     assert [p.name for p in traces] == ["run0.csv", "run1.csv"]
-    errors = collect_final_errors(traces, function, dim)
+    errors = collect_final_errors(map(read_trace_csv, traces), function, dim)
     assert len(errors) == 2
     assert all(e >= 0.0 for e in errors)
 

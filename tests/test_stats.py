@@ -6,14 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterniche import RunSummary, TTestResult, error_value, paired_ttest, summarize
-from counterniche.stats import (
-    ordinal,
-    rank_picks,
-    render_summary_text,
-    render_rows_text,
-    summary_labels,
-    two_tailed_p,
-)
+from counterniche.stats import rank_picks, render_rows_text, two_tailed_p
 
 
 def student_tail_p(t: float, df: int, nodes: int = 400) -> float:
@@ -155,31 +148,6 @@ def test_paired_ttest_antisymmetric():
 def test_error_value():
     assert error_value(1.5, 1.0) == 0.5
     assert error_value(0.0, 0.0) == 0.0
-
-
-def test_ordinal_suffixes():
-    assert ordinal(1) == "1st"
-    assert ordinal(2) == "2nd"
-    assert ordinal(3) == "3rd"
-    assert ordinal(4) == "4th"
-    assert ordinal(11) == "11th"
-    assert ordinal(12) == "12th"
-    assert ordinal(13) == "13th"
-    assert ordinal(22) == "22nd"
-    assert ordinal(30) == "30th"
-    assert ordinal(101) == "101st"
-
-
-def test_summary_labels_thirty_runs():
-    assert summary_labels(30) == ("1st (Best)", "7th", "15th (Median)", "22nd", "30th (Worst)")
-
-
-def test_render_summary_text_shape():
-    text = render_summary_text("demo", summarize([1.0, 2.0, 3.0]))
-    lines = text.splitlines()
-    assert lines[0] == "demo"
-    assert len(lines) == 8  # title + five picks + mean + std
-    assert any("Median" in ln for ln in lines)
 
 
 def test_render_ttest_text_alignment():
