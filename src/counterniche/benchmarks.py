@@ -208,19 +208,17 @@ def make(name: str, dim: int, schwefel_lower: float | None = None) -> BenchmarkF
 
 
 def registry() -> list[dict]:
-    """Static description of every function, for listings and tooling."""
-    out = []
-    for name, (half, coordinate, _) in _FUNCTIONS.items():
-        entry = {
+    """Static description of every function, for listings and tooling; every
+    entry has the same keys, and `note` is "" for a function with none."""
+    notes = {"schwefel12": "lower bound configurable", "rot_rastrigin": "even dimension required"}
+    return [
+        {
             "name": name,
             "lower": -half,
             "upper": half,
             "optimum_value": 0.0,
             "optimum_point": f"all coordinates {coordinate:g}",
+            "note": notes.get(name, ""),
         }
-        if name == "rot_rastrigin":
-            entry["constraint"] = "even dimension required"
-        if name == "schwefel12":
-            entry["note"] = "lower bound configurable"
-        out.append(entry)
-    return out
+        for name, (half, coordinate, _) in _FUNCTIONS.items()
+    ]

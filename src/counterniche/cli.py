@@ -96,31 +96,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list(args) -> int:
-    functions = benchmarks.registry()
-    if args.function:
-        functions = [f for f in functions if f["name"] == args.function]
-    algorithms = algorithm_registry() if not args.function else []
-    if args.json:
-        payload = {"functions": functions}
-        if algorithms:
-            payload["algorithms"] = algorithms
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print("functions:")
-    for f in functions:
-        extra = "".join(
-            f"  ({f[k]})" for k in ("constraint", "note") if k in f
-        )
-        print(
-            f"  {f['name']:<14} bounds [{f['lower']:g}, {f['upper']:g}]"
-            f"  min {f['optimum_value']:g} at {f['optimum_point']}{extra}"
-        )
-    if algorithms:
-        print("algorithms:")
-        for a in algorithms:
-            print(f"  {a['name']:<6} pop={a['population']}  {a['notes']}")
-            print(f"         defaults: {a['defaults']}")
+    tables = {"functions": [f for f in benchmarks.registry() if args.function in (None, f["name"])]}
+    if not args.function:
+        tables["algorithms"] = algorithm_registry()
+    text = "\n\n".join(f"{name}:\n{stats.render_rows_text(rows)}" for name, rows in tables.items())
+    print(json.dumps(tables, indent=2, sort_keys=True) if args.json else text)
     return 0
+
+
+def _cells(in_dir) -> dict:
+    """`discover_cells` under a read command's `--in`, where no cell is a runtime error."""
+    cells = harness.discover_cells(in_dir)
+    if not cells:
+        raise FileNotFoundError(f"no cell outputs under {in_dir}")
+    return cells
+
+
+def _print_rows(rows: list[dict], as_json: bool) -> None:
+    print(json.dumps(rows, indent=2, sort_keys=True) if as_json else stats.render_rows_text(rows))
 
 
 def _usage_error(exc: ValueError) -> int:
@@ -199,25 +192,22 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    cells = harness.discover_cells(args.in_dir)
-    if not cells:
-        print(f"no cell outputs under {args.in_dir}", file=sys.stderr)
-        return 1
+    cells = _cells(args.in_dir)
     # stalled runs are counted over the sweep's own stall window, which only its sweep file records
     sweep = Path(args.in_dir) / harness.SWEEP_FILE
     window = harness.load_matrix_config(sweep).stagnation_window if sweep.exists() else None
     rows = []
-    for algo, function, dim, paths in cells:
+    for (algo, function, dim), paths in cells.items():
         traces = [harness.read_trace_csv(path) for path in paths]
         summary = stats.summarize(harness.collect_final_errors(traces, function, dim))
         stalled = None if window is None else sum(harness.detect_stagnation(t, window) is not None for t in traces)
         rows.append({**harness.summary_row(algo, function, dim, summary), "stalled_runs": stalled})
-    print(json.dumps(rows, indent=2, sort_keys=True) if args.json else stats.render_rows_text(rows))
+    _print_rows(rows, args.json)
     return 0
 
 
 def _cmd_ttest(args) -> int:
-    cells = {cell[:3]: cell[3] for cell in harness.discover_cells(args.in_dir)}
+    cells = _cells(args.in_dir)
 
     def errors(ref):
         if ref not in cells:
@@ -226,12 +216,9 @@ def _cmd_ttest(args) -> int:
 
     algo_a, function_a, dim_a = args.cell_a
     errors_a = errors(args.cell_a)
-    if args.cell_b is None:
-        others = [ref for ref in cells if ref[1:] == (function_a, dim_a) and ref[0] != algo_a]
-        if not others:
-            raise FileNotFoundError(f"no other algo's {function_a}:{dim_a} cell under {args.in_dir}")
-    else:
-        others = [args.cell_b]
+    others = [args.cell_b] if args.cell_b else [r for r in cells if r[1:] == (function_a, dim_a) and r[0] != algo_a]
+    if not others:
+        raise FileNotFoundError(f"no other algo's {function_a}:{dim_a} cell under {args.in_dir}")
     rows = []
     for algo_b, function_b, dim_b in others:
         result = stats.paired_ttest(errors_a, errors((algo_b, function_b, dim_b)))
@@ -258,12 +245,8 @@ def _cmd_diversity_report(args) -> int:
             harness.check_burn_in(args.burn_in)
         except ValueError as exc:
             return _usage_error(exc)
-    cells = harness.discover_cells(args.in_dir)
-    if not cells:
-        print(f"no cell outputs under {args.in_dir}", file=sys.stderr)
-        return 1
     rows = []
-    for algo, function, dim, traces in cells:
+    for (algo, function, dim), traces in _cells(args.in_dir).items():
         values = []
         counted = 0
         for path in traces:
@@ -284,7 +267,7 @@ def _cmd_diversity_report(args) -> int:
                 "average_diversity": avg,
             }
         )
-    print(json.dumps(rows, indent=2, sort_keys=True) if args.json else stats.render_rows_text(rows))
+    _print_rows(rows, args.json)
     return 0
 
 

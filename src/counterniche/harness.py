@@ -10,6 +10,7 @@ available in memory.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import Field, dataclass, field, fields, replace
 from itertools import product, repeat
 from pathlib import Path
@@ -214,6 +215,8 @@ class ExperimentMatrix:
     engine_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # lists are read as tuples, so a list-built matrix is checked, compared and written as a loaded one
+        self.algos, self.functions, self.dims = tuple(self.algos), tuple(self.functions), tuple(self.dims)
         check_fields(self)
         if not self.algos or not self.functions or not self.dims:
             raise ValueError("matrix needs at least one algo, function, and dim")
@@ -317,25 +320,19 @@ def run_matrix(matrix: ExperimentMatrix) -> list[CellResult]:
     return [_run_cell(matrix, *cell) for cell in cells]
 
 
-def discover_cells(base) -> list[tuple[str, str, int, list[Path]]]:
-    """Find every cell directory under `base` holding run traces.
-
-    Returns (algo, function, dim, trace paths ordered by run index)."""
-    base = Path(base)
-    cells: dict[tuple[str, str, int], list[Path]] = {}
-    for trace in base.glob("*/*/*d/run*.csv"):
+def discover_cells(base) -> dict[tuple[str, str, int], list[Path]]:
+    """Every cell directory under `base` holding run traces: (algo,
+    function, dim) -> its trace paths in run order, keys sorted."""
+    cells: dict[tuple[str, str, int], list[tuple[int, Path]]] = {}
+    for trace in Path(base).glob("*/*/*d/run*.csv"):
         cell = trace.parent
         try:
             dim = int(cell.name[:-1])
             run_idx = int(trace.stem[3:])
         except ValueError:
             continue
-        key = (cell.parent.parent.name, cell.parent.name, dim)
-        cells.setdefault(key, []).append((run_idx, trace))
-    out = []
-    for (algo, function, dim), runs in sorted(cells.items()):
-        out.append((algo, function, dim, [p for _, p in sorted(runs)]))
-    return out
+        cells.setdefault((cell.parent.parent.name, cell.parent.name, dim), []).append((run_idx, trace))
+    return {key: [p for _, p in sorted(runs)] for key, runs in sorted(cells.items())}
 
 
 def collect_final_errors(traces: Iterable[RunTrace], function: str, dim: int) -> list[float]:
@@ -352,7 +349,7 @@ def matrix_keys() -> dict[str, Field]:
 
 
 def load_matrix_config(path) -> ExperimentMatrix:
-    """Parse a flat key-value config file ("key = value" lines, # comments).
+    """Parse a flat "key = value" config file; a # at a line's start or after whitespace starts a comment.
 
     Unknown keys are errors, and so are a key given twice and values that
     do not parse or break their field's rules (`core.check_value`); each
@@ -366,7 +363,7 @@ def load_matrix_config(path) -> ExperimentMatrix:
     overrides: dict = {}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.sub(r"(^|\s)#.*", "", raw).strip()
         if not line:
             continue
         if "=" not in line:

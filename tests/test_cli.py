@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from counterniche import harness
+from counterniche import benchmarks, harness
 from counterniche.cli import OUTPUT_DIR_ENV, main
+from counterniche.engines import ALGORITHMS
 from counterniche.harness import read_trace_csv
 
 
@@ -17,11 +18,32 @@ def test_list_text_output(capsys):
     assert "cnea" in out
 
 
+def test_list_prints_each_table_under_its_name_and_its_rows_keys(capsys):
+    assert main(["list"]) == 0
+    functions, algorithms = capsys.readouterr().out.split("\n\n")
+    functions, algorithms = functions.splitlines(), algorithms.splitlines()
+    assert functions[0] == "functions:"
+    assert functions[1].split() == ["name", "lower", "upper", "optimum_value", "optimum_point", "note"]
+    assert [line.split()[0] for line in functions[2:]] == list(benchmarks.FUNCTION_NAMES)
+    assert algorithms[0] == "algorithms:"
+    assert algorithms[1].split() == ["name", "population", "notes", "defaults"]
+    assert [line.split()[0] for line in algorithms[2:]] == list(ALGORITHMS)
+
+
 def test_list_json_output(capsys):
     assert main(["list", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert {f["name"] for f in payload["functions"]} >= {"ackley", "schwefel12"}
     assert len(payload["algorithms"]) == 5
+
+
+def test_list_json_rows_of_a_table_have_the_same_keys(capsys):
+    assert main(["list", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for rows in payload.values():
+        assert all(row.keys() == rows[0].keys() for row in rows)
+    notes = {f["name"]: f["note"] for f in payload["functions"]}
+    assert notes["rot_rastrigin"] == "even dimension required" and notes["ackley"] == ""
 
 
 def test_list_single_function(capsys):
@@ -412,9 +434,14 @@ def test_summarize_without_a_sweep_file_prints_null_stalled_runs(tmp_path, capsy
     assert capsys.readouterr().out.splitlines()[1].split()[-1] == "n/a"
 
 
-def test_summarize_empty_dir(tmp_path, capsys):
-    assert main(["summarize", "--in", str(tmp_path)]) == 1
-    assert "no cell outputs" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    pytest.param(["summarize"], id="summarize"),
+    pytest.param(["ttest", "--a", "sea:ellipsoid:2"], id="ttest"),
+    pytest.param(["diversity-report"], id="diversity-report"),
+])
+def test_summarize_empty_dir(argv, tmp_path, capsys):
+    assert main([*argv, "--in", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: no cell outputs under {tmp_path}\n"
 
 
 def test_ttest_between_cells(tmp_path, capsys):
@@ -442,6 +469,12 @@ def test_ttest_missing_cell(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_ttest_names_the_directory_of_a_cell_missing_from_a_sweep(tmp_path, capsys):
+    out_dir = _seed_results(tmp_path, capsys)
+    assert main(["ttest", "--in", str(out_dir), "--a", "sea:ellipsoid:2", "--b", "cnea:ellipsoid:2"]) == 1
+    assert capsys.readouterr().err == f"error: no run traces under {out_dir / 'cnea' / 'ellipsoid' / '2d'}\n"
 
 
 def test_diversity_report(tmp_path, capsys):

@@ -376,11 +376,14 @@ def _set_value(field, hint):
     return "elsewhere"
 
 
-@pytest.mark.parametrize("every", [True, False], ids=["every-key-set", "optional-keys-unset"])
-def test_written_matrix_loads_back_equal_but_for_output_dir(every, tmp_path):
+@pytest.mark.parametrize(
+    "every,listed", [(True, tuple), (False, tuple), (False, list)],
+    ids=["every-key-set", "optional-keys-unset", "required-keys-as-lists"],
+)
+def test_written_matrix_loads_back_equal_but_for_output_dir(every, listed, tmp_path):
     hints = {**typing.get_type_hints(ExperimentMatrix), **typing.get_type_hints(EngineConfig)}
     values = {
-        f.name: REQUIRED_VALUES[key] if f.default is MISSING else _set_value(f, hints[f.name])
+        f.name: listed(REQUIRED_VALUES[key]) if f.default is MISSING else _set_value(f, hints[f.name])
         for key, f in matrix_keys().items()
         if every or f.default is MISSING
     }

@@ -76,26 +76,34 @@ REGIONS_DUMP_DIGESTS = {
 }
 
 
-class EvaluateOnly:
-    """An objective with `evaluate` but no `evaluate_batch`; counts the rows
-    it evaluates."""
+class Counted:
+    """A benchmark function's `space`, and a count of the rows its methods
+    evaluate."""
 
     def __init__(self, fn):
         self.fn = fn
         self.space = fn.space
         self.rows = 0
 
+
+class EvaluateOnly(Counted):
+    """An objective with `evaluate` but no `evaluate_batch`."""
+
     def evaluate(self, x):
         self.rows += 1
         return self.fn.evaluate(x)
 
 
-class Counting(EvaluateOnly):
-    """The benchmark function with both methods, counting rows."""
+class BatchOnly(Counted):
+    """An objective with `evaluate_batch` but no `evaluate`."""
 
     def evaluate_batch(self, x):
         self.rows += len(x)
         return self.fn.evaluate_batch(x)
+
+
+class Counting(EvaluateOnly, BatchOnly):
+    """The benchmark function with both methods, counting rows."""
 
 
 def run_case(name: str, objective):
@@ -138,9 +146,14 @@ def test_evaluations_column_counts_rows_without_evaluate_batch(name):
     assert counts[0] == CASES[name][3]["N"] and counts == sorted(counts)
 
 
-@pytest.mark.parametrize("name", ["cnea-schwefel12-10d-replacement", "cea-rosenbrock-8d"])
-def test_objective_without_evaluate_batch_gives_the_same_trace(name):
-    trace, evaluations = run_case(name, EvaluateOnly)
+@pytest.mark.parametrize("name,objective", [
+    pytest.param(name, objective, id=name + suffix)
+    for objective, suffix in ((EvaluateOnly, ""), (BatchOnly, "-batch-only"))
+    for name in ("cnea-schwefel12-10d-replacement", "cea-rosenbrock-8d")
+])
+def test_objective_without_evaluate_batch_gives_the_same_trace(name, objective):
+    # either method is enough: a run calls `evaluate_batch` when the objective has it, else `evaluate`
+    trace, evaluations = run_case(name, objective)
     assert trace_digest(trace) == DIGESTS[name]
     assert evaluations == EVALUATIONS[name]
 

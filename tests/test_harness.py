@@ -567,7 +567,7 @@ def test_discover_cells_and_collect_errors(tmp_path):
     run_matrix(matrix)
     cells = discover_cells(tmp_path / "results")
     assert len(cells) == 1
-    algo, function, dim, traces = cells[0]
+    ((algo, function, dim), traces), = cells.items()
     assert (algo, function, dim) == ("sea", "ellipsoid", 2)
     assert [p.name for p in traces] == ["run0.csv", "run1.csv"]
     errors = collect_final_errors(map(read_trace_csv, traces), function, dim)
@@ -579,7 +579,7 @@ def test_discover_cells_skips_junk(tmp_path):
     junk = tmp_path / "x" / "y" / "zd"
     junk.mkdir(parents=True)
     (junk / "runfoo.csv").write_text("nope")
-    assert discover_cells(tmp_path) == []
+    assert discover_cells(tmp_path) == {}
 
 
 def test_experiment_matrix_validation():
@@ -607,6 +607,7 @@ def test_experiment_matrix_refuses_an_override_that_is_no_engine_knob(key):
     ("algos", {"algos": ("sea", "sea")}),
     ("functions", {"functions": ("ackley", "rastrigin", "ackley")}),
     ("dims", {"dims": (2, 3, 2)}),
+    ("algos", {"algos": ["sea", "sea"]}),  # a list is read as a tuple, and refused the same
 ])
 def test_experiment_matrix_refuses_a_repeated_value(field, values):
     # the same check as a sweep file's: the repeated cells would write the same files
@@ -614,6 +615,13 @@ def test_experiment_matrix_refuses_a_repeated_value(field, values):
     repeated = values[field][0]
     with pytest.raises(ValueError, match=re.escape(f"{field}: {repeated!r} is listed more than once")):
         ExperimentMatrix(**matrix)
+
+
+def test_experiment_matrix_reads_list_fields_as_tuples():
+    matrix = ExperimentMatrix(algos=["sea"], functions=["ackley"], dims=[2])
+    assert (matrix.algos, matrix.functions, matrix.dims) == (("sea",), ("ackley",), (2,))
+    with pytest.raises(ValueError, match="^dims must be >= 1, got 0$"):
+        ExperimentMatrix(algos=["sea"], functions=["ackley"], dims=[2, 0])
 
 
 def test_load_matrix_config(tmp_path):
@@ -642,6 +650,19 @@ def test_load_matrix_config(tmp_path):
     assert matrix.stagnation_window == 100
     assert matrix.timing is True
     assert matrix.engine_overrides == {"N": 50, "sea_variance_mode": "annealed"}
+
+
+@pytest.mark.parametrize("line,key,value", [
+    pytest.param("output_dir = runs#2", "output_dir", "runs#2", id="hash-inside-a-value"),
+    pytest.param("output_dir = runs #2", "output_dir", "runs", id="hash-after-a-space"),
+    pytest.param("algos = sea  # note", "algos", ("sea",), id="comment-after-spaces"),
+    pytest.param("algos = sea\t# note", "algos", ("sea",), id="comment-after-a-tab"),
+])
+def test_load_matrix_config_starts_a_comment_only_at_a_hash_after_whitespace(line, key, value, tmp_path):
+    lines = {"algos": "algos = cnea", "functions": "functions = ackley", "dims": "dims = 2", key: line}
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("# a sweep\n" + "\n".join(lines.values()) + "\n")
+    assert getattr(load_matrix_config(cfg), key) == value
 
 
 def test_load_matrix_config_errors(tmp_path):
