@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Thin adapter over the library: every number printed here is computed by the
-benchmark, engine, harness, or stats modules. Exit codes: 0 on success, 2 on
-usage errors (including an engine configuration that fails validation), 1 on
-runtime failures.
+benchmark, engine, harness, or stats modules; each read command takes a cell's
+numbers from `harness`. Exit codes: 0 on success, 2 on usage errors (including
+an engine configuration that fails validation), 1 on runtime failures.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         return _usage_error(exc)
 
+    if args.regions_dump:
+        Path(args.regions_dump).parent.mkdir(parents=True, exist_ok=True)
     with open(args.regions_dump, "w") if args.regions_dump else contextlib.nullcontext() as dump:
 
         def on_regions(generation, regions):
@@ -200,7 +202,7 @@ def _cmd_summarize(args) -> int:
     for (algo, function, dim), paths in cells.items():
         traces = [harness.read_trace_csv(path) for path in paths]
         summary = stats.summarize(harness.collect_final_errors(traces, function, dim))
-        stalled = None if window is None else sum(harness.detect_stagnation(t, window) is not None for t in traces)
+        stalled = None if window is None else len(harness.stall_generations(traces, window))
         rows.append({**harness.summary_row(algo, function, dim, summary), "stalled_runs": stalled})
     _print_rows(rows, args.json)
     return 0
@@ -245,28 +247,11 @@ def _cmd_diversity_report(args) -> int:
             harness.check_burn_in(args.burn_in)
         except ValueError as exc:
             return _usage_error(exc)
-    rows = []
-    for (algo, function, dim), traces in _cells(args.in_dir).items():
-        values = []
-        counted = 0
-        for path in traces:
-            trace = harness.read_trace_csv(path)
-            burn = harness.default_burn_in(trace.generations) if args.burn_in is None else args.burn_in
-            profile = harness.diversity_profile(trace, burn)
-            if profile.average_diversity is not None:
-                values.append(profile.average_diversity)
-                counted += profile.generations_counted
-        avg = sum(values) / len(values) if values else None
-        rows.append(
-            {
-                "algo": algo,
-                "function": function,
-                "dim": dim,
-                "runs_with_signal": len(values),
-                "generations_counted": counted,
-                "average_diversity": avg,
-            }
-        )
+    rows = [
+        {"algo": algo, "function": function, "dim": dim,
+         **harness.diversity_row(map(harness.read_trace_csv, paths), args.burn_in)}
+        for (algo, function, dim), paths in _cells(args.in_dir).items()
+    ]
     _print_rows(rows, args.json)
     return 0
 

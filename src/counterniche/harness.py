@@ -1,5 +1,6 @@
 """Experiment orchestration: run matrices, stagnation detection, diversity
-profiles, timing, and CSV persistence.
+profiles, timing, and CSV persistence. A cell's report numbers, in `sweep`'s
+`summary.csv` and in each read command alike, are computed here alone.
 
 Outputs are deterministic by default. Per-generation and per-cell wall-clock
 columns are written as 0 unless timing is explicitly enabled, so reruns with
@@ -28,14 +29,15 @@ __all__ = [
     "ExperimentMatrix",
     "CellResult",
     "detect_stagnation",
+    "stall_generations",
     "diversity_profile",
+    "diversity_row",
     "check_burn_in",
     "default_burn_in",
     "write_trace_csv",
     "read_trace_csv",
     "summary_row",
     "write_rows_csv",
-    "write_summary_csv",
     "cell_dir",
     "discover_cells",
     "collect_final_errors",
@@ -80,6 +82,14 @@ def detect_stagnation(trace: RunTrace | Sequence[float], window: int) -> int | N
     return None
 
 
+def stall_generations(traces: Iterable[RunTrace], window: int) -> list[int]:
+    """The generation at which each run that stalls for `window`
+    generations stalls (`detect_stagnation`), in run order: the stall rule
+    of `summary.csv` and `summarize` alike."""
+    stalls = (detect_stagnation(trace, window) for trace in traces)
+    return [g for g in stalls if g is not None]
+
+
 def default_burn_in(generations: int) -> int:
     """Stock burn-in: the first 5% of the generation budget is ignored."""
     return int(0.05 * generations)
@@ -108,6 +118,19 @@ def diversity_profile(trace: RunTrace, burn_in: int) -> DiversityProfile:
     if count == 0:
         return DiversityProfile(None, 0)
     return DiversityProfile(total / count, count)
+
+
+def diversity_row(traces: Iterable[RunTrace], burn_in: int | None) -> dict:
+    """A cell's `diversity-report` values from its runs' `diversity_profile`s,
+    their average diversities averaged in run order (None when no run has
+    one). A `burn_in` of None takes each trace's `default_burn_in`."""
+    profiles = [diversity_profile(t, default_burn_in(t.generations) if burn_in is None else burn_in) for t in traces]
+    values = [p.average_diversity for p in profiles if p.average_diversity is not None]
+    return {
+        "runs_with_signal": len(values),
+        "generations_counted": sum(p.generations_counted for p in profiles),
+        "average_diversity": sum(values) / len(values) if values else None,
+    }
 
 
 def write_trace_csv(trace: RunTrace, path, include_timing: bool = False) -> None:
@@ -161,26 +184,6 @@ def write_rows_csv(path, rows: Sequence[dict]) -> None:
             w.writerow(f"{v:.17g}" if isinstance(v, float) else v for v in row.values())
 
 
-def write_summary_csv(
-    path,
-    algo: str,
-    function: str,
-    dim: int,
-    summary: RunSummary,
-    mean_wall_ms: float,
-    stagnation_gens: Sequence[int],
-) -> None:
-    """One cell's summary row. `stagnation_gens` holds the stall generation
-    of each run that stalled, so `stagnation_gen_mean` averages those runs
-    only, and `stalled_runs` counts them beside `runs`."""
-    stag = sum(stagnation_gens) / len(stagnation_gens) if stagnation_gens else ""
-    row = summary_row(algo, function, dim, summary)
-    write_rows_csv(path, [{
-        **row, "mean_wall_ms": float(mean_wall_ms), "stagnation_gen_mean": stag,
-        "stalled_runs": len(stagnation_gens),
-    }])
-
-
 def _names(value: str, element=str) -> tuple:
     """A matrix key's comma-separated values, each read by `element`."""
     return tuple(element(v.strip()) for v in value.split(",") if v.strip())
@@ -215,6 +218,10 @@ class ExperimentMatrix:
     engine_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # a bare name would read as its letters, and a bare dim not at all
+        for name, bare in (("algos", str), ("functions", str), ("dims", int)):
+            if isinstance(getattr(self, name), bare):
+                raise ValueError(f"{name} must be a sequence, got {getattr(self, name)!r}")
         # lists are read as tuples, so a list-built matrix is checked, compared and written as a loaded one
         self.algos, self.functions, self.dims = tuple(self.algos), tuple(self.functions), tuple(self.dims)
         check_fields(self)
@@ -269,8 +276,7 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
         out = cell_dir(matrix.output_dir, algo, function, dim)
         out.mkdir(parents=True, exist_ok=True)
 
-        errors: list[float] = []
-        walls: list[float] = []
+        traces = []
         for r in range(matrix.runs_per_cell):
             trace = run(replace(cfg, seed=matrix.seed_base + r), fn)
             if cfg.max_evaluations is not None and trace.stopped_by == "budget":
@@ -282,24 +288,18 @@ def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> C
             path = out / f"run{r}.csv"
             write_trace_csv(trace, path, include_timing=matrix.timing)
             result.trace_paths.append(str(path))
-            errors.append(error_value(trace.records[-1].best_fitness, fn.optimum_value))
-            walls.append(sum(rec.wall_ms for rec in trace.records))
-            stag = detect_stagnation(trace, matrix.stagnation_window)
-            if stag is not None:
-                result.stagnation_gens.append(stag)
+            traces.append(trace)
 
-        result.summary = summarize(errors)
-        result.mean_wall_ms = sum(walls) / len(walls)
+        result.summary = summarize(collect_final_errors(traces, function, dim))
+        result.mean_wall_ms = sum(sum(rec.wall_ms for rec in t.records) for t in traces) / len(traces)
+        result.stagnation_gens = stalls = stall_generations(traces, matrix.stagnation_window)
         spath = out / "summary.csv"
-        write_summary_csv(
-            spath,
-            algo,
-            function,
-            dim,
-            result.summary,
-            result.mean_wall_ms if matrix.timing else 0.0,
-            result.stagnation_gens,
-        )
+        write_rows_csv(spath, [{
+            **summary_row(algo, function, dim, result.summary),
+            "mean_wall_ms": result.mean_wall_ms if matrix.timing else 0.0,
+            "stagnation_gen_mean": sum(stalls) / len(stalls) if stalls else "",
+            "stalled_runs": len(stalls),
+        }])
         result.summary_path = str(spath)
     except Exception as exc:  # cell isolation: one bad cell never kills the matrix
         result.error = f"{type(exc).__name__}: {exc}"

@@ -152,6 +152,18 @@ def test_run_regions_dump_needs_cnea(tmp_path, capsys):
     assert not dump.exists() and not trace.exists()
 
 
+def test_run_regions_dump_creates_its_directory_after_the_cnea_check(tmp_path, capsys):
+    # as --out does; with any engine but cnea no file or directory is made
+    argv = ["run", "--function", "ellipsoid", "--dim", "2", "--generations", "2", "--pop-size", "10",
+            "--out", str(tmp_path / "t.csv")]
+    refused = tmp_path / "sea" / "d" / "r.jsonl"
+    assert main([*argv, "--algo", "sea", "--regions-dump", str(refused)]) == 2
+    assert not (tmp_path / "sea").exists()
+    dump = tmp_path / "cnea" / "d" / "r.jsonl"
+    assert main([*argv, "--algo", "cnea", "--regions-dump", str(dump)]) == 0
+    assert dump.is_file()
+
+
 def test_schwefel_lower_above_zero_is_a_usage_error(tmp_path, capsys):
     # the optimum, every coordinate 0, would lie outside [10, 64]
     trace = tmp_path / "t.csv"
@@ -406,13 +418,16 @@ def test_summarize_counts_the_stalled_runs_summary_csv_counts(budget, max_evalua
     assert main(["summarize", "--in", str(out_dir), "--json"]) == 0
     printed = capsys.readouterr().out
     summaries = sorted(out_dir.glob("*/*/*d/summary.csv"))
+    # every column the two share: the run count, the rank picks, mean and std, and the stalled runs
+    shared = {"runs": int, **dict.fromkeys(("best", "p23", "median", "p73", "worst", "mean", "std"), float),
+              "stalled_runs": int}
     stored = {}
     for path in summaries:
         with open(path, newline="") as fh:
             (row,) = csv.DictReader(fh)
-        stored[row["algo"]] = int(row["stalled_runs"])
+        stored[row["algo"]] = {name: kind(row[name]) for name, kind in shared.items()}
     assert len(stored) == 5
-    assert {row["algo"]: row["stalled_runs"] for row in json.loads(printed)} == stored
+    assert {row["algo"]: {name: row[name] for name in shared} for row in json.loads(printed)} == stored
     # the count comes from the traces and sweep.cfg, not from summary.csv
     for path in summaries:
         path.unlink()
@@ -438,6 +453,7 @@ def test_summarize_without_a_sweep_file_prints_null_stalled_runs(tmp_path, capsy
     pytest.param(["summarize"], id="summarize"),
     pytest.param(["ttest", "--a", "sea:ellipsoid:2"], id="ttest"),
     pytest.param(["diversity-report"], id="diversity-report"),
+    pytest.param(["diversity-report", "--burn-in", "0"], id="diversity-report-burn-in"),
 ])
 def test_summarize_empty_dir(argv, tmp_path, capsys):
     assert main([*argv, "--in", str(tmp_path)]) == 1

@@ -26,7 +26,6 @@ from counterniche.harness import (
     diversity_profile,
     load_matrix_config,
     read_trace_csv,
-    write_summary_csv,
     write_trace_csv,
 )
 from counterniche.stats import summarize
@@ -368,21 +367,23 @@ def test_read_trace_csv_rejects_foreign_files(tmp_path):
 
 
 def test_summary_csv_roundtrip(tmp_path):
-    path = tmp_path / "summary.csv"
-    summary = summarize([0.5, 0.1, 0.9])
-    write_summary_csv(path, "sea", "ackley", 5, summary, 12.5, [100, 200])
-    row = read_summary_row(path)
+    # under a fixed budget of 20 generations seeds 0 and 2 stall for 5 generations, at 11 and 13; seed 1 does not
+    matrix = _tiny_matrix(tmp_path, runs_per_cell=3, stagnation_window=5, generations=20)
+    (cell,) = run_matrix(matrix)
+    row = read_summary_row(cell.summary_path)
     assert tuple(row.keys()) == (
         "algo", "function", "dim", "runs", "best", "p23", "median", "p73", "worst", "mean", "std",
         "mean_wall_ms", "stagnation_gen_mean", "stalled_runs",
     )
-    assert row["algo"] == "sea"
-    assert int(row["dim"]) == 5
-    assert float(row["best"]) == 0.1
-    assert float(row["stagnation_gen_mean"]) == 150.0
-    # no stagnation values leaves the column empty
-    write_summary_csv(path, "sea", "ackley", 5, summary, 12.5, [])
-    assert read_summary_row(path)["stagnation_gen_mean"] == ""
+    assert (row["algo"], row["function"], row["dim"], row["runs"]) == ("sea", "ellipsoid", "2", "3")
+    errors = collect_final_errors(map(read_trace_csv, cell.trace_paths), "ellipsoid", 2)
+    assert float(row["best"]) == min(errors)
+    assert cell.stagnation_gens == [11, 13]
+    assert float(row["stagnation_gen_mean"]) == 12.0 and row["stalled_runs"] == "2"
+    # no run stalls for 500 generations within 5: the column is empty
+    (short,) = run_matrix(_tiny_matrix(tmp_path, output_dir=str(tmp_path / "short")))
+    row = read_summary_row(short.summary_path)
+    assert (row["stagnation_gen_mean"], row["stalled_runs"]) == ("", "0")
 
 
 def test_cell_dir_layout():
@@ -528,6 +529,13 @@ def test_stagnation_sweep_with_an_evaluation_budget_fails_only_a_run_cut_by_gene
         r"ValueError: run 1 ended at generation 20 after \d+ of max_evaluations = 1000000 evaluations; raise generations",
         capped.error,
     )
+
+
+@pytest.mark.parametrize("name,value", [("algos", "sea"), ("functions", "ellipsoid"), ("dims", 2)])
+def test_experiment_matrix_refuses_a_bare_name_or_dim(name, value, tmp_path):
+    # a bare string would be read letter by letter, and a bare int not at all
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a sequence, got {value!r}")):
+        _tiny_matrix(tmp_path, **{name: value})
 
 
 @pytest.mark.parametrize("budget,max_evaluations,message", [
