@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SearchSpace, check_finite
+from .core import SearchSpace
 
 __all__ = [
     "FUNCTION_NAMES",
@@ -177,13 +177,8 @@ def evaluate_children(fn, children: np.ndarray, source: np.ndarray, f: np.ndarra
     return fitness
 
 
-def make(name: str, dim: int, schwefel_lower: float | None = None) -> BenchmarkFn:
-    """Instantiate a named function at a given dimensionality.
-
-    `schwefel_lower` overrides the lower bound of schwefel12 only; the default
-    box is the symmetric [-64, 64]. Whatever the function, it must be at most
-    0, so that schwefel12's optimum stays in the box.
-    """
+def make(name: str, dim: int) -> BenchmarkFn:
+    """Instantiate a named function at a given dimensionality."""
     if name not in FUNCTION_NAMES:
         raise ValueError(f"unknown function {name!r}; known: {', '.join(FUNCTION_NAMES)}")
     if dim < 1:
@@ -191,15 +186,8 @@ def make(name: str, dim: int, schwefel_lower: float | None = None) -> BenchmarkF
 
     if name == "rot_rastrigin" and dim % 2:
         raise ValueError(f"rot_rastrigin needs an even dimension, got {dim}")
-    if schwefel_lower is not None:
-        check_finite("schwefel_lower", schwefel_lower)
-        if schwefel_lower > 0:
-            raise ValueError(f"schwefel_lower must be <= 0 to keep the optimum in the box, got {schwefel_lower}")
     half, coordinate, _ = _FUNCTIONS[name]
-    lower = -half
-    if name == "schwefel12" and schwefel_lower is not None:
-        lower = float(schwefel_lower)
-    space = SearchSpace.cube(dim, lower, half)
+    space = SearchSpace.cube(dim, -half, half)
 
     point = np.full(dim, coordinate)
     point.setflags(write=False)
@@ -210,7 +198,7 @@ def make(name: str, dim: int, schwefel_lower: float | None = None) -> BenchmarkF
 def registry() -> list[dict]:
     """Static description of every function, for listings and tooling; every
     entry has the same keys, and `note` is "" for a function with none."""
-    notes = {"schwefel12": "lower bound configurable", "rot_rastrigin": "even dimension required"}
+    notes = {"rot_rastrigin": "even dimension required"}
     return [
         {
             "name": name,

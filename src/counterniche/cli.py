@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p_run.add_argument("--" + key.replace("_", "-"), dest=knob.name, type=kind,
                            metavar=kind.__name__.upper(),
                            help="engine knob read by " + ", ".join(knob.metadata["applies"]))
-    p_run.add_argument("--schwefel-lower", type=float, default=None)
 
     p_sweep = sub.add_parser("sweep", help="run a whole experiment matrix from a config file")
     p_sweep.add_argument("--config", required=True)
@@ -128,7 +127,7 @@ def _cmd_run(args) -> int:
         if getattr(args, knob.name) is not None
     }
     try:
-        fn = benchmarks.make(args.function, args.dim, schwefel_lower=args.schwefel_lower)
+        fn = benchmarks.make(args.function, args.dim)
         cfg = default_config(
             args.algo, dim=args.dim, generations=args.generations, seed=args.seed,
             max_evaluations=args.max_evaluations, **overrides,

@@ -21,7 +21,6 @@ __all__ = [
     "Population",
     "RngStream",
     "next_double",
-    "check_finite",
     "config_field",
     "check_value",
     "check_fields",
@@ -209,12 +208,6 @@ class RngStream:
         self._bits.state = position
 
 
-def check_finite(name: str, value) -> None:
-    """Refuse NaN and +-inf for a float knob, before any range check reads it."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 # the bounds a config field may declare in its metadata: the test of each, and its symbol
 _BOUNDS = {
     "ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="), "lt": (operator.lt, "<"),
@@ -253,7 +246,8 @@ def check_value(field: Field, value) -> None:
         for element in value:
             check_value(field, element)
         return
-    check_finite(field.name, value)
+    if isinstance(value, float) and not math.isfinite(value):  # before any bound reads it
+        raise ValueError(f"{field.name} must be finite, got {value}")
     rules = field.metadata
     if "choices" in rules:
         ok = value in rules["choices"]

@@ -214,7 +214,6 @@ class ExperimentMatrix:
     max_evaluations: int | None = config_field(None, parse=int, ge=1)  # every run's evaluation budget; unset: none
     workers: int = config_field(1, parse=int, ge=1)
     timing: bool = config_field(False, parse=_on_off)
-    schwefel_lower: float | None = config_field(None, parse=float)
     engine_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -237,7 +236,7 @@ class ExperimentMatrix:
             self.engine_config(algo, dim)
         for function in self.functions:  # so does a function that cannot take a dim
             for dim in self.dims:
-                benchmarks.make(function, dim, schwefel_lower=self.schwefel_lower)
+                benchmarks.make(function, dim)
 
     def engine_config(self, algo: str, dim: int) -> EngineConfig:
         """The engine configuration every run of an (algo, dim) cell starts
@@ -271,7 +270,7 @@ def cell_dir(base, algo: str, function: str, dim: int) -> Path:
 def _run_cell(matrix: ExperimentMatrix, algo: str, function: str, dim: int) -> CellResult:
     result = CellResult(algo, function, dim, matrix.runs_per_cell)
     try:
-        fn = benchmarks.make(function, dim, schwefel_lower=matrix.schwefel_lower)
+        fn = benchmarks.make(function, dim)
         cfg = matrix.engine_config(algo, dim)
         out = cell_dir(matrix.output_dir, algo, function, dim)
         out.mkdir(parents=True, exist_ok=True)
@@ -322,7 +321,12 @@ def run_matrix(matrix: ExperimentMatrix) -> list[CellResult]:
 
 def discover_cells(base) -> dict[tuple[str, str, int], list[Path]]:
     """Every cell directory under `base` holding run traces: (algo,
-    function, dim) -> its trace paths in run order, keys sorted."""
+    function, dim) -> its trace paths in run order, keys sorted. When `base`
+    holds a SWEEP_FILE, only the cells and runs it lists count, so traces an
+    earlier sweep left in the same directory are not read."""
+    sweep = Path(base) / SWEEP_FILE
+    matrix = load_matrix_config(sweep) if sweep.exists() else None
+    listed = set(product(matrix.algos, matrix.functions, matrix.dims)) if matrix else None
     cells: dict[tuple[str, str, int], list[tuple[int, Path]]] = {}
     for trace in Path(base).glob("*/*/*d/run*.csv"):
         cell = trace.parent
@@ -331,7 +335,10 @@ def discover_cells(base) -> dict[tuple[str, str, int], list[Path]]:
             run_idx = int(trace.stem[3:])
         except ValueError:
             continue
-        cells.setdefault((cell.parent.parent.name, cell.parent.name, dim), []).append((run_idx, trace))
+        key = (cell.parent.parent.name, cell.parent.name, dim)
+        if matrix and (key not in listed or run_idx >= matrix.runs_per_cell):
+            continue
+        cells.setdefault(key, []).append((run_idx, trace))
     return {key: [p for _, p in sorted(runs)] for key, runs in sorted(cells.items())}
 
 

@@ -372,27 +372,20 @@ class Variation:
         return out, source
 
 
-def pow_sample(alpha: float, rng: RngStream, exponent: float = 2.0, upper: float = 1000.0, *, size: int) -> np.ndarray:
-    """An array of `size` draws from alpha times a truncated power law on
-    [1, upper].
+def pow_sample(alpha: float, rng: RngStream, *, size: int) -> np.ndarray:
+    """An array of `size` draws from alpha times the inverse-square law on
+    [1, 1000] (density proportional to u**-2): the mutation variances of
+    `socea`, `cea` and `dgea`.
 
-    The base variable has density proportional to u**(-exponent) on
-    [1, upper], sampled by inverting the CDF from one uniform draw each, so
-    `size=k` takes the k uniforms that k calls with `size=1` would take, in
-    order, and gives the same values. With the defaults the median lands
-    near 2*alpha and the output always stays inside [alpha, upper*alpha].
+    Each draw inverts the law's CDF at one uniform, so `size=k` takes the k
+    uniforms that k calls with `size=1` would take, in order, and gives the
+    same values. The median lands near 2*alpha, and every draw lies in
+    [alpha, 1000*alpha].
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if upper <= 1.0:
-        raise ValueError(f"upper truncation must exceed 1, got {upper}")
     u = rng.random(size)
-    if exponent == 1.0:
-        v = upper**u
-    else:
-        k = 1.0 - exponent
-        v = (1.0 - u * (1.0 - upper**k)) ** (1.0 / k)
-    return alpha * v
+    return alpha * (1.0 - u * (1.0 - 1000.0**-1.0)) ** -1.0
 
 
 def sea_variance(t: int, mode: str = "printed") -> float:

@@ -90,18 +90,6 @@ def test_schwefel12_cumulative_sums():
     assert fn.evaluate([1.0, 2.0, 3.0]) == pytest.approx(46.0, rel=1e-12)
 
 
-def test_schwefel12_lower_override():
-    fn = make("schwefel12", 2, schwefel_lower=0.0)
-    assert fn.space.lower[0] == 0.0
-    assert fn.space.upper[0] == 64.0
-    # above 0 the optimum, every coordinate 0, would lie outside the box, for every function
-    for name, lower in [("schwefel12", 64.0), ("schwefel12", 10.0), ("schwefel12", 1e-300), ("ackley", 10.0)]:
-        with pytest.raises(ValueError, match=f"schwefel_lower must be <= 0 to keep the optimum in the box, got {lower}"):
-            make(name, 2, schwefel_lower=lower)
-    # override only applies to schwefel12
-    assert make("ackley", 2, schwefel_lower=0.0).space.lower[0] == -30.0
-
-
 def test_rotation_matrix_blocks():
     a = rotation_matrix(4)
     block = np.array([[0.8, 0.6], [-0.6, 0.8]])

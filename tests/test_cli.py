@@ -164,24 +164,23 @@ def test_run_regions_dump_creates_its_directory_after_the_cnea_check(tmp_path, c
     assert dump.is_file()
 
 
-def test_schwefel_lower_above_zero_is_a_usage_error(tmp_path, capsys):
-    # the optimum, every coordinate 0, would lie outside [10, 64]
+def test_schwefel_lower_is_neither_a_run_flag_nor_a_sweep_key(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     code = main(
         ["run", "--algo", "sea", "--function", "schwefel12", "--dim", "4", "--generations", "2",
-         "--pop-size", "10", "--schwefel-lower", "10", "--out", str(trace)]
+         "--pop-size", "10", "--schwefel-lower", "-10", "--out", str(trace)]
     )
     assert code == 2
-    assert "schwefel_lower must be <= 0" in capsys.readouterr().err
+    assert "--schwefel-lower" in capsys.readouterr().err
     assert not trace.exists()
 
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
         "algos = sea\nfunctions = schwefel12\ndims = 4\nruns = 1\ngenerations = 2\n"
-        f"pop_size = 10\nschwefel_lower = 10\noutput_dir = {tmp_path / 'r'}\n"
+        f"pop_size = 10\nschwefel_lower = -10\noutput_dir = {tmp_path / 'r'}\n"
     )
     assert main(["sweep", "--config", str(cfg)]) == 2
-    assert "schwefel_lower must be <= 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {cfg}:7: unknown config key 'schwefel_lower'\n"
     assert not (tmp_path / "r").exists()
 
 
@@ -433,6 +432,27 @@ def test_summarize_counts_the_stalled_runs_summary_csv_counts(budget, max_evalua
         path.unlink()
     assert main(["summarize", "--in", str(out_dir), "--json"]) == 0
     assert capsys.readouterr().out == printed
+
+
+def test_read_commands_read_only_the_cells_and_runs_of_the_last_sweep(tmp_path, capsys):
+    # a second sweep into the same output_dir, with fewer algos and runs, leaves the first one's traces there
+    out_dir = tmp_path / "results"
+    cfg = tmp_path / "s.cfg"
+    for algos, runs in [("cnea, sea", 4), ("cnea", 2)]:
+        cfg.write_text(f"algos = {algos}\nfunctions = ellipsoid\ndims = 2\nruns = {runs}\ngenerations = 5\n"
+                       f"pop_size = 10\noutput_dir = {out_dir}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+    assert (out_dir / "sea" / "ellipsoid" / "2d" / "run3.csv").exists()
+    capsys.readouterr()
+    assert main(["summarize", "--in", str(out_dir), "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    with open(out_dir / "cnea" / "ellipsoid" / "2d" / "summary.csv", newline="") as fh:
+        (stored,) = csv.DictReader(fh)
+    shared = stored.keys() & row.keys()
+    assert row["runs"] == 2 and {"best", "mean", "stalled_runs"} <= shared
+    assert {name: type(row[name])(stored[name]) for name in shared} == {name: row[name] for name in shared}
+    assert main(["ttest", "--in", str(out_dir), "--a", "cnea:ellipsoid:2"]) == 1
+    assert capsys.readouterr().err == f"error: no other algo's ellipsoid:2 cell under {out_dir}\n"
 
 
 def test_summarize_without_a_sweep_file_prints_null_stalled_runs(tmp_path, capsys):

@@ -113,21 +113,15 @@ def test_bad_knob_rejected_when_built(name, value, tmp_path, capsys):
     ("d_high", math.inf),
     ("sigma_reg", math.inf),
     ("eps_fit", math.inf),
-    ("schwefel_lower", -math.inf),
-    ("schwefel_lower", math.nan),
 ])
 def test_non_finite_float_knob_fails_before_the_run(name, value, tmp_path, capsys):
-    algo = {"d_low": "dgea", "d_high": "dgea", "sigma_reg": "cnea", "eps_fit": "cnea"}.get(name, "socea")
-    function = "schwefel12" if name == "schwefel_lower" else "ellipsoid"
+    algo = {"d_low": "dgea", "d_high": "dgea", "sigma_reg": "cnea", "eps_fit": "cnea"}[name]
     message = f"{name} must be finite"
     with pytest.raises(ValueError, match=f"{message}, got {value}"):
-        if name == "schwefel_lower":
-            make(function, 2, schwefel_lower=value)
-        else:
-            EngineConfig(algo, **{name: value})
+        EngineConfig(algo, **{name: value})
     trace = tmp_path / "t.csv"
     code = cli.main(
-        ["run", "--algo", algo, "--function", function, "--dim", "2", "--generations", "3",
+        ["run", "--algo", algo, "--function", "ellipsoid", "--dim", "2", "--generations", "3",
          "--pop-size", "14", "--out", str(trace), f"{_flag(name)}={value}"]
     )
     assert code == 2
@@ -136,7 +130,7 @@ def test_non_finite_float_knob_fails_before_the_run(name, value, tmp_path, capsy
 
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text(
-        f"algos = {algo}\nfunctions = {function}\ndims = 2\n"
+        f"algos = {algo}\nfunctions = ellipsoid\ndims = 2\n"
         f"output_dir = {tmp_path / 'r'}\n{_key(name)} = {value}\n"
     )
     with pytest.raises(ValueError, match=re.escape(f"{sweep}:5: {_key(name)}: {name} must be finite")):
@@ -341,7 +335,6 @@ def test_negative_seed_fails_before_any_output(tmp_path, capsys):
     ("pop_size = ten", "pop_size"),
     ("runs = 2.5", "runs"),
     ("dims = 2, x", "dims"),
-    ("schwefel_lower = low", "schwefel_lower"),
     ("rho_replace = half", "rho_replace"),
 ])
 def test_unparsable_value_error_names_file_line_and_key(line, key, tmp_path, capsys):
@@ -368,8 +361,6 @@ def _set_value(field, hint):
     if kind is int:
         return (rules.get("ge", 0) if field.default is None else field.default) + 1
     if kind is float:
-        if field.default is None:
-            return -1 / 3  # schwefel_lower must be <= 0; 17 digits are needed to read it back
         top = rules.get("le", rules.get("lt"))
         return field.default * 2 if top is None else (field.default + top) / 2
     assert kind is str, (field.name, hint)
@@ -401,4 +392,4 @@ def test_written_matrix_loads_back_equal_but_for_output_dir(every, listed, tmp_p
         assert all(getattr(matrix, f.name) != f.default for f in matrix_keys().values() if f.default is not MISSING)
         assert {"pop_size", "elitism", "sea_variance"} <= set(written)
     else:
-        assert loaded.generations is loaded.max_evaluations is loaded.schwefel_lower is None
+        assert loaded.generations is loaded.max_evaluations is None
